@@ -3,9 +3,12 @@
 Subcommands: synth, ingest, describe, spatial, covariates, features, train,
 predict. Flag values override config-file values, which override built-in
 defaults. Every command is idempotent for fixed inputs and seed; outputs are
-declared in `manifest.json` with content hashes. Failures print a
-machine-readable error JSON and exit 2 (missing input), 3 (schema/data error),
-4 (training failure), or 1 (anything else).
+declared in `manifest.json` with content hashes. `ingest` also saves the
+repaired points and the trips to `points.npz`; describe, spatial, covariates
+and features reuse it when it was built from the same `points.csv` (by
+sha256), and otherwise parse and assemble the points as ingest does.
+Failures print a machine-readable error JSON and exit 2 (missing input),
+3 (schema/data error), 4 (training failure), or 1 (anything else).
 """
 
 from __future__ import annotations
@@ -57,7 +60,18 @@ from .features import (
     split_plan_as_dict,
     write_features_csv,
 )
-from .ingest import assemble_trips, parse_points, write_rejections_csv, write_trips_csv
+from .ingest import (
+    BOUNDARY_MISSING,
+    TOO_FEW_POINTS,
+    ZERO_DURATION,
+    assemble_trips,
+    load_points_npz,
+    parse_points,
+    point_columns,
+    save_points_npz,
+    write_rejections_csv,
+    write_trips_csv,
+)
 from .models import (
     MODEL_KINDS,
     ModelSpec,
@@ -178,10 +192,21 @@ def _emit(summary: dict) -> None:
     print(json.dumps(summary, sort_keys=True))
 
 
-def _load_trips(cfg: dict):
-    points = parse_points(_require(cfg, "points"))
+def _parse_and_assemble(points_path: Path):
+    points = parse_points(points_path)
     trips, rejections = assemble_trips(points)
     return points, trips, rejections
+
+
+def _load_trips(cfg: dict):
+    """(point columns, trips) of the configured points file, from ingest's
+    `points.npz` when it was built from this file, else parsed afresh."""
+    points_path = _require(cfg, "points")
+    loaded = load_points_npz(_outdir(cfg) / "points.npz", sha256_file(points_path))
+    if loaded is not None:
+        return loaded
+    points, trips, _ = _parse_and_assemble(points_path)
+    return point_columns(points), trips
 
 
 # ---------------------------------------------------------------- subcommands
@@ -204,19 +229,25 @@ def cmd_synth(cfg: dict, args) -> None:
 
 def cmd_ingest(cfg: dict, args) -> None:
     outdir = _outdir(cfg)
-    points, trips, rejections = _load_trips(cfg)
+    points_path = _require(cfg, "points")
+    points, trips, rejections = _parse_and_assemble(points_path)
     trips_path = outdir / "trips.csv"
     rej_path = outdir / "rejections.csv"
+    npz_path = outdir / "points.npz"
     write_trips_csv(trips, trips_path)
     write_rejections_csv(rejections, rej_path)
-    _update_manifest(outdir, [trips_path, rej_path])
+    save_points_npz(npz_path, point_columns(points), trips, sha256_file(points_path))
+    _update_manifest(outdir, [trips_path, rej_path, npz_path])
+    by_reason = dict.fromkeys((BOUNDARY_MISSING, TOO_FEW_POINTS, ZERO_DURATION), 0)
+    for r in rejections:
+        by_reason[r.reason] += 1
     _emit({"command": "ingest", "points": len(points), "trips": len(trips),
-           "rejections": len(rejections)})
+           "rejections": len(rejections), "rejections_by_reason": by_reason})
 
 
 def cmd_describe(cfg: dict, args) -> None:
     outdir = _outdir(cfg)
-    _, trips, _ = _load_trips(cfg)
+    _, trips = _load_trips(cfg)
     d = cfg["describe"]
     offset = cfg["utc_offset_min"]
     hists = {
@@ -252,11 +283,12 @@ def cmd_describe(cfg: dict, args) -> None:
 
 def cmd_spatial(cfg: dict, args) -> None:
     outdir = _outdir(cfg)
-    points, trips, _ = _load_trips(cfg)
+    columns, trips = _load_trips(cfg)
     sp = cfg["spatial"]
     offset = cfg["utc_offset_min"]
     bbox = tuple(cfg["bbox"])
-    coords = [(p.lat, p.lon) for p in points if p.lat is not None]
+    present = ~np.isnan(columns.lat)
+    coords = np.column_stack((columns.lat[present], columns.lon[present]))
     files = []
 
     grid = build_density_grid(coords, bbox, sp["cell_size_m"])
@@ -264,19 +296,18 @@ def cmd_spatial(cfg: dict, args) -> None:
     write_density_csv(grid, density_path)
     files.append(density_path)
 
-    periods = {}
+    trips_by_month: dict[str, list] = {}
     if sp.get("per_month"):
-        by_month: dict[str, list] = {}
-        for p in points:
-            if p.lat is None:
-                continue
-            by_month.setdefault(month_key(local_date(p.timestamp, offset)), []).append((p.lat, p.lon))
-        for mk in sorted(by_month):
-            g = build_density_grid(by_month[mk], bbox, sp["cell_size_m"])
-            p = outdir / f"density_{mk}.csv"
+        # local calendar month of each point, as month_key(local_date(...)) gives it
+        local_us = columns.t[present] + offset * 60_000_000
+        months = local_us.astype("datetime64[us]").astype("datetime64[M]")
+        for m in np.unique(months):
+            g = build_density_grid(coords[months == m], bbox, sp["cell_size_m"])
+            p = outdir / f"density_{m}.csv"
             write_density_csv(g, p)
             files.append(p)
-            periods[mk] = by_month[mk]
+        for t in trips:
+            trips_by_month.setdefault(month_key(local_date(t.start_time, offset)), []).append(t)
 
     reports = []
     hubs_cfg_path = cfg.get("paths", {}).get("hubs")
@@ -287,14 +318,10 @@ def cmd_spatial(cfg: dict, args) -> None:
             reports.append(hub_spread(trips, (hub.lat, hub.lon), hub.radius_m,
                                       sp["dest_cell_size_m"], sp["top_k"],
                                       period="all", hub_name=hub.name))
-            if sp.get("per_month"):
-                by_month_trips: dict[str, list] = {}
-                for t in trips:
-                    by_month_trips.setdefault(month_key(local_date(t.start_time, offset)), []).append(t)
-                for mk in sorted(by_month_trips):
-                    reports.append(hub_spread(by_month_trips[mk], (hub.lat, hub.lon), hub.radius_m,
-                                              sp["dest_cell_size_m"], sp["top_k"],
-                                              period=mk, hub_name=hub.name))
+            for mk in sorted(trips_by_month):
+                reports.append(hub_spread(trips_by_month[mk], (hub.lat, hub.lon), hub.radius_m,
+                                          sp["dest_cell_size_m"], sp["top_k"],
+                                          period=mk, hub_name=hub.name))
     hubs_path = outdir / "hubs.json"
     write_json(hubs_path, [hub_report_as_dict(r) for r in reports])
     files.append(hubs_path)
@@ -305,7 +332,7 @@ def cmd_spatial(cfg: dict, args) -> None:
 
 def cmd_covariates(cfg: dict, args) -> None:
     outdir = _outdir(cfg)
-    _, trips, _ = _load_trips(cfg)
+    _, trips = _load_trips(cfg)
     offset = cfg["utc_offset_min"]
     weather = parse_weather(_require(cfg, "weather"))
     calendar = parse_calendar(_require(cfg, "calendar"))
@@ -353,7 +380,7 @@ def cmd_covariates(cfg: dict, args) -> None:
 
 def cmd_features(cfg: dict, args) -> None:
     outdir = _outdir(cfg)
-    _, trips, _ = _load_trips(cfg)
+    _, trips = _load_trips(cfg)
     fc = cfg["features"]
     width = int(args.width or fc["width"])
     split = args.split or fc["split"]
@@ -431,7 +458,7 @@ def _write_predictions(path: Path, matrix, rows, predictions) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("slot_start,actual,predicted\n")
         for i, j in enumerate(rows):
-            f.write(f"{format_utc(matrix.slot_starts[j])},{matrix.y[j]!r},{float(predictions[i])!r}\n")
+            f.write(f"{format_utc(matrix.slot_starts[j])},{float(matrix.y[j])!r},{float(predictions[i])!r}\n")
 
 
 def cmd_predict(cfg: dict, args) -> None:

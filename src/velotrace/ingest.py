@@ -4,6 +4,10 @@ Points arrive as CSV rows keyed by an opaque activity id. Assembly groups
 rows per activity, sorts by timestamp, repairs missing fields by linear
 interpolation in time, and computes per-trip distance / duration / speed.
 Distances are great-circle on a sphere of radius 6,371,000 m.
+
+`save_points_npz` stores the repaired point columns and the trip table of one
+points file in `points.npz`, keyed by that file's sha256; `load_points_npz`
+gives them back, so later analyses need not parse and assemble again.
 """
 
 from __future__ import annotations
@@ -11,9 +15,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
-from datetime import datetime
+import zipfile
+from dataclasses import dataclass
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +49,7 @@ class GpsPoint:
 @dataclass(slots=True)
 class Trip:
     trip_id: str
-    points: list[GpsPoint]
+    points: list[GpsPoint] | None  # None for trips loaded from points.npz
     start_time: datetime
     end_time: datetime
     start_point: tuple[float, float]
@@ -277,3 +283,77 @@ def write_rejections_csv(rejections: list[Rejection], path) -> None:
         w.writerow(["activity_id", "reason", "detail"])
         for r in rejections:
             w.writerow([r.activity_id, r.reason, r.detail])
+
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def _to_us(dt: datetime) -> int:
+    return (dt - _EPOCH) // _MICROSECOND
+
+
+def _from_us(us: int) -> datetime:
+    return _EPOCH + timedelta(microseconds=us)
+
+
+class PointColumns(NamedTuple):
+    """Point columns in file order: `t` in int64 microseconds since the
+    epoch, `lat`/`lon` float64 with NaN where the coordinate is absent."""
+    t: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+
+
+def point_columns(points: list[GpsPoint]) -> PointColumns:
+    n = len(points)
+    return PointColumns(
+        np.fromiter((_to_us(p.timestamp) for p in points), dtype=np.int64, count=n),
+        np.fromiter((math.nan if p.lat is None else p.lat for p in points), dtype=np.float64, count=n),
+        np.fromiter((math.nan if p.lon is None else p.lon for p in points), dtype=np.float64, count=n),
+    )
+
+
+_TRIP_COLUMNS = ("trip_id", "start_us", "end_us", "start_point", "end_point",
+                 "distance", "duration", "avg_speed")
+
+
+def save_points_npz(path, columns: PointColumns, trips: list[Trip], source_sha256: str) -> None:
+    """Write the point columns and the trip table as a plain (pickle-free) npz.
+
+    `columns` should be taken after `assemble_trips`, which repairs the
+    points in place. The bytes depend only on the inputs.
+    """
+    with open(path, "wb") as f:
+        np.savez(
+            f,
+            source_sha256=np.array(source_sha256),
+            t=columns.t, lat=columns.lat, lon=columns.lon,
+            trip_id=np.array([t.trip_id for t in trips], dtype=str),
+            start_us=np.array([_to_us(t.start_time) for t in trips], dtype=np.int64),
+            end_us=np.array([_to_us(t.end_time) for t in trips], dtype=np.int64),
+            start_point=np.array([t.start_point for t in trips], dtype=np.float64).reshape(-1, 2),
+            end_point=np.array([t.end_point for t in trips], dtype=np.float64).reshape(-1, 2),
+            distance=np.array([t.distance for t in trips], dtype=np.float64),
+            duration=np.array([t.duration for t in trips], dtype=np.float64),
+            avg_speed=np.array([t.avg_speed for t in trips], dtype=np.float64),
+        )
+
+
+def load_points_npz(path, source_sha256: str) -> tuple[PointColumns, list[Trip]] | None:
+    """Point columns and trips saved by `save_points_npz` from the points file
+    whose sha256 is `source_sha256`; None when the file is missing, unreadable
+    or was built from other points. Loaded trips have `points=None`."""
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            if str(z["source_sha256"]) != source_sha256:
+                return None
+            columns = PointColumns(z["t"], z["lat"], z["lon"])
+            table = [z[k].tolist() for k in _TRIP_COLUMNS]
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    trips = [
+        Trip(tid, None, _from_us(s), _from_us(e), tuple(a), tuple(b), d, du, sp)
+        for tid, s, e, a, b, d, du, sp in zip(*table)
+    ]
+    return columns, trips

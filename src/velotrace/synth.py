@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ingest import EARTH_RADIUS_M
 from .spatial import M_PER_DEG_LAT, _m_per_deg_lon
 from .util import format_utc, write_json
 
@@ -251,7 +252,7 @@ def generate(cfg: SynthConfig, outdir) -> dict:
             la2, lo2 = np.radians(dlat), np.radians(dlon)
             s = (np.sin((la2 - la1) / 2) ** 2
                  + np.cos(la1) * np.cos(la2) * np.sin((lo2 - lo1) / 2) ** 2)
-            dist = 2.0 * 6_371_000.0 * np.arcsin(np.minimum(1.0, np.sqrt(s)))
+            dist = 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(s)))
             duration = np.maximum(2, np.rint(dist / speed)).astype(np.int64)
 
             rows = []

@@ -1,0 +1,183 @@
+"""End-to-end tests of the CLI on a small synthetic city with hubs that
+spans a month boundary (so `spatial.per_month` writes two monthly grids).
+Three hand-written activities are appended to its points so that ingest
+repairs and rejects points for every reason."""
+
+import csv
+import json
+import shutil
+
+import numpy as np
+import pytest
+
+from velotrace import cli
+from velotrace.features import read_features_csv
+from velotrace.ingest import assemble_trips, parse_points
+from velotrace.spatial import build_density_grid, write_density_csv
+from velotrace.util import format_utc, local_date, month_key
+
+CONFIG = {
+    "synth": {"start_date": "2017-05-24", "end_date": "2017-06-06", "base_trips_per_day": 40},
+    "spatial": {"per_month": True},
+    "train": {"models": ["linear", "boost"], "with_cv": False},
+    "models": {"boost": {"n_rounds": 5}},
+}
+EXTRA_POINTS = """\
+X1,2017-05-30T08:00:00Z,,,,
+X1,2017-05-30T08:00:10Z,44.49,11.34,5.0,3.0
+X1,2017-05-30T08:00:20Z,,,5.0,
+X1,2017-05-30T08:00:30Z,44.491,11.341,,3.1
+X1,2017-05-30T08:00:40Z,,,5.0,3.0
+X2,2017-05-31T22:30:00Z,44.5,11.35,,
+X3,2017-06-01T10:00:00Z,44.5,11.35,4.0,2.0
+X3,2017-06-01T10:00:00Z,44.51,11.36,4.0,2.0
+"""
+ANALYSES = (["describe"], ["spatial"], ["covariates"], ["features", "--width", "60"])
+
+
+@pytest.fixture(scope="module")
+def city(tmp_path_factory):
+    root = tmp_path_factory.mktemp("city")
+    config = root / "config.json"
+    config.write_text(json.dumps(CONFIG), encoding="utf-8")
+    assert cli.main(["synth", "--config", str(config), "--out", str(root / "inputs")]) == 0
+    with open(root / "inputs" / "points.csv", "a", encoding="utf-8", newline="") as f:
+        f.write(EXTRA_POINTS)
+    return root
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Counts the CLI's calls of parse_points."""
+    calls = []
+    real = cli.parse_points
+
+    def counting(source):
+        calls.append(source)
+        return real(source)
+
+    monkeypatch.setattr(cli, "parse_points", counting)
+    return calls
+
+
+def run(city, outdir, argv, points=None):
+    inputs = city / "inputs"
+    common = ["--config", str(city / "config.json"), "--out", str(outdir),
+              "--points", str(points or inputs / "points.csv")]
+    for key in ("weather", "calendar", "hubs"):
+        common += [f"--{key}", str(inputs / f"{key}.csv")]
+    assert cli.main(argv + common) == 0, argv
+
+
+def run_analyses(city, outdir, points=None):
+    for argv in ANALYSES:
+        run(city, outdir, argv, points)
+
+
+def assert_same_analysis_outputs(reused, fresh):
+    """Every analysis output of the fresh directory has the same bytes in the reused one."""
+    names = sorted(p.name for p in fresh.iterdir() if p.name != "manifest.json")
+    assert {"density.csv", "hubs.json", "profile.json", "correlations.json", "features.csv"} <= set(names)
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
+    fresh_manifest = json.loads((fresh / "manifest.json").read_text())["outputs"]
+    reused_manifest = json.loads((reused / "manifest.json").read_text())["outputs"]
+    assert {k: reused_manifest[k] for k in fresh_manifest} == fresh_manifest
+
+
+def test_analyses_reuse_points_npz_byte_identically(city, tmp_path, parse_calls):
+    run(city, tmp_path / "a", ["ingest"])
+    assert len(parse_calls) == 1
+    run_analyses(city, tmp_path / "a")
+    assert len(parse_calls) == 1
+    run_analyses(city, tmp_path / "b")
+    assert len(parse_calls) == 1 + len(ANALYSES)
+    assert_same_analysis_outputs(tmp_path / "a", tmp_path / "b")
+
+    assert sorted(p.name for p in (tmp_path / "a").glob("density_*.csv")) == [
+        "density_2017-05.csv", "density_2017-06.csv"]
+    periods = {r["period"] for r in json.loads((tmp_path / "a" / "hubs.json").read_text())}
+    assert periods == {"all", "2017-05", "2017-06"}
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())["outputs"]
+    assert "points.npz" in manifest
+
+
+@pytest.mark.parametrize("offset", [120, -330])
+def test_monthly_density_groups_points_by_local_month(city, tmp_path, offset):
+    run(city, tmp_path, ["ingest", "--utc-offset-min", str(offset)])
+    run(city, tmp_path, ["spatial", "--utc-offset-min", str(offset)])
+    points = parse_points(city / "inputs" / "points.csv")
+    assemble_trips(points)  # repairs the points in place, as spatial bins them
+    by_month = {}
+    for p in points:
+        if p.lat is not None:
+            by_month.setdefault(month_key(local_date(p.timestamp, offset)), []).append((p.lat, p.lon))
+    assert sorted(by_month) == ["2017-05", "2017-06"]
+    for mk, coords in by_month.items():
+        grid = build_density_grid(coords, tuple(cli.DEFAULTS["bbox"]), cli.DEFAULTS["spatial"]["cell_size_m"])
+        write_density_csv(grid, tmp_path / "reference.csv")
+        assert (tmp_path / f"density_{mk}.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes(), mk
+
+
+def test_second_ingest_writes_identical_npz(city, tmp_path):
+    run(city, tmp_path, ["ingest"])
+    first = (tmp_path / "points.npz").read_bytes()
+    run(city, tmp_path, ["ingest"])
+    assert (tmp_path / "points.npz").read_bytes() == first
+    with np.load(tmp_path / "points.npz", allow_pickle=False) as z:
+        assert all(z[k].dtype != object for k in z.files)
+
+
+def test_rewritten_points_csv_is_parsed_again(city, tmp_path, parse_calls):
+    points = tmp_path / "points.csv"
+    shutil.copyfile(city / "inputs" / "points.csv", points)
+    run(city, tmp_path / "a", ["ingest"], points)
+    lines = points.read_text(encoding="utf-8").splitlines(keepends=True)
+    dropped = lines[1].split(",")[0]
+    points.write_text("".join(ln for ln in lines if not ln.startswith(dropped + ",")), encoding="utf-8")
+    del parse_calls[:]
+    run_analyses(city, tmp_path / "a", points)
+    assert len(parse_calls) == len(ANALYSES)
+    run_analyses(city, tmp_path / "b", points)
+    assert_same_analysis_outputs(tmp_path / "a", tmp_path / "b")
+    profile = json.loads((tmp_path / "b" / "profile.json").read_text())
+    run_analyses(city, tmp_path / "c")
+    assert json.loads((tmp_path / "c" / "profile.json").read_text()) != profile
+
+
+def test_truncated_npz_is_ignored(city, tmp_path, parse_calls):
+    run(city, tmp_path / "a", ["ingest"])
+    npz = tmp_path / "a" / "points.npz"
+    npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
+    del parse_calls[:]
+    run_analyses(city, tmp_path / "a")
+    assert len(parse_calls) == len(ANALYSES)
+    run_analyses(city, tmp_path / "b")
+    assert_same_analysis_outputs(tmp_path / "a", tmp_path / "b")
+
+
+def test_ingest_summary_counts_rejections_by_reason(city, tmp_path, capsys):
+    run(city, tmp_path, ["ingest"])
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    by_reason = summary["rejections_by_reason"]
+    assert set(by_reason) == {"boundary-missing", "too-few-points", "zero-duration"}
+    assert sum(by_reason.values()) == summary["rejections"]
+    with open(tmp_path / "rejections.csv", newline="") as f:
+        reasons = [row[1] for row in csv.reader(f)][1:]
+    assert by_reason == {k: reasons.count(k) for k in by_reason}
+    assert by_reason == {"boundary-missing": 2, "too-few-points": 1, "zero-duration": 1}
+
+
+def test_predictions_actual_column_is_the_target(city, tmp_path):
+    run(city, tmp_path, ["features", "--width", "60"])
+    run(city, tmp_path, ["train", "--split", "60/40"])
+    matrix = read_features_csv(tmp_path / "features.csv")
+    target = {format_utc(s): y for s, y in zip(matrix.slot_starts, matrix.y)}
+    files = sorted(tmp_path.glob("predictions*.csv"))
+    assert [p.name for p in files] == ["predictions.csv", "predictions_boost.csv", "predictions_linear.csv"]
+    for path in files:
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert rows
+        for row in rows:
+            assert float(row["actual"]) == target[row["slot_start"]], path.name

@@ -11,7 +11,10 @@ from velotrace.ingest import (
     ZERO_DURATION,
     assemble_trips,
     haversine,
+    load_points_npz,
     parse_points,
+    point_columns,
+    save_points_npz,
     trip_metrics,
 )
 
@@ -219,3 +222,43 @@ class TestTripMetrics:
         points = [pt("A", 0, 1.0, 1.0), pt("A", 0, 1.0, 1.0)]
         with pytest.raises(ParameterError):
             trip_metrics(points)
+
+
+class TestPointsNpz:
+    @staticmethod
+    def assembled():
+        """Points in file order, repaired in place, and their trips (C is rejected)."""
+        points = [
+            pt("B", 0, 44.49, 11.34), pt("A", 0), pt("A", 10, 44.49, 11.34),
+            pt("A", 20), pt("A", 30, 44.50, 11.35), pt("B", 60, 44.4912345678, 11.3498765432),
+            pt("C", 5, 44.49, 11.34),
+        ]
+        trips, _ = assemble_trips(points)
+        return points, trips
+
+    def test_round_trip_matches_assembled_trips(self, tmp_path):
+        points, trips = self.assembled()
+        save_points_npz(tmp_path / "p.npz", point_columns(points), trips, "abc")
+        columns, loaded = load_points_npz(tmp_path / "p.npz", "abc")
+        assert [t.trip_id for t in loaded] == ["A", "B"]
+        for a, b in zip(trips, loaded):
+            assert b.points is None
+            for name in ("trip_id", "start_time", "end_time", "start_point", "end_point",
+                         "distance", "duration", "avg_speed"):
+                assert repr(getattr(a, name)) == repr(getattr(b, name)), name
+        # repaired columns in file order; boundary-missing stays absent
+        assert columns.t.tolist() == [int(p.timestamp.timestamp()) * 1_000_000 for p in points]
+        assert math.isnan(columns.lat[1]) and math.isnan(columns.lon[1])
+        assert (columns.lat[3], columns.lon[3]) == (points[3].lat, points[3].lon)
+        assert columns.lat[3] == pytest.approx(44.495)
+
+    def test_other_source_or_missing_file_gives_none(self, tmp_path):
+        points, trips = self.assembled()
+        save_points_npz(tmp_path / "p.npz", point_columns(points), trips, "abc")
+        assert load_points_npz(tmp_path / "p.npz", "abd") is None
+        assert load_points_npz(tmp_path / "missing.npz", "abc") is None
+
+    def test_empty_trip_table(self, tmp_path):
+        save_points_npz(tmp_path / "p.npz", point_columns([]), [], "abc")
+        columns, trips = load_points_npz(tmp_path / "p.npz", "abc")
+        assert trips == [] and len(columns.t) == 0
