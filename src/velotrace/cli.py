@@ -57,6 +57,7 @@ from .features import (
     chronological_split,
     feature_target_correlation,
     read_features_csv,
+    season_of_month,
     split_plan_as_dict,
     write_features_csv,
 )
@@ -67,7 +68,6 @@ from .ingest import (
     assemble_trips,
     load_points_npz,
     parse_points,
-    point_columns,
     save_points_npz,
     write_rejections_csv,
     write_trips_csv,
@@ -97,11 +97,11 @@ from .synth import (
     generate,
 )
 from .util import (
+    WEEKDAY_NAMES,
     format_utc,
     local_date,
     month_key,
     sha256_file,
-    thread_count,
     to_local,
     truncate_hour,
     write_json,
@@ -193,20 +193,20 @@ def _emit(summary: dict) -> None:
 
 
 def _parse_and_assemble(points_path: Path):
-    points = parse_points(points_path)
-    trips, rejections = assemble_trips(points)
-    return points, trips, rejections
+    table = parse_points(points_path)
+    trips, rejections = assemble_trips(table)
+    return table, trips, rejections
 
 
 def _load_trips(cfg: dict):
-    """(point columns, trips) of the configured points file, from ingest's
-    `points.npz` when it was built from this file, else parsed afresh."""
+    """(repaired point table, trips) of the configured points file, from
+    ingest's `points.npz` when it was built from this file, else parsed afresh."""
     points_path = _require(cfg, "points")
     loaded = load_points_npz(_outdir(cfg) / "points.npz", sha256_file(points_path))
     if loaded is not None:
         return loaded
-    points, trips, _ = _parse_and_assemble(points_path)
-    return point_columns(points), trips
+    table, trips, _ = _parse_and_assemble(points_path)
+    return table, trips
 
 
 # ---------------------------------------------------------------- subcommands
@@ -230,18 +230,18 @@ def cmd_synth(cfg: dict, args) -> None:
 def cmd_ingest(cfg: dict, args) -> None:
     outdir = _outdir(cfg)
     points_path = _require(cfg, "points")
-    points, trips, rejections = _parse_and_assemble(points_path)
+    table, trips, rejections = _parse_and_assemble(points_path)
     trips_path = outdir / "trips.csv"
     rej_path = outdir / "rejections.csv"
     npz_path = outdir / "points.npz"
     write_trips_csv(trips, trips_path)
     write_rejections_csv(rejections, rej_path)
-    save_points_npz(npz_path, point_columns(points), trips, sha256_file(points_path))
+    save_points_npz(npz_path, table, trips, sha256_file(points_path))
     _update_manifest(outdir, [trips_path, rej_path, npz_path])
     by_reason = dict.fromkeys((BOUNDARY_MISSING, TOO_FEW_POINTS, ZERO_DURATION), 0)
     for r in rejections:
         by_reason[r.reason] += 1
-    _emit({"command": "ingest", "points": len(points), "trips": len(trips),
+    _emit({"command": "ingest", "points": len(table), "trips": len(trips),
            "rejections": len(rejections), "rejections_by_reason": by_reason})
 
 
@@ -265,13 +265,7 @@ def cmd_describe(cfg: dict, args) -> None:
     write_json(profile_path, profile_as_dict(profile))
     files.append(profile_path)
     monthly_path = outdir / "monthly.csv"
-    if len(profile.monthly_counts) >= 2:
-        write_monthly_csv(monthly_change(profile), monthly_path)
-    else:
-        with open(monthly_path, "w", encoding="utf-8", newline="") as f:
-            f.write("month,count,pct_change_vs_prev,share_of_peak\n")
-            for m, c in profile.monthly_counts.items():
-                f.write(f"{m},{c},,1.0\n")
+    write_monthly_csv(monthly_change(profile), monthly_path)
     files.append(monthly_path)
     _update_manifest(outdir, files)
     _emit({"command": "describe", "trips": len(trips),
@@ -283,12 +277,12 @@ def cmd_describe(cfg: dict, args) -> None:
 
 def cmd_spatial(cfg: dict, args) -> None:
     outdir = _outdir(cfg)
-    columns, trips = _load_trips(cfg)
+    table, trips = _load_trips(cfg)
     sp = cfg["spatial"]
     offset = cfg["utc_offset_min"]
     bbox = tuple(cfg["bbox"])
-    present = ~np.isnan(columns.lat)
-    coords = np.column_stack((columns.lat[present], columns.lon[present]))
+    present = ~np.isnan(table.lat)
+    coords = np.column_stack((table.lat[present], table.lon[present]))
     files = []
 
     grid = build_density_grid(coords, bbox, sp["cell_size_m"])
@@ -299,7 +293,7 @@ def cmd_spatial(cfg: dict, args) -> None:
     trips_by_month: dict[str, list] = {}
     if sp.get("per_month"):
         # local calendar month of each point, as month_key(local_date(...)) gives it
-        local_us = columns.t[present] + offset * 60_000_000
+        local_us = table.t[present] + offset * 60_000_000
         months = local_us.astype("datetime64[us]").astype("datetime64[M]")
         for m in np.unique(months):
             g = build_density_grid(coords[months == m], bbox, sp["cell_size_m"])
@@ -426,8 +420,7 @@ def cmd_train(cfg: dict, args) -> None:
     requested = [args.model] if args.model else list(tc["models"])
     specs = _model_specs(cfg, requested)
     plan = chronological_split(matrix, split)
-    report, fitted = evaluate(matrix, plan, specs, with_cv=bool(tc.get("with_cv", True)),
-                              threads=thread_count())
+    report, fitted = evaluate(matrix, plan, specs, with_cv=bool(tc.get("with_cv", True)))
 
     files = []
     report_path = outdir / "eval_report.json"
@@ -522,10 +515,8 @@ def _next_slot_prediction(cfg: dict, tm, matrix) -> dict:
     else:
         set_if_present(f"hour_of_the_day={local.hour}", 1.0)
     set_if_present(f"month={month_key(local.date())}", 1.0)
-    from .features import season_of_month
     set_if_present(f"season={season_of_month(local.month)}", 1.0)
-    from .features import DOW_NAMES
-    set_if_present(f"day_of_week={DOW_NAMES[local.weekday()]}", 1.0)
+    set_if_present(f"day_of_week={WEEKDAY_NAMES[local.weekday()]}", 1.0)
     holiday = 0.0
     cal_path = cfg.get("paths", {}).get("calendar")
     if cal_path and Path(cal_path).exists():

@@ -4,11 +4,9 @@ rule (baseline = mean of same-weekday counts one week before and after)."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
-from pathlib import Path
 
 from .errors import (
     ParameterError,
@@ -18,7 +16,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .ingest import Trip
-from .util import format_utc, local_date, parse_utc, truncate_hour
+from .util import WEEKDAY_NAMES, csv_rows, format_utc, local_date, parse_utc, truncate_hour
 
 WEATHER_HEADER = ["timestamp", "temp_c", "precip_mm", "wind_mps"]
 POLLUTION_HEADER = ["timestamp", "pm", "o3", "no2", "so2"]
@@ -54,16 +52,8 @@ class CalendarEntry:
     label: str
 
 
-def _open_rows(source):
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as f:
-            yield from csv.reader(f)
-    else:
-        yield from csv.reader(source)
-
-
 def parse_weather(source) -> list[WeatherRecord]:
-    rows = _open_rows(source)
+    rows = csv_rows(source)
     header = next(rows, None)
     if header != WEATHER_HEADER:
         raise SchemaError(f"bad weather header {header!r}, expected {WEATHER_HEADER!r}")
@@ -94,7 +84,7 @@ def parse_weather(source) -> list[WeatherRecord]:
 
 
 def parse_pollution(source) -> list[PollutionRecord]:
-    rows = _open_rows(source)
+    rows = csv_rows(source)
     header = next(rows, None)
     if header != POLLUTION_HEADER:
         raise SchemaError(f"bad pollution header {header!r}, expected {POLLUTION_HEADER!r}")
@@ -125,7 +115,7 @@ def parse_pollution(source) -> list[PollutionRecord]:
 
 
 def parse_calendar(source) -> list[CalendarEntry]:
-    rows = _open_rows(source)
+    rows = csv_rows(source)
     header = next(rows, None)
     if header != CALENDAR_HEADER:
         raise SchemaError(f"bad calendar header {header!r}, expected {CALENDAR_HEADER!r}")
@@ -326,8 +316,6 @@ def week_contrast(rows: list[DailyRow], week_a_start: date, week_b_start: date,
     When weather records are supplied the report carries week a's hourly
     precipitation overlay for plotting.
     """
-    from .descriptive import WEEKDAY_NAMES
-
     for name, start in (("week_a_start", week_a_start), ("week_b_start", week_b_start)):
         if start.weekday() != 0:
             raise ParameterError(f"{name} {start} is not a Monday")

@@ -10,9 +10,7 @@ from dataclasses import dataclass
 
 from .errors import DataError, ParameterError
 from .ingest import Trip
-from .util import month_key, to_local
-
-WEEKDAY_NAMES = ["Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday"]
+from .util import WEEKDAY_NAMES, month_key, to_local
 
 # default bin widths resolve the expected peaks (~1600 m, ~720 s, ~3.9 m/s)
 DEFAULT_DISTANCE_BIN_M = 200.0
@@ -126,11 +124,10 @@ class MonthChange:
 
 
 def monthly_change(profile: TemporalProfile) -> list[MonthChange]:
-    """Month-over-month trip count changes and share of the peak month."""
+    """Month-over-month trip count changes and share of the peak month; one
+    row per month (the first has no change), none for an empty profile."""
     months = sorted(profile.monthly_counts)
-    if len(months) < 2:
-        raise ParameterError("monthly_change needs at least 2 months")
-    peak = max(profile.monthly_counts.values())
+    peak = max(profile.monthly_counts.values(), default=0)
     out = []
     prev = None
     for m in months:

@@ -16,11 +16,10 @@ import numpy as np
 from .covariates import CalendarEntry, WeatherRecord
 from .errors import ParameterError, StateError
 from .ingest import Trip
-from .util import month_key, parse_utc, format_utc, to_local, truncate_hour
+from .util import WEEKDAY_NAMES, month_key, parse_utc, format_utc, to_local, truncate_hour
 
 SLOT_WIDTHS = (30, 60)
 SEASONS = ("spring", "summer", "autumn", "winter")
-DOW_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
 SPLIT_RATIOS = {"90/10": 0.10, "80/20": 0.20, "70/30": 0.30, "60/40": 0.40}
 CV_FOLDS = 10
 
@@ -146,7 +145,7 @@ def build_features(slots: SlotSeries, weather: list[WeatherRecord],
         names.extend(f"hour_of_the_day={h}" for h in range(24))
     names.extend(f"month={m}" for m in months)
     names.extend(f"season={s}" for s in SEASONS)
-    names.extend(f"day_of_week={d}" for d in DOW_NAMES)
+    names.extend(f"day_of_week={d}" for d in WEEKDAY_NAMES)
     names.extend(["holiday", "hour_history", "week_history"])
     col_index = {name: j for j, name in enumerate(names)}
 
@@ -170,7 +169,7 @@ def build_features(slots: SlotSeries, weather: list[WeatherRecord],
             row[col_index[f"hour_of_the_day={local.hour}"]] = 1.0
         row[col_index[f"month={month_key(local.date())}"]] = 1.0
         row[col_index[f"season={season_of_month(local.month)}"]] = 1.0
-        row[col_index[f"day_of_week={DOW_NAMES[local.weekday()]}"]] = 1.0
+        row[col_index[f"day_of_week={WEEKDAY_NAMES[local.weekday()]}"]] = 1.0
         row[col_index["holiday"]] = 1.0 if local.date() in holidays else 0.0
         if hour_history_sum and width == 30:
             row[col_index["hour_history"]] = float(counts[i - 1] + counts[i - 2])

@@ -65,7 +65,7 @@ def _lstm_train_targets(allowed: np.ndarray, lookback: int) -> list[int]:
     return out
 
 
-def train_model(matrix: FeatureMatrix, rows, spec: ModelSpec, threads: int = 1) -> TrainedModel:
+def train_model(matrix: FeatureMatrix, rows, spec: ModelSpec) -> TrainedModel:
     """Fit one model on the given row indices of the matrix."""
     rows = np.asarray(list(rows), dtype=np.int64)
     params = _params_for(spec)
@@ -73,7 +73,7 @@ def train_model(matrix: FeatureMatrix, rows, spec: ModelSpec, threads: int = 1) 
         model = LinearModel.fit(matrix.X[rows], matrix.y[rows])
         return TrainedModel(spec, model, None, {"rows_used": len(rows)})
     if spec.kind == "forest":
-        model = RandomForest.fit(matrix.X[rows], matrix.y[rows], params, spec.seed, threads=threads)
+        model = RandomForest.fit(matrix.X[rows], matrix.y[rows], params, spec.seed)
         return TrainedModel(spec, model, None, {"rows_used": len(rows)})
     if spec.kind == "boost":
         model = GradientBoosting.fit(matrix.X[rows], matrix.y[rows], params, spec.seed)
@@ -114,7 +114,7 @@ class EvalReport:
 
 
 def evaluate(matrix: FeatureMatrix, plan: SplitPlan, specs: list[ModelSpec],
-             with_cv: bool = True, threads: int = 1):
+             with_cv: bool = True):
     """Per spec: optional 10-fold blocked CV on the training range, then a fit
     on the full training range scored on the held-out test rows.
 
@@ -132,7 +132,7 @@ def evaluate(matrix: FeatureMatrix, plan: SplitPlan, specs: list[ModelSpec],
                     np.arange(plan.train_rows.start, fold.start),
                     np.arange(fold.stop, plan.train_rows.stop),
                 ])
-                tm = train_model(matrix, allowed, spec, threads=threads)
+                tm = train_model(matrix, allowed, spec)
                 targets = np.arange(fold.start, fold.stop)
                 if spec.kind == "lstm":
                     lookback = tm.model.params.lookback
@@ -143,7 +143,7 @@ def evaluate(matrix: FeatureMatrix, plan: SplitPlan, specs: list[ModelSpec],
                 pred = predict_rows(tm, matrix, targets)
                 cv_results.append({"fold": [fold.start, fold.stop],
                                    "metrics": metrics(matrix.y[targets], pred).as_dict()})
-        tm = train_model(matrix, train_rows, spec, threads=threads)
+        tm = train_model(matrix, train_rows, spec)
         test_pred = predict_rows(tm, matrix, test_rows)
         test_metrics = metrics(matrix.y[test_rows], test_pred)
         entries[spec.kind] = {"cv": cv_results, "test": test_metrics.as_dict(), "meta": tm.meta}
@@ -159,15 +159,14 @@ class AblationResult:
     pct_change: dict  # metric name -> (ablated - baseline) / baseline, None where undefined
 
 
-def ablate(matrix: FeatureMatrix, plan: SplitPlan, spec: ModelSpec, group: str,
-           threads: int = 1) -> AblationResult:
+def ablate(matrix: FeatureMatrix, plan: SplitPlan, spec: ModelSpec, group: str) -> AblationResult:
     """Retrain from scratch without one feature group and compare test metrics."""
     reduced = drop_group(matrix, group)  # raises ParameterError on unknown group
     train_rows = np.arange(plan.train_rows.start, plan.train_rows.stop)
     test_rows = np.arange(plan.test_rows.start, plan.test_rows.stop)
 
     def test_metrics(mat):
-        tm = train_model(mat, train_rows, spec, threads=threads)
+        tm = train_model(mat, train_rows, spec)
         return metrics(mat.y[test_rows], predict_rows(tm, mat, test_rows))
 
     baseline = test_metrics(matrix)

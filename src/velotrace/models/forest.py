@@ -1,12 +1,11 @@
 """Random forest regressor: CART trees on bootstrap samples with per-split
 random feature subsets. Each subset is drawn from the columns that vary on the
 tree's bootstrap sample, and `max_features` counts only those, so a constant
-column changes nothing. Per-tree RNG streams derive from (seed, tree index),
-so results never depend on how many workers build trees."""
+column changes nothing. Each tree draws from its own RNG stream, derived from
+(seed, tree index), so a tree does not depend on the trees fitted before it."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ class RandomForest:
         self.trees = trees
 
     @classmethod
-    def fit(cls, X, y, params: ForestParams, seed: int, threads: int = 1) -> "RandomForest":
+    def fit(cls, X, y, params: ForestParams, seed: int) -> "RandomForest":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         if X.ndim != 2 or len(X) != len(y) or len(y) < 2:
@@ -63,12 +62,7 @@ class RandomForest:
                                       min_samples_leaf=params.min_samples_leaf,
                                       max_features=params.max_features)
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                trees = list(ex.map(build, range(params.n_trees)))
-        else:
-            trees = [build(t) for t in range(params.n_trees)]
-        return cls(params, trees)
+        return cls(params, [build(t) for t in range(params.n_trees)])
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, SchemaError
 from .ingest import EARTH_RADIUS_M, Trip, haversine
+from .util import csv_rows
 
 M_PER_DEG_LAT = math.pi / 180.0 * EARTH_RADIUS_M
 
@@ -139,12 +140,7 @@ class HubDef:
 
 def parse_hub_file(source) -> list[HubDef]:
     """Hub config CSV with header `name,lat,lon,radius_m`."""
-    from .errors import SchemaError
-
-    if isinstance(source, (str,)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8", newline="") as f:
-            return parse_hub_file(f)
-    rows = csv.reader(source)
+    rows = csv_rows(source)
     header = next(rows, None)
     if header != ["name", "lat", "lon", "radius_m"]:
         raise SchemaError(f"bad hub file header {header!r}")

@@ -1,7 +1,9 @@
-"""Small shared helpers: timestamps, local-time conversion, hashing, JSON/CSV output."""
+"""Small shared helpers: timestamps, local-time conversion, weekday names,
+hashing, CSV input and JSON/CSV output."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -9,6 +11,8 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 UTC = timezone.utc
+
+WEEKDAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
 
 
 def parse_utc(text: str) -> datetime:
@@ -43,14 +47,13 @@ def month_key(d: date) -> str:
     return f"{d.year:04d}-{d.month:02d}"
 
 
-def thread_count() -> int:
-    """Worker cap from VELOTRACE_THREADS; defaults to 1 (fully sequential)."""
-    raw = os.environ.get("VELOTRACE_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+def csv_rows(source):
+    """Yield the `csv.reader` rows of `source`, a path or an open text stream."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8", newline="") as f:
+            yield from csv.reader(f)
+    else:
+        yield from csv.reader(source)
 
 
 def sha256_file(path: Path) -> str:

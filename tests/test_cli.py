@@ -5,16 +5,20 @@ repairs and rejects points for every reason."""
 
 import csv
 import json
+import math
 import shutil
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 from velotrace import cli
 from velotrace.features import read_features_csv
-from velotrace.ingest import assemble_trips, parse_points
+from velotrace.ingest import POINT_HEADER, assemble_trips, load_points_npz, parse_points
 from velotrace.spatial import build_density_grid, write_density_csv
-from velotrace.util import format_utc, local_date, month_key
+from velotrace.util import format_utc, local_date, month_key, sha256_file
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 CONFIG = {
     "synth": {"start_date": "2017-05-24", "end_date": "2017-06-06", "base_trips_per_day": 40},
@@ -106,12 +110,13 @@ def test_analyses_reuse_points_npz_byte_identically(city, tmp_path, parse_calls)
 def test_monthly_density_groups_points_by_local_month(city, tmp_path, offset):
     run(city, tmp_path, ["ingest", "--utc-offset-min", str(offset)])
     run(city, tmp_path, ["spatial", "--utc-offset-min", str(offset)])
-    points = parse_points(city / "inputs" / "points.csv")
-    assemble_trips(points)  # repairs the points in place, as spatial bins them
+    table = parse_points(city / "inputs" / "points.csv")
+    assemble_trips(table)  # repairs the table in place, as spatial bins it
     by_month = {}
-    for p in points:
-        if p.lat is not None:
-            by_month.setdefault(month_key(local_date(p.timestamp, offset)), []).append((p.lat, p.lon))
+    for t_us, lat, lon in zip(table.t.tolist(), table.lat.tolist(), table.lon.tolist()):
+        if not math.isnan(lat):
+            when = EPOCH + timedelta(microseconds=t_us)
+            by_month.setdefault(month_key(local_date(when, offset)), []).append((lat, lon))
     assert sorted(by_month) == ["2017-05", "2017-06"]
     for mk, coords in by_month.items():
         grid = build_density_grid(coords, tuple(cli.DEFAULTS["bbox"]), cli.DEFAULTS["spatial"]["cell_size_m"])
@@ -181,3 +186,28 @@ def test_predictions_actual_column_is_the_target(city, tmp_path):
         assert rows
         for row in rows:
             assert float(row["actual"]) == target[row["slot_start"]], path.name
+
+
+def test_ingest_of_header_only_points_writes_a_loadable_npz(city, tmp_path):
+    points = tmp_path / "points.csv"
+    points.write_text(",".join(POINT_HEADER) + "\n", encoding="utf-8")
+    run(city, tmp_path / "out", ["ingest"], points)
+    table, trips = load_points_npz(tmp_path / "out" / "points.npz", sha256_file(points))
+    assert len(table) == 0 and trips == []
+    for name in ("trips.csv", "rejections.csv"):
+        assert len((tmp_path / "out" / name).read_text().splitlines()) == 1, name
+
+
+def test_single_month_monthly_csv_has_the_multi_month_format(city, tmp_path):
+    run(city, tmp_path / "both", ["describe"])
+    both = (tmp_path / "both" / "monthly.csv").read_bytes().split(b"\r\n")
+    assert len(both) == 4 and both[1].startswith(b"2017-05,") and both[2].startswith(b"2017-06,")
+    # the rows before 2017-05-31T00:00Z all start in May, local time
+    points = tmp_path / "points.csv"
+    lines = (city / "inputs" / "points.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    points.write_text("".join(lines[:1] + [ln for ln in lines[1:] if ln.split(",")[1] < "2017-05-31T"]),
+                      encoding="utf-8")
+    run(city, tmp_path / "may", ["describe"], points)
+    count = json.loads((tmp_path / "may" / "profile.json").read_text())["monthly_counts"]["2017-05"]
+    expected = [both[0], f"2017-05,{count},,1.0".encode(), b""]
+    assert (tmp_path / "may" / "monthly.csv").read_bytes().split(b"\r\n") == expected

@@ -126,9 +126,10 @@ class TestMonthlyChange:
         rows = monthly_change(profile_with({"2017-05": 0, "2017-06": 10}))
         assert rows[1].pct_change is None
 
-    def test_single_month_rejected(self):
-        with pytest.raises(ParameterError):
-            monthly_change(profile_with({"2017-05": 10}))
+    def test_single_month_is_one_row(self):
+        rows = monthly_change(profile_with({"2017-05": 10}))
+        assert [(r.month, r.count, r.pct_change, r.share_of_peak) for r in rows] == [("2017-05", 10, None, 1.0)]
+        assert monthly_change(profile_with({})) == []
 
     @given(counts=st.lists(st.integers(1, 1000), min_size=2, max_size=8))
     @settings(max_examples=50)

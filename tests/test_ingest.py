@@ -1,24 +1,25 @@
 import math
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from velotrace.errors import ParameterError, ParseError, RangeError, SchemaError
+from velotrace.errors import ParseError, RangeError, SchemaError
 from velotrace.ingest import (
     BOUNDARY_MISSING,
     TOO_FEW_POINTS,
     ZERO_DURATION,
+    PointTable,
     assemble_trips,
     haversine,
     load_points_npz,
     parse_points,
-    point_columns,
     save_points_npz,
-    trip_metrics,
 )
 
-from conftest import T0, csv_stream, pt
+from conftest import T0, csv_stream, point_table, pt
 
 HEADER = "activity_id,timestamp,lat,lon,accuracy,speed\n"
 
@@ -29,20 +30,27 @@ BOLOGNA_PAIR_M = 1323.3146960300971
 
 class TestParsePoints:
     def test_header_only_gives_empty_list(self):
-        assert parse_points(csv_stream(HEADER)) == []
+        table = parse_points(csv_stream(HEADER))
+        assert len(table) == 0
+        assert all(len(getattr(table, f.name)) == 0 for f in fields(PointTable))
+
+    def test_len_is_the_number_of_data_rows(self):
+        text = HEADER + "B,2017-05-09T08:00:01Z,1,1,,\n\nA,2017-05-09T08:00:00Z,,,,\nB,2017-05-09T08:00:02Z,1,1,,\n"
+        assert len(parse_points(csv_stream(text))) == 3
 
     def test_direct_field_mapping(self):
-        rows = parse_points(csv_stream(HEADER + "A1,2017-05-09T08:00:00Z,44.4939,11.3428,5.0,3.2\n"))
-        assert len(rows) == 1
-        p = rows[0]
-        assert p.activity_id == "A1"
-        assert p.timestamp == datetime(2017, 5, 9, 8, 0, 0, tzinfo=timezone.utc)
-        assert (p.lat, p.lon, p.accuracy, p.speed) == (44.4939, 11.3428, 5.0, 3.2)
+        table = parse_points(csv_stream(HEADER + "A1,2017-05-09T08:00:00.25Z,44.4939,11.3428,5.0,3.2\n"))
+        assert len(table) == 1
+        assert table.ids.tolist() == ["A1"] and table.activity.tolist() == [0]
+        at = datetime(2017, 5, 9, 8, 0, 0, 250000, tzinfo=timezone.utc)
+        assert table.t.tolist() == [(at - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(microseconds=1)]
+        assert table.t.dtype == np.int64
+        row = [getattr(table, name)[0] for name in ("lat", "lon", "accuracy", "speed")]
+        assert row == [44.4939, 11.3428, 5.0, 3.2]
 
     def test_empty_optional_fields_become_absent(self):
-        rows = parse_points(csv_stream(HEADER + "A1,2017-05-09T08:00:00Z,,,,\n"))
-        p = rows[0]
-        assert p.lat is None and p.lon is None and p.accuracy is None and p.speed is None
+        table = parse_points(csv_stream(HEADER + "A1,2017-05-09T08:00:00Z,,,,\n"))
+        assert all(math.isnan(getattr(table, name)[0]) for name in ("lat", "lon", "accuracy", "speed"))
 
     def test_lat_out_of_range_names_line(self):
         with pytest.raises(RangeError, match="line 2"):
@@ -63,8 +71,10 @@ class TestParsePoints:
 
     def test_row_order_preserved(self):
         text = HEADER + "B,2017-05-09T08:00:01Z,1,1,,\nA,2017-05-09T08:00:00Z,2,2,,\n"
-        rows = parse_points(csv_stream(text))
-        assert [p.activity_id for p in rows] == ["B", "A"]
+        table = parse_points(csv_stream(text))
+        assert table.ids.tolist() == ["A", "B"]
+        assert [table.ids[a] for a in table.activity] == ["B", "A"]
+        assert table.lat.tolist() == [1.0, 2.0]
 
 
 class TestHaversine:
@@ -99,14 +109,14 @@ class TestAssembleTrips:
             pt("A", 10),  # missing coordinate
             pt("A", 20, 0.0, 0.0002),
         ]
-        trips, rej = assemble_trips(points)
+        table = point_table(points)
+        trips, rej = assemble_trips(table)
         assert not rej
-        mid = trips[0].points[1]
-        assert mid.lat == pytest.approx(0.0, abs=1e-12)
-        assert mid.lon == pytest.approx(0.0001, abs=1e-12)
+        assert table.lat[1] == pytest.approx(0.0, abs=1e-12)
+        assert table.lon[1] == pytest.approx(0.0001, abs=1e-12)
 
     def test_single_point_rejected(self):
-        trips, rej = assemble_trips([pt("A", 0, 1.0, 1.0)])
+        trips, rej = assemble_trips(point_table([pt("A", 0, 1.0, 1.0)]))
         assert trips == []
         assert [(r.activity_id, r.reason) for r in rej] == [("A", TOO_FEW_POINTS)]
 
@@ -115,27 +125,30 @@ class TestAssembleTrips:
             pt("A", 0, 1.0, 1.0), pt("B", 0, 2.0, 2.0),
             pt("A", 60, 1.0, 1.001), pt("B", 60, 2.0, 2.001),
         ]
-        trips, rej = assemble_trips(points)
+        trips, rej = assemble_trips(point_table(points))
         assert [t.trip_id for t in trips] == ["A", "B"]
-        assert all(p.activity_id == t.trip_id for t in trips for p in t.points)
+        assert [t.n_points for t in trips] == [2, 2]
+        assert [(t.start_point, t.end_point) for t in trips] == [
+            ((1.0, 1.0), (1.0, 1.001)), ((2.0, 2.0), (2.0, 2.001))]
 
     def test_boundary_missing_dropped(self):
         points = [pt("A", 0), pt("A", 10, 1.0, 1.0), pt("A", 20, 1.0, 1.001), pt("A", 30)]
-        trips, rej = assemble_trips(points)
+        table = point_table(points)
+        trips, rej = assemble_trips(table)
         assert len(trips) == 1
-        assert len(trips[0].points) == 2
+        assert trips[0].n_points == 2
+        assert math.isnan(table.lat[0]) and math.isnan(table.lat[3])
         assert sorted(r.reason for r in rej) == [BOUNDARY_MISSING, BOUNDARY_MISSING]
 
     def test_zero_duration_rejected(self):
         points = [pt("A", 0, 1.0, 1.0), pt("A", 0, 1.0, 1.001)]
-        trips, rej = assemble_trips(points)
+        trips, rej = assemble_trips(point_table(points))
         assert trips == []
         assert rej[0].reason == ZERO_DURATION and rej[0].n_points == 2
 
     def test_unsorted_input_same_result(self):
-        points = [pt("A", s, 1.0, 1.0 + s * 1e-5) for s in (40, 0, 20, 60)]
-        t1, _ = assemble_trips(points)
-        t2, _ = assemble_trips(sorted(points, key=lambda p: p.timestamp))
+        t1, _ = assemble_trips(point_table(pt("A", s, 1.0, 1.0 + s * 1e-5) for s in (40, 0, 20, 60)))
+        t2, _ = assemble_trips(point_table(pt("A", s, 1.0, 1.0 + s * 1e-5) for s in (0, 20, 40, 60)))
         assert t1[0].distance == t2[0].distance
         assert t1[0].start_time == t2[0].start_time
 
@@ -145,11 +158,18 @@ class TestAssembleTrips:
             pt("A", 10, 1.0, 1.001, accuracy=4.0, speed=None),
             pt("A", 20, 1.0, 1.002, accuracy=8.0, speed=6.0),
         ]
-        trips, _ = assemble_trips(points)
-        pts = trips[0].points
-        assert pts[0].accuracy == 4.0          # edge extended from nearest
-        assert pts[1].speed == pytest.approx(4.0)  # interior interpolated
-        assert all(p.speed is not None and p.accuracy is not None for p in pts)
+        table = point_table(points)
+        assemble_trips(table)
+        assert table.accuracy[0] == 4.0          # edge extended from nearest
+        assert table.speed[1] == pytest.approx(4.0)  # interior interpolated
+        assert not np.isnan(table.speed).any() and not np.isnan(table.accuracy).any()
+
+    def test_absent_speed_in_whole_trip_becomes_zero(self):
+        table = point_table([pt("A", 0, 1.0, 1.0, speed=None), pt("A", 10, 1.0, 1.001, speed=None),
+                             pt("B", 0, 2.0, 2.0, speed=None)])
+        assemble_trips(table)
+        assert table.speed[:2].tolist() == [0.0, 0.0]
+        assert math.isnan(table.speed[2])  # B is rejected and keeps its values
 
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -164,17 +184,20 @@ class TestAssembleTrips:
                     points.append(pt(f"A{a}", k * 7))
                 else:
                     points.append(pt(f"A{a}", k * 7, 1.0 + a, 1.0 + k * 1e-4))
-        trips, rej = assemble_trips(points)
-        kept = sum(len(t.points) for t in trips)
+        table = point_table(points)
+        trips, rej = assemble_trips(table)
+        kept = sum(t.n_points for t in trips)
         rejected = sum(r.n_points for r in rej)
-        assert kept + rejected == len(points)
+        assert kept + rejected == len(table) == len(points)
 
     def test_sort_idempotence(self):
-        points = [pt("A", s, 2.0, 2.0 + s * 1e-5) for s in (0, 10, 20, 30)]
-        first, _ = assemble_trips(points)
-        again, _ = assemble_trips([p for t in first for p in t.points])
-        assert first[0].distance == again[0].distance
-        assert [p.timestamp for p in first[0].points] == [p.timestamp for p in again[0].points]
+        table = point_table(pt("A", s, 2.0, 2.0 + s * 1e-5) for s in (20, 0, 30, 10))
+        first, _ = assemble_trips(table)
+        order = np.argsort(table.t, kind="stable")
+        resorted = PointTable(table.ids, *(getattr(table, f.name)[order] for f in fields(PointTable)[1:]))
+        again, _ = assemble_trips(resorted)
+        assert first == again
+        assert resorted.t.tolist() == sorted(table.t.tolist())
 
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -191,74 +214,102 @@ class TestAssembleTrips:
                 points.append(pt("A", k * 5))
             else:
                 points.append(pt("A", k * 5, lat0 + k * dlat, lon0 + k * dlon))
-        trips, rej = assemble_trips(points)
+        table = point_table(points)
+        trips, rej = assemble_trips(table)
         assert not rej
         for k in missing:
-            p = trips[0].points[k]
-            assert abs(p.lat - (lat0 + k * dlat)) < 1e-9
-            assert abs(p.lon - (lon0 + k * dlon)) < 1e-9
+            assert abs(table.lat[k] - (lat0 + k * dlat)) < 1e-9
+            assert abs(table.lon[k] - (lon0 + k * dlon)) < 1e-9
 
     @given(n=st.integers(2, 10), step=st.integers(1, 120))
     @settings(max_examples=50)
     def test_metric_consistency(self, n, step):
         points = [pt("A", k * step, 1.0, 1.0 + k * 1e-4) for k in range(n)]
-        trips, _ = assemble_trips(points)
+        trips, _ = assemble_trips(point_table(points))
         t = trips[0]
         assert t.avg_speed * t.duration == pytest.approx(t.distance, rel=1e-6)
 
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_row_permutation_invariance(self, data):
+        """With distinct timestamps per activity, the row order of the file
+        changes neither the trips, nor the rejections, nor the repaired values."""
+        value = st.one_of(st.none(), st.floats(0.0, 30.0))
+        rows = []
+        for a in range(data.draw(st.integers(1, 4))):
+            seconds = data.draw(st.lists(st.integers(0, 600), min_size=1, max_size=8, unique=True))
+            for s in seconds:
+                coord = data.draw(st.one_of(st.none(), st.tuples(st.floats(44.0, 45.0), st.floats(11.0, 12.0))))
+                rows.append(pt(f"A{a}", s, *(coord or (None, None)),
+                               accuracy=data.draw(value), speed=data.draw(value)))
+        perm = data.draw(st.permutations(range(len(rows))))
+        table = point_table(rows)
+        shuffled = point_table([rows[i] for i in perm])
+        assert assemble_trips(table) == assemble_trips(shuffled)
+        for f in fields(PointTable)[1:]:
+            assert np.array_equal(getattr(shuffled, f.name), getattr(table, f.name)[perm], equal_nan=True), f.name
+
 
 class TestTripMetrics:
+    """Distance, duration and mean speed of assembled trips."""
+
     def test_stationary(self):
-        points = [pt("A", 0, 1.0, 1.0), pt("A", 100, 1.0, 1.0)]
-        assert trip_metrics(points) == (0.0, 100.0, 0.0)
+        trips, _ = assemble_trips(point_table([pt("A", 0, 1.0, 1.0), pt("A", 100, 1.0, 1.0)]))
+        assert (trips[0].distance, trips[0].duration, trips[0].avg_speed) == (0.0, 100.0, 0.0)
 
     def test_collinear_equator_segment_sum(self):
         points = [pt("A", 0, 0.0, 0.0), pt("A", 60, 0.0, 0.001), pt("A", 120, 0.0, 0.002)]
-        distance, duration, _ = trip_metrics(points)
-        assert duration == 120.0
-        assert distance == pytest.approx(2 * haversine((0.0, 0.0), (0.0, 0.001)), rel=1e-12)
+        trips, _ = assemble_trips(point_table(points))
+        assert trips[0].duration == 120.0
+        assert trips[0].distance == pytest.approx(2 * haversine((0.0, 0.0), (0.0, 0.001)), rel=1e-12)
 
-    def test_zero_duration_raises(self):
+    def test_zero_duration_gives_no_trip(self):
         points = [pt("A", 0, 1.0, 1.0), pt("A", 0, 1.0, 1.0)]
-        with pytest.raises(ParameterError):
-            trip_metrics(points)
+        trips, rej = assemble_trips(point_table(points))
+        assert trips == []
+        assert [(r.reason, r.n_points) for r in rej] == [(ZERO_DURATION, 2)]
 
 
 class TestPointsNpz:
     @staticmethod
     def assembled():
-        """Points in file order, repaired in place, and their trips (C is rejected)."""
-        points = [
-            pt("B", 0, 44.49, 11.34), pt("A", 0), pt("A", 10, 44.49, 11.34),
-            pt("A", 20), pt("A", 30, 44.50, 11.35), pt("B", 60, 44.4912345678, 11.3498765432),
+        """A table in file order, repaired in place, and its trips (C is rejected)."""
+        table = point_table([
+            pt("B", 0, 44.49, 11.34), pt("A", 0), pt("A", 10, 44.49, 11.34, speed=None),
+            pt("A", 20, accuracy=None), pt("A", 30, 44.50, 11.35), pt("B", 60, 44.4912345678, 11.3498765432),
             pt("C", 5, 44.49, 11.34),
-        ]
-        trips, _ = assemble_trips(points)
-        return points, trips
+        ])
+        trips, _ = assemble_trips(table)
+        return table, trips
 
     def test_round_trip_matches_assembled_trips(self, tmp_path):
-        points, trips = self.assembled()
-        save_points_npz(tmp_path / "p.npz", point_columns(points), trips, "abc")
-        columns, loaded = load_points_npz(tmp_path / "p.npz", "abc")
+        table, trips = self.assembled()
+        save_points_npz(tmp_path / "p.npz", table, trips, "abc")
+        loaded_table, loaded = load_points_npz(tmp_path / "p.npz", "abc")
         assert [t.trip_id for t in loaded] == ["A", "B"]
+        assert [t.n_points for t in loaded] == [3, 2]
         for a, b in zip(trips, loaded):
-            assert b.points is None
-            for name in ("trip_id", "start_time", "end_time", "start_point", "end_point",
-                         "distance", "duration", "avg_speed"):
-                assert repr(getattr(a, name)) == repr(getattr(b, name)), name
+            for f in fields(a):
+                assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
+        for f in fields(PointTable):
+            a, b = getattr(table, f.name), getattr(loaded_table, f.name)
+            assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=f.name != "ids"), f.name
         # repaired columns in file order; boundary-missing stays absent
-        assert columns.t.tolist() == [int(p.timestamp.timestamp()) * 1_000_000 for p in points]
-        assert math.isnan(columns.lat[1]) and math.isnan(columns.lon[1])
-        assert (columns.lat[3], columns.lon[3]) == (points[3].lat, points[3].lon)
-        assert columns.lat[3] == pytest.approx(44.495)
+        assert loaded_table.t.tolist() == [int((T0 + timedelta(seconds=s)).timestamp()) * 1_000_000
+                                           for s in (0, 0, 10, 20, 30, 60, 5)]
+        assert math.isnan(loaded_table.lat[1]) and math.isnan(loaded_table.lon[1])
+        assert loaded_table.lat[3] == pytest.approx(44.495)
+        assert loaded_table.speed[2] == 3.0 and loaded_table.accuracy[3] == 5.0
 
     def test_other_source_or_missing_file_gives_none(self, tmp_path):
-        points, trips = self.assembled()
-        save_points_npz(tmp_path / "p.npz", point_columns(points), trips, "abc")
+        table, trips = self.assembled()
+        save_points_npz(tmp_path / "p.npz", table, trips, "abc")
         assert load_points_npz(tmp_path / "p.npz", "abd") is None
         assert load_points_npz(tmp_path / "missing.npz", "abc") is None
 
     def test_empty_trip_table(self, tmp_path):
-        save_points_npz(tmp_path / "p.npz", point_columns([]), [], "abc")
-        columns, trips = load_points_npz(tmp_path / "p.npz", "abc")
-        assert trips == [] and len(columns.t) == 0
+        table = parse_points(csv_stream(HEADER))
+        assert assemble_trips(table) == ([], [])
+        save_points_npz(tmp_path / "p.npz", table, [], "abc")
+        loaded_table, trips = load_points_npz(tmp_path / "p.npz", "abc")
+        assert trips == [] and len(loaded_table) == 0

@@ -82,13 +82,6 @@ class TestForest:
             mses.append(float(np.mean((model.predict(X) - y) ** 2)))
         assert max(mses) <= 2.0 * min(mses)
 
-    def test_thread_count_does_not_change_result(self):
-        X, y = smooth_data(200)
-        params = ForestParams(n_trees=8, max_depth=6)
-        a = RandomForest.fit(X, y, params, seed=7, threads=1).predict(X)
-        b = RandomForest.fit(X, y, params, seed=7, threads=4).predict(X)
-        assert np.array_equal(a, b)
-
     def test_predictions_bounded_by_training_targets(self):
         X, y = smooth_data(200, seed=5)
         model = RandomForest.fit(X, y, ForestParams(n_trees=15, max_depth=10), seed=1)

@@ -81,7 +81,8 @@ class TestDensityGrid:
                               base_trips_per_day=base)
             with tempfile.TemporaryDirectory() as d:
                 man = generate(cfg, d)
-                pts = [(p.lat, p.lon) for p in parse_points(man["files"]["points"])]
+                table = parse_points(man["files"]["points"])
+                pts = np.column_stack((table.lat, table.lon))
             grids.append(build_density_grid(pts, BBOX, 200))
         diff = grid_diff(grids[0], grids[1])
         assert np.abs(diff).max() < 0.05

@@ -65,10 +65,10 @@ def test_schema_round_trip(tmp_path):
     points = parse_points(man["files"]["points"])
     weather = parse_weather(man["files"]["weather"])
     calendar = parse_calendar(man["files"]["calendar"])
-    assert points and weather and len(calendar) == 2
+    assert len(points) and weather and len(calendar) == 2
     trips, rejections = assemble_trips(points)
     assert trips
-    assert sum(len(t.points) for t in trips) + sum(r.n_points for r in rejections) == len(points)
+    assert sum(t.n_points for t in trips) + sum(r.n_points for r in rejections) == len(points)
 
 
 def test_daily_counts_match_truth_within_3_sigma(tmp_path):
@@ -98,12 +98,12 @@ def test_unmasked_sidecar_matches_masked_grid(tmp_path):
     masked = parse_points(man["files"]["points"])
     full = parse_points(man["files"]["points_full"])
     assert len(masked) == len(full)
-    n_missing = sum(1 for p in masked if p.lat is None)
-    assert n_missing > 0
-    for pm, pf in zip(masked, full):
-        assert pm.activity_id == pf.activity_id and pm.timestamp == pf.timestamp
-        if pm.lat is not None:
-            assert pm.lat == pf.lat and pm.lon == pf.lon
+    present = ~np.isnan(masked.lat)
+    assert not present.all()
+    assert np.array_equal(masked.ids, full.ids) and np.array_equal(masked.activity, full.activity)
+    assert np.array_equal(masked.t, full.t)
+    assert np.array_equal(masked.lat[present], full.lat[present])
+    assert np.array_equal(masked.lon[present], full.lon[present])
 
 
 def test_temperature_model_shapes():
