@@ -7,6 +7,10 @@ declared in `manifest.json` with content hashes. `ingest` also saves the
 repaired points and the trips to `points.npz`; describe, spatial, covariates
 and features reuse it when it was built from the same `points.csv` (by
 sha256), and otherwise parse and assemble the points as ingest does.
+`features` writes `features.csv` and its sidecar `features.json`: the slot
+width, the build options and the feature row of the slot after the last
+row. `train` and `predict` read both; `predict` feeds that row to a tabular
+model, so training and serving build their rows in one place.
 Failures print a machine-readable error JSON and exit 2 (missing input),
 3 (schema/data error), 4 (training failure), or 1 (anything else).
 """
@@ -57,7 +61,7 @@ from .features import (
     chronological_split,
     feature_target_correlation,
     read_features_csv,
-    season_of_month,
+    sidecar_path,
     split_plan_as_dict,
     write_features_csv,
 )
@@ -96,16 +100,7 @@ from .synth import (
     TripLengthDist,
     generate,
 )
-from .util import (
-    WEEKDAY_NAMES,
-    format_utc,
-    local_date,
-    month_key,
-    sha256_file,
-    to_local,
-    truncate_hour,
-    write_json,
-)
+from .util import format_utc, local_date, month_key, sha256_file, write_json
 
 DEFAULTS = {
     "out": "out",
@@ -378,21 +373,20 @@ def cmd_features(cfg: dict, args) -> None:
     fc = cfg["features"]
     width = int(args.width or fc["width"])
     split = args.split or fc["split"]
-    offset = cfg["utc_offset_min"]
     weather = parse_weather(_require(cfg, "weather"))
     calendar = parse_calendar(_require(cfg, "calendar"))
     slots, out_of_span = aggregate_slots(trips, width, aligned_span(trips, width))
-    matrix, dropped = build_features(slots, weather, calendar, offset,
-                                     hour_as_numeric=fc["hour_as_numeric"],
-                                     hour_history_sum=fc["hour_history_sum"])
+    options = {"utc_offset_min": cfg["utc_offset_min"], "hour_as_numeric": fc["hour_as_numeric"],
+               "hour_history_sum": fc["hour_history_sum"]}
+    matrix, dropped = build_features(slots, weather, calendar, **options)
     plan = chronological_split(matrix, split)
     features_path = outdir / "features.csv"
-    write_features_csv(matrix, features_path)
+    write_features_csv(matrix, features_path, **options)
     plan_path = outdir / "splitplan.json"
     write_json(plan_path, split_plan_as_dict(plan))
     corr_path = outdir / "feature_correlations.json"
     write_json(corr_path, [{"column": c, "r": r} for c, r in feature_target_correlation(matrix)])
-    _update_manifest(outdir, [features_path, plan_path, corr_path])
+    _update_manifest(outdir, [features_path, sidecar_path(features_path), plan_path, corr_path])
     _emit({"command": "features", "rows": matrix.n_rows, "columns": len(matrix.column_names),
            "width": width, "split": split, "dropped_rows": len(dropped),
            "out_of_span_trips": out_of_span})
@@ -409,8 +403,6 @@ def cmd_train(cfg: dict, args) -> None:
     outdir = _outdir(cfg)
     tc = cfg["train"]
     features_path = Path(cfg.get("paths", {}).get("features") or (outdir / "features.csv"))
-    if not features_path.exists():
-        raise MissingInputError(features_path)
     matrix = read_features_csv(features_path)
     width = int(args.width or tc.get("width") or matrix.width_minutes)
     if width != matrix.width_minutes:
@@ -460,28 +452,25 @@ def cmd_predict(cfg: dict, args) -> None:
     if not artifact_path.exists():
         raise MissingInputError(artifact_path)
     features_path = Path(cfg.get("paths", {}).get("features") or (outdir / "features.csv"))
-    if not features_path.exists():
-        raise MissingInputError(features_path)
     with open(artifact_path, "r", encoding="utf-8") as f:
         tm = load_artifact(json.load(f))
     matrix = read_features_csv(features_path)
     if args.width and int(args.width) != matrix.width_minutes:
         raise ParameterError(
             f"horizon {args.width} does not match the {matrix.width_minutes}-minute features file")
-    prediction = _next_slot_prediction(cfg, tm, matrix)
+    prediction = _next_slot_prediction(tm, matrix)
     out_path = outdir / "prediction.json"
     write_json(out_path, prediction)
     _update_manifest(outdir, [out_path])
     _emit({"command": "predict", **prediction})
 
 
-def _next_slot_prediction(cfg: dict, tm, matrix) -> dict:
+def _next_slot_prediction(tm, matrix) -> dict:
     """Predict the count of the slot after the last row of the features file.
 
-    The recurrent model consumes the trailing window directly. Tabular models
-    get a constructed next-slot row: calendar dummies from the next slot's
-    local time, lags from the stored targets, weather by persistence of the
-    last row when the next hour is not covered.
+    The recurrent model consumes the trailing window of rows, which must be
+    consecutive time slots. Tabular models get the sidecar's next-slot row,
+    which `build_features` made as it made the stored rows.
     """
     width = matrix.width_minutes
     next_start = matrix.slot_starts[-1] + timedelta(minutes=width)
@@ -492,43 +481,12 @@ def _next_slot_prediction(cfg: dict, tm, matrix) -> dict:
         n = matrix.n_rows
         if n < lookback:
             raise ParameterError(f"features file has {n} rows, recurrent model needs {lookback}")
+        if not matrix.consecutive(n - lookback, n - 1):
+            raise ParameterError(f"the last {lookback} rows of the features file span a gap in time")
         window = scaled.X[n - lookback:n][np.newaxis, :, :]
         value = float(tm.scaler.inverse_target(tm.model.predict(window))[0])
-        return {"slot_start": format_utc(next_start), "width_minutes": width,
-                "model": kind, "predicted": value}
-
-    offset = cfg["utc_offset_min"]
-    local = to_local(next_start, offset)
-    by_start = {format_utc(s): i for i, s in enumerate(matrix.slot_starts)}
-    row = np.zeros(len(matrix.column_names))
-    names = matrix.column_names
-
-    def set_if_present(name, value):
-        if name in names:
-            row[names.index(name)] = value
-
-    last = matrix.X[-1]
-    for base in ("temperature", "precipitation"):
-        set_if_present(base, last[names.index(base)])
-    if "hour_of_the_day" in names:
-        set_if_present("hour_of_the_day", local.hour)
     else:
-        set_if_present(f"hour_of_the_day={local.hour}", 1.0)
-    set_if_present(f"month={month_key(local.date())}", 1.0)
-    set_if_present(f"season={season_of_month(local.month)}", 1.0)
-    set_if_present(f"day_of_week={WEEKDAY_NAMES[local.weekday()]}", 1.0)
-    holiday = 0.0
-    cal_path = cfg.get("paths", {}).get("calendar")
-    if cal_path and Path(cal_path).exists():
-        holidays = {e.date for e in parse_calendar(cal_path) if e.kind == "holiday"}
-        holiday = 1.0 if local.date() in holidays else 0.0
-    set_if_present("holiday", holiday)
-    for lag_name, delta in (("hour_history", timedelta(minutes=60)), ("week_history", timedelta(days=7))):
-        key = format_utc(next_start - delta)
-        if key not in by_start:
-            raise ParameterError(f"cannot build {lag_name} for {format_utc(next_start)}: no row at {key}")
-        set_if_present(lag_name, matrix.y[by_start[key]])
-    value = float(tm.model.predict(row[np.newaxis, :])[0])
+        value = float(tm.model.predict(matrix.next_row[np.newaxis, :])[0])
     return {"slot_start": format_utc(next_start), "width_minutes": width,
             "model": kind, "predicted": value}
 

@@ -8,6 +8,8 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 
+import numpy as np
+
 from .errors import (
     ParameterError,
     ParseError,
@@ -143,22 +145,20 @@ def parse_calendar(source) -> list[CalendarEntry]:
 
 def pearson(x, y) -> float:
     """Product-moment correlation; zero variance raises, it never silently yields 0."""
-    x = list(x)
-    y = list(y)
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     if len(x) != len(y):
         raise ParameterError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 3:
         raise ParameterError("pearson needs at least 3 samples")
-    n = len(x)
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum((a - mx) ** 2 for a in x)
-    syy = sum((b - my) ** 2 for b in y)
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sxx = float(xc @ xc)
+    syy = float(yc @ yc)
     if sxx == 0 or syy == 0:
         raise UndefinedCorrelationError("zero variance in a series")
-    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
     # separate square roots avoid under/overflow of the product
-    return sxy / (math.sqrt(sxx) * math.sqrt(syy))
+    return float(xc @ yc) / (math.sqrt(sxx) * math.sqrt(syy))
 
 
 @dataclass(slots=True)

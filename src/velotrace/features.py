@@ -6,17 +6,18 @@ only."""
 from __future__ import annotations
 
 import csv
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .covariates import CalendarEntry, WeatherRecord
-from .errors import ParameterError, StateError
+from .covariates import CalendarEntry, WeatherRecord, pearson
+from .errors import MissingInputError, ParameterError, SchemaError, StateError, UndefinedCorrelationError
 from .ingest import Trip
-from .util import WEEKDAY_NAMES, month_key, parse_utc, format_utc, to_local, truncate_hour
+from .util import WEEKDAY_NAMES, month_key, parse_utc, format_utc, to_local, truncate_hour, write_json
 
 SLOT_WIDTHS = (30, 60)
 SEASONS = ("spring", "summer", "autumn", "winter")
@@ -105,6 +106,7 @@ class FeatureMatrix:
     column_names: list[str]
     slot_starts: list[datetime]  # strictly increasing
     width_minutes: int
+    next_row: np.ndarray | None = None  # (n_cols,) row of the slot after the last
 
     @property
     def n_rows(self) -> int:
@@ -112,6 +114,11 @@ class FeatureMatrix:
 
     def column(self, name: str) -> np.ndarray:
         return self.X[:, self.column_names.index(name)]
+
+    def consecutive(self, lo: int, hi: int) -> bool:
+        """Whether rows lo..hi are consecutive time slots: each step is one width."""
+        step = timedelta(minutes=self.width_minutes)
+        return all(b - a == step for a, b in zip(self.slot_starts[lo:hi], self.slot_starts[lo + 1:hi + 1]))
 
 
 def build_features(slots: SlotSeries, weather: list[WeatherRecord],
@@ -125,6 +132,11 @@ def build_features(slots: SlotSeries, weather: list[WeatherRecord],
     week_history the count exactly 7 days back. The first 7 days of slots are
     dropped for lacking history. Weather is taken from the hour containing the
     slot start; a gap there drops the row (second return value logs it).
+
+    `next_row` is the row of the slot after the last kept one, built the same
+    way from the full count series. Its weather comes from the records when
+    they cover its hour, else from the last kept row; a next slot in a month
+    the series never reaches sets no month column.
     """
     width = slots.width_minutes
     per_hour = 60 // width
@@ -149,6 +161,29 @@ def build_features(slots: SlotSeries, weather: list[WeatherRecord],
     names.extend(["holiday", "hour_history", "week_history"])
     col_index = {name: j for j, name in enumerate(names)}
 
+    def row_at(i: int, temp_c: float, precip_mm: float) -> np.ndarray:
+        """Feature row of slot i; it reads the counts of earlier slots only."""
+        local = to_local(slots.slot_start(i), utc_offset_min)
+        row = np.zeros(len(names))
+        row[0] = temp_c
+        row[1] = precip_mm
+        if hour_as_numeric:
+            row[col_index["hour_of_the_day"]] = local.hour
+        else:
+            row[col_index[f"hour_of_the_day={local.hour}"]] = 1.0
+        month = col_index.get(f"month={month_key(local.date())}")
+        if month is not None:  # None only for a next slot past the series' last month
+            row[month] = 1.0
+        row[col_index[f"season={season_of_month(local.month)}"]] = 1.0
+        row[col_index[f"day_of_week={WEEKDAY_NAMES[local.weekday()]}"]] = 1.0
+        row[col_index["holiday"]] = 1.0 if local.date() in holidays else 0.0
+        if hour_history_sum and width == 30:
+            row[col_index["hour_history"]] = float(counts[i - 1] + counts[i - 2])
+        else:
+            row[col_index["hour_history"]] = float(counts[i - lag_hour])
+        row[col_index["week_history"]] = float(counts[i - lag_week])
+        return row
+
     rows: list[np.ndarray] = []
     targets: list[float] = []
     starts: list[datetime] = []
@@ -159,30 +194,20 @@ def build_features(slots: SlotSeries, weather: list[WeatherRecord],
         if rec is None:
             dropped.append((slot_ts, "missing-weather"))
             continue
-        local = to_local(slot_ts, utc_offset_min)
-        row = np.zeros(len(names))
-        row[0] = rec.temp_c
-        row[1] = rec.precip_mm
-        if hour_as_numeric:
-            row[col_index["hour_of_the_day"]] = local.hour
-        else:
-            row[col_index[f"hour_of_the_day={local.hour}"]] = 1.0
-        row[col_index[f"month={month_key(local.date())}"]] = 1.0
-        row[col_index[f"season={season_of_month(local.month)}"]] = 1.0
-        row[col_index[f"day_of_week={WEEKDAY_NAMES[local.weekday()]}"]] = 1.0
-        row[col_index["holiday"]] = 1.0 if local.date() in holidays else 0.0
-        if hour_history_sum and width == 30:
-            row[col_index["hour_history"]] = float(counts[i - 1] + counts[i - 2])
-        else:
-            row[col_index["hour_history"]] = float(counts[i - lag_hour])
-        row[col_index["week_history"]] = float(counts[i - lag_week])
-        rows.append(row)
+        rows.append(row_at(i, rec.temp_c, rec.precip_mm))
         targets.append(float(counts[i]))
         starts.append(slot_ts)
+        last = i
+
+    next_row = None
+    if rows:
+        rec = wx.get(truncate_hour(slots.slot_start(last + 1)))
+        temp_c, precip_mm = (rec.temp_c, rec.precip_mm) if rec is not None else rows[-1][:2]
+        next_row = row_at(last + 1, temp_c, precip_mm)
 
     X = np.vstack(rows) if rows else np.zeros((0, len(names)))
     y = np.asarray(targets, dtype=np.float64)
-    return FeatureMatrix(X, y, names, starts, width), dropped
+    return FeatureMatrix(X, y, names, starts, width, next_row), dropped
 
 
 def group_columns(matrix: FeatureMatrix, group: str) -> list[int]:
@@ -200,7 +225,8 @@ def drop_group(matrix: FeatureMatrix, group: str) -> FeatureMatrix:
     keep = [j for j in range(len(matrix.column_names)) if j not in drop]
     return FeatureMatrix(matrix.X[:, keep], matrix.y.copy(),
                          [matrix.column_names[j] for j in keep],
-                         list(matrix.slot_starts), matrix.width_minutes)
+                         list(matrix.slot_starts), matrix.width_minutes,
+                         None if matrix.next_row is None else matrix.next_row[keep])
 
 
 def feature_target_correlation(matrix: FeatureMatrix) -> list[tuple[str, float | None]]:
@@ -208,21 +234,13 @@ def feature_target_correlation(matrix: FeatureMatrix) -> list[tuple[str, float |
 
     Zero-variance columns come last with r = None.
     """
-    if matrix.n_rows < 3:
-        raise ParameterError("need at least 3 rows")
-    y = matrix.y
-    yc = y - y.mean()
-    syy = float(yc @ yc)
     defined: list[tuple[str, float]] = []
     undefined: list[tuple[str, None]] = []
     for j, name in enumerate(matrix.column_names):
-        x = matrix.X[:, j]
-        xc = x - x.mean()
-        sxx = float(xc @ xc)
-        if sxx == 0.0 or syy == 0.0:
+        try:
+            defined.append((name, pearson(matrix.X[:, j], matrix.y)))
+        except UndefinedCorrelationError:
             undefined.append((name, None))
-            continue
-        defined.append((name, float(xc @ yc) / math.sqrt(sxx * syy)))
     defined.sort(key=lambda t: -abs(t[1]))
     return defined + undefined
 
@@ -320,7 +338,15 @@ class MinMaxScaler:
         return s
 
 
-def write_features_csv(matrix: FeatureMatrix, path) -> None:
+def sidecar_path(features_path) -> Path:
+    """The `features.json` that describes a `features.csv`."""
+    return Path(features_path).with_suffix(".json")
+
+
+def write_features_csv(matrix: FeatureMatrix, path, *, utc_offset_min: int,
+                       hour_as_numeric: bool, hour_history_sum: bool) -> None:
+    """Write the matrix to `path` and its sidecar: the width, the options of
+    `build_features` and the next-slot row."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(matrix.column_names + ["target", "slot_start"])
@@ -329,9 +355,23 @@ def write_features_csv(matrix: FeatureMatrix, path) -> None:
             row.append(repr(float(matrix.y[i])))
             row.append(format_utc(matrix.slot_starts[i]))
             w.writerow(row)
+    write_json(sidecar_path(path), {
+        "width_minutes": matrix.width_minutes,
+        "utc_offset_min": utc_offset_min,
+        "hour_as_numeric": hour_as_numeric,
+        "hour_history_sum": hour_history_sum,
+        "next_slot_start": format_utc(matrix.slot_starts[-1] + timedelta(minutes=matrix.width_minutes)),
+        "next_row": matrix.next_row.tolist(),
+    })
 
 
 def read_features_csv(path) -> FeatureMatrix:
+    """The matrix of a features file, with the width and next-slot row of its sidecar."""
+    meta_path = sidecar_path(path)
+    for p in (Path(path), meta_path):
+        if not p.exists():
+            raise MissingInputError(p)
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader)
@@ -347,12 +387,14 @@ def read_features_csv(path) -> FeatureMatrix:
             starts.append(parse_utc(row[-1]))
     if len(X_rows) < 2:
         raise ParameterError("features file needs at least 2 rows")
-    # smallest gap between surviving rows; exact unless every adjacent pair was dropped
-    deltas = {int(round((b - a).total_seconds() / 60.0)) for a, b in zip(starts, starts[1:])}
-    width = min(deltas)
+    width = meta.get("width_minutes")
     if width not in SLOT_WIDTHS:
-        raise ParameterError(f"inferred slot width {width} not in {SLOT_WIDTHS}")
-    return FeatureMatrix(np.asarray(X_rows), np.asarray(y_vals), names, starts, width)
+        raise SchemaError(f"{meta_path}: slot width {width!r} not in {SLOT_WIDTHS}")
+    next_row = meta.get("next_row")
+    if not isinstance(next_row, list) or len(next_row) != len(names):
+        raise SchemaError(f"{meta_path}: next_row does not match the {len(names)} columns of {path}")
+    return FeatureMatrix(np.asarray(X_rows), np.asarray(y_vals), names, starts, width,
+                         np.asarray(next_row, dtype=np.float64))
 
 
 def split_plan_as_dict(plan: SplitPlan) -> dict:

@@ -52,17 +52,12 @@ class TrainedModel:
     meta: dict
 
 
-def _lstm_train_targets(allowed: np.ndarray, lookback: int) -> list[int]:
-    """Targets whose full window also lies in the allowed row set."""
+def _lstm_train_targets(matrix: FeatureMatrix, allowed: np.ndarray, lookback: int) -> list[int]:
+    """Targets whose full window also lies in the allowed row set and, with
+    the target, covers consecutive time slots."""
     allowed_set = set(int(j) for j in allowed)
-    out = []
-    for j in allowed:
-        j = int(j)
-        if j < lookback:
-            continue
-        if all((j - k) in allowed_set for k in range(1, lookback + 1)):
-            out.append(j)
-    return out
+    return [int(j) for j in allowed if j >= lookback and matrix.consecutive(j - lookback, j)
+            and all((j - k) in allowed_set for k in range(1, lookback + 1))]
 
 
 def train_model(matrix: FeatureMatrix, rows, spec: ModelSpec) -> TrainedModel:
@@ -83,7 +78,7 @@ def train_model(matrix: FeatureMatrix, rows, spec: ModelSpec) -> TrainedModel:
 
     scaler = MinMaxScaler().fit(matrix, rows)
     scaled = scaler.transform(matrix)
-    targets = _lstm_train_targets(rows, params.lookback)
+    targets = _lstm_train_targets(matrix, rows, params.lookback)
     W, t = build_windows(scaled.X, scaled.y, params.lookback, targets)
     model = LstmRegressor(scaled.X.shape[1], params, spec.seed).fit(W, t)
     meta = {"rows_used": len(targets), "epochs_run": model.epochs_run,

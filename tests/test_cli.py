@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from velotrace import cli
+from velotrace.errors import ParameterError, TrainingError
 from velotrace.features import read_features_csv
 from velotrace.ingest import POINT_HEADER, assemble_trips, load_points_npz, parse_points
+from velotrace.models import LinearModel, ModelSpec, load_artifact, train_model
 from velotrace.spatial import build_density_grid, write_density_csv
 from velotrace.util import format_utc, local_date, month_key, sha256_file
 
@@ -64,13 +66,18 @@ def parse_calls(monkeypatch):
     return calls
 
 
-def run(city, outdir, argv, points=None):
+def cli_args(city, outdir, argv, points=None, weather=None):
     inputs = city / "inputs"
     common = ["--config", str(city / "config.json"), "--out", str(outdir),
-              "--points", str(points or inputs / "points.csv")]
-    for key in ("weather", "calendar", "hubs"):
+              "--points", str(points or inputs / "points.csv"),
+              "--weather", str(weather or inputs / "weather.csv")]
+    for key in ("calendar", "hubs"):
         common += [f"--{key}", str(inputs / f"{key}.csv")]
-    assert cli.main(argv + common) == 0, argv
+    return argv + common
+
+
+def run(city, outdir, argv, points=None, weather=None):
+    assert cli.main(cli_args(city, outdir, argv, points, weather)) == 0, argv
 
 
 def run_analyses(city, outdir, points=None):
@@ -211,3 +218,98 @@ def test_single_month_monthly_csv_has_the_multi_month_format(city, tmp_path):
     count = json.loads((tmp_path / "may" / "profile.json").read_text())["monthly_counts"]["2017-05"]
     expected = [both[0], f"2017-05,{count},,1.0".encode(), b""]
     assert (tmp_path / "may" / "monthly.csv").read_bytes().split(b"\r\n") == expected
+
+
+@pytest.mark.parametrize("kind", ["linear", "boost"])
+def test_tabular_predict_reads_the_next_row_of_features_json(city, tmp_path, capsys, kind):
+    run(city, tmp_path, ["features", "--width", "60"])
+    run(city, tmp_path, ["train", "--split", "60/40"])
+    capsys.readouterr()
+    run(city, tmp_path, ["predict", "--artifact", str(tmp_path / f"model_{kind}.json")])
+    summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    matrix = read_features_csv(tmp_path / "features.csv")
+    tm = load_artifact(json.loads((tmp_path / f"model_{kind}.json").read_text()))
+    assert summary["slot_start"] == format_utc(matrix.slot_starts[-1] + timedelta(minutes=60))
+    assert summary["predicted"] == float(tm.model.predict(matrix.next_row[np.newaxis, :])[0])
+    assert json.loads((tmp_path / "prediction.json").read_text()) == {
+        k: v for k, v in summary.items() if k != "command"}
+
+
+def test_lstm_predict_rejects_a_trailing_window_across_a_gap(city, tmp_path):
+    weather = tmp_path / "weather.csv"
+    lines = (city / "inputs" / "weather.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    weather.write_text("".join(lines[:-10] + lines[-9:]), encoding="utf-8")  # drop one late hour
+    run(city, tmp_path, ["features", "--width", "60"], weather=weather)
+    matrix = read_features_csv(tmp_path / "features.csv")
+    gap = [j for j in range(1, matrix.n_rows)
+           if matrix.slot_starts[j] - matrix.slot_starts[j - 1] != timedelta(minutes=60)]
+    assert len(gap) == 1 and matrix.n_rows - gap[0] < 24
+    tm = train_model(matrix, range(matrix.n_rows - 30), ModelSpec("lstm", {"lookback": 24, "epochs": 1}))
+    with pytest.raises(ParameterError, match="gap"):
+        cli._next_slot_prediction(tm, matrix)
+
+
+def error_of(capsys, argv) -> dict:
+    """The error JSON of a failing CLI run; its exit code is the process's."""
+    code = cli.main(argv)
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["error"]
+    assert err["exit_code"] == code
+    return err
+
+
+def test_missing_points_file_exits_2(city, tmp_path, capsys):
+    missing = tmp_path / "nowhere.csv"
+    err = error_of(capsys, cli_args(city, tmp_path, ["ingest"], points=missing))
+    assert (err["exit_code"], err["type"], err["path"]) == (2, "MissingInputError", str(missing))
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_missing_features_json_exits_2(city, tmp_path, capsys, command):
+    run(city, tmp_path, ["features", "--width", "60"])
+    run(city, tmp_path, ["train", "--model", "linear"])
+    (tmp_path / "features.json").unlink()
+    argv = ["train"] if command == "train" else ["predict", "--artifact", str(tmp_path / "model_linear.json")]
+    err = error_of(capsys, cli_args(city, tmp_path, argv))
+    assert (err["exit_code"], err["type"], err["path"]) == (2, "MissingInputError", str(tmp_path / "features.json"))
+
+
+def test_malformed_points_row_exits_3(city, tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    lines = (city / "inputs" / "points.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    points.write_text("".join(lines[:3] + ["A1,not-a-time,44.5,11.3,5.0,3.0\n"] + lines[3:]), encoding="utf-8")
+    err = error_of(capsys, cli_args(city, tmp_path, ["ingest"], points=points))
+    assert (err["exit_code"], err["type"]) == (3, "ParseError")
+    assert err["message"].startswith("line 4:")
+
+
+def test_training_failure_exits_4(city, tmp_path, capsys, monkeypatch):
+    run(city, tmp_path, ["features", "--width", "60"])
+
+    def diverge(*args, **kwargs):
+        raise TrainingError("loss diverged")
+
+    monkeypatch.setattr(LinearModel, "fit", diverge)
+    err = error_of(capsys, cli_args(city, tmp_path, ["train", "--model", "linear"]))
+    assert (err["exit_code"], err["type"], err["message"]) == (4, "TrainingError", "loss diverged")
+
+
+def test_train_width_other_than_the_features_exits_1(city, tmp_path, capsys):
+    run(city, tmp_path, ["features", "--width", "60"])
+    err = error_of(capsys, cli_args(city, tmp_path, ["train", "--width", "30"]))
+    assert (err["exit_code"], err["type"]) == (1, "ParameterError")
+    assert "features --width 30" in err["message"]
+
+
+def test_rerun_of_the_chain_writes_an_identical_manifest(city, tmp_path):
+    for outdir in (tmp_path / "a", tmp_path / "b"):
+        run(city, outdir, ["ingest"])
+        run_analyses(city, outdir)
+        run(city, outdir, ["train"])
+        run(city, outdir, ["predict", "--artifact", str(outdir / "model_boost.json")])
+    assert (tmp_path / "a" / "manifest.json").read_bytes() == (tmp_path / "b" / "manifest.json").read_bytes()
+    outputs = json.loads((tmp_path / "a" / "manifest.json").read_text())["outputs"]
+    assert {"model_linear.json", "model_boost.json", "prediction.json"} <= set(outputs)
+    assert outputs["features.json"] == sha256_file(tmp_path / "a" / "features.json")
+    meta = json.loads((tmp_path / "a" / "features.json").read_text())
+    assert {k: meta[k] for k in ("width_minutes", "utc_offset_min", "hour_as_numeric", "hour_history_sum")} == {
+        "width_minutes": 60, "utc_offset_min": 120, "hour_as_numeric": False, "hour_history_sum": False}

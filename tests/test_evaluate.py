@@ -4,8 +4,9 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from velotrace.covariates import WeatherRecord
 from velotrace.errors import ParameterError
-from velotrace.features import FeatureMatrix, chronological_split
+from velotrace.features import FeatureMatrix, SlotSeries, build_features, chronological_split
 from velotrace.models import (
     ModelSpec,
     ablate,
@@ -86,6 +87,20 @@ def test_lstm_cv_folds_respect_history():
     cv = report.entries["lstm"]["cv"]
     assert len(cv) == 10
     assert sum(1 for e in cv if e["metrics"] is not None) >= 9  # first fold may lack history
+
+
+def test_lstm_training_windows_do_not_span_a_dropped_slot():
+    counts = np.random.default_rng(0).integers(0, 30, size=7 * 24 + 80)
+    slots = SlotSeries(60, START, counts)
+    gap = slots.slot_start(7 * 24 + 40)
+    weather = [WeatherRecord(slots.slot_start(i), 15.0 + i % 7, 0.0, 2.0)
+               for i in range(len(counts)) if slots.slot_start(i) != gap]
+    matrix, dropped = build_features(slots, weather, [], 120)
+    assert dropped == [(gap, "missing-weather")]
+    lookback = 8
+    tm = train_model(matrix, range(matrix.n_rows), ModelSpec("lstm", {"lookback": lookback, "epochs": 1}))
+    # the 8 targets whose window reaches back over the dropped slot are left out
+    assert tm.meta["rows_used"] == matrix.n_rows - lookback - 8
 
 
 def test_artifact_round_trip_predictions():

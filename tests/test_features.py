@@ -1,3 +1,4 @@
+import json
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from velotrace.covariates import CalendarEntry, WeatherRecord
-from velotrace.errors import ParameterError, StateError
+from velotrace.errors import MissingInputError, ParameterError, SchemaError, StateError
 from velotrace.features import (
     FeatureMatrix,
     MinMaxScaler,
@@ -286,10 +287,109 @@ class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         m, _ = build(list(range(7 * 48 + 30)))
         path = tmp_path / "features.csv"
-        write_features_csv(m, path)
+        write_features_csv(m, path, **OPTIONS)
         back = read_features_csv(path)
         assert back.column_names == m.column_names
         assert np.array_equal(back.X, m.X)
         assert np.array_equal(back.y, m.y)
         assert back.slot_starts == m.slot_starts
         assert back.width_minutes == 30
+        assert np.array_equal(back.next_row, m.next_row)
+
+    def test_sidecar_describes_the_build(self, tmp_path):
+        m, _ = build(list(range(7 * 48 + 30)))
+        write_features_csv(m, tmp_path / "features.csv", **OPTIONS)
+        meta = json.loads((tmp_path / "features.json").read_text())
+        assert meta == {"width_minutes": 30, **OPTIONS, "next_slot_start": "2017-05-09T01:00:00Z",
+                        "next_row": m.next_row.tolist()}
+
+    def test_missing_sidecar_is_a_missing_input(self, tmp_path):
+        m, _ = build(list(range(7 * 48 + 30)))
+        write_features_csv(m, tmp_path / "features.csv", **OPTIONS)
+        (tmp_path / "features.json").unlink()
+        with pytest.raises(MissingInputError) as err:
+            read_features_csv(tmp_path / "features.csv")
+        assert err.value.path == str(tmp_path / "features.json")
+
+    def test_sidecar_row_must_match_the_columns(self, tmp_path):
+        m, _ = build(list(range(7 * 48 + 30)))
+        m.next_row = m.next_row[:-1]
+        write_features_csv(m, tmp_path / "features.csv", **OPTIONS)
+        with pytest.raises(SchemaError, match="next_row"):
+            read_features_csv(tmp_path / "features.csv")
+
+
+OPTIONS = {"utc_offset_min": 120, "hour_as_numeric": False, "hour_history_sum": False}
+
+
+def varying_weather(slots: SlotSeries, n_slots: int, missing_hours=()):
+    """One record per hour up to slot n_slots - 1, each with its own temperature and rain."""
+    out = []
+    h = slots.start.replace(minute=0)
+    k = 0
+    while h <= slots.slot_start(n_slots - 1):
+        if h not in missing_hours:
+            out.append(WeatherRecord(h, 10.0 + 0.25 * k, float(k % 3), 2.0))
+        h += timedelta(hours=1)
+        k += 1
+    return out
+
+
+class TestNextRow:
+    """`next_row` is made by the same code as the stored rows: the next row of
+    a series cut after slot k is row k of the uncut build."""
+
+    @pytest.mark.parametrize("width", [30, 60])
+    @pytest.mark.parametrize("hour_history_sum", [False, True])
+    @pytest.mark.parametrize("hour_as_numeric", [False, True])
+    def test_next_row_of_a_cut_series_is_the_uncut_row(self, width, hour_history_sum, hour_as_numeric):
+        lag_week = 7 * 24 * 60 // width
+        counts = np.random.default_rng(width).integers(0, 40, size=lag_week + 12)
+        full = make_slots(counts, width=width, start=datetime(2017, 5, 1, 18, 0, tzinfo=UTC))
+        weather = varying_weather(full, len(counts))
+        calendar = [CalendarEntry(date(2017, 5, 8), "holiday", "x")]
+        kw = {"hour_as_numeric": hour_as_numeric, "hour_history_sum": hour_history_sum}
+        uncut, _ = build_features(full, weather, calendar, 120, **kw)
+        assert uncut.column("holiday").any() and not uncut.column("holiday").all()
+        for k in range(lag_week + 1, len(counts)):
+            cut, _ = build_features(make_slots(counts[:k], width=width, start=full.start),
+                                    weather, calendar, 120, **kw)
+            assert cut.column_names == uncut.column_names
+            assert cut.slot_starts[-1] + timedelta(minutes=width) == uncut.slot_starts[k - lag_week]
+            assert np.array_equal(cut.next_row, uncut.X[k - lag_week]), k
+
+    def test_width_30_hour_history_sum_reads_the_two_preceding_slots(self):
+        counts = list(range(7 * 48 + 5))
+        matrix, _ = build(counts, hour_history_sum=True)
+        assert matrix.next_row[matrix.column_names.index("hour_history")] == counts[-1] + counts[-2]
+        assert matrix.next_row[matrix.column_names.index("week_history")] == counts[-7 * 48]
+
+    def test_uncovered_next_hour_carries_the_last_weather_forward(self):
+        counts = np.arange(7 * 24 + 12)
+        full = make_slots(counts, width=60)
+        k = len(counts) - 3  # the cut series ends at slot k - 1; slot k's hour has no record
+        covered = varying_weather(full, len(counts))
+        gap = [w for w in covered if w.hour != full.slot_start(k)]
+        uncut, _ = build_features(full, covered, [], 120)
+        cut, dropped = build_features(make_slots(counts[:k], width=60), gap, [], 120)
+        assert not dropped
+        row = k - 7 * 24
+        assert cut.next_row[:2].tolist() == uncut.X[row - 1, :2].tolist()  # the last kept row's weather
+        assert cut.next_row[:2].tolist() != uncut.X[row, :2].tolist()
+        assert np.array_equal(cut.next_row[2:], uncut.X[row, 2:])
+
+    def test_next_slot_in_a_new_month_sets_no_month_column(self):
+        start = datetime(2017, 5, 24, 14, 0, tzinfo=UTC)  # the last slot ends at local midnight, 1 June
+        counts = [3] * (7 * 24 + 8)
+        slots = make_slots(counts, width=60, start=start)
+        matrix, _ = build_features(slots, varying_weather(slots, len(counts) + 1), [], 120)
+        assert [c for c in matrix.column_names if c.startswith("month=")] == ["month=2017-05"]
+        assert matrix.X[:, matrix.column_names.index("month=2017-05")].all()
+        assert matrix.next_row[matrix.column_names.index("month=2017-05")] == 0.0
+        assert matrix.next_row[matrix.column_names.index("season=summer")] == 1.0
+
+    def test_drop_group_keeps_next_row_aligned(self):
+        m, _ = build([1] * (7 * 48 + 4))
+        reduced = drop_group(m, "hour_of_the_day")
+        assert reduced.next_row.tolist() == [v for c, v in zip(m.column_names, m.next_row)
+                                             if not c.startswith("hour_of_the_day")]
