@@ -9,8 +9,11 @@ and features reuse it when it was built from the same `points.csv` (by
 sha256), and otherwise parse and assemble the points as ingest does.
 `features` writes `features.csv` and its sidecar `features.json`: the slot
 width, the build options and the feature row of the slot after the last
-row. `train` and `predict` read both; `predict` feeds that row to a tabular
-model, so training and serving build their rows in one place.
+row. `train` and `predict` read both. `predict` scores that next slot with
+`predict_rows`, the function that scores the test rows: a tabular model reads
+the sidecar's row, the recurrent model the trailing window of rows, which
+must be consecutive time slots. So training and serving build their rows,
+and choose usable windows, in one place.
 Failures print a machine-readable error JSON and exit 2 (missing input),
 3 (schema/data error), 4 (training failure), or 1 (anything else).
 """
@@ -40,6 +43,9 @@ from .covariates import (
     week_contrast,
 )
 from .descriptive import (
+    DEFAULT_DISTANCE_BIN_M,
+    DEFAULT_DURATION_BIN_S,
+    DEFAULT_SPEED_BIN_MPS,
     histogram,
     monthly_change,
     profile_as_dict,
@@ -79,10 +85,10 @@ from .ingest import (
 from .models import (
     MODEL_KINDS,
     ModelSpec,
-    build_windows,
     evaluate,
     load_artifact,
     model_artifact,
+    predict_rows,
 )
 from .spatial import (
     build_density_grid,
@@ -108,7 +114,8 @@ DEFAULTS = {
     "utc_offset_min": 120,
     "bbox": [44.45, 11.28, 44.54, 11.40],
     "paths": {},
-    "describe": {"bin_distance_m": 200.0, "bin_duration_s": 60.0, "bin_speed_mps": 0.2},
+    "describe": {"bin_distance_m": DEFAULT_DISTANCE_BIN_M, "bin_duration_s": DEFAULT_DURATION_BIN_S,
+                 "bin_speed_mps": DEFAULT_SPEED_BIN_MPS},
     "spatial": {"cell_size_m": 50.0, "dest_cell_size_m": 200.0, "top_k": 10, "per_month": False},
     "features": {"width": 60, "split": "90/10", "hour_as_numeric": False, "hour_history_sum": False},
     "train": {"width": None, "split": "90/10", "models": ["all"], "with_cv": True},
@@ -418,20 +425,20 @@ def cmd_train(cfg: dict, args) -> None:
     report_path = outdir / "eval_report.json"
     write_json(report_path, report.as_dict())
     files.append(report_path)
-    test_rows = list(plan.test_rows)
     best_kind, best_mae = None, None
-    for kind, (tm, test_pred) in fitted.items():
+    for kind, score in fitted.items():
         artifact_path = outdir / f"model_{kind}.json"
-        write_json(artifact_path, model_artifact(tm, matrix.column_names))
+        write_json(artifact_path, model_artifact(score.model, matrix.column_names))
         files.append(artifact_path)
         pred_path = outdir / f"predictions_{kind}.csv"
-        _write_predictions(pred_path, matrix, test_rows, test_pred)
+        _write_predictions(pred_path, matrix, score.targets, score.predictions)
         files.append(pred_path)
         mae = report.entries[kind]["test"]["mae"]
         if best_mae is None or mae < best_mae:
             best_kind, best_mae = kind, mae
     pred_path = outdir / "predictions.csv"
-    _write_predictions(pred_path, matrix, test_rows, fitted[best_kind][1])
+    best = fitted[best_kind]
+    _write_predictions(pred_path, matrix, best.targets, best.predictions)
     files.append(pred_path)
     _update_manifest(outdir, files)
     _emit({"command": "train", "split": split, "width": matrix.width_minutes,
@@ -466,29 +473,13 @@ def cmd_predict(cfg: dict, args) -> None:
 
 
 def _next_slot_prediction(tm, matrix) -> dict:
-    """Predict the count of the slot after the last row of the features file.
-
-    The recurrent model consumes the trailing window of rows, which must be
-    consecutive time slots. Tabular models get the sidecar's next-slot row,
-    which `build_features` made as it made the stored rows.
-    """
+    """Predict the count of the slot after the last row of the features file:
+    `predict_rows` on row `n_rows`, scored as the test rows are."""
     width = matrix.width_minutes
     next_start = matrix.slot_starts[-1] + timedelta(minutes=width)
-    kind = tm.spec.kind
-    if kind == "lstm":
-        scaled = tm.scaler.transform(matrix)
-        lookback = tm.model.params.lookback
-        n = matrix.n_rows
-        if n < lookback:
-            raise ParameterError(f"features file has {n} rows, recurrent model needs {lookback}")
-        if not matrix.consecutive(n - lookback, n - 1):
-            raise ParameterError(f"the last {lookback} rows of the features file span a gap in time")
-        window = scaled.X[n - lookback:n][np.newaxis, :, :]
-        value = float(tm.scaler.inverse_target(tm.model.predict(window))[0])
-    else:
-        value = float(tm.model.predict(matrix.next_row[np.newaxis, :])[0])
+    value = float(predict_rows(tm, matrix, [matrix.n_rows])[0])
     return {"slot_start": format_utc(next_start), "width_minutes": width,
-            "model": kind, "predicted": value}
+            "model": tm.spec.kind, "predicted": value}
 
 
 def synth_config_from_dict(d: dict, seed: int, utc_offset_min: int) -> SynthConfig:

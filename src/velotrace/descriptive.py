@@ -31,18 +31,6 @@ class Histogram:
             return None
         return max(self.bins, key=lambda b: b[1])
 
-    def median(self) -> float | None:
-        """Midpoint of the bin containing the middle sample; None when empty."""
-        if self.total == 0:
-            return None
-        half = (self.total + 1) / 2
-        seen = 0
-        for edge, count in self.bins:
-            seen += count
-            if seen >= half:
-                return edge + self.bin_width / 2
-        return None
-
 
 def histogram(values, bin_width: float, origin: float = 0.0) -> Histogram:
     """Bin non-negative reals into fixed-width bins anchored at `origin`.

@@ -115,11 +115,6 @@ class FeatureMatrix:
     def column(self, name: str) -> np.ndarray:
         return self.X[:, self.column_names.index(name)]
 
-    def consecutive(self, lo: int, hi: int) -> bool:
-        """Whether rows lo..hi are consecutive time slots: each step is one width."""
-        step = timedelta(minutes=self.width_minutes)
-        return all(b - a == step for a, b in zip(self.slot_starts[lo:hi], self.slot_starts[lo + 1:hi + 1]))
-
 
 def build_features(slots: SlotSeries, weather: list[WeatherRecord],
                    calendar: list[CalendarEntry], utc_offset_min: int,
@@ -131,12 +126,13 @@ def build_features(slots: SlotSeries, weather: list[WeatherRecord],
     (or, behind `hour_history_sum`, the summed two preceding 30-minute slots);
     week_history the count exactly 7 days back. The first 7 days of slots are
     dropped for lacking history. Weather is taken from the hour containing the
-    slot start; a gap there drops the row (second return value logs it).
+    slot start; a gap there drops the row (second return value logs it). The
+    month columns are the months of the kept rows.
 
     `next_row` is the row of the slot after the last kept one, built the same
     way from the full count series. Its weather comes from the records when
     they cover its hour, else from the last kept row; a next slot in a month
-    the series never reaches sets no month column.
+    no kept row is in sets no month column.
     """
     width = slots.width_minutes
     per_hour = 60 // width
@@ -147,8 +143,15 @@ def build_features(slots: SlotSeries, weather: list[WeatherRecord],
     wx = {w.hour: w for w in weather}
     holidays = {e.date for e in calendar if e.kind == "holiday"}
 
-    months = sorted({month_key(to_local(slots.slot_start(i), utc_offset_min).date())
-                     for i in range(len(counts))})
+    kept: list[tuple[int, WeatherRecord]] = []
+    dropped: list[tuple[datetime, str]] = []
+    for i in range(lag_week, len(counts)):
+        rec = wx.get(truncate_hour(slots.slot_start(i)))
+        if rec is None:
+            dropped.append((slots.slot_start(i), "missing-weather"))
+        else:
+            kept.append((i, rec))
+    months = sorted({month_key(to_local(slots.slot_start(i), utc_offset_min).date()) for i, _ in kept})
 
     names: list[str] = ["temperature", "precipitation"]
     if hour_as_numeric:
@@ -172,7 +175,7 @@ def build_features(slots: SlotSeries, weather: list[WeatherRecord],
         else:
             row[col_index[f"hour_of_the_day={local.hour}"]] = 1.0
         month = col_index.get(f"month={month_key(local.date())}")
-        if month is not None:  # None only for a next slot past the series' last month
+        if month is not None:  # None only for a next slot past the last kept row's month
             row[month] = 1.0
         row[col_index[f"season={season_of_month(local.month)}"]] = 1.0
         row[col_index[f"day_of_week={WEEKDAY_NAMES[local.weekday()]}"]] = 1.0
@@ -184,29 +187,18 @@ def build_features(slots: SlotSeries, weather: list[WeatherRecord],
         row[col_index["week_history"]] = float(counts[i - lag_week])
         return row
 
-    rows: list[np.ndarray] = []
-    targets: list[float] = []
-    starts: list[datetime] = []
-    dropped: list[tuple[datetime, str]] = []
-    for i in range(lag_week, len(counts)):
-        slot_ts = slots.slot_start(i)
-        rec = wx.get(truncate_hour(slot_ts))
-        if rec is None:
-            dropped.append((slot_ts, "missing-weather"))
-            continue
-        rows.append(row_at(i, rec.temp_c, rec.precip_mm))
-        targets.append(float(counts[i]))
-        starts.append(slot_ts)
-        last = i
+    rows = [row_at(i, rec.temp_c, rec.precip_mm) for i, rec in kept]
+    starts = [slots.slot_start(i) for i, _ in kept]
 
     next_row = None
     if rows:
+        last = kept[-1][0]
         rec = wx.get(truncate_hour(slots.slot_start(last + 1)))
         temp_c, precip_mm = (rec.temp_c, rec.precip_mm) if rec is not None else rows[-1][:2]
         next_row = row_at(last + 1, temp_c, precip_mm)
 
     X = np.vstack(rows) if rows else np.zeros((0, len(names)))
-    y = np.asarray(targets, dtype=np.float64)
+    y = np.array([counts[i] for i, _ in kept], dtype=np.float64)
     return FeatureMatrix(X, y, names, starts, width, next_row), dropped
 
 

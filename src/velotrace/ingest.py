@@ -94,22 +94,16 @@ class Rejection:
 
 def haversine(a: tuple[float, float], b: tuple[float, float]) -> float:
     """Great-circle distance in meters between two (lat, lon) pairs."""
-    lat1, lon1 = math.radians(a[0]), math.radians(a[1])
-    lat2, lon2 = math.radians(b[0]), math.radians(b[1])
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    s = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(s)))
+    return float(2.0 * EARTH_RADIUS_M * half_angles(a[0], a[1], b[0], b[1]))
 
 
-def _segment_angles(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """Half central angle between each pair of consecutive points; a segment's
-    great-circle length is `2.0 * EARTH_RADIUS_M` times its angle."""
-    la = np.radians(lat)
-    lo = np.radians(lon)
-    dlat = la[1:] - la[:-1]
-    dlon = lo[1:] - lo[:-1]
-    s = np.sin(dlat / 2.0) ** 2 + np.cos(la[:-1]) * np.cos(la[1:]) * np.sin(dlon / 2.0) ** 2
+def half_angles(lat1, lon1, lat2, lon2):
+    """Half the central angle between points 1 and 2, pairwise over arrays of
+    degrees (haversine formula); a great-circle distance is
+    `2.0 * EARTH_RADIUS_M` times it."""
+    la1, lo1 = np.radians(lat1), np.radians(lon1)
+    la2, lo2 = np.radians(lat2), np.radians(lon2)
+    s = np.sin((la2 - la1) / 2.0) ** 2 + np.cos(la1) * np.cos(la2) * np.sin((lo2 - lo1) / 2.0) ** 2
     return np.arcsin(np.minimum(1.0, np.sqrt(s)))
 
 
@@ -249,7 +243,7 @@ def assemble_trips(table: PointTable) -> tuple[list[Trip], list[Rejection]]:
         column[pos] = v
 
     lat, lon = table.lat[order], table.lon[order]
-    angles = _segment_angles(lat, lon)
+    angles = half_angles(lat[:-1], lon[:-1], lat[1:], lon[1:])
     ids = table.ids.tolist()
     t_list = t_us.tolist()
     trips: list[Trip] = []

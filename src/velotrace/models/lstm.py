@@ -3,8 +3,9 @@
 Gate order inside the packed weight matrix is (input, forget, candidate,
 output); the cell follows c_t = f*c_{t-1} + i*g, h_t = o*tanh(c_t), with a
 linear head reading the scalar prediction off the last hidden state. Windows
-of `lookback` consecutive feature rows predict the count of the slot that
-follows the window. Training uses squared loss and Adam; every random choice
+of the feature rows of `lookback` consecutive time slots predict the count of
+the slot that follows the window; `evaluate.scorable` decides which targets
+have such a window. Training uses squared loss and Adam; every random choice
 (weight init, batch shuffling) comes from the seed, so learned weights are
 bitwise reproducible."""
 

@@ -71,10 +71,3 @@ def write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, sort_keys=True, indent=2)
         f.write("\n")
-
-
-def fmt_float(v) -> str:
-    """Shortest round-trip decimal form; integers render without exponent noise."""
-    if v is None:
-        return ""
-    return repr(float(v))

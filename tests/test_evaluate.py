@@ -4,6 +4,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from velotrace import cli
 from velotrace.covariates import WeatherRecord
 from velotrace.errors import ParameterError
 from velotrace.features import FeatureMatrix, SlotSeries, build_features, chronological_split
@@ -16,6 +17,7 @@ from velotrace.models import (
     predict_rows,
     train_model,
 )
+from velotrace.util import format_utc
 
 UTC = timezone.utc
 START = datetime(2017, 5, 1, tzinfo=UTC)
@@ -89,18 +91,80 @@ def test_lstm_cv_folds_respect_history():
     assert sum(1 for e in cv if e["metrics"] is not None) >= 9  # first fold may lack history
 
 
-def test_lstm_training_windows_do_not_span_a_dropped_slot():
-    counts = np.random.default_rng(0).integers(0, 30, size=7 * 24 + 80)
+def gapped_matrix(gap_offsets, n_slots=7 * 24 + 120):
+    """A 60-minute matrix whose weather lacks the hours at these slot offsets
+    past the first week, so that build_features drops their rows."""
+    counts = np.random.default_rng(0).integers(0, 30, size=n_slots)
     slots = SlotSeries(60, START, counts)
-    gap = slots.slot_start(7 * 24 + 40)
+    gaps = {slots.slot_start(7 * 24 + k) for k in gap_offsets}
     weather = [WeatherRecord(slots.slot_start(i), 15.0 + i % 7, 0.0, 2.0)
-               for i in range(len(counts)) if slots.slot_start(i) != gap]
+               for i in range(n_slots) if slots.slot_start(i) not in gaps]
     matrix, dropped = build_features(slots, weather, [], 120)
-    assert dropped == [(gap, "missing-weather")]
+    assert dropped == [(ts, "missing-weather") for ts in sorted(gaps)]
+    return matrix
+
+
+def test_lstm_training_windows_do_not_span_a_dropped_slot():
+    matrix = gapped_matrix([40], n_slots=7 * 24 + 80)
     lookback = 8
     tm = train_model(matrix, range(matrix.n_rows), ModelSpec("lstm", {"lookback": lookback, "epochs": 1}))
     # the 8 targets whose window reaches back over the dropped slot are left out
     assert tm.meta["rows_used"] == matrix.n_rows - lookback - 8
+
+
+def test_scoring_leaves_out_the_windows_across_a_dropped_slot():
+    lookback = 8
+    matrix = gapped_matrix([40, 100])  # one gap in the training range, one in the test rows
+    plan = chronological_split(matrix, "80/20")
+    assert (plan.train_rows, plan.test_rows) == (range(0, 95), range(95, 118))
+    step = timedelta(hours=1)
+
+    def has_window(j):
+        return j >= lookback and matrix.slot_starts[j] - matrix.slot_starts[j - lookback] == lookback * step
+
+    lstm = ModelSpec("lstm", {"hidden_size": 4, "lookback": lookback, "epochs": 1}, seed=1)
+    report, fitted = evaluate(matrix, plan, [ModelSpec("linear"), lstm], with_cv=True)
+    entries = report.as_dict()["models"]
+    cv = entries["lstm"]["cv"]
+    # fold 0 lacks history for its first 8 targets; rows 40..47 reach back over slot 40
+    assert [e["skipped"] for e in cv] == [8, 0, 0, 0, 8, 0, 0, 0, 0, 0]
+    assert all(e["metrics"] is not None for e in cv)
+    assert entries["lstm"]["test_skipped"] == 8
+    assert fitted["lstm"].targets.tolist() == [j for j in plan.test_rows if has_window(j)]
+    assert not set(range(99, 107)) & set(fitted["lstm"].targets.tolist())
+    assert [e["skipped"] for e in entries["linear"]["cv"]] == [0] * 10
+    assert entries["linear"]["test_skipped"] == 0
+    for target in (40, 47, 99, 106, 3):
+        assert not has_window(target)
+        with pytest.raises(ParameterError, match="gap"):
+            predict_rows(fitted["lstm"].model, matrix, [target])
+    assert len(predict_rows(fitted["lstm"].model, matrix, [48, 107, matrix.n_rows])) == 3
+
+
+def parity_series(width):
+    counts = np.random.default_rng(width).integers(0, 30, size=7 * 24 * 60 // width + 60)
+    slots = SlotSeries(width, datetime(2017, 5, 1, 6, 0, tzinfo=UTC), counts)
+    weather = [WeatherRecord(slots.slot_start(0) + timedelta(hours=h), 10.0 + 0.3 * h, float(h % 4), 2.0)
+               for h in range(len(counts) * width // 60 + 2)]
+    return counts, slots, weather
+
+
+@pytest.mark.parametrize("width, hour_history_sum", [(60, False), (30, True)])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+def test_predict_is_predict_rows_on_the_next_slot(width, hour_history_sum, spec):
+    """Serving a features file cut after k rows predicts what scoring row k
+    of the uncut file predicts."""
+    counts, slots, weather = parity_series(width)
+    full, _ = build_features(slots, weather, [], 120, hour_history_sum=hour_history_sum)
+    tm = train_model(full, range(40), spec)
+    for k in (45, 52, full.n_rows - 1):
+        cut, _ = build_features(SlotSeries(width, slots.start, counts[:len(counts) - full.n_rows + k]),
+                                weather, [], 120, hour_history_sum=hour_history_sum)
+        assert cut.n_rows == k and cut.column_names == full.column_names
+        served = cli._next_slot_prediction(tm, cut)
+        assert served["slot_start"] == format_utc(full.slot_starts[k])
+        assert served["predicted"] == predict_rows(tm, full, [k])[0]
+        assert served["predicted"] == predict_rows(tm, cut, [k])[0]
 
 
 def test_artifact_round_trip_predictions():

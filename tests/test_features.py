@@ -166,6 +166,14 @@ class TestBuildFeatures:
         matrix, _ = build([1] * (7 * 48 + 20))
         assert all(a < b for a, b in zip(matrix.slot_starts, matrix.slot_starts[1:]))
 
+    def test_month_columns_come_from_the_stored_rows(self):
+        # the unstored first week is all March; every stored row is in April
+        slots = make_slots([2] * (7 * 48 + 30), start=datetime(2017, 3, 25, 0, 0, tzinfo=UTC))
+        matrix, _ = build_features(slots, weather_for(slots), [], 120)
+        months = [j for j, c in enumerate(matrix.column_names) if c.startswith("month=")]
+        assert [matrix.column_names[j] for j in months] == ["month=2017-04"]
+        assert all(matrix.X[:, j].any() for j in months)
+
 
 def toy_matrix(n=200, p_noise=3, seed=0):
     rng = np.random.default_rng(seed)
