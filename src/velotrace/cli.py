@@ -15,14 +15,18 @@ the sidecar's row, the recurrent model the trailing window of rows, which
 must be consecutive time slots. So training and serving build their rows,
 and choose usable windows, in one place.
 Failures print a machine-readable error JSON and exit 2 (missing input),
-3 (schema/data error), 4 (training failure), or 1 (anything else).
+3 (schema/data error), 4 (training failure), or 1 (anything else). A config
+error (an unknown `synth` key, an empty `train.models`, a model
+hyperparameter of unknown name or wrong type) exits 1 before any model is
+fitted; a malformed input file (invalid JSON, a bad `features.csv` row, a
+model artifact with a missing or malformed field) exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 import sys
 from datetime import date, timedelta
 from pathlib import Path
@@ -57,6 +61,7 @@ from .errors import (
     DataError,
     MissingInputError,
     ParameterError,
+    SchemaError,
     TrainingError,
     VelotraceError,
 )
@@ -106,7 +111,7 @@ from .synth import (
     TripLengthDist,
     generate,
 )
-from .util import format_utc, local_date, month_key, sha256_file, write_json
+from .util import format_utc, local_date, month_key, read_json, sha256_file, write_json
 
 DEFAULTS = {
     "out": "out",
@@ -153,8 +158,10 @@ def load_config(args) -> dict:
         path = Path(args.config)
         if not path.exists():
             raise MissingInputError(path, f"config file not found: {path}")
-        with open(path, "r", encoding="utf-8") as f:
-            cfg = _merge(cfg, json.load(f))
+        loaded = read_json(path)
+        if not isinstance(loaded, dict):
+            raise SchemaError(f"config file {path} does not hold a JSON object")
+        cfg = _merge(cfg, loaded)
     for key in ("out", "seed", "utc_offset_min"):
         v = getattr(args, key.replace("-", "_"), None)
         if v is not None:
@@ -180,10 +187,7 @@ def _outdir(cfg: dict) -> Path:
 
 def _update_manifest(outdir: Path, files: list[Path]) -> Path:
     manifest_path = outdir / "manifest.json"
-    manifest = {"outputs": {}}
-    if manifest_path.exists():
-        with open(manifest_path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
+    manifest = read_json(manifest_path) if manifest_path.exists() else {"outputs": {}}
     for p in files:
         manifest["outputs"][str(Path(p).relative_to(outdir))] = sha256_file(Path(p))
     write_json(manifest_path, manifest)
@@ -400,15 +404,19 @@ def cmd_features(cfg: dict, args) -> None:
 
 
 def _model_specs(cfg: dict, requested: list[str]) -> list[ModelSpec]:
+    if not requested:
+        raise ParameterError("train.models lists no model kind")
     kinds = list(MODEL_KINDS) if "all" in requested else requested
     mc = cfg.get("models", {})
     seed = int(mc.get("seed", cfg["seed"]))
-    return [ModelSpec(k, dict(mc.get(k, {})), seed=seed) for k in kinds]
+    return [ModelSpec(k, mc.get(k, {}), seed=seed) for k in kinds]
 
 
 def cmd_train(cfg: dict, args) -> None:
     outdir = _outdir(cfg)
     tc = cfg["train"]
+    requested = [args.model] if args.model else list(tc["models"])
+    specs = _model_specs(cfg, requested)
     features_path = Path(cfg.get("paths", {}).get("features") or (outdir / "features.csv"))
     matrix = read_features_csv(features_path)
     width = int(args.width or tc.get("width") or matrix.width_minutes)
@@ -416,8 +424,6 @@ def cmd_train(cfg: dict, args) -> None:
         raise ParameterError(
             f"requested width {width} but features.csv was built at {matrix.width_minutes}; rerun `features --width {width}`")
     split = args.split or tc["split"]
-    requested = [args.model] if args.model else list(tc["models"])
-    specs = _model_specs(cfg, requested)
     plan = chronological_split(matrix, split)
     report, fitted = evaluate(matrix, plan, specs, with_cv=bool(tc.get("with_cv", True)))
 
@@ -459,8 +465,7 @@ def cmd_predict(cfg: dict, args) -> None:
     if not artifact_path.exists():
         raise MissingInputError(artifact_path)
     features_path = Path(cfg.get("paths", {}).get("features") or (outdir / "features.csv"))
-    with open(artifact_path, "r", encoding="utf-8") as f:
-        tm = load_artifact(json.load(f))
+    tm = load_artifact(read_json(artifact_path))
     matrix = read_features_csv(features_path)
     if args.width and int(args.width) != matrix.width_minutes:
         raise ParameterError(
@@ -483,6 +488,9 @@ def _next_slot_prediction(tm, matrix) -> dict:
 
 
 def synth_config_from_dict(d: dict, seed: int, utc_offset_min: int) -> SynthConfig:
+    unknown = sorted(set(d) - {f.name for f in fields(SynthConfig)})
+    if unknown:
+        raise ParameterError(f"unknown synth keys {unknown}")
     kwargs = {"seed": int(d.get("seed", seed)),
               "start_date": date.fromisoformat(d["start_date"]),
               "end_date": date.fromisoformat(d["end_date"]),

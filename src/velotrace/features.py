@@ -6,7 +6,6 @@ only."""
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -15,9 +14,9 @@ from pathlib import Path
 import numpy as np
 
 from .covariates import CalendarEntry, WeatherRecord, pearson
-from .errors import MissingInputError, ParameterError, SchemaError, StateError, UndefinedCorrelationError
+from .errors import MissingInputError, ParameterError, ParseError, SchemaError, StateError, UndefinedCorrelationError
 from .ingest import Trip
-from .util import WEEKDAY_NAMES, month_key, parse_utc, format_utc, to_local, truncate_hour, write_json
+from .util import WEEKDAY_NAMES, month_key, parse_utc, format_utc, read_json, to_local, truncate_hour, write_json
 
 SLOT_WIDTHS = (30, 60)
 SEASONS = ("spring", "summer", "autumn", "winter")
@@ -363,20 +362,27 @@ def read_features_csv(path) -> FeatureMatrix:
     for p in (Path(path), meta_path):
         if not p.exists():
             raise MissingInputError(p)
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta = read_json(meta_path)
+    if not isinstance(meta, dict):
+        raise SchemaError(f"{meta_path}: not a JSON object")
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, [])
         if len(header) < 3 or header[-1] != "slot_start" or header[-2] != "target":
-            raise ParameterError(f"not a features file: {path}")
+            raise SchemaError(f"not a features file: {path}")
         names = header[:-2]
         X_rows, y_vals, starts = [], [], []
         for row in reader:
             if not row:
                 continue
-            X_rows.append([float(v) for v in row[:-2]])
-            y_vals.append(float(row[-2]))
-            starts.append(parse_utc(row[-1]))
+            if len(row) != len(header):
+                raise ParseError(reader.line_num, f"{len(row)} fields, expected {len(header)}")
+            try:
+                X_rows.append([float(v) for v in row[:-2]])
+                y_vals.append(float(row[-2]))
+                starts.append(parse_utc(row[-1]))
+            except ValueError as e:
+                raise ParseError(reader.line_num, str(e)) from None
     if len(X_rows) < 2:
         raise ParameterError("features file needs at least 2 rows")
     width = meta.get("width_minutes")

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InputError, ParameterError
-from .tree import FEATURES_ALL, RegressionTree
+from ..errors import ParameterError
+from .tree import FEATURES_ALL, RegressionTree, check_minimums, fit_inputs
 
 
 @dataclass(frozen=True)
@@ -20,18 +20,15 @@ class BoostParams:
     learning_rate: float = 0.1
     min_samples_leaf: int = 1
 
-    def validate(self) -> None:
-        if self.n_rounds < 0:
-            raise ParameterError(f"n_rounds must be >= 0, got {self.n_rounds}")
+    def __post_init__(self):
+        check_minimums(self, n_rounds=0, max_depth=0, min_samples_leaf=1)
         if not (0.0 < self.learning_rate <= 1.0):
             raise ParameterError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ParameterError(f"max_depth must be >= 0, got {self.max_depth}")
-        if self.min_samples_leaf < 1:
-            raise ParameterError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
 
 
 class GradientBoosting:
+    Params = BoostParams
+
     def __init__(self, params: BoostParams, base_score: float,
                  trees: list[RegressionTree], train_mse: list[float]):
         self.params = params
@@ -41,13 +38,7 @@ class GradientBoosting:
 
     @classmethod
     def fit(cls, X, y, params: BoostParams, seed: int = 0) -> "GradientBoosting":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or len(X) != len(y) or len(y) < 2:
-            raise InputError("boosting needs a 2-D X and >= 2 rows")
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
-            raise InputError("non-finite values in training data")
-        params.validate()
+        X, y = fit_inputs(X, y, "boosting")
 
         base = float(y.mean())
         pred = np.full(len(y), base)
@@ -70,3 +61,17 @@ class GradientBoosting:
         for tree in self.trees:
             acc += self.params.learning_rate * tree.predict(X)
         return acc
+
+    def fit_meta(self) -> dict:
+        return {"rounds_run": len(self.trees),
+                "final_train_mse": self.train_mse[-1] if self.train_mse else None}
+
+    def state(self) -> dict:
+        """The artifact's `state`: the base score and the flattened trees."""
+        return {"base_score": self.base_score, "trees": [t.as_dict() for t in self.trees]}
+
+    @classmethod
+    def from_state(cls, params: BoostParams, state: dict, seed: int) -> "GradientBoosting":
+        """The model of a `state()`; `train_mse` is not saved, so it is empty."""
+        return cls(params, float(state["base_score"]),
+                   [RegressionTree.from_dict(t) for t in state["trees"]], train_mse=[])

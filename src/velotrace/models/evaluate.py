@@ -1,7 +1,15 @@
-"""Training/evaluation orchestration: dispatch per model kind, contiguous-block
+"""Training/evaluation orchestration: the table of model kinds, contiguous-block
 cross-validation on the training range, held-out test scoring, and feature
 ablation. Scalers for the recurrent model are always fitted on the training
 portion in play, never on validation or test rows.
+
+A model kind is defined once, in `MODELS`: its name maps to the class that
+fits, predicts, saves and loads it. A new kind provides `Params` (a frozen
+dataclass of its hyperparameters, or None; a `lookback` field makes the kind
+recurrent), `fit(X, y, params, seed)` if tabular or `cls(input_size, params,
+seed).fit(W, y)` on windows if recurrent, `predict`, `fit_meta()` (what the
+fit adds to the report's meta), and `state()` with `from_state(params, state,
+seed)` for its artifact (`serialize`). Methods are looked up at call time.
 
 One window rule decides which targets a model can score (`scorable`): a
 target needs the `lookback` rows before it, and with it they must be
@@ -13,48 +21,51 @@ appear in the report as `skipped` per fold and `test_skipped` per model."""
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ParameterError
 from ..features import FeatureMatrix, MinMaxScaler, SplitPlan, drop_group
-from .boosting import BoostParams, GradientBoosting
-from .forest import ForestParams, RandomForest
+from .boosting import GradientBoosting
+from .forest import RandomForest
 from .linear import LinearModel
-from .lstm import LstmParams, LstmRegressor, build_windows
+from .lstm import LstmRegressor, build_windows
 from .metrics import Metrics, metrics
 
-MODEL_KINDS = ("linear", "forest", "boost", "lstm")
+MODELS = {"linear": LinearModel, "forest": RandomForest, "boost": GradientBoosting, "lstm": LstmRegressor}
+MODEL_KINDS = tuple(MODELS)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A kind and its hyperparameters, parsed once into `params`. An unknown key, or a
+    value of a type its field does not annotate, raises ParameterError naming both."""
     kind: str
     hyperparams: dict = field(default_factory=dict)
     seed: int = 0
+    params: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in MODELS:
             raise ParameterError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
+        if not isinstance(self.hyperparams, dict):
+            raise ParameterError(f"{self.kind}: hyperparameters must be a JSON object, got {self.hyperparams!r}")
+        cls = MODELS[self.kind].Params
+        fields = typing.get_type_hints(cls) if cls else {}
+        for key, value in self.hyperparams.items():
+            want = fields.get(key)
+            if want is None:
+                raise ParameterError(f"{self.kind}: unknown hyperparameter {key!r}, expected one of {sorted(fields)}")
+            if type(value) not in ((int, float) if want is float else typing.get_args(want) or (want,)):
+                raise ParameterError(f"{self.kind}: {key!r} must be {getattr(want, '__name__', want)}, got {value!r}")
+        object.__setattr__(self, "params", cls(**self.hyperparams) if cls else None)
 
     @property
     def lookback(self) -> int:
         """Rows of history a target needs: the recurrent window, else none."""
-        return LstmParams(**self.hyperparams).lookback if self.kind == "lstm" else 0
-
-
-def _params_for(spec: ModelSpec):
-    hp = dict(spec.hyperparams)
-    if spec.kind == "forest":
-        return ForestParams(**hp)
-    if spec.kind == "boost":
-        return BoostParams(**hp)
-    if spec.kind == "lstm":
-        return LstmParams(**hp)
-    if hp:
-        raise ParameterError(f"linear regression takes no hyperparameters, got {sorted(hp)}")
-    return None
+        return getattr(self.params, "lookback", 0)
 
 
 @dataclass
@@ -86,27 +97,17 @@ def scorable(matrix: FeatureMatrix, targets, lookback: int, fit_rows=None) -> np
 def train_model(matrix: FeatureMatrix, rows, spec: ModelSpec) -> TrainedModel:
     """Fit one model on the given row indices of the matrix."""
     rows = np.asarray(list(rows), dtype=np.int64)
-    params = _params_for(spec)
-    if spec.kind == "linear":
-        model = LinearModel.fit(matrix.X[rows], matrix.y[rows])
-        return TrainedModel(spec, model, None, {"rows_used": len(rows)})
-    if spec.kind == "forest":
-        model = RandomForest.fit(matrix.X[rows], matrix.y[rows], params, spec.seed)
-        return TrainedModel(spec, model, None, {"rows_used": len(rows)})
-    if spec.kind == "boost":
-        model = GradientBoosting.fit(matrix.X[rows], matrix.y[rows], params, spec.seed)
-        meta = {"rows_used": len(rows), "rounds_run": len(model.trees),
-                "final_train_mse": model.train_mse[-1] if model.train_mse else None}
-        return TrainedModel(spec, model, None, meta)
+    cls = MODELS[spec.kind]
+    if not spec.lookback:
+        model = cls.fit(matrix.X[rows], matrix.y[rows], spec.params, spec.seed)
+        return TrainedModel(spec, model, None, {"rows_used": len(rows), **model.fit_meta()})
 
     scaler = MinMaxScaler().fit(matrix, rows)
     scaled = scaler.transform(matrix)
-    targets = rows[scorable(matrix, rows, params.lookback, fit_rows=rows)]
-    W, t = build_windows(scaled.X, scaled.y, params.lookback, targets)
-    model = LstmRegressor(scaled.X.shape[1], params, spec.seed).fit(W, t)
-    meta = {"rows_used": len(targets), "epochs_run": model.epochs_run,
-            "final_train_loss": model.final_train_loss}
-    return TrainedModel(spec, model, scaler, meta)
+    targets = rows[scorable(matrix, rows, spec.lookback, fit_rows=rows)]
+    W, t = build_windows(scaled.X, scaled.y, spec.lookback, targets)
+    model = cls(scaled.X.shape[1], spec.params, spec.seed).fit(W, t)
+    return TrainedModel(spec, model, scaler, {"rows_used": len(targets), **model.fit_meta()})
 
 
 def predict_rows(tm: TrainedModel, matrix: FeatureMatrix, rows) -> np.ndarray:
@@ -120,7 +121,7 @@ def predict_rows(tm: TrainedModel, matrix: FeatureMatrix, rows) -> np.ndarray:
     if rejected.size:
         raise ParameterError(f"row {int(rejected[0])} has no window of {lookback} consecutive slots "
                              "before it: too few rows, or a gap in time")
-    if tm.spec.kind == "lstm":
+    if lookback:
         scaled = tm.scaler.transform(matrix)
         # the next slot has no count; its window is all the model reads
         W, _ = build_windows(scaled.X, np.append(scaled.y, np.nan), lookback, rows)
@@ -179,10 +180,7 @@ def evaluate(matrix: FeatureMatrix, plan: SplitPlan, specs: list[ModelSpec],
         cv_results = []
         if with_cv:
             for fold in plan.cv_folds:
-                allowed = np.concatenate([
-                    np.arange(plan.train_rows.start, fold.start),
-                    np.arange(fold.stop, plan.train_rows.stop),
-                ])
+                allowed = np.r_[plan.train_rows.start:fold.start, fold.stop:plan.train_rows.stop]
                 score = fit_and_score(matrix, allowed, fold, spec)
                 cv_results.append({"fold": [fold.start, fold.stop], "skipped": score.skipped,
                                    "metrics": None if score.metrics is None else score.metrics.as_dict()})
@@ -206,9 +204,7 @@ def ablate(matrix: FeatureMatrix, plan: SplitPlan, spec: ModelSpec, group: str) 
     reduced = drop_group(matrix, group)  # raises ParameterError on unknown group
     baseline = _test_score(matrix, plan, spec).metrics
     ablated = _test_score(reduced, plan, spec).metrics
-    pct = {}
-    for name in ("mae", "mse", "rmse", "r2"):
-        b = getattr(baseline, name)
-        a = getattr(ablated, name)
-        pct[name] = None if (b in (None, 0) or a is None) else (a - b) / b
+    after = ablated.as_dict()
+    pct = {k: None if (b in (None, 0) or after[k] is None) else (after[k] - b) / b
+           for k, b in baseline.as_dict().items()}
     return AblationResult(group, baseline, ablated, pct)

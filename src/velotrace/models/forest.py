@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InputError, ParameterError
-from .tree import FEATURES_THIRD, RegressionTree, resolve_max_features
+from ..errors import ParameterError
+from .tree import FEATURES_THIRD, RegressionTree, check_minimums, fit_inputs, resolve_max_features
 
 
 @dataclass(frozen=True)
@@ -19,16 +19,14 @@ class ForestParams:
     n_trees: int = 100
     max_depth: int | None = 12
     min_samples_leaf: int = 2
-    max_features: object = FEATURES_THIRD  # "all", "third", or an int
+    max_features: int | str = FEATURES_THIRD  # "all", "third", or an int
     bootstrap: bool = True
 
+    def __post_init__(self):
+        check_minimums(self, n_trees=1, max_depth=0, min_samples_leaf=1)
+
     def validate(self, p: int) -> None:
-        if self.n_trees <= 0:
-            raise ParameterError(f"n_trees must be positive, got {self.n_trees}")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ParameterError(f"max_depth must be >= 0, got {self.max_depth}")
-        if self.min_samples_leaf < 1:
-            raise ParameterError(f"min_samples_leaf must be >= 1, got {self.min_samples_leaf}")
+        """ParameterError unless `max_features` suits `p` columns."""
         try:
             resolve_max_features(self.max_features, p)
         except ValueError as e:
@@ -36,18 +34,15 @@ class ForestParams:
 
 
 class RandomForest:
+    Params = ForestParams
+
     def __init__(self, params: ForestParams, trees: list[RegressionTree]):
         self.params = params
         self.trees = trees
 
     @classmethod
     def fit(cls, X, y, params: ForestParams, seed: int) -> "RandomForest":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or len(X) != len(y) or len(y) < 2:
-            raise InputError("forest needs a 2-D X and >= 2 rows")
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
-            raise InputError("non-finite values in training data")
+        X, y = fit_inputs(X, y, "forest")
         params.validate(X.shape[1])
         n = len(y)
 
@@ -66,7 +61,16 @@ class RandomForest:
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        acc = np.zeros(X.shape[0])
-        for tree in self.trees:
-            acc += tree.predict(X)
-        return acc / len(self.trees)
+        return sum(tree.predict(X) for tree in self.trees) / len(self.trees)
+
+    def fit_meta(self) -> dict:
+        return {}
+
+    def state(self) -> dict:
+        """The artifact's `state`: the flattened trees."""
+        return {"trees": [t.as_dict() for t in self.trees]}
+
+    @classmethod
+    def from_state(cls, params: ForestParams, state: dict, seed: int) -> "RandomForest":
+        """The forest of a `state()`."""
+        return cls(params, [RegressionTree.from_dict(t) for t in state["trees"]])

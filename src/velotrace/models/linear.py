@@ -8,29 +8,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import InputError
+from .tree import fit_inputs
 
 
 class LinearModel:
+    Params = None  # takes no hyperparameters
+
     def __init__(self, coef: np.ndarray):
         self.coef = coef  # intercept first
 
     @classmethod
-    def fit(cls, X, y) -> "LinearModel":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        if X.ndim != 2 or len(X) != len(y) or len(y) < 2:
-            raise InputError("linear fit needs a 2-D X and >= 2 rows")
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
-            raise InputError("non-finite values in training data")
+    def fit(cls, X, y, params=None, seed: int = 0) -> "LinearModel":
+        X, y = fit_inputs(X, y, "linear fit")
         A = np.hstack([np.ones((len(y), 1)), X])
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
         return cls(coef)
 
-    @property
-    def intercept(self) -> float:
-        return float(self.coef[0])
-
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         return self.coef[0] + X @ self.coef[1:]
+
+    def fit_meta(self) -> dict:
+        return {}
+
+    def state(self) -> dict:
+        """The artifact's `state`: the coefficients, intercept first."""
+        return {"coef": self.coef.tolist()}
+
+    @classmethod
+    def from_state(cls, params, state: dict, seed: int) -> "LinearModel":
+        """The model of a `state()`."""
+        return cls(np.asarray(state["coef"], dtype=np.float64))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InputError, ParameterError, TrainingError
+from .tree import check_minimums
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -30,15 +31,8 @@ class LstmParams:
     batch_size: int = 32
     learning_rate: float = 1e-3
 
-    def validate(self) -> None:
-        if self.hidden_size < 1:
-            raise ParameterError(f"hidden_size must be >= 1, got {self.hidden_size}")
-        if self.lookback < 1:
-            raise ParameterError(f"lookback must be >= 1, got {self.lookback}")
-        if self.epochs < 0:
-            raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+    def __post_init__(self):
+        check_minimums(self, hidden_size=1, lookback=1, epochs=0, batch_size=1)
         if self.learning_rate <= 0:
             raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
 
@@ -64,11 +58,11 @@ def build_windows(X: np.ndarray, y: np.ndarray, lookback: int, targets) -> tuple
 
 
 class LstmRegressor:
+    Params = LstmParams
+
     def __init__(self, input_size: int, params: LstmParams, seed: int):
-        params.validate()
         self.input_size = input_size
         self.params = params
-        self.seed = seed
         self._rng = np.random.default_rng((seed,))
         H, D = params.hidden_size, input_size
         scale = 1.0 / np.sqrt(D + H)
@@ -180,12 +174,19 @@ class LstmRegressor:
         return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        yhat, _ = self._forward(X)
-        return yhat
+        return self._forward(X)[0]
 
-    def state_as_dict(self) -> dict:
-        return {k: w.tolist() for k, w in self.weights.items()}
+    def fit_meta(self) -> dict:
+        return {"epochs_run": self.epochs_run, "final_train_loss": self.final_train_loss}
 
-    def load_state(self, state: dict) -> None:
-        for k in self.weights:
-            self.weights[k] = np.asarray(state[k], dtype=np.float64)
+    def state(self) -> dict:
+        """The artifact's `state`: the input width and the weights (not the scaler)."""
+        return {"weights": {k: w.tolist() for k, w in self.weights.items()}, "input_size": self.input_size}
+
+    @classmethod
+    def from_state(cls, params: LstmParams, state: dict, seed: int) -> "LstmRegressor":
+        """The model of a `state()`; a weight of the wrong shape raises ValueError."""
+        model = cls(int(state["input_size"]), params, seed)
+        for k, w in model.weights.items():
+            model.weights[k] = np.asarray(state["weights"][k], dtype=np.float64).reshape(w.shape)
+        return model

@@ -1,76 +1,48 @@
-"""Versioned JSON artifacts for trained models: linear coefficients, flattened
-trees, or recurrent weight matrices plus the scaler bounds they were trained
-with. Loading reconstructs a TrainedModel whose predictions match the original
-exactly (JSON floats round-trip)."""
+"""Versioned JSON artifacts for trained models. An artifact is the spec header
+(format version, kind, seed, hyperparameters when the kind has them, column
+names and fit meta) plus `state`: the model's own `state()`, with the scaler
+bounds a recurrent model was trained with. Loading rebuilds the model with
+its class's `from_state`, so predictions match the original exactly (JSON
+floats round-trip). A missing or malformed field raises SchemaError."""
 
 from __future__ import annotations
 
 from dataclasses import asdict
 
-import numpy as np
-
-from ..errors import ParameterError
+from ..errors import ParameterError, SchemaError
 from ..features import MinMaxScaler
-from .boosting import BoostParams, GradientBoosting
-from .evaluate import ModelSpec, TrainedModel
-from .forest import ForestParams, RandomForest
-from .linear import LinearModel
-from .lstm import LstmParams, LstmRegressor
-from .tree import RegressionTree
+from .evaluate import MODELS, ModelSpec, TrainedModel
 
 FORMAT_VERSION = 1
 
 
 def model_artifact(tm: TrainedModel, column_names: list[str]) -> dict:
-    kind = tm.spec.kind
     doc = {
         "format_version": FORMAT_VERSION,
-        "kind": kind,
+        "kind": tm.spec.kind,
         "seed": tm.spec.seed,
         "column_names": list(column_names),
         "meta": tm.meta,
+        "state": tm.model.state(),
     }
-    m = tm.model
-    if kind == "linear":
-        doc["state"] = {"coef": m.coef.tolist()}
-    elif kind == "forest":
-        doc["hyperparams"] = asdict(m.params)
-        doc["state"] = {"trees": [t.as_dict() for t in m.trees]}
-    elif kind == "boost":
-        doc["hyperparams"] = asdict(m.params)
-        doc["state"] = {"base_score": m.base_score, "trees": [t.as_dict() for t in m.trees]}
-    elif kind == "lstm":
-        doc["hyperparams"] = asdict(m.params)
-        doc["state"] = {"weights": m.state_as_dict(), "input_size": m.input_size,
-                        "scaler": tm.scaler.as_dict()}
-    else:
-        raise ParameterError(f"unknown model kind {kind!r}")
+    if tm.spec.params is not None:
+        doc["hyperparams"] = asdict(tm.spec.params)
+    if tm.scaler is not None:
+        doc["state"]["scaler"] = tm.scaler.as_dict()
     return doc
 
 
 def load_artifact(doc: dict) -> TrainedModel:
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ParameterError(f"unsupported artifact version {doc.get('format_version')!r}")
-    kind = doc["kind"]
-    seed = int(doc.get("seed", 0))
-    hp = doc.get("hyperparams", {})
-    state = doc["state"]
-    scaler = None
-    if kind == "linear":
-        model = LinearModel(np.asarray(state["coef"], dtype=np.float64))
-    elif kind == "forest":
-        model = RandomForest(ForestParams(**hp),
-                             [RegressionTree.from_dict(t) for t in state["trees"]])
-    elif kind == "boost":
-        model = GradientBoosting(BoostParams(**hp), float(state["base_score"]),
-                                 [RegressionTree.from_dict(t) for t in state["trees"]],
-                                 train_mse=[])
-    elif kind == "lstm":
-        params = LstmParams(**hp)
-        model = LstmRegressor(int(state["input_size"]), params, seed)
-        model.load_state(state["weights"])
-        scaler = MinMaxScaler.from_dict(state["scaler"])
-    else:
-        raise ParameterError(f"unknown model kind {kind!r}")
-    spec = ModelSpec(kind, dict(hp), seed)
-    return TrainedModel(spec, model, scaler, dict(doc.get("meta", {})))
+    try:
+        if doc["format_version"] != FORMAT_VERSION:
+            raise SchemaError(f"unsupported artifact version {doc['format_version']!r}")
+        spec = ModelSpec(doc["kind"], doc.get("hyperparams", {}), int(doc.get("seed", 0)))
+        state = doc["state"]
+        model = MODELS[spec.kind].from_state(spec.params, state, spec.seed)
+        scaler = MinMaxScaler.from_dict(state["scaler"]) if spec.lookback else None
+        meta = dict(doc.get("meta", {}))
+    except KeyError as e:
+        raise SchemaError(f"model artifact lacks field {e}") from None
+    except (AttributeError, TypeError, ValueError, ParameterError) as e:
+        raise SchemaError(f"malformed model artifact: {e}") from None
+    return TrainedModel(spec, model, scaler, meta)

@@ -3,11 +3,14 @@
 Split search is vectorized across the candidate features of a node: one sort,
 one cumulative sum, and an argmax over every (position, feature) pair. Ties
 resolve to the first candidate in C order, so trees are deterministic given
-the feature-subset RNG."""
+the feature-subset RNG. Also holds the fit-input and hyperparameter checks
+that every model class shares."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..errors import InputError, ParameterError
 
 FEATURES_ALL = "all"
 FEATURES_THIRD = "third"  # ceil(q / 3) of the q varying columns, the forest default
@@ -27,6 +30,25 @@ def resolve_max_features(max_features, p: int, q: int | None = None) -> int:
     if not (1 <= m <= p):
         raise ValueError(f"max_features {max_features!r} out of range for {p} features")
     return min(m, q)
+
+
+def fit_inputs(X, y, who: str) -> tuple[np.ndarray, np.ndarray]:
+    """Float X and y of a tabular fit: 2-D, one target per row, >= 2 rows, finite."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or len(X) != len(y) or len(y) < 2:
+        raise InputError(f"{who} needs a 2-D X and >= 2 rows")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise InputError("non-finite values in training data")
+    return X, y
+
+
+def check_minimums(params, **minimums) -> None:
+    """ParameterError for the first named field of `params` below its minimum; None passes."""
+    for name, lo in minimums.items():
+        value = getattr(params, name)
+        if value is not None and value < lo:
+            raise ParameterError(f"{name} must be >= {lo}, got {value}")
 
 
 def _best_split(X, y, idx, feats, min_leaf):
@@ -119,9 +141,7 @@ class RegressionTree:
             stack.append((rnode, idx[~goleft], depth + 1))
             stack.append((lnode, idx[goleft], depth + 1))
 
-        return cls(np.asarray(feature, dtype=np.int64), np.asarray(threshold),
-                   np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
-                   np.asarray(value))
+        return cls.from_dict(dict(feature=feature, threshold=threshold, left=left, right=right, value=value))
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -137,16 +157,10 @@ class RegressionTree:
             node[rows] = np.where(goleft, self.left[sub], self.right[sub])
 
     def as_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
+        return {k: getattr(self, k).tolist() for k in self.__slots__}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionTree":
-        return cls(np.asarray(d["feature"], dtype=np.int64), np.asarray(d["threshold"]),
-                   np.asarray(d["left"], dtype=np.int64), np.asarray(d["right"], dtype=np.int64),
-                   np.asarray(d["value"]))
+        """The tree of an `as_dict()`, or of the node lists that `fit` grows."""
+        return cls(*(np.asarray(d[k], dtype=np.float64 if k in ("threshold", "value") else np.int64)
+                     for k in cls.__slots__))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SchemaError
-from .ingest import EARTH_RADIUS_M, Trip, haversine
+from .ingest import EARTH_RADIUS_M, Trip, half_angles
 from .util import csv_rows
 
 M_PER_DEG_LAT = math.pi / 180.0 * EARTH_RADIUS_M
@@ -109,24 +109,22 @@ def hub_spread(trips: list[Trip], hub_center: tuple[float, float], hub_radius: f
 
     m_lat = M_PER_DEG_LAT
     m_lon = _m_per_deg_lon(hub_center[0])
-    cells: dict[tuple[int, int], int] = {}
-    total = 0
-    for t in trips:
-        if haversine(t.start_point, hub_center) > hub_radius:
-            continue
-        total += 1
-        row = math.floor((t.end_point[0] - hub_center[0]) * m_lat / dest_cell_size)
-        col = math.floor((t.end_point[1] - hub_center[1]) * m_lon / dest_cell_size)
-        cells[(row, col)] = cells.get((row, col), 0) + 1
+    start = np.array([t.start_point for t in trips], dtype=np.float64).reshape(-1, 2)
+    end = np.array([t.end_point for t in trips], dtype=np.float64).reshape(-1, 2)
+    near = 2.0 * EARTH_RADIUS_M * half_angles(start[:, 0], start[:, 1], *hub_center) <= hub_radius
+    rows = np.floor((end[near, 0] - hub_center[0]) * m_lat / dest_cell_size).astype(np.int64)
+    cols = np.floor((end[near, 1] - hub_center[1]) * m_lon / dest_cell_size).astype(np.int64)
+    cells, counts = np.unique(np.column_stack((rows, cols)), axis=0, return_counts=True)
+    top = np.lexsort((cells[:, 1], cells[:, 0], -counts))[:top_k]
 
-    ranked = sorted(cells.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))[:top_k]
     destinations = []
-    for rank, ((row, col), count) in enumerate(ranked, start=1):
+    for rank, ((row, col), count) in enumerate(zip(cells[top].tolist(), counts[top].tolist()), start=1):
         center = (
             hub_center[0] + (row + 0.5) * dest_cell_size / m_lat,
             hub_center[1] + (col + 0.5) * dest_cell_size / m_lon,
         )
         destinations.append(Destination(center, count, rank))
+    total = int(near.sum())
     return HubSpreadReport(hub_center, hub_radius, period, destinations, total, hub_name)
 
 

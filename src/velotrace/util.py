@@ -1,5 +1,5 @@
 """Small shared helpers: timestamps, local-time conversion, weekday names,
-hashing, CSV input and JSON/CSV output."""
+hashing, CSV input and JSON input/output."""
 
 from __future__ import annotations
 
@@ -9,6 +9,8 @@ import json
 import os
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+
+from .errors import ParseError
 
 UTC = timezone.utc
 
@@ -62,6 +64,14 @@ def sha256_file(path: Path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def read_json(path: Path):
+    """The JSON document in a file; invalid JSON raises ParseError with its line."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise ParseError(e.lineno, f"invalid JSON in {path}: {e.msg} (column {e.colno})") from None
 
 
 def write_json(path: Path, obj) -> None:

@@ -6,8 +6,12 @@ repairs and rejects points for every reason."""
 import csv
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,9 +70,9 @@ def parse_calls(monkeypatch):
     return calls
 
 
-def cli_args(city, outdir, argv, points=None, weather=None):
+def cli_args(city, outdir, argv, points=None, weather=None, config=None):
     inputs = city / "inputs"
-    common = ["--config", str(city / "config.json"), "--out", str(outdir),
+    common = ["--config", str(config or city / "config.json"), "--out", str(outdir),
               "--points", str(points or inputs / "points.csv"),
               "--weather", str(weather or inputs / "weather.csv")]
     for key in ("calendar", "hubs"):
@@ -313,3 +317,134 @@ def test_rerun_of_the_chain_writes_an_identical_manifest(city, tmp_path):
     meta = json.loads((tmp_path / "a" / "features.json").read_text())
     assert {k: meta[k] for k in ("width_minutes", "utc_offset_min", "hour_as_numeric", "hour_history_sum")} == {
         "width_minutes": 60, "utc_offset_min": 120, "hour_as_numeric": False, "hour_history_sum": False}
+
+
+def config_with(tmp_path, **sections) -> str:
+    """A config file: the city's, with the given sections replaced."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**CONFIG, **sections}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind, hyperparams", [
+    ("forest", {"n_tree": 5}),
+    ("forest", {"max_depth": "deep"}),
+    ("boost", {"n_rounds": 2.5}),
+    ("lstm", {"lookback": "x"}),
+], ids=lambda v: v if isinstance(v, str) else next(iter(v)))
+def test_bad_hyperparameter_exits_1_before_fitting(city, tmp_path, capsys, monkeypatch, kind, hyperparams):
+    run(city, tmp_path, ["features", "--width", "60"])
+    monkeypatch.setattr(cli, "evaluate", lambda *a, **k: pytest.fail("a model was fitted"))
+    config = config_with(tmp_path, models={kind: hyperparams})
+    err = error_of(capsys, cli_args(city, tmp_path, ["train", "--model", kind], config=config))
+    assert (err["exit_code"], err["type"]) == (1, "ParameterError")
+    assert err["message"].startswith(f"{kind}: ") and repr(next(iter(hyperparams))) in err["message"]
+
+
+def test_unknown_synth_key_exits_1(tmp_path, capsys):
+    config = config_with(tmp_path, synth={"base_trips_per_dya": 5})
+    err = error_of(capsys, ["synth", "--config", config, "--out", str(tmp_path / "out")])
+    assert (err["exit_code"], err["type"]) == (1, "ParameterError")
+    assert "base_trips_per_dya" in err["message"]
+    assert not (tmp_path / "out" / "points.csv").exists()
+
+
+def test_empty_model_list_exits_1(city, tmp_path, capsys):
+    run(city, tmp_path, ["features", "--width", "60"])
+    config = config_with(tmp_path, train={"models": []})
+    err = error_of(capsys, cli_args(city, tmp_path, ["train"], config=config))
+    assert (err["exit_code"], err["type"]) == (1, "ParameterError")
+
+
+@pytest.fixture(scope="module")
+def trained(city, tmp_path_factory):
+    """An output directory holding features and a linear model artifact."""
+    outdir = tmp_path_factory.mktemp("trained")
+    run(city, outdir, ["features", "--width", "60"])
+    run(city, outdir, ["train", "--model", "linear"])
+    return outdir
+
+
+def damaged_copy(trained, tmp_path, name, damage) -> None:
+    """Copy the trained directory to tmp_path, with `damage` applied to the text of one file."""
+    shutil.copytree(trained, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / name
+    path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+
+
+def replace_line(n, change):
+    """A damage that rewrites line n (1-based) of a file."""
+    def damage(text):
+        lines = text.splitlines(keepends=True)
+        lines[n - 1] = change(lines[n - 1])
+        return "".join(lines)
+    return damage
+
+
+def command_argv(command, outdir) -> list[str]:
+    """`train` of the linear model, or `predict` with its artifact in outdir."""
+    if command == "predict":
+        return ["predict", "--artifact", str(outdir / "model_linear.json")]
+    return ["train", "--model", "linear"]
+
+
+@pytest.mark.parametrize("name, command", [
+    ("features.json", "train"),
+    ("model_linear.json", "predict"),
+    ("manifest.json", "train"),
+])
+def test_invalid_json_input_exits_3(city, trained, tmp_path, capsys, name, command):
+    damaged_copy(trained, tmp_path, name, lambda text: text.replace(",", ";", 3))
+    err = error_of(capsys, cli_args(city, tmp_path, command_argv(command, tmp_path)))
+    assert (err["exit_code"], err["type"]) == (3, "ParseError")
+    assert err["message"].startswith("line ") and name in err["message"]
+
+
+def test_invalid_json_config_exits_3(city, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"seed": 1,\n "train": }\n', encoding="utf-8")
+    err = error_of(capsys, cli_args(city, tmp_path, ["train"], config=config))
+    assert (err["exit_code"], err["type"]) == (3, "ParseError")
+    assert err["message"].startswith("line 2:")
+
+
+@pytest.mark.parametrize("damage", [
+    lambda doc: {k: v for k, v in doc.items() if k != "state"},
+    lambda doc: {**doc, "state": {"coef": "many"}},
+    lambda doc: {**doc, "kind": "svm"},
+    lambda doc: [doc],
+], ids=["no-state", "bad-coef", "bad-kind", "not-an-object"])
+def test_malformed_artifact_exits_3(city, trained, tmp_path, capsys, damage):
+    damaged_copy(trained, tmp_path, "model_linear.json", lambda text: json.dumps(damage(json.loads(text))))
+    err = error_of(capsys, cli_args(city, tmp_path, command_argv("predict", tmp_path)))
+    assert (err["exit_code"], err["type"]) == (3, "SchemaError")
+
+
+@pytest.mark.parametrize("change", [
+    lambda line: "abc" + line[line.index(","):],
+    lambda line: line[:line.rindex(",") + 1] + "2017-13-01T00:00:00Z\r\n",
+    lambda line: line[:line.index(",") + 1] + line,
+], ids=["non-numeric-cell", "bad-slot-start", "extra-field"])
+def test_malformed_features_row_exits_3_with_its_line(city, trained, tmp_path, capsys, change):
+    damaged_copy(trained, tmp_path, "features.csv", replace_line(5, change))
+    err = error_of(capsys, cli_args(city, tmp_path, command_argv("train", tmp_path)))
+    assert (err["exit_code"], err["type"]) == (3, "ParseError")
+    assert err["message"].startswith("line 5:")
+
+
+def test_features_file_without_its_header_exits_3(city, trained, tmp_path, capsys):
+    damaged_copy(trained, tmp_path, "features.csv", replace_line(1, lambda line: "a,b,c\r\n"))
+    err = error_of(capsys, cli_args(city, tmp_path, command_argv("train", tmp_path)))
+    assert (err["exit_code"], err["type"]) == (3, "SchemaError")
+
+
+def test_cli_process_failure_prints_only_the_error_json(tmp_path):
+    """As a user runs it: exit 1, nothing on stderr, the error JSON last on stdout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    config = config_with(tmp_path, models={"boost": {"n_rounds": 2.5}})
+    proc = subprocess.run([sys.executable, "-m", "velotrace.cli", "train", "--config", config,
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    err = json.loads(proc.stdout.strip().splitlines()[-1])["error"]
+    assert (err["exit_code"], err["type"]) == (1, "ParameterError") and "'n_rounds'" in err["message"]

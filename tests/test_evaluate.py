@@ -9,6 +9,7 @@ from velotrace.covariates import WeatherRecord
 from velotrace.errors import ParameterError
 from velotrace.features import FeatureMatrix, SlotSeries, build_features, chronological_split
 from velotrace.models import (
+    MODEL_KINDS,
     ModelSpec,
     ablate,
     evaluate,
@@ -168,15 +169,19 @@ def test_predict_is_predict_rows_on_the_next_slot(width, hour_history_sum, spec)
 
 
 def test_artifact_round_trip_predictions():
+    """A loaded artifact predicts exactly what the trained model did, and
+    saves back to the same document."""
     m = rigged_matrix()
     plan = chronological_split(m, "80/20")
     rows = list(plan.test_rows)
+    assert [spec.kind for spec in SPECS] == list(MODEL_KINDS)
     for spec in SPECS:
         tm = train_model(m, plan.train_rows, spec)
         direct = predict_rows(tm, m, rows)
-        back = load_artifact(json.loads(json.dumps(model_artifact(tm, m.column_names))))
-        again = predict_rows(back, m, rows)
-        assert np.allclose(direct, again, atol=1e-12), spec.kind
+        doc = json.loads(json.dumps(model_artifact(tm, m.column_names)))
+        back = load_artifact(doc)
+        assert np.array_equal(direct, predict_rows(back, m, rows)), spec.kind
+        assert model_artifact(back, m.column_names) == doc, spec.kind
 
 
 def test_ablate_null_feature_is_inert_for_trees():
@@ -210,3 +215,36 @@ def test_linear_rejects_hyperparams():
     plan = chronological_split(m, "80/20")
     with pytest.raises(ParameterError):
         train_model(m, plan.train_rows, ModelSpec("linear", {"alpha": 1.0}))
+
+
+@pytest.mark.parametrize("kind, hyperparams", [
+    ("forest", {"n_tree": 5}),
+    ("forest", {"max_depth": "deep"}),
+    ("forest", {"bootstrap": 1}),
+    ("boost", {"n_rounds": 2.5}),
+    ("boost", {"n_rounds": True}),
+    ("lstm", {"lookback": "x"}),
+], ids=["forest-unknown-key", "forest-str-depth", "forest-int-bootstrap", "boost-float-rounds",
+        "boost-bool-rounds", "lstm-str-lookback"])
+def test_bad_hyperparameter_names_the_kind_and_the_key(kind, hyperparams):
+    (key,) = hyperparams
+    with pytest.raises(ParameterError, match=f"^{kind}: .*'{key}'"):
+        ModelSpec(kind, hyperparams)
+
+
+@pytest.mark.parametrize("kind, hyperparams", [
+    ("forest", {"n_trees": 0}),
+    ("boost", {"learning_rate": 2.0}),
+    ("lstm", {"lookback": 0}),
+], ids=lambda v: v if isinstance(v, str) else next(iter(v)))
+def test_out_of_range_hyperparameter_is_rejected_with_the_spec(kind, hyperparams):
+    with pytest.raises(ParameterError, match=next(iter(hyperparams))):
+        ModelSpec(kind, hyperparams)
+
+
+def test_hyperparameters_are_parsed_once_into_params():
+    spec = ModelSpec("forest", {"max_depth": None, "max_features": "all", "bootstrap": False})
+    assert (spec.params.max_depth, spec.params.max_features, spec.params.bootstrap) == (None, "all", False)
+    assert ModelSpec("boost", {"learning_rate": 1}).params.learning_rate == 1  # a float field takes an int
+    assert ModelSpec("lstm", {"lookback": 5}).lookback == 5
+    assert ModelSpec("linear").params is None and ModelSpec("linear").lookback == 0

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,7 @@ def test_state_round_trip():
     X = rng.uniform(0, 1, size=(20, 4, 3))
     params = LstmParams(hidden_size=5, lookback=4, epochs=0)
     model = LstmRegressor(3, params, seed=4)
-    clone = LstmRegressor(3, params, seed=99)
-    clone.load_state(model.state_as_dict())
+    state = json.loads(json.dumps(model.state()))
+    clone = LstmRegressor.from_state(params, state, seed=99)
+    assert clone.state() == state
     assert np.array_equal(model.predict(X), clone.predict(X))

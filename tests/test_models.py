@@ -26,12 +26,12 @@ class TestLinear:
         y = 2.0 * x[:, 0] + 1.0
         m = LinearModel.fit(x, y)
         assert m.coef[1] == pytest.approx(2.0, abs=1e-9)
-        assert m.intercept == pytest.approx(1.0, abs=1e-9)
+        assert m.coef[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_target(self):
         X, _ = smooth_data(50)
         m = LinearModel.fit(X, np.full(50, 4.2))
-        assert m.intercept == pytest.approx(4.2, abs=1e-8)
+        assert m.coef[0] == pytest.approx(4.2, abs=1e-8)
         assert np.allclose(m.coef[1:], 0.0, atol=1e-8)
 
     def test_duplicated_column_prediction_equivalence(self):
