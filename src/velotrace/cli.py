@@ -16,8 +16,9 @@ must be consecutive time slots. So training and serving build their rows,
 and choose usable windows, in one place.
 Failures print a machine-readable error JSON and exit 2 (missing input),
 3 (schema/data error), 4 (training failure), or 1 (anything else). A config
-error (an unknown `synth` key, an empty `train.models`, a model
-hyperparameter of unknown name or wrong type) exits 1 before any model is
+error (an unknown key in any section, a `synth` value no draw can use, an
+empty `train.models`, a seed that is not an integer, a model hyperparameter
+of unknown name or wrong type) exits 1 before any point is drawn or model
 fitted; a malformed input file (invalid JSON, a bad `features.csv` row, a
 model artifact with a missing or malformed field) exits 3.
 """
@@ -162,11 +163,25 @@ def load_config(args) -> dict:
         if not isinstance(loaded, dict):
             raise SchemaError(f"config file {path} does not hold a JSON object")
         cfg = _merge(cfg, loaded)
+        _check_sections(cfg)
     for key in ("out", "seed", "utc_offset_min"):
         v = getattr(args, key.replace("-", "_"), None)
         if v is not None:
             cfg = _merge(cfg, {key: v})
     return cfg
+
+
+def _check_sections(cfg: dict) -> None:
+    """A config section holds only the keys its commands read."""
+    known = {name: set(DEFAULTS[name]) for name in ("describe", "spatial", "features", "train")}
+    known["models"] = {*MODEL_KINDS, "seed"}
+    for name, keys in known.items():
+        section = cfg[name]
+        if not isinstance(section, dict):
+            raise ParameterError(f"config section {name!r} must be an object, got {section!r}")
+        unknown = sorted(set(section) - keys)
+        if unknown:
+            raise ParameterError(f"unknown {name} keys {unknown}")
 
 
 def _require(cfg: dict, path_key: str) -> Path:
@@ -408,7 +423,10 @@ def _model_specs(cfg: dict, requested: list[str]) -> list[ModelSpec]:
         raise ParameterError("train.models lists no model kind")
     kinds = list(MODEL_KINDS) if "all" in requested else requested
     mc = cfg.get("models", {})
-    seed = int(mc.get("seed", cfg["seed"]))
+    key = "models.seed" if "seed" in mc else "seed"
+    seed = mc.get("seed", cfg["seed"])
+    if type(seed) is not int:  # a bool is not a seed
+        raise ParameterError(f"{key} must be an integer, got {seed!r}")
     return [ModelSpec(k, mc.get(k, {}), seed=seed) for k in kinds]
 
 

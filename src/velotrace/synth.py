@@ -12,19 +12,33 @@ recorded in the truth sidecar), with a single hub the destination lies at a
 lognormal-sampled length in a uniform random direction. Trajectories are
 straight lines at constant speed, so every coordinate is exactly linear in
 time and interior gaps are exactly recoverable by interpolation.
+
+Draw order, a contract because the files' bytes depend on it: day i's trips
+come from stream (seed, 2i + 1), which draws the Poisson count of each local
+hour; each hour's start seconds; every trip's origin hub; origin jitter
+(latitude, then longitude); with two or more hubs one uniform per trip that
+picks its destination, then destination jitter, and with one hub the lengths,
+then the directions; the speeds; then, trip by trip, for its m points: m
+uniforms u for the accuracies, round(3 + 9u, 1), and, when missing_fraction > 0
+and m > 2, 3m more that blank an interior point's coordinates, speed and
+accuracy (in that order) where they fall below missing_fraction. Stream
+(seed, 2i) holds only day i's noise factor.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import numbers
+from contextlib import nullcontext
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import EARTH_RADIUS_M, half_angles
+from .errors import ParameterError
+from .ingest import EARTH_RADIUS_M, POINT_HEADER, half_angles
 from .spatial import M_PER_DEG_LAT, _m_per_deg_lon
 from .util import format_utc, write_json
 
@@ -113,9 +127,27 @@ class SynthConfig:
     utc_offset_min: int = 120
     emit_unmasked: bool = False
 
+    def __post_init__(self) -> None:
+        """Reject, before any draw, a value that no draw can use."""
+        checks = [(name, getattr(self, name), "a finite number >= 0", lambda v: v >= 0)
+                  for name in ("base_trips_per_day", "weekday_multiplier", "day_noise_sigma", "hub_jitter_m")]
+        checks += [("missing_fraction", self.missing_fraction, "a number in [0, 1]", lambda v: 0 <= v <= 1)]
+        checks += [(f"hubs[{h.name!r}].weight", h.weight, "a finite number > 0", lambda v: v > 0)
+                   for h in self.hubs]
+        for name, value, want, ok in checks:
+            if not (_is_finite_number(value) and ok(value)):
+                raise ParameterError(f"synth.{name} must be {want}, got {value!r}")
+        n = self.point_interval_s
+        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n > 0):
+            raise ParameterError(f"synth.point_interval_s must be a positive integer, got {n!r}")
+
     def days(self) -> list[date]:
         n = (self.end_date - self.start_date).days
         return [self.start_date + timedelta(days=i) for i in range(n)]
+
+
+def _is_finite_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
 def _day_rng(seed: int, key: int) -> np.random.Generator:
@@ -182,45 +214,42 @@ def _local_midnight_utc(d: date, utc_offset_min: int) -> datetime:
 
 
 def generate(cfg: SynthConfig, outdir) -> dict:
-    """Write the synthetic dataset into `outdir`; returns the file manifest."""
+    """Write the synthetic dataset into `outdir`; returns the file manifest.
+
+    Each day's trips and points are built as NumPy columns from the day's
+    stream, in the draw order the module docstring fixes, and the day's rows
+    are written to `points.csv` (and `points_full.csv`) in one pass."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     hubs = list(cfg.hubs)
+    hub_lat, hub_lon = np.array([(h.lat, h.lon) for h in hubs]).T
     weights = np.asarray([h.weight for h in hubs], dtype=np.float64)
     origin_p = weights / weights.sum()
-    center_lat = (cfg.bbox[0] + cfg.bbox[2]) / 2.0
-    m_lat = M_PER_DEG_LAT
-    m_lon = _m_per_deg_lon(center_lat)
-    jitter_lat = cfg.hub_jitter_m / m_lat
+    m_lon = _m_per_deg_lon((cfg.bbox[0] + cfg.bbox[2]) / 2.0)
+    jitter_lat = cfg.hub_jitter_m / M_PER_DEG_LAT
     jitter_lon = cfg.hub_jitter_m / m_lon
-
-    dest_p = []
-    for i in range(len(hubs)):
-        w = weights.copy()
-        w[i] = 0.0
-        dest_p.append(w / w.sum() if w.sum() > 0 else None)
+    if len(hubs) >= 2:
+        dest_p = weights * (1.0 - np.eye(len(hubs)))  # row i: the destination shares from hub i
+        dest_p /= dest_p.sum(axis=1, keepdims=True)
+        dest_cdf = dest_p.cumsum(axis=1)  # what `Generator.choice(p=dest_p[i])` searches
+        dest_cdf /= dest_cdf[:, -1:]
 
     hour_means = planted_hour_means(cfg)
     interval = cfg.point_interval_s
-
+    header = ",".join(POINT_HEADER) + "\r\n"
     points_path = outdir / "points.csv"
     full_path = outdir / "points_full.csv"
     actual_trips = 0
     n_points = 0
-    full_writer = None
-    full_file = None
-    with open(points_path, "w", encoding="utf-8", newline="") as pf:
-        writer = csv.writer(pf)
-        writer.writerow(["activity_id", "timestamp", "lat", "lon", "accuracy", "speed"])
-        if cfg.emit_unmasked:
-            full_file = open(full_path, "w", encoding="utf-8", newline="")
-            full_writer = csv.writer(full_file)
-            full_writer.writerow(["activity_id", "timestamp", "lat", "lon", "accuracy", "speed"])
-
+    with (open(points_path, "w", encoding="utf-8", newline="") as pf,
+          open(full_path, "w", encoding="utf-8", newline="") if cfg.emit_unmasked else nullcontext() as full):
+        pf.write(header)
+        if full:
+            full.write(header)
         for day_idx, d in enumerate(cfg.days()):
             rng = _day_rng(cfg.seed, 2 * day_idx + 1)
-            day_start_utc = _local_midnight_utc(d, cfg.utc_offset_min)
+            day_start_s = int(_local_midnight_utc(d, cfg.utc_offset_min).timestamp())
             counts = rng.poisson(hour_means[d])
             n_day = int(counts.sum())
             if n_day == 0:
@@ -230,76 +259,56 @@ def generate(cfg: SynthConfig, outdir) -> dict:
                 for h, c in enumerate(counts) if c > 0
             ])
             origin_idx = rng.choice(len(hubs), size=n_day, p=origin_p)
-            olat = np.array([hubs[i].lat for i in origin_idx]) + rng.normal(0, jitter_lat, n_day)
-            olon = np.array([hubs[i].lon for i in origin_idx]) + rng.normal(0, jitter_lon, n_day)
+            olat = hub_lat[origin_idx] + rng.normal(0, jitter_lat, n_day)
+            olon = hub_lon[origin_idx] + rng.normal(0, jitter_lon, n_day)
             if len(hubs) >= 2:
-                dlat = np.empty(n_day)
-                dlon = np.empty(n_day)
-                for k in range(n_day):
-                    j = rng.choice(len(hubs), p=dest_p[origin_idx[k]])
-                    dlat[k] = hubs[j].lat
-                    dlon[k] = hubs[j].lon
-                dlat += rng.normal(0, jitter_lat, n_day)
-                dlon += rng.normal(0, jitter_lon, n_day)
+                # the hub that `choice` would pick: how many cumulative shares lie at or below u
+                dest_idx = (dest_cdf[origin_idx] <= rng.random(n_day)[:, None]).sum(axis=1)
+                dlat = hub_lat[dest_idx] + rng.normal(0, jitter_lat, n_day)
+                dlon = hub_lon[dest_idx] + rng.normal(0, jitter_lon, n_day)
             else:
                 length = sample_trip_lengths(cfg.trip_length, n_day, rng)
                 theta = rng.uniform(0.0, 2.0 * math.pi, n_day)
-                dlat = olat + length * np.sin(theta) / m_lat
+                dlat = olat + length * np.sin(theta) / M_PER_DEG_LAT
                 dlon = olon + length * np.cos(theta) / m_lon
             speed = np.exp(rng.normal(cfg.speed.mu, cfg.speed.sigma, n_day))
 
             dist = 2.0 * EARTH_RADIUS_M * half_angles(olat, olon, dlat, dlon)
             duration = np.maximum(2, np.rint(dist / speed)).astype(np.int64)
 
-            rows = []
-            full_rows = [] if full_writer else None
-            for k in range(n_day):
-                aid = f"A{day_idx:04d}{k:06d}"
-                t0 = day_start_utc + timedelta(seconds=int(start_s[k]))
-                dur = int(duration[k])
-                offs = list(range(0, dur, interval))
-                if offs[-1] != dur:
-                    offs.append(dur)
-                m = len(offs)
-                frac = np.asarray(offs, dtype=np.float64) / dur
-                plat = olat[k] + (dlat[k] - olat[k]) * frac
-                plon = olon[k] + (dlon[k] - olon[k]) * frac
-                spd = repr(float(dist[k] / dur))
-                acc = np.round(rng.uniform(3.0, 12.0, m), 1)
-                if cfg.missing_fraction > 0 and m > 2:
-                    miss_coord = rng.random(m) < cfg.missing_fraction
-                    miss_speed = rng.random(m) < cfg.missing_fraction
-                    miss_acc = rng.random(m) < cfg.missing_fraction
-                    miss_coord[0] = miss_coord[-1] = False  # keep boundaries repair-complete
-                    miss_speed[0] = miss_speed[-1] = False
-                    miss_acc[0] = miss_acc[-1] = False
-                else:
-                    miss_coord = miss_speed = miss_acc = None
-                for q in range(m):
-                    ts = format_utc(t0 + timedelta(seconds=offs[q]))
-                    lat_s, lon_s = repr(float(plat[q])), repr(float(plon[q]))
-                    acc_s = repr(float(acc[q]))
-                    row_full = [aid, ts, lat_s, lon_s, acc_s, spd]
-                    if full_rows is not None:
-                        full_rows.append(row_full)
-                    if miss_coord is not None:
-                        row = [
-                            aid, ts,
-                            "" if miss_coord[q] else lat_s,
-                            "" if miss_coord[q] else lon_s,
-                            "" if miss_acc[q] else acc_s,
-                            "" if miss_speed[q] else spd,
-                        ]
-                    else:
-                        row = row_full
-                    rows.append(row)
-                n_points += m
-            writer.writerows(rows)
-            if full_writer:
-                full_writer.writerows(full_rows)
+            # a trip's offsets are 0, interval, ... below its duration, then the duration
+            m = (duration + interval - 1) // interval + 1
+            trip = np.repeat(np.arange(n_day), m)
+            q = np.arange(trip.size) - (np.cumsum(m) - m)[trip]  # point index within its trip
+            offs = np.minimum(q * interval, duration[trip])
+            frac = offs / duration[trip]
+            plat = olat[trip] + (dlat - olat)[trip] * frac
+            plon = olon[trip] + (dlon - olon)[trip] * frac
+
+            # per trip: m accuracy draws, then 3m missing-flag draws (coord, speed, accuracy)
+            flagged = (m > 2) & (cfg.missing_fraction > 0)
+            block = np.where(flagged, 4 * m, m)
+            r = rng.random(int(block.sum()))
+            at = (np.cumsum(block) - block)[trip] + q
+            levels, level = np.unique(np.round(3.0 + 9.0 * r[at], 1), return_inverse=True)
+
+            aids = np.array([f"A{day_idx:04d}{k:06d}" for k in range(n_day)], dtype=object)
+            ts = np.datetime_as_string((day_start_s + start_s[trip] + offs).astype("datetime64[s]"),
+                                       timezone="UTC")
+            cols = [aids[trip], ts, _reprs(plat), _reprs(plon), _reprs(levels)[level],
+                    _reprs(dist / duration)[trip]]
+            if full:
+                full.write(_lines(cols))
+            if flagged.any():  # interior points only, so boundaries stay repair-complete
+                step = np.where(flagged, m, 0)[trip]
+                inner = flagged[trip] & (q > 0) & (q < m[trip] - 1)
+                miss_coord = inner & (r[at + step] < cfg.missing_fraction)
+                cols[2][miss_coord] = cols[3][miss_coord] = ""
+                cols[5][inner & (r[at + 2 * step] < cfg.missing_fraction)] = ""
+                cols[4][inner & (r[at + 3 * step] < cfg.missing_fraction)] = ""
+            pf.write(_lines(cols))
+            n_points += trip.size
             actual_trips += n_day
-    if full_file:
-        full_file.close()
 
     _write_weather(cfg, outdir / "weather.csv")
     _write_calendar(cfg, outdir / "calendar.csv")
@@ -338,6 +347,16 @@ def generate(cfg: SynthConfig, outdir) -> dict:
     if cfg.emit_unmasked:
         files["points_full"] = str(full_path)
     return {"files": files, "truth": truth}
+
+
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """The shortest round-trip text of each float, as an object array."""
+    return np.array(list(map(repr, values.tolist())), dtype=object)
+
+
+def _lines(cols) -> str:
+    """CSV rows of string columns in `csv.writer`'s dialect; no field here needs quoting."""
+    return "\r\n".join(map(",".join, zip(*(c.tolist() for c in cols)))) + "\r\n"
 
 
 def _write_weather(cfg: SynthConfig, path: Path) -> None:

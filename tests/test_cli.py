@@ -349,6 +349,49 @@ def test_unknown_synth_key_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out" / "points.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("point_interval_s", 0), ("point_interval_s", -5), ("point_interval_s", "10"), ("point_interval_s", 2.5),
+    ("missing_fraction", "0.02"), ("missing_fraction", 1.5), ("missing_fraction", -0.1),
+    ("base_trips_per_day", -5), ("weekday_multiplier", -1.0), ("hub_jitter_m", "60"), ("day_noise_sigma", -0.1),
+])
+def test_synth_value_no_draw_can_use_exits_1(tmp_path, capsys, key, value):
+    config = config_with(tmp_path, synth={**CONFIG["synth"], key: value})
+    err = error_of(capsys, ["synth", "--config", config, "--out", str(tmp_path / "out")])
+    assert (err["exit_code"], err["type"]) == (1, "ParameterError")
+    assert err["message"].startswith(f"synth.{key} must be") and err["message"].endswith(repr(value))
+    assert not (tmp_path / "out" / "points.csv").exists()
+
+
+@pytest.mark.parametrize("seed", ["x", True, 1.5])
+def test_non_integer_model_seed_exits_1(city, tmp_path, capsys, seed):
+    config = config_with(tmp_path, models={"seed": seed})
+    err = error_of(capsys, cli_args(city, tmp_path, ["train", "--model", "linear"], config=config))
+    assert (err["exit_code"], err["type"]) == (1, "ParameterError")
+    assert err["message"] == f"models.seed must be an integer, got {seed!r}"
+
+
+@pytest.mark.parametrize("section, keys", [
+    ("describe", {"bin_distance": 100}),
+    ("spatial", {"cell_size": 25.0, "topk": 3}),
+    ("features", {"widht": 30}),
+    ("train", {"with_vc": False}),
+    ("models", {"forst": {"n_trees": 5}}),
+])
+def test_unknown_config_key_exits_1(city, tmp_path, capsys, section, keys):
+    config = config_with(tmp_path, **{section: {**CONFIG.get(section, {}), **keys}})
+    err = error_of(capsys, cli_args(city, tmp_path, ["features", "--width", "60"], config=config))
+    assert (err["exit_code"], err["type"]) == (1, "ParameterError")
+    assert err["message"] == f"unknown {section} keys {sorted(keys)}"
+    assert not (tmp_path / "features.csv").exists()
+
+
+def test_config_section_that_is_not_an_object_exits_1(city, tmp_path, capsys):
+    config = config_with(tmp_path, features=60)
+    err = error_of(capsys, cli_args(city, tmp_path, ["features"], config=config))
+    assert (err["exit_code"], err["type"]) == (1, "ParameterError")
+    assert err["message"] == "config section 'features' must be an object, got 60"
+
+
 def test_empty_model_list_exits_1(city, tmp_path, capsys):
     run(city, tmp_path, ["features", "--width", "60"])
     config = config_with(tmp_path, train={"models": []})
