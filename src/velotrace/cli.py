@@ -16,17 +16,20 @@ must be consecutive time slots. So training and serving build their rows,
 and choose usable windows, in one place.
 Failures print a machine-readable error JSON and exit 2 (missing input),
 3 (schema/data error), 4 (training failure), or 1 (anything else). A config
-error (an unknown key in any section, a `synth` value no draw can use, an
+error (an unknown key in any section, a value of another type than its
+default's, a `synth` value of the wrong shape or that no draw can use, an
 empty `train.models`, a seed that is not an integer, a model hyperparameter
-of unknown name or wrong type) exits 1 before any point is drawn or model
-fitted; a malformed input file (invalid JSON, a bad `features.csv` row, a
-model artifact with a missing or malformed field) exits 3.
+of unknown name or wrong type) or a bad `--week-a`/`--week-b` pair exits 1
+before any point is drawn or model fitted; a malformed input file (invalid
+JSON, a bad `features.csv` or hubs file row, a model artifact with a missing
+or malformed field) exits 3.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 from dataclasses import asdict, fields
 import sys
 from datetime import date, timedelta
@@ -112,7 +115,7 @@ from .synth import (
     TripLengthDist,
     generate,
 )
-from .util import format_utc, local_date, month_key, read_json, sha256_file, write_json
+from .util import format_utc, local_datetimes, read_json, sha256_file, write_json
 
 DEFAULTS = {
     "out": "out",
@@ -171,8 +174,22 @@ def load_config(args) -> dict:
     return cfg
 
 
+# the types a config value may take, by the type of its default; a bool is
+# never an int, and a None default (train.width) stands for an optional int
+_CONFIG_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+                 float: ((int, float), "a number"), str: ((str,), "a string"),
+                 type(None): ((int, type(None)), "an integer or null"), list: ((list,), "a list of strings")}
+
+
+def _check_type(name: str, value, default) -> None:
+    types, want = _CONFIG_TYPES[type(default)]
+    if type(value) not in types or (type(value) is list and not all(type(v) is str for v in value)):
+        raise ParameterError(f"{name} must be {want}, got {value!r}")
+
+
 def _check_sections(cfg: dict) -> None:
-    """A config section holds only the keys its commands read."""
+    """A config section holds only the keys its commands read, each of the
+    type of its default; so do the top-level `seed` and `utc_offset_min`."""
     known = {name: set(DEFAULTS[name]) for name in ("describe", "spatial", "features", "train")}
     known["models"] = {*MODEL_KINDS, "seed"}
     for name, keys in known.items():
@@ -182,6 +199,11 @@ def _check_sections(cfg: dict) -> None:
         unknown = sorted(set(section) - keys)
         if unknown:
             raise ParameterError(f"unknown {name} keys {unknown}")
+        if name != "models":
+            for key, value in section.items():
+                _check_type(f"{name}.{key}", value, DEFAULTS[name][key])
+    for key in ("seed", "utc_offset_min"):
+        _check_type(key, cfg[key], DEFAULTS[key])
 
 
 def _require(cfg: dict, path_key: str) -> Path:
@@ -220,7 +242,7 @@ def _parse_and_assemble(points_path: Path):
 
 
 def _load_trips(cfg: dict):
-    """(repaired point table, trips) of the configured points file, from
+    """(repaired point table, trip table) of the configured points file, from
     ingest's `points.npz` when it was built from this file, else parsed afresh."""
     points_path = _require(cfg, "points")
     loaded = load_points_npz(_outdir(cfg) / "points.npz", sha256_file(points_path))
@@ -272,9 +294,9 @@ def cmd_describe(cfg: dict, args) -> None:
     d = cfg["describe"]
     offset = cfg["utc_offset_min"]
     hists = {
-        "distance": histogram([t.distance for t in trips], d["bin_distance_m"]),
-        "duration": histogram([t.duration for t in trips], d["bin_duration_s"]),
-        "speed": histogram([t.avg_speed for t in trips], d["bin_speed_mps"]),
+        "distance": histogram(trips.distance, d["bin_distance_m"]),
+        "duration": histogram(trips.duration, d["bin_duration_s"]),
+        "speed": histogram(trips.avg_speed, d["bin_speed_mps"]),
     }
     files = []
     for name, h in hists.items():
@@ -311,18 +333,17 @@ def cmd_spatial(cfg: dict, args) -> None:
     write_density_csv(grid, density_path)
     files.append(density_path)
 
-    trips_by_month: dict[str, list] = {}
-    if sp.get("per_month"):
-        # local calendar month of each point, as month_key(local_date(...)) gives it
-        local_us = table.t[present] + offset * 60_000_000
-        months = local_us.astype("datetime64[us]").astype("datetime64[M]")
+    periods = [("all", trips)]
+    if sp["per_month"]:
+        # local calendar month of each point and of each trip's start
+        months = local_datetimes(table.t[present], offset).astype("datetime64[M]")
         for m in np.unique(months):
             g = build_density_grid(coords[months == m], bbox, sp["cell_size_m"])
             p = outdir / f"density_{m}.csv"
             write_density_csv(g, p)
             files.append(p)
-        for t in trips:
-            trips_by_month.setdefault(month_key(local_date(t.start_time, offset)), []).append(t)
+        trip_months = local_datetimes(trips.start_us, offset).astype("datetime64[M]")
+        periods += [(str(m), trips.take(trip_months == m)) for m in np.unique(trip_months)]
 
     reports = []
     hubs_cfg_path = cfg.get("paths", {}).get("hubs")
@@ -330,13 +351,10 @@ def cmd_spatial(cfg: dict, args) -> None:
         if not Path(hubs_cfg_path).exists():
             raise MissingInputError(hubs_cfg_path)
         for hub in parse_hub_file(hubs_cfg_path):
-            reports.append(hub_spread(trips, (hub.lat, hub.lon), hub.radius_m,
-                                      sp["dest_cell_size_m"], sp["top_k"],
-                                      period="all", hub_name=hub.name))
-            for mk in sorted(trips_by_month):
-                reports.append(hub_spread(trips_by_month[mk], (hub.lat, hub.lon), hub.radius_m,
+            for period, selected in periods:
+                reports.append(hub_spread(selected, (hub.lat, hub.lon), hub.radius_m,
                                           sp["dest_cell_size_m"], sp["top_k"],
-                                          period=mk, hub_name=hub.name))
+                                          period=period, hub_name=hub.name))
     hubs_path = outdir / "hubs.json"
     write_json(hubs_path, [hub_report_as_dict(r) for r in reports])
     files.append(hubs_path)
@@ -345,7 +363,19 @@ def cmd_spatial(cfg: dict, args) -> None:
            "ignored": grid.ignored, "hub_reports": len(reports)})
 
 
+def _week_start(flag: str, text: str) -> date:
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        raise ParameterError(f"{flag} must be a date YYYY-MM-DD, got {text!r}") from None
+
+
 def cmd_covariates(cfg: dict, args) -> None:
+    weeks = None
+    if args.week_a or args.week_b:
+        if not (args.week_a and args.week_b):
+            raise ParameterError("--week-a and --week-b must be given together")
+        weeks = _week_start("--week-a", args.week_a), _week_start("--week-b", args.week_b)
     outdir = _outdir(cfg)
     _, trips = _load_trips(cfg)
     offset = cfg["utc_offset_min"]
@@ -375,9 +405,8 @@ def cmd_covariates(cfg: dict, args) -> None:
     })
     files = [corr_path, holidays_path, events_path]
 
-    if args.week_a and args.week_b:
-        wc = week_contrast(rows, date.fromisoformat(args.week_a), date.fromisoformat(args.week_b),
-                           weather=weather, utc_offset_min=offset)
+    if weeks:
+        wc = week_contrast(rows, *weeks, weather=weather, utc_offset_min=offset)
         wc_path = outdir / "week_contrast.json"
         write_json(wc_path, {
             "week_a_start": str(wc.week_a_start),
@@ -505,41 +534,75 @@ def _next_slot_prediction(tm, matrix) -> dict:
             "model": tm.spec.kind, "predicted": value}
 
 
+def _int(v) -> int:
+    if type(v) is not int:
+        raise TypeError(f"{v!r} is not an integer")
+    return v
+
+
+def _finite(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _numbers(n: int):
+    """The converter of a JSON list of `n` finite numbers to a tuple."""
+    def convert(values) -> tuple:
+        if len(values) != n or not all(map(_finite, values)):
+            raise TypeError(f"expected a list of {n} finite numbers")
+        return tuple(values)
+    return convert
+
+
+def _record(cls):
+    """The converter of a JSON object to `cls(**obj)`, whose float fields
+    must hold finite numbers."""
+    def convert(obj) -> cls:
+        rec = cls(**obj)
+        for f in fields(cls):
+            if f.type == "float" and not _finite(getattr(rec, f.name)):
+                raise TypeError(f"{f.name} must be a finite number, got {getattr(rec, f.name)!r}")
+        return rec
+    return convert
+
+
+def _rain_event(e: dict) -> RainEvent:
+    return RainEvent(date.fromisoformat(e["day"]), int(e["start_hour"]), int(e["duration_h"]),
+                     float(e["mm_per_hour"]), float(e["suppression"]))
+
+
+# how a synth config value becomes a SynthConfig field; other keys pass as given
+_SYNTH_VALUES = {
+    "seed": _int,
+    "utc_offset_min": _int,
+    "start_date": date.fromisoformat,
+    "end_date": date.fromisoformat,
+    "bbox": _numbers(4),
+    "hourly_shape": _numbers(24),
+    "hubs": lambda hubs: tuple(map(_record(Hub), hubs)),
+    "temp_curve": _record(TempCurve),
+    "trip_length": _record(TripLengthDist),
+    "speed": _record(SpeedDist),
+    "rain_events": lambda events: tuple(_rain_event(e) for e in events),
+    "holiday_suppressions": lambda pairs: tuple((date.fromisoformat(d), float(s)) for d, s in pairs),
+    "null_events": lambda events: tuple((date.fromisoformat(d), kind, label) for d, kind, label in events),
+}
+
+
 def synth_config_from_dict(d: dict, seed: int, utc_offset_min: int) -> SynthConfig:
+    """The SynthConfig of a `synth` config section; `seed` and
+    `utc_offset_min` apply where the section sets neither. A value of the
+    wrong shape raises ParameterError naming its key."""
     unknown = sorted(set(d) - {f.name for f in fields(SynthConfig)})
     if unknown:
         raise ParameterError(f"unknown synth keys {unknown}")
-    kwargs = {"seed": int(d.get("seed", seed)),
-              "start_date": date.fromisoformat(d["start_date"]),
-              "end_date": date.fromisoformat(d["end_date"]),
-              "utc_offset_min": int(d.get("utc_offset_min", utc_offset_min))}
-    if "bbox" in d:
-        kwargs["bbox"] = tuple(d["bbox"])
-    if "hubs" in d:
-        kwargs["hubs"] = tuple(Hub(h["name"], h["lat"], h["lon"], h["weight"]) for h in d["hubs"])
-    for key in ("base_trips_per_day", "weekday_multiplier", "missing_fraction",
-                "day_noise_sigma", "hub_jitter_m", "point_interval_s", "emit_unmasked"):
-        if key in d:
-            kwargs[key] = d[key]
-    if "hourly_shape" in d:
-        kwargs["hourly_shape"] = tuple(d["hourly_shape"])
-    if "temp_curve" in d:
-        kwargs["temp_curve"] = TempCurve(**d["temp_curve"])
-    if "trip_length" in d:
-        kwargs["trip_length"] = TripLengthDist(**d["trip_length"])
-    if "speed" in d:
-        kwargs["speed"] = SpeedDist(**d["speed"])
-    if "rain_events" in d:
-        kwargs["rain_events"] = tuple(
-            RainEvent(date.fromisoformat(e["day"]), int(e["start_hour"]), int(e["duration_h"]),
-                      float(e["mm_per_hour"]), float(e["suppression"]))
-            for e in d["rain_events"])
-    if "holiday_suppressions" in d:
-        kwargs["holiday_suppressions"] = tuple(
-            (date.fromisoformat(h), float(s)) for h, s in d["holiday_suppressions"])
-    if "null_events" in d:
-        kwargs["null_events"] = tuple(
-            (date.fromisoformat(e[0]), e[1], e[2]) for e in d["null_events"])
+    kwargs = {}
+    for key, value in {"seed": seed, "utc_offset_min": utc_offset_min, **d}.items():
+        try:
+            kwargs[key] = _SYNTH_VALUES.get(key, lambda v: v)(value)
+        except KeyError as e:
+            raise ParameterError(f"synth.{key} lacks the key {e}, got {value!r}") from None
+        except (TypeError, ValueError) as e:
+            raise ParameterError(f"synth.{key} is malformed ({e}), got {value!r}") from None
     return SynthConfig(**kwargs)
 
 

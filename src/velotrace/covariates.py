@@ -17,8 +17,8 @@ from .errors import (
     SchemaError,
     UndefinedCorrelationError,
 )
-from .ingest import Trip
-from .util import WEEKDAY_NAMES, csv_rows, format_utc, local_date, parse_utc, truncate_hour
+from .ingest import TripTable
+from .util import WEEKDAY_NAMES, csv_rows, format_utc, local_date, local_datetimes, parse_utc, to_us, truncate_hour
 
 WEATHER_HEADER = ["timestamp", "temp_c", "precip_mm", "wind_mps"]
 POLLUTION_HEADER = ["timestamp", "pm", "o3", "no2", "so2"]
@@ -28,6 +28,8 @@ EVENT_KINDS = {"strike", "protest", "event"}
 
 # a day missing more hours than this is marked incomplete
 MAX_MISSING_WEATHER_HOURS = 4
+
+_HOUR_US = 3_600_000_000
 
 
 @dataclass(slots=True)
@@ -171,28 +173,23 @@ class DailyRow:
     complete: bool
 
 
-def daily_join(trips: list[Trip], weather: list[WeatherRecord],
+def daily_join(trips: TripTable, weather: list[WeatherRecord],
                utc_offset_min: int) -> list[DailyRow]:
-    """Per-local-date trip counts joined with aggregated weather.
+    """Per-local-date counts of the table's trips, by the local date of
+    `start_us`, joined with aggregated weather.
 
     Zero-trip dates inside the trip observation span count as 0 (a value, not
     a gap). A row is complete when the date lies in the trip span and at most
     4 weather hours are missing; incomplete rows are excluded from correlation.
     """
-    counts: dict[date, int] = {}
-    for t in trips:
-        d = local_date(t.start_time, utc_offset_min)
-        counts[d] = counts.get(d, 0) + 1
+    days, n = np.unique(local_datetimes(trips.start_us, utc_offset_min).astype("datetime64[D]"),
+                        return_counts=True)
+    counts: dict[date, int] = dict(zip(days.tolist(), n.tolist()))
+    span = set(np.arange(days[0], days[-1] + 1).tolist()) if len(days) else set()
 
     by_date: dict[date, list[WeatherRecord]] = {}
     for w in weather:
         by_date.setdefault(local_date(w.hour, utc_offset_min), []).append(w)
-
-    if counts:
-        span_lo, span_hi = min(counts), max(counts)
-        span = {span_lo + timedelta(days=i) for i in range((span_hi - span_lo).days + 1)}
-    else:
-        span = set()
 
     rows = []
     for d in sorted(span | set(by_date)):
@@ -239,22 +236,15 @@ def daily_correlations(rows: list[DailyRow]) -> list[CorrelationReport]:
     return out
 
 
-def hourly_correlations(trips: list[Trip], weather: list[WeatherRecord]) -> list[CorrelationReport]:
-    """Pearson of hourly trip counts against weather; hours missing weather are excluded."""
-    counts: dict[datetime, int] = {}
-    for t in trips:
-        h = truncate_hour(t.start_time)
-        counts[h] = counts.get(h, 0) + 1
-    if not counts:
+def hourly_correlations(trips: TripTable, weather: list[WeatherRecord]) -> list[CorrelationReport]:
+    """Pearson of hourly trip counts against weather over the UTC hours from
+    the first trip's to the last's; hours missing weather are excluded."""
+    index, n = np.unique(trips.start_us // _HOUR_US, return_counts=True)
+    if not len(index):
         return []
-    lo, hi = min(counts), max(counts)
-    wx = {w.hour: w for w in weather}
-    hours = []
-    h = lo
-    while h <= hi:
-        if h in wx:
-            hours.append(h)
-        h += timedelta(hours=1)
+    counts = dict(zip(index.tolist(), n.tolist()))
+    wx = {to_us(w.hour) // _HOUR_US: w for w in weather}
+    hours = sorted(h for h in wx if index[0] <= h <= index[-1])
     out = []
     for var, getter in (("temp_c", lambda w: w.temp_c),
                         ("precip_mm", lambda w: w.precip_mm),

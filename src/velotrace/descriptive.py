@@ -5,12 +5,13 @@ monthly trends. Trips are attributed to the local time of their start instant
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError, ParameterError
-from .ingest import Trip
-from .util import WEEKDAY_NAMES, month_key, to_local
+from .ingest import TripTable
+from .util import WEEKDAY_NAMES, local_datetimes
 
 # default bin widths resolve the expected peaks (~1600 m, ~720 s, ~3.9 m/s)
 DEFAULT_DISTANCE_BIN_M = 200.0
@@ -41,19 +42,16 @@ def histogram(values, bin_width: float, origin: float = 0.0) -> Histogram:
     """
     if bin_width <= 0:
         raise ParameterError("bin_width must be positive")
-    idx = []
-    for v in values:
-        if not math.isfinite(v):
-            raise DataError(f"non-finite value in histogram input: {v!r}")
-        idx.append(math.floor((v - origin) / bin_width))
-    if not idx:
+    values = np.asarray(values, dtype=np.float64)
+    bad = values[~np.isfinite(values)]
+    if len(bad):
+        raise DataError(f"non-finite value in histogram input: {bad[0].item()!r}")
+    if not len(values):
         return Histogram(bin_width, origin, [], 0)
-    lo, hi = min(idx), max(idx)
-    counts = [0] * (hi - lo + 1)
-    for k in idx:
-        counts[k - lo] += 1
-    bins = [(origin + (lo + i) * bin_width, c) for i, c in enumerate(counts)]
-    return Histogram(bin_width, origin, bins, len(idx))
+    idx = np.floor((values - origin) / bin_width).astype(np.int64)
+    lo = int(idx.min())
+    bins = [(origin + (lo + i) * bin_width, c) for i, c in enumerate(np.bincount(idx - lo).tolist())]
+    return Histogram(bin_width, origin, bins, len(values))
 
 
 def share_below(values, threshold: float) -> float:
@@ -74,30 +72,24 @@ class TemporalProfile:
     total: int
 
 
-def temporal_profile(trips: list[Trip], utc_offset_min: int) -> TemporalProfile:
-    """Attribute each trip to the weekday / hour / month of its local start time."""
+def temporal_profile(trips: TripTable, utc_offset_min: int) -> TemporalProfile:
+    """Attribute each trip of the table to the weekday / hour / month of its
+    local start time (`start_us` at the fixed UTC offset)."""
     if not trips:
         raise ParameterError("temporal_profile needs at least one trip")
-    weekday = [0] * 7
-    hourly_wd = [0] * 24
-    hourly_we = [0] * 24
-    monthly: dict[str, int] = {}
-    for t in trips:
-        local = to_local(t.start_time, utc_offset_min)
-        dow = local.weekday()
-        weekday[dow] += 1
-        if dow < 5:
-            hourly_wd[local.hour] += 1
-        else:
-            hourly_we[local.hour] += 1
-        mk = month_key(local.date())
-        monthly[mk] = monthly.get(mk, 0) + 1
+    local = local_datetimes(trips.start_us, utc_offset_min)
+    days = local.astype("datetime64[D]")
+    dow = (days.astype(np.int64) + 3) % 7  # 1970-01-01 was a Thursday
+    hour = (local - days) // np.timedelta64(1, "h")
+    workday = dow < 5
+    weekday = np.bincount(dow, minlength=7).tolist()
+    months, counts = np.unique(local.astype("datetime64[M]"), return_counts=True)
     total = len(trips)
     return TemporalProfile(
         weekday_counts=weekday,
-        hourly_weekday=hourly_wd,
-        hourly_weekend=hourly_we,
-        monthly_counts=dict(sorted(monthly.items())),
+        hourly_weekday=np.bincount(hour[workday], minlength=24).tolist(),
+        hourly_weekend=np.bincount(hour[~workday], minlength=24).tolist(),
+        monthly_counts=dict(zip(np.datetime_as_string(months).tolist(), counts.tolist())),
         workingday_share=sum(weekday[:5]) / total,
         total=total,
     )

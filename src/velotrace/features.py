@@ -15,8 +15,8 @@ import numpy as np
 
 from .covariates import CalendarEntry, WeatherRecord, pearson
 from .errors import MissingInputError, ParameterError, ParseError, SchemaError, StateError, UndefinedCorrelationError
-from .ingest import Trip
-from .util import WEEKDAY_NAMES, month_key, parse_utc, format_utc, read_json, to_local, truncate_hour, write_json
+from .ingest import TripTable
+from .util import UTC, WEEKDAY_NAMES, month_key, parse_utc, format_utc, read_json, to_local, truncate_hour, write_json
 
 SLOT_WIDTHS = (30, 60)
 SEASONS = ("spring", "summer", "autumn", "winter")
@@ -55,9 +55,9 @@ def _check_aligned(ts: datetime, width: int, name: str) -> None:
         raise ParameterError(f"{name} {ts.isoformat()} is not aligned to {width} minutes")
 
 
-def aggregate_slots(trips: list[Trip], width_minutes: int,
+def aggregate_slots(trips: TripTable, width_minutes: int,
                     span: tuple[datetime, datetime]) -> tuple[SlotSeries, int]:
-    """Count trips into fixed-width slots by start time over [start, end).
+    """Count the table's trips into fixed-width slots by `start_us` over [start, end).
 
     The span length must be a whole number of slots. Trips outside the span
     are tallied (second return value), never silently dropped.
@@ -72,30 +72,23 @@ def aggregate_slots(trips: list[Trip], width_minutes: int,
     n_slots = total_min / width_minutes
     if n_slots != int(n_slots):
         raise ParameterError("span length must be a whole number of slots")
-    counts = np.zeros(int(n_slots), dtype=np.int64)
-    out_of_span = 0
     width_s = width_minutes * 60
     start_s = start.timestamp()
-    end_s = end.timestamp()
-    for t in trips:
-        ts = t.start_time.timestamp()
-        if start_s <= ts < end_s:
-            counts[int((ts - start_s) // width_s)] += 1
-        else:
-            out_of_span += 1
-    return SlotSeries(width_minutes, start, counts), out_of_span
+    ts = trips.start_us / 1e6  # seconds, as datetime.timestamp() gives them
+    inside = (start_s <= ts) & (ts < end.timestamp())
+    slot = ((ts[inside] - start_s) // width_s).astype(np.int64)
+    counts = np.bincount(slot, minlength=int(n_slots))
+    return SlotSeries(width_minutes, start, counts), int(len(ts) - inside.sum())
 
 
-def aligned_span(trips: list[Trip], width_minutes: int) -> tuple[datetime, datetime]:
-    """Smallest aligned [start, end) covering every trip start."""
+def aligned_span(trips: TripTable, width_minutes: int) -> tuple[datetime, datetime]:
+    """Smallest aligned [start, end) covering every `start_us` of the table."""
     if not trips:
         raise ParameterError("no trips to span")
-    lo = min(t.start_time for t in trips)
-    hi = max(t.start_time for t in trips)
-    width = timedelta(minutes=width_minutes)
-    floor_lo = lo.replace(minute=(lo.minute // width_minutes) * width_minutes, second=0, microsecond=0)
-    floor_hi = hi.replace(minute=(hi.minute // width_minutes) * width_minutes, second=0, microsecond=0)
-    return floor_lo, floor_hi + width
+    width_s = width_minutes * 60
+    lo = int(trips.start_us.min()) // 1_000_000 // width_s * width_s
+    hi = int(trips.start_us.max()) // 1_000_000 // width_s * width_s
+    return datetime.fromtimestamp(lo, UTC), datetime.fromtimestamp(hi + width_s, UTC)
 
 
 @dataclass

@@ -5,12 +5,14 @@ reads them into a `PointTable`: one NumPy column per field, rows in file
 order, activity ids coded as indices into the sorted distinct ids, and NaN
 for an absent value. `assemble_trips` sorts the rows by (activity, time),
 repairs missing values in the table's columns by linear interpolation in
-time, and computes per-trip distance / duration / speed. Distances are
-great-circle on a sphere of radius 6,371,000 m.
+time, and builds a `TripTable`: one NumPy column per field, one row per
+trip, ordered by trip id, with distance / duration / speed per trip.
+Distances are great-circle on a sphere of radius 6,371,000 m.
 
-`save_points_npz` stores the repaired table and the trip table of one points
-file in `points.npz`, keyed by that file's sha256; `load_points_npz` gives
-them back, so later analyses need not parse and assemble again.
+`save_points_npz` stores the repaired point table and the trip table of one
+points file in `points.npz`, keyed by that file's sha256, one npz array per
+column under the column's name; `load_points_npz` gives both tables back, so
+later analyses need not parse and assemble again.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ import math
 import zipfile
 from array import array
 from dataclasses import dataclass, fields
-from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
 from .errors import ParseError, RangeError, SchemaError
-from .util import csv_rows, format_utc, parse_utc
+from .util import csv_rows, parse_utc, to_us, utc_strings
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -35,18 +36,6 @@ POINT_HEADER = ["activity_id", "timestamp", "lat", "lon", "accuracy", "speed"]
 BOUNDARY_MISSING = "boundary-missing"
 TOO_FEW_POINTS = "too-few-points"
 ZERO_DURATION = "zero-duration"
-
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_MICROSECOND = timedelta(microseconds=1)
-
-
-def _to_us(dt: datetime) -> int:
-    return (dt - _EPOCH) // _MICROSECOND
-
-
-def _from_us(us: int) -> datetime:
-    return _EPOCH + timedelta(microseconds=us)
-
 
 @dataclass(slots=True)
 class PointTable:
@@ -68,20 +57,32 @@ class PointTable:
         return len(self.t)
 
 
-_TABLE_COLUMNS = tuple(f.name for f in fields(PointTable))
-
-
 @dataclass(slots=True)
-class Trip:
-    trip_id: str
-    n_points: int
-    start_time: datetime
-    end_time: datetime
-    start_point: tuple[float, float]
-    end_point: tuple[float, float]
-    distance: float
-    duration: float
-    avg_speed: float
+class TripTable:
+    """Trips as NumPy columns, one row per trip, ordered by trip id.
+
+    `trip_id` is the activity id (str); `n_points` the points kept (int64);
+    `start_us` and `end_us` the first and last kept point's time, int64
+    microseconds since the epoch; `start_point` and `end_point` (n, 2)
+    float64 (lat, lon); `distance` in meters, `duration` in seconds and
+    `avg_speed` in m/s, float64. The names are the `points.npz` keys.
+    """
+    trip_id: np.ndarray
+    n_points: np.ndarray
+    start_us: np.ndarray
+    end_us: np.ndarray
+    start_point: np.ndarray
+    end_point: np.ndarray
+    distance: np.ndarray
+    duration: np.ndarray
+    avg_speed: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.trip_id)
+
+    def take(self, rows) -> TripTable:
+        """The trips at `rows`, an index array or boolean mask."""
+        return TripTable(*(getattr(self, f.name)[rows] for f in fields(TripTable)))
 
 
 @dataclass(slots=True)
@@ -155,7 +156,7 @@ def parse_points(source) -> PointTable:
         acc = _opt_float(acc_s, line, "accuracy", 0.0, math.inf)
         spd = _opt_float(spd_s, line, "speed", 0.0, math.inf)
         activity.append(codes.setdefault(activity_id, len(codes)))
-        t.append(_to_us(ts))
+        t.append(to_us(ts))
         lat.append(la)
         lon.append(lo)
         accuracy.append(acc)
@@ -204,23 +205,22 @@ def _fill(v: np.ndarray, t: np.ndarray, starts: np.ndarray) -> None:
     v[missing & ~has_prev & ~has_next] = 0.0
 
 
-def assemble_trips(table: PointTable) -> tuple[list[Trip], list[Rejection]]:
-    """Group the table's rows by activity into repaired Trips plus a rejection log.
+def assemble_trips(table: PointTable) -> tuple[TripTable, list[Rejection]]:
+    """Group the table's rows by activity into a repaired TripTable plus a rejection log.
 
     Per activity (rows sorted by time, stable on ties): coordinates missing at
     a boundary are dropped; in groups that keep >= 2 points, interior missing
     coordinates and speed/accuracy gaps are filled in the table's columns (see
     `_fill`). Groups keeping >= 2 points and a positive time span become
-    Trips, ordered by activity id.
+    trips, ordered by activity id; the log lists each group's rejections in
+    that order too.
     """
     n = len(table)
-    if n == 0:
-        return [], []
     order = np.lexsort((table.t, table.activity))
     act = table.activity[order]
     t_us = table.t[order]
-    starts = np.flatnonzero(np.append(True, act[1:] != act[:-1]))
-    ends = np.append(starts[1:], n)
+    starts = np.flatnonzero(np.diff(act, prepend=-1))  # codes are >= 0, so row 0 starts a group
+    ends = np.append(starts, n)[1:]
     sizes = ends - starts
 
     # first and last present coordinate per group; none present: first = end, last = end - 1
@@ -229,10 +229,11 @@ def assemble_trips(table: PointTable) -> tuple[list[Trip], list[Rejection]]:
     first = np.minimum(np.minimum.reduceat(np.where(present, idx, n), starts), ends)
     last = np.maximum(np.maximum.reduceat(np.where(present, idx, -1), starts), first - 1)
     kept = last - first + 1
+    inside = (idx >= np.repeat(first, sizes)) & (idx <= np.repeat(last, sizes))
 
     # repair the kept rows of groups that keep >= 2 points
     ok = kept >= 2
-    rows = np.flatnonzero(np.repeat(ok, sizes) & (idx >= np.repeat(first, sizes)) & (idx <= np.repeat(last, sizes)))
+    rows = np.flatnonzero(np.repeat(ok, sizes) & inside)
     pos = order[rows]
     ts = t_us[rows] / 1e6  # seconds, as datetime.timestamp() gives them
     group_starts = np.cumsum(kept[ok]) - kept[ok]
@@ -242,37 +243,29 @@ def assemble_trips(table: PointTable) -> tuple[list[Trip], list[Rejection]]:
         _fill(v, ts, group_starts)
         column[pos] = v
 
-    lat, lon = table.lat[order], table.lon[order]
-    angles = half_angles(lat[:-1], lon[:-1], lat[1:], lon[1:])
-    ids = table.ids.tolist()
-    t_list = t_us.tolist()
-    trips: list[Trip] = []
+    is_trip = ok.copy()
+    is_trip[ok] = t_us[last[ok]] != t_us[first[ok]]
     rejections: list[Rejection] = []
-    for code, s, e, f, l in zip(act[starts].tolist(), starts.tolist(), ends.tolist(),
-                                first.tolist(), last.tolist()):
-        aid = ids[code]
-        for i in (*range(s, f), *range(l + 1, e)):
-            rejections.append(Rejection(aid, BOUNDARY_MISSING, format_utc(_from_us(t_list[i]))))
-        k = l - f + 1
+    boundary = iter(utc_strings(t_us[~inside]))  # the rows outside [first, last], in order
+    logged = (kept < sizes) | ~is_trip
+    for aid, size, f, k, trip in zip(table.ids[act[starts[logged]]].tolist(), sizes[logged].tolist(),
+                                     first[logged].tolist(), kept[logged].tolist(), is_trip[logged].tolist()):
+        rejections += [Rejection(aid, BOUNDARY_MISSING, next(boundary)) for _ in range(size - k)]
         if k < 2:
             rejections.append(Rejection(aid, TOO_FEW_POINTS, f"{k} points after repair", k))
-            continue
-        if t_list[l] == t_list[f]:
-            rejections.append(Rejection(aid, ZERO_DURATION, format_utc(_from_us(t_list[f])), k))
-            continue
-        distance = float(2.0 * EARTH_RADIUS_M * angles[f:l].sum())
-        duration = (t_list[l] - t_list[f]) / 1e6
-        trips.append(Trip(
-            trip_id=aid,
-            n_points=k,
-            start_time=_from_us(t_list[f]),
-            end_time=_from_us(t_list[l]),
-            start_point=(lat[f].item(), lon[f].item()),
-            end_point=(lat[l].item(), lon[l].item()),
-            distance=distance,
-            duration=duration,
-            avg_speed=distance / duration,
-        ))
+        elif not trip:
+            rejections.append(Rejection(aid, ZERO_DURATION, utc_strings(t_us[f:f + 1])[0], k))
+
+    f, l = first[is_trip], last[is_trip]
+    lat, lon = table.lat[order], table.lon[order]
+    angles = half_angles(lat[:-1], lon[:-1], lat[1:], lon[1:])
+    distance = 2.0 * EARTH_RADIUS_M * np.array([angles[a:b].sum() for a, b in zip(f.tolist(), l.tolist())],
+                                               dtype=np.float64)
+    duration = (t_us[l] - t_us[f]) / 1e6
+    # the ids are as wide as the longest kept one, as in points.npz
+    trip_id = np.array(table.ids[act[starts[is_trip]]].tolist(), dtype=str)
+    trips = TripTable(trip_id, kept[is_trip], t_us[f], t_us[l], np.column_stack((lat[f], lon[f])),
+                      np.column_stack((lat[l], lon[l])), distance, duration, distance / duration)
     return trips, rejections
 
 
@@ -282,17 +275,16 @@ TRIP_HEADER = [
 ]
 
 
-def write_trips_csv(trips: list[Trip], path) -> None:
+def write_trips_csv(trips: TripTable, path) -> None:
+    """One row per trip: times as `format_utc` renders them, floats by `repr`."""
+    floats = (trips.start_point[:, 0], trips.start_point[:, 1], trips.end_point[:, 0], trips.end_point[:, 1],
+              trips.distance, trips.duration, trips.avg_speed)
+    columns = [trips.trip_id.tolist(), utc_strings(trips.start_us), utc_strings(trips.end_us),
+               *(map(repr, c.tolist()) for c in floats), trips.n_points.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(TRIP_HEADER)
-        for t in trips:
-            w.writerow([
-                t.trip_id, format_utc(t.start_time), format_utc(t.end_time),
-                repr(t.start_point[0]), repr(t.start_point[1]),
-                repr(t.end_point[0]), repr(t.end_point[1]),
-                repr(t.distance), repr(t.duration), repr(t.avg_speed), t.n_points,
-            ])
+        w.writerows(zip(*columns))
 
 
 def write_rejections_csv(rejections: list[Rejection], path) -> None:
@@ -303,47 +295,28 @@ def write_rejections_csv(rejections: list[Rejection], path) -> None:
             w.writerow([r.activity_id, r.reason, r.detail])
 
 
-_TRIP_COLUMNS = ("trip_id", "n_points", "start_us", "end_us", "start_point", "end_point",
-                 "distance", "duration", "avg_speed")
+def _columns(table) -> dict:
+    return {f.name: getattr(table, f.name) for f in fields(table)}
 
 
-def save_points_npz(path, table: PointTable, trips: list[Trip], source_sha256: str) -> None:
+def save_points_npz(path, table: PointTable, trips: TripTable, source_sha256: str) -> None:
     """Write the point table and the trip table as a plain (pickle-free) npz.
 
     `table` should be taken after `assemble_trips`, which repairs its
     columns in place. The bytes depend only on the inputs.
     """
     with open(path, "wb") as f:
-        np.savez(
-            f,
-            source_sha256=np.array(source_sha256),
-            **{name: getattr(table, name) for name in _TABLE_COLUMNS},
-            trip_id=np.array([t.trip_id for t in trips], dtype=str),
-            n_points=np.array([t.n_points for t in trips], dtype=np.int64),
-            start_us=np.array([_to_us(t.start_time) for t in trips], dtype=np.int64),
-            end_us=np.array([_to_us(t.end_time) for t in trips], dtype=np.int64),
-            start_point=np.array([t.start_point for t in trips], dtype=np.float64).reshape(-1, 2),
-            end_point=np.array([t.end_point for t in trips], dtype=np.float64).reshape(-1, 2),
-            distance=np.array([t.distance for t in trips], dtype=np.float64),
-            duration=np.array([t.duration for t in trips], dtype=np.float64),
-            avg_speed=np.array([t.avg_speed for t in trips], dtype=np.float64),
-        )
+        np.savez(f, source_sha256=np.array(source_sha256), **_columns(table), **_columns(trips))
 
 
-def load_points_npz(path, source_sha256: str) -> tuple[PointTable, list[Trip]] | None:
-    """Point table and trips saved by `save_points_npz` from the points file
-    whose sha256 is `source_sha256`; None when the file is missing, unreadable
-    or was built from other points."""
+def load_points_npz(path, source_sha256: str) -> tuple[PointTable, TripTable] | None:
+    """Point table and trip table saved by `save_points_npz` from the points
+    file whose sha256 is `source_sha256`; None when the file is missing,
+    unreadable or was built from other points."""
     try:
         with np.load(path, allow_pickle=False) as z:
             if str(z["source_sha256"]) != source_sha256:
                 return None
-            table = PointTable(*(z[name] for name in _TABLE_COLUMNS))
-            columns = [z[k].tolist() for k in _TRIP_COLUMNS]
+            return tuple(cls(*(z[f.name] for f in fields(cls))) for cls in (PointTable, TripTable))
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
-    trips = [
-        Trip(tid, n, _from_us(s), _from_us(e), tuple(a), tuple(b), d, du, sp)
-        for tid, n, s, e, a, b, d, du, sp in zip(*columns)
-    ]
-    return table, trips

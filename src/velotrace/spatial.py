@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SchemaError
-from .ingest import EARTH_RADIUS_M, Trip, half_angles
+from .errors import ParameterError, ParseError, RangeError, SchemaError
+from .ingest import EARTH_RADIUS_M, TripTable, half_angles
 from .util import csv_rows
 
 M_PER_DEG_LAT = math.pi / 180.0 * EARTH_RADIUS_M
@@ -93,10 +93,11 @@ class HubSpreadReport:
     hub_name: str = ""
 
 
-def hub_spread(trips: list[Trip], hub_center: tuple[float, float], hub_radius: float,
+def hub_spread(trips: TripTable, hub_center: tuple[float, float], hub_radius: float,
                dest_cell_size: float, top_k: int, period: str = "all",
                hub_name: str = "") -> HubSpreadReport:
-    """Rank destination cells of trips starting within `hub_radius` of the hub.
+    """Rank the `end_point` cells of the table's trips whose `start_point`
+    lies within `hub_radius` of the hub.
 
     Hub membership is a closed disk (start exactly at the radius counts).
     Destinations are metric cells anchored at the hub center; ties rank by
@@ -109,8 +110,7 @@ def hub_spread(trips: list[Trip], hub_center: tuple[float, float], hub_radius: f
 
     m_lat = M_PER_DEG_LAT
     m_lon = _m_per_deg_lon(hub_center[0])
-    start = np.array([t.start_point for t in trips], dtype=np.float64).reshape(-1, 2)
-    end = np.array([t.end_point for t in trips], dtype=np.float64).reshape(-1, 2)
+    start, end = trips.start_point, trips.end_point
     near = 2.0 * EARTH_RADIUS_M * half_angles(start[:, 0], start[:, 1], *hub_center) <= hub_radius
     rows = np.floor((end[near, 0] - hub_center[0]) * m_lat / dest_cell_size).astype(np.int64)
     cols = np.floor((end[near, 1] - hub_center[1]) * m_lon / dest_cell_size).astype(np.int64)
@@ -137,18 +137,26 @@ class HubDef:
 
 
 def parse_hub_file(source) -> list[HubDef]:
-    """Hub config CSV with header `name,lat,lon,radius_m`."""
+    """Hub config CSV with header `name,lat,lon,radius_m`. A row that does
+    not parse raises ParseError, a radius that is not finite and > 0
+    RangeError, each naming the row's 1-based line."""
     rows = csv_rows(source)
     header = next(rows, None)
     if header != ["name", "lat", "lon", "radius_m"]:
         raise SchemaError(f"bad hub file header {header!r}")
     out = []
-    for row in rows:
+    for line, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 4:
-            raise SchemaError(f"bad hub row {row!r}")
-        out.append(HubDef(row[0], float(row[1]), float(row[2]), float(row[3])))
+            raise ParseError(line, f"expected 4 fields, got {len(row)}")
+        try:
+            lat, lon, radius = map(float, row[1:])
+        except ValueError:
+            raise ParseError(line, f"bad number in hub row {row!r}") from None
+        if not (math.isfinite(radius) and radius > 0):
+            raise RangeError(line, f"hub radius {radius} must be finite and > 0")
+        out.append(HubDef(row[0], lat, lon, radius))
     return out
 
 

@@ -1,5 +1,6 @@
 """Small shared helpers: timestamps, local-time conversion, weekday names,
-hashing, CSV input and JSON input/output."""
+hashing, CSV input and JSON input/output. A column of instants is int64
+microseconds since the epoch."""
 
 from __future__ import annotations
 
@@ -10,9 +11,13 @@ import os
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ParseError
 
 UTC = timezone.utc
+_EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
+_MICROSECOND = timedelta(microseconds=1)
 
 WEEKDAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
 
@@ -30,6 +35,23 @@ def parse_utc(text: str) -> datetime:
 def format_utc(dt: datetime) -> str:
     """Render a UTC instant as YYYY-MM-DDThh:mm:ssZ."""
     return dt.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def to_us(dt: datetime) -> int:
+    """An aware instant in microseconds since the epoch."""
+    return (dt - _EPOCH) // _MICROSECOND
+
+
+def utc_strings(us: np.ndarray) -> list[str]:
+    """A column of instants rendered as `format_utc` renders each one."""
+    return np.datetime_as_string(us.astype("datetime64[us]"), unit="s", timezone="UTC").tolist()
+
+
+def local_datetimes(us: np.ndarray, utc_offset_min: int) -> np.ndarray:
+    """A column of instants as naive local `datetime64[us]` at a fixed UTC
+    offset; cast the result to `datetime64[D]` or `[M]` for local days or
+    months (an int64 cast to those units would be read as days or months)."""
+    return (us + utc_offset_min * 60_000_000).astype("datetime64[us]")
 
 
 def to_local(dt: datetime, utc_offset_min: int) -> datetime:

@@ -1,9 +1,11 @@
 import io
+from dataclasses import fields
 from datetime import date, datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
-from velotrace.ingest import POINT_HEADER, PointTable, Trip, assemble_trips, parse_points
+from velotrace.ingest import POINT_HEADER, PointTable, TripTable, assemble_trips, parse_points
 from velotrace.util import format_utc
 
 UTC = timezone.utc
@@ -21,16 +23,28 @@ def point_table(rows) -> PointTable:
     return parse_points(io.StringIO("".join(f"{r}\n" for r in [",".join(POINT_HEADER), *rows])))
 
 
-def make_trip(trip_id="T", start=T0, duration_s=600.0,
-              start_point=(44.49, 11.34), end_point=(44.50, 11.35)):
-    """Minimal valid Trip for tests that only care about times/endpoints."""
-    table = point_table([
-        pt(trip_id, 0, *start_point, base=start),
-        pt(trip_id, duration_s, *end_point, base=start),
-    ])
-    trips, rej = assemble_trips(table)
-    assert len(trips) == 1 and not rej
-    return trips[0]
+ENDPOINTS = ((44.49, 11.34), (44.50, 11.35))
+
+
+def make_trips(starts=None, endpoints=None) -> TripTable:
+    """A TripTable of two-point trips, one per start time and/or (start_point,
+    end_point) pair, each 600 s long. Start times default to T0 and endpoints
+    to ENDPOINTS; ids T000000, T000001, ... keep the given order."""
+    n = len(starts if starts is not None else endpoints)
+    starts = starts if starts is not None else [T0] * n
+    endpoints = endpoints if endpoints is not None else [ENDPOINTS] * n
+    rows = []
+    for i, (start, (a, b)) in enumerate(zip(starts, endpoints, strict=True)):
+        rows += [pt(f"T{i:06d}", 0, *a, base=start), pt(f"T{i:06d}", 600, *b, base=start)]
+    trips, rej = assemble_trips(point_table(rows))
+    assert len(trips) == n and not rej
+    return trips
+
+
+def same_trips(a: TripTable, b: TripTable) -> bool:
+    """Whether two trip tables hold the same columns, dtypes included."""
+    return all(getattr(a, f.name).dtype == getattr(b, f.name).dtype
+               and np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(TripTable))
 
 
 def csv_stream(text: str) -> io.StringIO:

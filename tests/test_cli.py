@@ -204,7 +204,7 @@ def test_ingest_of_header_only_points_writes_a_loadable_npz(city, tmp_path):
     points.write_text(",".join(POINT_HEADER) + "\n", encoding="utf-8")
     run(city, tmp_path / "out", ["ingest"], points)
     table, trips = load_points_npz(tmp_path / "out" / "points.npz", sha256_file(points))
-    assert len(table) == 0 and trips == []
+    assert len(table) == 0 and len(trips) == 0
     for name in ("trips.csv", "rejections.csv"):
         assert len((tmp_path / "out" / name).read_text().splitlines()) == 1, name
 
@@ -491,3 +491,146 @@ def test_cli_process_failure_prints_only_the_error_json(tmp_path):
     assert (proc.returncode, proc.stderr) == (1, "")
     err = json.loads(proc.stdout.strip().splitlines()[-1])["error"]
     assert (err["exit_code"], err["type"]) == (1, "ParameterError") and "'n_rounds'" in err["message"]
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"seed": "x"}, "seed"),
+    ({"synth": {"seed": "x"}}, "synth.seed"),
+    ({"synth": {"temp_curve": {"mean": 3}}}, "synth.temp_curve"),
+    ({"synth": {"temp_curve": {"mean_c": "x"}}}, "synth.temp_curve"),
+    ({"synth": {"start_date": "2017-13-01"}}, "synth.start_date"),
+    ({"synth": {"bbox": ["44.45", "11.28", "44.54", "11.40"]}}, "synth.bbox"),
+    ({"synth": {"hourly_shape": [1.0, 2.0, 3.0]}}, "synth.hourly_shape"),
+    ({"synth": {"hubs": [{"name": "piazza", "lat": 44.49, "lon": 11.34}]}}, "synth.hubs"),
+    ({"synth": {"hubs": [{"name": "piazza", "lat": "44.49", "lon": 11.34, "weight": 1.0}]}}, "synth.hubs"),
+    ({"synth": {"rain_events": [{"day": "2017-05-26", "duration_h": 2, "mm_per_hour": 3.0, "suppression": 0.5}]}},
+     "synth.rain_events"),
+    ({"synth": {"holiday_suppressions": [["2017-05-25"]]}}, "synth.holiday_suppressions"),
+    ({"synth": {"holiday_suppressions": [["2017-05-25", "half"]]}}, "synth.holiday_suppressions"),
+    ({"synth": {"null_events": [["2017-05-17", "strike"]]}}, "synth.null_events"),
+    ({"synth": {"null_events": [["2017-02-30", "strike", "s"]]}}, "synth.null_events"),
+], ids=["seed", "synth-seed", "temp_curve", "temp_curve-value", "start_date", "bbox", "hourly_shape",
+        "hub-weight", "hub-lat", "rain-start_hour", "holiday-short", "holiday-value", "null-short", "null-date"])
+def test_malformed_synth_config_exits_1(tmp_path, capsys, config, key):
+    sections = {**CONFIG, **config, "synth": {**CONFIG["synth"], **config.get("synth", {})}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(sections), encoding="utf-8")
+    err = error_of(capsys, ["synth", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert (err["exit_code"], err["type"]) == (1, "ParameterError")
+    assert err["message"].startswith(f"{key} ")
+    assert not (tmp_path / "out" / "points.csv").exists()
+
+
+WRONG_TYPES = [
+    ("spatial", "cell_size_m", "50", "a number"),
+    ("spatial", "top_k", 2.5, "an integer"),
+    ("spatial", "per_month", 1, "true or false"),
+    ("describe", "bin_speed_mps", True, "a number"),
+    ("features", "width", "abc", "an integer"),
+    ("features", "width", True, "an integer"),
+    ("features", "split", 90, "a string"),
+    ("train", "width", "60", "an integer or null"),
+    ("train", "models", "linear", "a list of strings"),
+    ("train", "models", ["linear", 3], "a list of strings"),
+    ("train", "with_cv", "no", "true or false"),
+    (None, "utc_offset_min", 1.5, "an integer"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, want", WRONG_TYPES,
+                         ids=[f"{s or 'top'}.{k}={v!r}" for s, k, v, _ in WRONG_TYPES])
+def test_config_value_of_the_wrong_type_exits_1(city, tmp_path, capsys, section, key, value, want):
+    override = {section: {**CONFIG.get(section, {}), key: value}} if section else {key: value}
+    config = config_with(tmp_path, **override)
+    err = error_of(capsys, cli_args(city, tmp_path, ["features", "--width", "60"], config=config))
+    name = f"{section}.{key}" if section else key
+    assert (err["exit_code"], err["type"], err["message"]) == (1, "ParameterError", f"{name} must be {want}, got {value!r}")
+    assert not (tmp_path / "features.csv").exists()
+
+
+def test_int_config_value_where_the_default_is_a_float_is_accepted(city, tmp_path):
+    for name, width in (("int", 200), ("float", 200.0)):
+        config = config_with(tmp_path, describe={"bin_distance_m": width})
+        assert cli.main(cli_args(city, tmp_path / name, ["describe"], config=config)) == 0
+    assert (tmp_path / "int" / "histogram_distance.csv").read_bytes() == (
+        tmp_path / "float" / "histogram_distance.csv").read_bytes()
+
+
+@pytest.mark.parametrize("weeks, flag", [
+    (["--week-a", "2017-13-01", "--week-b", "2017-05-29"], "--week-a"),
+    (["--week-a", "2017-05-29", "--week-b", "May 29"], "--week-b"),
+    (["--week-a", "2017-05-29"], "--week-a and --week-b"),
+    (["--week-b", "2017-05-29"], "--week-a and --week-b"),
+], ids=["bad-a", "bad-b", "a-alone", "b-alone"])
+def test_bad_contrast_week_flags_exit_1(city, tmp_path, capsys, weeks, flag):
+    err = error_of(capsys, cli_args(city, tmp_path, ["covariates", *weeks]))
+    assert (err["exit_code"], err["type"]) == (1, "ParameterError")
+    assert err["message"].startswith(flag)
+    assert not (tmp_path / "correlations.json").exists()
+
+
+def test_malformed_hub_file_row_exits_3_with_its_line(city, tmp_path, capsys):
+    hubs = tmp_path / "hubs.csv"
+    lines = (city / "inputs" / "hubs.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    hubs.write_text("".join(lines[:2] + ["h,abc,11.3,300\n"] + lines[2:]), encoding="utf-8")
+    argv = cli_args(city, tmp_path, ["spatial"])
+    argv[argv.index("--hubs") + 1] = str(hubs)
+    err = error_of(capsys, argv)
+    assert (err["exit_code"], err["type"]) == (3, "ParseError")
+    assert err["message"].startswith("line 3:")
+
+
+# sha256 of each analysis output of `city`, by --utc-offset-min, as the
+# per-trip implementation of trip assembly wrote them
+PINNED_OUTPUTS = {
+    120: {
+        "trips.csv": "fc2da3077a0d4bf46db8a6ee9ed45f36bfc6a078f150590f188a65752652341b",
+        "rejections.csv": "f9a6cb3a98a53164d1df431e7d4b3ed9fff170a0c4c074565ebabe53eb10638f",
+        "points.npz": "9860da502772481b07aeaa8e09cff9660a2b655aa5b90450374d9f8b0378b367",
+        "histogram_distance.csv": "36e59fd6df6e2088416a7fbb70f62387e5679585507f94ad238ba5c77f546ca6",
+        "histogram_duration.csv": "2005c587bab78d92cb7d3a2ccefb64858b5cc21ea9c36fa7ccc18354681d1e6f",
+        "histogram_speed.csv": "e3dc2c8f0a148f650442e4d839172d323b7971b81e110a145cd4ee8851a216bf",
+        "profile.json": "392bd2827fcc3e0d49992b03bc1d6bbe3eac649849a334ca5d0360933f65ae59",
+        "monthly.csv": "e2adaa8d547097878d5e2ab9cbd6707a70b763504098cd87b4210d48b19a8d9d",
+        "density.csv": "d8e4255161c080fe49c19080c6b9609f32bad294f59831a56414b775ddcebee2",
+        "density_2017-05.csv": "b947420fbf603cdf9fa8ab4ac703df6ed9944a8f40310bd08ed45821a97568ad",
+        "density_2017-06.csv": "52da34aeeb86813c0e038a648cc81d7ae254b90f4cc3975c6c26b3537f8af1d6",
+        "hubs.json": "186a8193d08330829ff2dd7318d0022394019fd75f8efd68b1b00fe237e3a8a4",
+        "correlations.json": "54ab81f880f47b1ca33c8a2fcb12be11030814af8ef53d270ee805d0dd987c84",
+        "holidays.json": "f967523d1ed3decd33ad426bceab7b4a74a295efce1b35814a2935ee56e8758a",
+        "events.json": "5ca14fbbe6e4cefeddd734be5fe6560364e27b9ce0bad5a8a6224a182274bd26",
+        "features.csv": "0b8eb3e70c8bb7a9dd8c40755635f0ceecb71fb661063b64ac1996406e2c1708",
+        "features.json": "dbb5da745081f4559039cb4cf51652148f2f1720174858439ed8dc134a9469c3",
+    },
+    -330: {
+        "trips.csv": "fc2da3077a0d4bf46db8a6ee9ed45f36bfc6a078f150590f188a65752652341b",
+        "rejections.csv": "f9a6cb3a98a53164d1df431e7d4b3ed9fff170a0c4c074565ebabe53eb10638f",
+        "points.npz": "9860da502772481b07aeaa8e09cff9660a2b655aa5b90450374d9f8b0378b367",
+        "histogram_distance.csv": "36e59fd6df6e2088416a7fbb70f62387e5679585507f94ad238ba5c77f546ca6",
+        "histogram_duration.csv": "2005c587bab78d92cb7d3a2ccefb64858b5cc21ea9c36fa7ccc18354681d1e6f",
+        "histogram_speed.csv": "e3dc2c8f0a148f650442e4d839172d323b7971b81e110a145cd4ee8851a216bf",
+        "profile.json": "97eb814b369d40163f44463ad3d877ca9acbd9f1d7df8aea8b0386178dd21c04",
+        "monthly.csv": "5a0a5bc1cbf8c758c8f40290b8d6e56493bec9d39db7c2811f3a2aeb6db6622a",
+        "density.csv": "d8e4255161c080fe49c19080c6b9609f32bad294f59831a56414b775ddcebee2",
+        "density_2017-05.csv": "45ace5539914311a17ae0ac0f97f68eaecd045f42a15999cc9b63699f9d7354b",
+        "density_2017-06.csv": "cb9acf38ec6d90009e19bc4241f13d88945926f43e9a0df98c68fa68aed2340e",
+        "hubs.json": "f4b88ee574e3db93eee1973f1494fd40f7099a827d3753ecab8e3a424663181a",
+        "correlations.json": "a67d87c4dade4d503bb2309b6c0279e844ea42eea45a328443f8b9def2126df8",
+        "holidays.json": "f967523d1ed3decd33ad426bceab7b4a74a295efce1b35814a2935ee56e8758a",
+        "events.json": "5ca14fbbe6e4cefeddd734be5fe6560364e27b9ce0bad5a8a6224a182274bd26",
+        "features.csv": "ab5e6998cd9eb848faa4d6c5d5ab8abc921c283a7685e1577af4ed5803cd6c70",
+        "features.json": "ed6e80e772bb1c68abb73f5feadefbe7f41c71572e4ee460b6caea6c9ddbed87",
+    },
+}
+
+
+@pytest.mark.parametrize("offset", [120, -330])
+def test_analysis_outputs_are_pinned(city, tmp_path, offset):
+    for argv in (["ingest"], *ANALYSES):
+        run(city, tmp_path, argv + ["--utc-offset-min", str(offset)])
+    names = ["trips.csv", "rejections.csv", "points.npz", "histogram_distance.csv", "histogram_duration.csv",
+             "histogram_speed.csv", "profile.json", "monthly.csv", "density.csv", "density_2017-05.csv",
+             "density_2017-06.csv", "hubs.json", "correlations.json", "holidays.json", "events.json",
+             "features.csv", "features.json"]
+    assert sorted(p.name for p in tmp_path.glob("density*.csv")) == sorted(n for n in names if n.startswith("density"))
+    assert {name: sha256_file(tmp_path / name) for name in names} == PINNED_OUTPUTS[offset]

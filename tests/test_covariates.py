@@ -27,7 +27,7 @@ from velotrace.errors import (
     UndefinedCorrelationError,
 )
 
-from conftest import csv_stream, make_trip
+from conftest import csv_stream, make_trips
 
 UTC = timezone.utc
 
@@ -77,8 +77,7 @@ def hourly_weather(d: date, temp=15.0, precip=0.0, wind=2.0, hours=range(24)):
 class TestDailyJoin:
     def test_basic_aggregation(self):
         d = date(2017, 5, 1)
-        trips = [make_trip(start=datetime(2017, 5, 1, 8, 0, tzinfo=UTC)),
-                 make_trip(start=datetime(2017, 5, 1, 9, 0, tzinfo=UTC))]
+        trips = make_trips([datetime(2017, 5, 1, 8, 0, tzinfo=UTC), datetime(2017, 5, 1, 9, 0, tzinfo=UTC)])
         rows = daily_join(trips, hourly_weather(d, temp=15.0, precip=0.5, wind=2.0), 0)
         row = [r for r in rows if r.date == d][0]
         assert row.trip_count == 2
@@ -88,29 +87,28 @@ class TestDailyJoin:
         assert row.complete
 
     def test_missing_weather_marks_incomplete(self):
-        trips = [make_trip(start=datetime(2017, 5, 1, 8, 0, tzinfo=UTC))]
+        trips = make_trips([datetime(2017, 5, 1, 8, 0, tzinfo=UTC)])
         rows = daily_join(trips, [], 0)
         assert len(rows) == 1 and not rows[0].complete
 
     def test_too_many_missing_hours_incomplete(self):
         d = date(2017, 5, 1)
-        trips = [make_trip(start=datetime(2017, 5, 1, 8, 0, tzinfo=UTC))]
+        trips = make_trips([datetime(2017, 5, 1, 8, 0, tzinfo=UTC)])
         rows = daily_join(trips, hourly_weather(d, hours=range(19)), 0)  # 5 missing
         assert not rows[0].complete
         rows = daily_join(trips, hourly_weather(d, hours=range(20)), 0)  # 4 missing
         assert rows[0].complete
 
     def test_zero_trip_day_inside_span_is_a_value(self):
-        trips = [make_trip(start=datetime(2017, 5, 1, 8, 0, tzinfo=UTC)),
-                 make_trip(start=datetime(2017, 5, 3, 8, 0, tzinfo=UTC))]
+        trips = make_trips([datetime(2017, 5, 1, 8, 0, tzinfo=UTC), datetime(2017, 5, 3, 8, 0, tzinfo=UTC)])
         weather = sum((hourly_weather(date(2017, 5, d)) for d in (1, 2, 3)), [])
         rows = daily_join(trips, weather, 0)
         mid = [r for r in rows if r.date == date(2017, 5, 2)][0]
         assert mid.trip_count == 0 and mid.complete
 
     def test_conservation(self):
-        trips = [make_trip(start=datetime(2017, 5, 1, 8, 0, tzinfo=UTC) + timedelta(hours=h))
-                 for h in range(0, 96, 7)]
+        trips = make_trips([datetime(2017, 5, 1, 8, 0, tzinfo=UTC) + timedelta(hours=h)
+                            for h in range(0, 96, 7)])
         rows = daily_join(trips, [], 0)
         assert sum(r.trip_count for r in rows) == len(trips)
 
@@ -118,7 +116,7 @@ class TestDailyJoin:
         # counts = 500 - 12*|temp - 20| + noise; restrict to hot days
         rng = np.random.default_rng(4)
         start = date(2017, 6, 1)
-        trips = []
+        starts = []
         weather = []
         temps = np.linspace(18, 36, 40)
         for i, temp in enumerate(temps):
@@ -126,8 +124,8 @@ class TestDailyJoin:
             weather += hourly_weather(d, temp=float(temp))
             n = max(1, int(round(500 - 12 * abs(temp - 20) + rng.normal(0, 5))))
             base = datetime(d.year, d.month, d.day, 6, tzinfo=UTC)
-            trips += [make_trip(start=base + timedelta(seconds=90 * k)) for k in range(n)]
-        rows = daily_join(trips, weather, 0)
+            starts += [base + timedelta(seconds=90 * k) for k in range(n)]
+        rows = daily_join(make_trips(starts), weather, 0)
         hot = [r for r in rows if r.complete and r.mean_temp is not None and r.mean_temp >= 27]
         assert len(hot) >= 10
         r = pearson([r.mean_temp for r in hot], [r.trip_count for r in hot])

@@ -10,10 +10,12 @@ from velotrace.descriptive import (
     share_below,
     temporal_profile,
 )
+from velotrace.covariates import daily_join
 from velotrace.errors import DataError, ParameterError
 from velotrace.synth import TripLengthDist, sample_trip_lengths
+from velotrace.util import month_key, to_local
 
-from conftest import make_trip
+from conftest import make_trips
 
 UTC = timezone.utc
 
@@ -69,27 +71,27 @@ class TestHistogram:
 
 class TestTemporalProfile:
     def test_single_monday_morning_trip(self):
-        trip = make_trip(start=datetime(2017, 5, 1, 6, 0, tzinfo=UTC))  # 08:00 local at +120
-        p = temporal_profile([trip], 120)
+        trips = make_trips([datetime(2017, 5, 1, 6, 0, tzinfo=UTC)])  # 08:00 local at +120
+        p = temporal_profile(trips, 120)
         assert p.weekday_counts[0] == 1
         assert p.hourly_weekday[8] == 1
         assert p.workingday_share == 1.0
         assert p.monthly_counts == {"2017-05": 1}
 
     def test_weekday_share_five_of_seven(self):
-        trips = [make_trip(start=datetime(2017, 5, 1 + d, 10, 0, tzinfo=UTC)) for d in range(7)]
+        trips = make_trips([datetime(2017, 5, 1 + d, 10, 0, tzinfo=UTC) for d in range(7)])
         p = temporal_profile(trips, 120)
         assert p.workingday_share == pytest.approx(5 / 7)
 
     def test_weekend_hours_split(self):
-        sat = make_trip(start=datetime(2017, 5, 6, 10, 0, tzinfo=UTC))
-        p = temporal_profile([sat], 120)
+        sat = make_trips([datetime(2017, 5, 6, 10, 0, tzinfo=UTC)])
+        p = temporal_profile(sat, 120)
         assert sum(p.hourly_weekday) == 0
         assert p.hourly_weekend[12] == 1
 
     def test_profile_conservation(self):
-        trips = [make_trip(start=datetime(2017, 5, 1, 0, 0, tzinfo=UTC) + timedelta(hours=h))
-                 for h in range(0, 24 * 14, 5)]
+        trips = make_trips([datetime(2017, 5, 1, 0, 0, tzinfo=UTC) + timedelta(hours=h)
+                            for h in range(0, 24 * 14, 5)])
         p = temporal_profile(trips, 120)
         assert sum(p.hourly_weekday) + sum(p.hourly_weekend) == p.total == len(trips)
         assert sum(p.weekday_counts) == p.total
@@ -97,7 +99,27 @@ class TestTemporalProfile:
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
-            temporal_profile([], 120)
+            temporal_profile(make_trips([]), 120)
+
+    @given(seconds=st.lists(st.integers(0, 400 * 86400), min_size=1, max_size=12),
+           offset=st.integers(-720, 840))
+    @settings(max_examples=50, deadline=None)
+    def test_columns_match_a_per_trip_datetime_loop(self, seconds, offset):
+        """Weekday, hour, month and day of each local start, as datetime gives them one trip at a time."""
+        starts = [datetime(2016, 12, 31, 23, 59, 59, tzinfo=UTC) + timedelta(seconds=s) for s in seconds]
+        trips = make_trips(starts)
+        weekday, hourly = [0] * 7, {True: [0] * 24, False: [0] * 24}
+        monthly, daily = {}, {}
+        for start in starts:
+            local = to_local(start, offset)
+            weekday[local.weekday()] += 1
+            hourly[local.weekday() < 5][local.hour] += 1
+            monthly[month_key(local.date())] = monthly.get(month_key(local.date()), 0) + 1
+            daily[local.date()] = daily.get(local.date(), 0) + 1
+        p = temporal_profile(trips, offset)
+        assert (p.weekday_counts, p.hourly_weekday, p.hourly_weekend) == (weekday, hourly[True], hourly[False])
+        assert p.monthly_counts == dict(sorted(monthly.items()))
+        assert {r.date: r.trip_count for r in daily_join(trips, [], offset) if r.trip_count} == daily
 
 
 def profile_with(monthly: dict):

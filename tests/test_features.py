@@ -12,6 +12,7 @@ from velotrace.features import (
     MinMaxScaler,
     SlotSeries,
     aggregate_slots,
+    aligned_span,
     build_features,
     chronological_split,
     drop_group,
@@ -21,7 +22,7 @@ from velotrace.features import (
     write_features_csv,
 )
 
-from conftest import make_trip
+from conftest import make_trips
 
 UTC = timezone.utc
 START = datetime(2017, 5, 1, 10, 0, tzinfo=UTC)
@@ -45,17 +46,17 @@ def weather_for(slots: SlotSeries, temp=15.0, precip=0.0, missing_hours=()):
 
 class TestAggregateSlots:
     def test_binning_by_start_time(self):
-        trips = [make_trip(start=START + timedelta(minutes=m)) for m in (5, 20, 45)]
+        trips = make_trips([START + timedelta(minutes=m) for m in (5, 20, 45)])
         series, oos = aggregate_slots(trips, 30, (START, START + timedelta(minutes=60)))
         assert series.counts.tolist() == [2, 1]
         assert oos == 0
 
     def test_zero_fill(self):
-        series, _ = aggregate_slots([], 60, (START, START + timedelta(hours=1)))
+        series, _ = aggregate_slots(make_trips([]), 60, (START, START + timedelta(hours=1)))
         assert series.counts.tolist() == [0]
 
     def test_width_60_equals_paired_30(self):
-        trips = [make_trip(start=START + timedelta(minutes=m)) for m in (1, 31, 61, 95, 119)]
+        trips = make_trips([START + timedelta(minutes=m) for m in (1, 31, 61, 95, 119)])
         span = (START, START + timedelta(hours=2))
         s60, _ = aggregate_slots(trips, 60, span)
         s30, _ = aggregate_slots(trips, 30, span)
@@ -63,19 +64,37 @@ class TestAggregateSlots:
         assert np.array_equal(s60.counts, paired)
 
     def test_out_of_span_tallied(self):
-        trips = [make_trip(start=START - timedelta(minutes=31)),
-                 make_trip(start=START + timedelta(minutes=5))]
+        trips = make_trips([START - timedelta(minutes=31), START + timedelta(minutes=5)])
         series, oos = aggregate_slots(trips, 30, (START, START + timedelta(minutes=30)))
         assert series.counts.tolist() == [1]
         assert oos == 1
 
+    @given(seconds=st.lists(st.integers(-7200, 36000), min_size=1, max_size=12), width=st.sampled_from([30, 60]))
+    @settings(max_examples=50, deadline=None)
+    def test_span_and_counts_match_a_per_trip_loop(self, seconds, width):
+        starts = [START + timedelta(seconds=s) for s in seconds]
+        trips = make_trips(starts)
+        step = timedelta(minutes=width)
+
+        def floor(t):
+            return t.replace(minute=t.minute // width * width, second=0)
+
+        assert aligned_span(trips, width) == (floor(min(starts)), floor(max(starts)) + step)
+        end = START + timedelta(hours=4)
+        series, oos = aggregate_slots(trips, width, (START, end))
+        counts = [0] * len(series)
+        for t in starts:
+            if START <= t < end:
+                counts[(t - START) // step] += 1
+        assert (series.counts.tolist(), oos) == (counts, len(starts) - sum(counts))
+
     def test_alignment_validation(self):
         with pytest.raises(ParameterError, match="aligned"):
-            aggregate_slots([], 30, (START + timedelta(minutes=5), START + timedelta(minutes=65)))
+            aggregate_slots(make_trips([]), 30, (START + timedelta(minutes=5), START + timedelta(minutes=65)))
         with pytest.raises(ParameterError, match="whole number"):
-            aggregate_slots([], 60, (START, START + timedelta(minutes=90)))
+            aggregate_slots(make_trips([]), 60, (START, START + timedelta(minutes=90)))
         with pytest.raises(ParameterError):
-            aggregate_slots([], 45, (START, START + timedelta(minutes=90)))
+            aggregate_slots(make_trips([]), 45, (START, START + timedelta(minutes=90)))
 
 
 def build(counts, width=30, **kw):

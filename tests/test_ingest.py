@@ -12,6 +12,7 @@ from velotrace.ingest import (
     TOO_FEW_POINTS,
     ZERO_DURATION,
     PointTable,
+    TripTable,
     assemble_trips,
     haversine,
     load_points_npz,
@@ -19,7 +20,7 @@ from velotrace.ingest import (
     save_points_npz,
 )
 
-from conftest import T0, csv_stream, point_table, pt
+from conftest import T0, csv_stream, point_table, pt, same_trips
 
 HEADER = "activity_id,timestamp,lat,lon,accuracy,speed\n"
 
@@ -117,7 +118,7 @@ class TestAssembleTrips:
 
     def test_single_point_rejected(self):
         trips, rej = assemble_trips(point_table([pt("A", 0, 1.0, 1.0)]))
-        assert trips == []
+        assert len(trips) == 0
         assert [(r.activity_id, r.reason) for r in rej] == [("A", TOO_FEW_POINTS)]
 
     def test_interleaved_activities_grouped(self):
@@ -126,31 +127,31 @@ class TestAssembleTrips:
             pt("A", 60, 1.0, 1.001), pt("B", 60, 2.0, 2.001),
         ]
         trips, rej = assemble_trips(point_table(points))
-        assert [t.trip_id for t in trips] == ["A", "B"]
-        assert [t.n_points for t in trips] == [2, 2]
-        assert [(t.start_point, t.end_point) for t in trips] == [
-            ((1.0, 1.0), (1.0, 1.001)), ((2.0, 2.0), (2.0, 2.001))]
+        assert trips.trip_id.tolist() == ["A", "B"]
+        assert trips.n_points.tolist() == [2, 2]
+        assert trips.start_point.tolist() == [[1.0, 1.0], [2.0, 2.0]]
+        assert trips.end_point.tolist() == [[1.0, 1.001], [2.0, 2.001]]
 
     def test_boundary_missing_dropped(self):
         points = [pt("A", 0), pt("A", 10, 1.0, 1.0), pt("A", 20, 1.0, 1.001), pt("A", 30)]
         table = point_table(points)
         trips, rej = assemble_trips(table)
         assert len(trips) == 1
-        assert trips[0].n_points == 2
+        assert trips.n_points[0] == 2
         assert math.isnan(table.lat[0]) and math.isnan(table.lat[3])
         assert sorted(r.reason for r in rej) == [BOUNDARY_MISSING, BOUNDARY_MISSING]
 
     def test_zero_duration_rejected(self):
         points = [pt("A", 0, 1.0, 1.0), pt("A", 0, 1.0, 1.001)]
         trips, rej = assemble_trips(point_table(points))
-        assert trips == []
+        assert len(trips) == 0
         assert rej[0].reason == ZERO_DURATION and rej[0].n_points == 2
 
     def test_unsorted_input_same_result(self):
         t1, _ = assemble_trips(point_table(pt("A", s, 1.0, 1.0 + s * 1e-5) for s in (40, 0, 20, 60)))
         t2, _ = assemble_trips(point_table(pt("A", s, 1.0, 1.0 + s * 1e-5) for s in (0, 20, 40, 60)))
-        assert t1[0].distance == t2[0].distance
-        assert t1[0].start_time == t2[0].start_time
+        assert t1.distance[0] == t2.distance[0]
+        assert t1.start_us[0] == t2.start_us[0]
 
     def test_speed_and_accuracy_gap_filling(self):
         points = [
@@ -186,7 +187,7 @@ class TestAssembleTrips:
                     points.append(pt(f"A{a}", k * 7, 1.0 + a, 1.0 + k * 1e-4))
         table = point_table(points)
         trips, rej = assemble_trips(table)
-        kept = sum(t.n_points for t in trips)
+        kept = int(trips.n_points.sum())
         rejected = sum(r.n_points for r in rej)
         assert kept + rejected == len(table) == len(points)
 
@@ -196,7 +197,7 @@ class TestAssembleTrips:
         order = np.argsort(table.t, kind="stable")
         resorted = PointTable(table.ids, *(getattr(table, f.name)[order] for f in fields(PointTable)[1:]))
         again, _ = assemble_trips(resorted)
-        assert first == again
+        assert same_trips(first, again)
         assert resorted.t.tolist() == sorted(table.t.tolist())
 
     @given(data=st.data())
@@ -226,8 +227,7 @@ class TestAssembleTrips:
     def test_metric_consistency(self, n, step):
         points = [pt("A", k * step, 1.0, 1.0 + k * 1e-4) for k in range(n)]
         trips, _ = assemble_trips(point_table(points))
-        t = trips[0]
-        assert t.avg_speed * t.duration == pytest.approx(t.distance, rel=1e-6)
+        assert trips.avg_speed[0] * trips.duration[0] == pytest.approx(trips.distance[0], rel=1e-6)
 
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -245,7 +245,8 @@ class TestAssembleTrips:
         perm = data.draw(st.permutations(range(len(rows))))
         table = point_table(rows)
         shuffled = point_table([rows[i] for i in perm])
-        assert assemble_trips(table) == assemble_trips(shuffled)
+        (trips, rej), (shuffled_trips, shuffled_rej) = assemble_trips(table), assemble_trips(shuffled)
+        assert same_trips(trips, shuffled_trips) and rej == shuffled_rej
         for f in fields(PointTable)[1:]:
             assert np.array_equal(getattr(shuffled, f.name), getattr(table, f.name)[perm], equal_nan=True), f.name
 
@@ -255,18 +256,18 @@ class TestTripMetrics:
 
     def test_stationary(self):
         trips, _ = assemble_trips(point_table([pt("A", 0, 1.0, 1.0), pt("A", 100, 1.0, 1.0)]))
-        assert (trips[0].distance, trips[0].duration, trips[0].avg_speed) == (0.0, 100.0, 0.0)
+        assert (trips.distance[0], trips.duration[0], trips.avg_speed[0]) == (0.0, 100.0, 0.0)
 
     def test_collinear_equator_segment_sum(self):
         points = [pt("A", 0, 0.0, 0.0), pt("A", 60, 0.0, 0.001), pt("A", 120, 0.0, 0.002)]
         trips, _ = assemble_trips(point_table(points))
-        assert trips[0].duration == 120.0
-        assert trips[0].distance == pytest.approx(2 * haversine((0.0, 0.0), (0.0, 0.001)), rel=1e-12)
+        assert trips.duration[0] == 120.0
+        assert trips.distance[0] == pytest.approx(2 * haversine((0.0, 0.0), (0.0, 0.001)), rel=1e-12)
 
     def test_zero_duration_gives_no_trip(self):
         points = [pt("A", 0, 1.0, 1.0), pt("A", 0, 1.0, 1.0)]
         trips, rej = assemble_trips(point_table(points))
-        assert trips == []
+        assert len(trips) == 0
         assert [(r.reason, r.n_points) for r in rej] == [(ZERO_DURATION, 2)]
 
 
@@ -286,11 +287,11 @@ class TestPointsNpz:
         table, trips = self.assembled()
         save_points_npz(tmp_path / "p.npz", table, trips, "abc")
         loaded_table, loaded = load_points_npz(tmp_path / "p.npz", "abc")
-        assert [t.trip_id for t in loaded] == ["A", "B"]
-        assert [t.n_points for t in loaded] == [3, 2]
-        for a, b in zip(trips, loaded):
-            for f in fields(a):
-                assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
+        assert loaded.trip_id.tolist() == ["A", "B"]
+        assert loaded.n_points.tolist() == [3, 2]
+        for f in fields(TripTable):
+            a, b = getattr(trips, f.name), getattr(loaded, f.name)
+            assert a.dtype == b.dtype and repr(a.tolist()) == repr(b.tolist()), f.name
         for f in fields(PointTable):
             a, b = getattr(table, f.name), getattr(loaded_table, f.name)
             assert a.dtype == b.dtype and np.array_equal(a, b, equal_nan=f.name != "ids"), f.name
@@ -309,7 +310,8 @@ class TestPointsNpz:
 
     def test_empty_trip_table(self, tmp_path):
         table = parse_points(csv_stream(HEADER))
-        assert assemble_trips(table) == ([], [])
-        save_points_npz(tmp_path / "p.npz", table, [], "abc")
+        trips, rej = assemble_trips(table)
+        assert len(trips) == 0 and rej == []
+        save_points_npz(tmp_path / "p.npz", table, trips, "abc")
         loaded_table, trips = load_points_npz(tmp_path / "p.npz", "abc")
-        assert trips == [] and len(loaded_table) == 0
+        assert len(trips) == 0 and len(loaded_table) == 0

@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from velotrace.errors import ParameterError
+from velotrace.errors import ParameterError, ParseError, RangeError
 from velotrace.ingest import haversine
 from velotrace.spatial import (
     M_PER_DEG_LAT,
+    HubDef,
     _m_per_deg_lon,
     build_density_grid,
     grid_diff,
     hub_report_as_dict,
     hub_spread,
+    parse_hub_file,
 )
 
-from conftest import make_trip
+from conftest import csv_stream, make_trips
 
 BBOX = (44.45, 11.28, 44.54, 11.40)
 
@@ -118,8 +120,9 @@ class TestGridDiff:
 HUB = (44.4939, 11.3428)
 
 
-def trip_between(start, end):
-    return make_trip(start_point=start, end_point=end)
+def trips_between(*pairs):
+    """One trip per (start_point, end_point) pair."""
+    return make_trips(endpoints=pairs)
 
 
 def offset_point(base, north_m, east_m):
@@ -130,7 +133,7 @@ class TestHubSpread:
     def test_ranked_destinations(self):
         x = offset_point(HUB, 500, 100)
         y = offset_point(HUB, -500, -300)
-        trips = [trip_between(HUB, x)] * 3 + [trip_between(HUB, y)]
+        trips = trips_between(*[(HUB, x)] * 3, (HUB, y))
         rep = hub_spread(trips, HUB, 300, 200, top_k=5)
         assert rep.total_trips_from_hub == 4
         assert [(d.rank, d.trip_count) for d in rep.destinations] == [(1, 3), (2, 1)]
@@ -138,27 +141,27 @@ class TestHubSpread:
     def test_boundary_radius_closed(self):
         start = offset_point(HUB, 250, 0)
         radius = haversine(start, HUB)  # exactly at the boundary
-        rep = hub_spread([trip_between(start, offset_point(HUB, 900, 0))], HUB, radius, 200, 3)
+        rep = hub_spread(trips_between((start, offset_point(HUB, 900, 0))), HUB, radius, 200, 3)
         assert rep.total_trips_from_hub == 1
 
     def test_outside_hub_excluded(self):
         start = offset_point(HUB, 2000, 0)
-        rep = hub_spread([trip_between(start, HUB)], HUB, 300, 200, 3)
+        rep = hub_spread(trips_between((start, HUB)), HUB, 300, 200, 3)
         assert rep.total_trips_from_hub == 0
         assert rep.destinations == []
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
-            hub_spread([], HUB, 0, 200, 3)
+            hub_spread(make_trips([]), HUB, 0, 200, 3)
         with pytest.raises(ParameterError):
-            hub_spread([], HUB, 300, 200, 0)
+            hub_spread(make_trips([]), HUB, 300, 200, 0)
 
     def test_rank_monotonic_under_added_trip(self):
         x = offset_point(HUB, 500, 100)
         y = offset_point(HUB, -500, -300)
-        trips = [trip_between(HUB, x)] * 2 + [trip_between(HUB, y)] * 2
-        before = hub_spread(trips, HUB, 300, 200, 10)
-        after = hub_spread(trips + [trip_between(HUB, y)], HUB, 300, 200, 10)
+        pairs = [(HUB, x)] * 2 + [(HUB, y)] * 2
+        before = hub_spread(trips_between(*pairs), HUB, 300, 200, 10)
+        after = hub_spread(trips_between(*pairs, (HUB, y)), HUB, 300, 200, 10)
 
         def rank_of(rep, pt):
             for d in rep.destinations:
@@ -170,7 +173,7 @@ class TestHubSpread:
 
     def test_deterministic_report(self):
         x = offset_point(HUB, 500, 100)
-        trips = [trip_between(HUB, x)] * 3
+        trips = trips_between(*[(HUB, x)] * 3)
         r1 = json.dumps(hub_report_as_dict(hub_spread(trips, HUB, 300, 200, 5)), sort_keys=True)
         r2 = json.dumps(hub_report_as_dict(hub_spread(trips, HUB, 300, 200, 5)), sort_keys=True)
         assert r1 == r2
@@ -201,3 +204,30 @@ class TestHubSpread:
         assert haversine(second.cell_center, campus) < 150   # campus ranks 2
         share = first.trip_count / (first.trip_count + second.trip_count)
         assert share == pytest.approx(0.6, abs=0.05)
+
+
+HUB_HEADER = "name,lat,lon,radius_m\n"
+
+
+class TestParseHubFile:
+    def test_rows_become_hubs(self):
+        hubs = parse_hub_file(csv_stream(HUB_HEADER + "piazza,44.4939,11.3428,300\n\nstation,44.5058,11.3426,150.5\n"))
+        assert hubs == [HubDef("piazza", 44.4939, 11.3428, 300.0), HubDef("station", 44.5058, 11.3426, 150.5)]
+
+    @pytest.mark.parametrize("row", ["h,abc,11.3,300", "h,44.5,,300", "h,44.5,11.3,wide"])
+    def test_non_numeric_field_is_a_parse_error_with_its_line(self, row):
+        with pytest.raises(ParseError) as e:
+            parse_hub_file(csv_stream(HUB_HEADER + "ok,44.5,11.3,300\n" + row + "\n"))
+        assert e.value.line == 3
+
+    @pytest.mark.parametrize("row", ["h,44.5,11.3", "h,44.5,11.3,300,1"])
+    def test_wrong_field_count_is_a_parse_error_with_its_line(self, row):
+        with pytest.raises(ParseError) as e:
+            parse_hub_file(csv_stream(HUB_HEADER + row + "\n"))
+        assert e.value.line == 2
+
+    @pytest.mark.parametrize("radius", ["0", "-5", "nan", "inf"])
+    def test_radius_not_finite_and_positive_is_a_range_error_with_its_line(self, radius):
+        with pytest.raises(RangeError) as e:
+            parse_hub_file(csv_stream(HUB_HEADER + f"h,44.5,11.3,{radius}\n"))
+        assert e.value.line == 2

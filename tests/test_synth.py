@@ -17,7 +17,7 @@ from velotrace.synth import (
     planted_hour_means,
     temperature_factor,
 )
-from velotrace.util import local_date
+from velotrace.util import local_datetimes
 
 
 def small_cfg(**kw):
@@ -117,7 +117,7 @@ def test_schema_round_trip(tmp_path):
     assert len(points) and weather and len(calendar) == 2
     trips, rejections = assemble_trips(points)
     assert trips
-    assert sum(t.n_points for t in trips) + sum(r.n_points for r in rejections) == len(points)
+    assert int(trips.n_points.sum()) + sum(r.n_points for r in rejections) == len(points)
 
 
 def test_daily_counts_match_truth_within_3_sigma(tmp_path):
@@ -125,8 +125,7 @@ def test_daily_counts_match_truth_within_3_sigma(tmp_path):
     man = generate(cfg, tmp_path)
     trips, _ = assemble_trips(parse_points(man["files"]["points"]))
     measured = {}
-    for t in trips:
-        d = str(local_date(t.start_time, cfg.utc_offset_min))
+    for d in local_datetimes(trips.start_us, cfg.utc_offset_min).astype("datetime64[D]").astype(str).tolist():
         measured[d] = measured.get(d, 0) + 1
     for day, mean in man["truth"]["daily_expected"].items():
         sigma = math.sqrt(mean)
