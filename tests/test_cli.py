@@ -569,6 +569,82 @@ def test_bad_contrast_week_flags_exit_1(city, tmp_path, capsys, weeks, flag):
     assert not (tmp_path / "correlations.json").exists()
 
 
+# A city of two full Monday-anchored weeks; the demo rain events fall on
+# 9 and 12 May, so week A (8 May) is the rainy one.
+TWO_WEEKS = {"synth": {"start_date": "2017-05-01", "end_date": "2017-05-15", "base_trips_per_day": 30}}
+POLLUTANTS = ("pm", "o3", "no2", "so2")
+
+
+def pollution_rows(stamps) -> list[str]:
+    """One row per hour, each pollutant blank on its own cycle of hours."""
+    rows = []
+    for k, ts in enumerate(stamps):
+        values = (20 + (7 * k) % 13, 40 + (5 * k) % 11, 30 + (3 * k) % 17, 2 + k % 5)
+        blank = (k % 6 == 0, k % 4 == 1, k % 9 == 2, k % 3 == 0)
+        rows.append(",".join([ts] + ["" if b else f"{v}.5" for v, b in zip(values, blank)]))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def two_week_city(tmp_path_factory):
+    """The city's inputs, with its weather rows in reverse time order and a
+    pollution file that leaves some fields blank."""
+    root = tmp_path_factory.mktemp("two_weeks")
+    config = root / "config.json"
+    config.write_text(json.dumps(TWO_WEEKS), encoding="utf-8")
+    inputs = root / "inputs"
+    assert cli.main(["synth", "--config", str(config), "--out", str(inputs)]) == 0
+    header, *rows = (inputs / "weather.csv").read_text(encoding="utf-8").splitlines()
+    (inputs / "weather_reversed.csv").write_text("\n".join([header, *rows[::-1]]) + "\n", encoding="utf-8")
+    stamps = [row.split(",")[0] for row in rows]
+    (inputs / "pollution.csv").write_text(
+        "\n".join(["timestamp," + ",".join(POLLUTANTS), *pollution_rows(stamps)]) + "\n", encoding="utf-8")
+    return root
+
+
+# pinned from the per-record implementation of the covariate joins
+PINNED_POLLUTION = [
+    {"variable": "pm", "granularity": "daily", "r": -0.3914827798145942, "n": 14},
+    {"variable": "o3", "granularity": "daily", "r": -0.14621641107963781, "n": 14},
+    {"variable": "no2", "granularity": "daily", "r": -0.05668646765019682, "n": 14},
+    {"variable": "so2", "granularity": "daily", "r": -0.18771926490351537, "n": 14},
+]
+PINNED_WEEK_ROWS = [
+    {"weekday": "Monday", "count_a": 61, "count_b": 73, "ratio": 0.8356164383561644},
+    {"weekday": "Tuesday", "count_a": 50, "count_b": 54, "ratio": 0.9259259259259259},
+    {"weekday": "Wednesday", "count_a": 61, "count_b": 55, "ratio": 1.1090909090909091},
+    {"weekday": "Thursday", "count_a": 61, "count_b": 78, "ratio": 0.782051282051282},
+    {"weekday": "Friday", "count_a": 61, "count_b": 70, "ratio": 0.8714285714285714},
+    {"weekday": "Saturday", "count_a": 28, "count_b": 24, "ratio": 1.1666666666666667},
+    {"weekday": "Sunday", "count_a": 28, "count_b": 30, "ratio": 0.9333333333333333},
+]
+
+
+def test_covariates_with_pollution_and_contrast_weeks(two_week_city, tmp_path):
+    inputs = two_week_city / "inputs"
+    argv = ["covariates", "--week-a", "2017-05-08", "--week-b", "2017-05-01",
+            "--config", str(two_week_city / "config.json"), "--out", str(tmp_path),
+            "--points", str(inputs / "points.csv"), "--weather", str(inputs / "weather_reversed.csv"),
+            "--calendar", str(inputs / "calendar.csv"), "--pollution", str(inputs / "pollution.csv")]
+    assert cli.main(argv) == 0
+    correlations = json.loads((tmp_path / "correlations.json").read_text())
+    assert [c for c in correlations if c["variable"] in POLLUTANTS] == PINNED_POLLUTION
+    contrast = json.loads((tmp_path / "week_contrast.json").read_text())
+    assert (contrast["week_a_start"], contrast["week_b_start"]) == ("2017-05-08", "2017-05-01")
+    assert contrast["rows"] == PINNED_WEEK_ROWS
+
+    # the overlay holds every weather hour of week A's local dates, in time order
+    local = timezone(timedelta(minutes=cli.DEFAULTS["utc_offset_min"]))
+    with open(inputs / "weather.csv", newline="") as f:
+        weather = [(row["timestamp"], float(row["precip_mm"])) for row in csv.DictReader(f)]
+    week_a = {(datetime(2017, 5, 8) + timedelta(days=i)).date() for i in range(7)}
+    expected = [[ts, mm] for ts, mm in weather
+                if datetime.strptime(ts, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc).astimezone(local).date()
+                in week_a]
+    assert len(expected) == 7 * 24 and sum(mm > 0 for _, mm in expected) == 8
+    assert contrast["precip_overlay_a"] == expected
+
+
 def test_malformed_hub_file_row_exits_3_with_its_line(city, tmp_path, capsys):
     hubs = tmp_path / "hubs.csv"
     lines = (city / "inputs" / "hubs.csv").read_text(encoding="utf-8").splitlines(keepends=True)
