@@ -7,8 +7,8 @@ from .covariates import (
     CalendarEntry,
     CorrelationReport,
     DailyRow,
-    PollutionRecord,
-    WeatherRecord,
+    PollutionTable,
+    WeatherTable,
     daily_join,
     event_impact,
     holiday_impact,

@@ -13,7 +13,10 @@ row. `train` and `predict` read both. `predict` scores that next slot with
 `predict_rows`, the function that scores the test rows: a tabular model reads
 the sidecar's row, the recurrent model the trailing window of rows, which
 must be consecutive time slots. So training and serving build their rows,
-and choose usable windows, in one place.
+and choose usable windows, in one place. Every instant is int64 microseconds
+since the epoch: weather and pollution are read into a `WeatherTable` and a
+`PollutionTable`, slot starts travel as `FeatureMatrix.slot_us`, and every
+output renders instants with `utc_strings`.
 Failures print a machine-readable error JSON and exit 2 (missing input),
 3 (schema/data error), 4 (training failure), or 1 (anything else). A config
 error (an unknown key in any section, a value of another type than its
@@ -32,7 +35,7 @@ import json
 import math
 from dataclasses import asdict, fields
 import sys
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +118,7 @@ from .synth import (
     TripLengthDist,
     generate,
 )
-from .util import format_utc, local_datetimes, read_json, sha256_file, write_json
+from .util import MINUTE_US, local_datetimes, read_json, sha256_file, utc_strings, write_json
 
 DEFAULTS = {
     "out": "out",
@@ -370,6 +373,13 @@ def _week_start(flag: str, text: str) -> date:
         raise ParameterError(f"{flag} must be a date YYYY-MM-DD, got {text!r}") from None
 
 
+def _write_impacts(path: Path, impacts, skipped) -> list:
+    """Write an impact report, dates as ISO text; returns the impacts."""
+    write_json(path, {key: [{**asdict(r), "date": str(r.date)} for r in report]
+                      for key, report in (("impacts", impacts), ("skipped", skipped))})
+    return impacts
+
+
 def cmd_covariates(cfg: dict, args) -> None:
     weeks = None
     if args.week_a or args.week_b:
@@ -391,18 +401,10 @@ def cmd_covariates(cfg: dict, args) -> None:
     corr_path = outdir / "correlations.json"
     write_json(corr_path, correlations)
 
-    impacts, skipped = holiday_impact(rows, calendar)
     holidays_path = outdir / "holidays.json"
-    write_json(holidays_path, {
-        "impacts": [{**asdict(i), "date": str(i.date)} for i in impacts],
-        "skipped": [{**asdict(s), "date": str(s.date)} for s in skipped],
-    })
-    impacts_e, skipped_e = event_impact(rows, calendar)
+    impacts = _write_impacts(holidays_path, *holiday_impact(rows, calendar))
     events_path = outdir / "events.json"
-    write_json(events_path, {
-        "impacts": [{**asdict(i), "date": str(i.date)} for i in impacts_e],
-        "skipped": [{**asdict(s), "date": str(s.date)} for s in skipped_e],
-    })
+    impacts_e = _write_impacts(events_path, *event_impact(rows, calendar))
     files = [corr_path, holidays_path, events_path]
 
     if weeks:
@@ -502,8 +504,8 @@ def cmd_train(cfg: dict, args) -> None:
 def _write_predictions(path: Path, matrix, rows, predictions) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write("slot_start,actual,predicted\n")
-        for i, j in enumerate(rows):
-            f.write(f"{format_utc(matrix.slot_starts[j])},{float(matrix.y[j])!r},{float(predictions[i])!r}\n")
+        for stamp, j, p in zip(utc_strings(matrix.slot_us[rows]), rows, predictions):
+            f.write(f"{stamp},{float(matrix.y[j])!r},{float(p)!r}\n")
 
 
 def cmd_predict(cfg: dict, args) -> None:
@@ -528,9 +530,9 @@ def _next_slot_prediction(tm, matrix) -> dict:
     """Predict the count of the slot after the last row of the features file:
     `predict_rows` on row `n_rows`, scored as the test rows are."""
     width = matrix.width_minutes
-    next_start = matrix.slot_starts[-1] + timedelta(minutes=width)
+    next_start = matrix.slot_us[-1] + width * MINUTE_US
     value = float(predict_rows(tm, matrix, [matrix.n_rows])[0])
-    return {"slot_start": format_utc(next_start), "width_minutes": width,
+    return {"slot_start": utc_strings([next_start])[0], "width_minutes": width,
             "model": tm.spec.kind, "predicted": value}
 
 

@@ -1,12 +1,17 @@
 """Weather / pollution / calendar ingestion and their alignment with trip
 counts: Pearson correlations, week-vs-week contrasts, and the holiday-impact
-rule (baseline = mean of same-weekday counts one week before and after)."""
+rule (baseline = mean of same-weekday counts one week before and after).
+
+Weather and pollution are columns, one row per hour in file order: a
+`WeatherTable` and a `PollutionTable`, whose `hour_us` is the UTC hour in
+int64 microseconds since the epoch."""
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date, timedelta
 
 import numpy as np
 
@@ -18,7 +23,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .ingest import TripTable
-from .util import WEEKDAY_NAMES, csv_rows, format_utc, local_date, local_datetimes, parse_utc, to_us, truncate_hour
+from .util import HOUR_US, WEEKDAY_NAMES, csv_rows, local_datetimes, parse_utc, utc_strings
 
 WEATHER_HEADER = ["timestamp", "temp_c", "precip_mm", "wind_mps"]
 POLLUTION_HEADER = ["timestamp", "pm", "o3", "no2", "so2"]
@@ -29,24 +34,25 @@ EVENT_KINDS = {"strike", "protest", "event"}
 # a day missing more hours than this is marked incomplete
 MAX_MISSING_WEATHER_HOURS = 4
 
-_HOUR_US = 3_600_000_000
+
+@dataclass(frozen=True)
+class WeatherTable:
+    """Hourly weather, one row per record in file order."""
+    hour_us: np.ndarray    # int64 UTC hour starts
+    temp_c: np.ndarray     # float64
+    precip_mm: np.ndarray  # float64
+    wind_mps: np.ndarray   # float64
 
 
-@dataclass(slots=True)
-class WeatherRecord:
-    hour: datetime  # UTC, truncated to the hour
-    temp_c: float
-    precip_mm: float
-    wind_mps: float
-
-
-@dataclass(slots=True)
-class PollutionRecord:
-    hour: datetime
-    pm: float | None = None
-    o3: float | None = None
-    no2: float | None = None
-    so2: float | None = None
+@dataclass(frozen=True)
+class PollutionTable:
+    """Hourly pollutant levels, one row per record in file order; NaN where
+    a level is absent."""
+    hour_us: np.ndarray  # int64 UTC hour starts
+    pm: np.ndarray
+    o3: np.ndarray
+    no2: np.ndarray
+    so2: np.ndarray
 
 
 @dataclass(slots=True, frozen=True)
@@ -56,66 +62,72 @@ class CalendarEntry:
     label: str
 
 
-def parse_weather(source) -> list[WeatherRecord]:
+def _hour(text: str, line: int) -> int:
+    """The UTC hour that holds a timestamp field."""
+    try:
+        us = parse_utc(text)
+    except ValueError:
+        raise ParseError(line, f"bad timestamp: {text!r}") from None
+    return us - us % HOUR_US
+
+
+def parse_weather(source) -> WeatherTable:
     rows = csv_rows(source)
     header = next(rows, None)
     if header != WEATHER_HEADER:
         raise SchemaError(f"bad weather header {header!r}, expected {WEATHER_HEADER!r}")
-    out: list[WeatherRecord] = []
-    seen: set[datetime] = set()
+    hours, values = array("q"), array("d")
+    seen: set[int] = set()
     for line, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 4:
             raise ParseError(line, f"expected 4 fields, got {len(row)}")
-        try:
-            hour = truncate_hour(parse_utc(row[0]))
-        except ValueError:
-            raise ParseError(line, f"bad timestamp: {row[0]!r}") from None
+        hour = _hour(row[0], line)
         try:
             temp, precip, wind = float(row[1]), float(row[2]), float(row[3])
         except ValueError:
             raise ParseError(line, f"bad numeric field in {row!r}") from None
+        if not all(map(math.isfinite, (temp, precip, wind))):
+            raise RangeError(line, f"non-finite value in {row!r}")
         if precip < 0:
             raise RangeError(line, f"negative precipitation {precip}")
         if wind < 0:
             raise RangeError(line, f"negative wind speed {wind}")
         if hour in seen:
-            raise SchemaError(f"line {line}: duplicate weather hour {format_utc(hour)}")
+            raise SchemaError(f"line {line}: duplicate weather hour {utc_strings([hour])[0]}")
         seen.add(hour)
-        out.append(WeatherRecord(hour, temp, precip, wind))
-    return out
+        hours.append(hour)
+        values.extend((temp, precip, wind))
+    return WeatherTable(np.asarray(hours, dtype=np.int64), *np.asarray(values).reshape(-1, 3).T.copy())
 
 
-def parse_pollution(source) -> list[PollutionRecord]:
+def parse_pollution(source) -> PollutionTable:
     rows = csv_rows(source)
     header = next(rows, None)
     if header != POLLUTION_HEADER:
         raise SchemaError(f"bad pollution header {header!r}, expected {POLLUTION_HEADER!r}")
-    out: list[PollutionRecord] = []
+    hours, levels = array("q"), array("d")
     for line, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 5:
             raise ParseError(line, f"expected 5 fields, got {len(row)}")
-        try:
-            hour = truncate_hour(parse_utc(row[0]))
-        except ValueError:
-            raise ParseError(line, f"bad timestamp: {row[0]!r}") from None
-        vals = []
+        hours.append(_hour(row[0], line))
         for name, text in zip(POLLUTION_HEADER[1:], row[1:]):
             if text == "":
-                vals.append(None)
+                levels.append(math.nan)
                 continue
             try:
                 v = float(text)
             except ValueError:
                 raise ParseError(line, f"bad {name}: {text!r}") from None
+            if not math.isfinite(v):
+                raise RangeError(line, f"non-finite {name} {v}")
             if v < 0:
                 raise RangeError(line, f"negative {name} {v}")
-            vals.append(v)
-        out.append(PollutionRecord(hour, *vals))
-    return out
+            levels.append(v)
+    return PollutionTable(np.asarray(hours, dtype=np.int64), *np.asarray(levels).reshape(-1, 4).T.copy())
 
 
 def parse_calendar(source) -> list[CalendarEntry]:
@@ -173,7 +185,11 @@ class DailyRow:
     complete: bool
 
 
-def daily_join(trips: TripTable, weather: list[WeatherRecord],
+def _local_days(us: np.ndarray, utc_offset_min: int) -> np.ndarray:
+    return local_datetimes(us, utc_offset_min).astype("datetime64[D]")
+
+
+def daily_join(trips: TripTable, weather: WeatherTable,
                utc_offset_min: int) -> list[DailyRow]:
     """Per-local-date counts of the table's trips, by the local date of
     `start_us`, joined with aggregated weather.
@@ -181,28 +197,22 @@ def daily_join(trips: TripTable, weather: list[WeatherRecord],
     Zero-trip dates inside the trip observation span count as 0 (a value, not
     a gap). A row is complete when the date lies in the trip span and at most
     4 weather hours are missing; incomplete rows are excluded from correlation.
+    A day's weather sums add its records in file order.
     """
-    days, n = np.unique(local_datetimes(trips.start_us, utc_offset_min).astype("datetime64[D]"),
-                        return_counts=True)
-    counts: dict[date, int] = dict(zip(days.tolist(), n.tolist()))
-    span = set(np.arange(days[0], days[-1] + 1).tolist()) if len(days) else set()
-
-    by_date: dict[date, list[WeatherRecord]] = {}
-    for w in weather:
-        by_date.setdefault(local_date(w.hour, utc_offset_min), []).append(w)
-
-    rows = []
-    for d in sorted(span | set(by_date)):
-        recs = by_date.get(d, [])
-        if recs:
-            mean_temp = sum(r.temp_c for r in recs) / len(recs)
-            total_precip = sum(r.precip_mm for r in recs)
-            mean_wind = sum(r.wind_mps for r in recs) / len(recs)
-        else:
-            mean_temp = total_precip = mean_wind = None
-        complete = d in span and len(recs) >= 24 - MAX_MISSING_WEATHER_HOURS
-        rows.append(DailyRow(d, counts.get(d, 0), mean_temp, total_precip, mean_wind, complete))
-    return rows
+    trip_days, n = np.unique(_local_days(trips.start_us, utc_offset_min), return_counts=True)
+    span = np.arange(trip_days[0], trip_days[-1] + 1) if len(trip_days) else trip_days
+    weather_days = _local_days(weather.hour_us, utc_offset_min)
+    days = np.union1d(span, weather_days)
+    counts = np.zeros(len(days), dtype=np.int64)
+    counts[np.searchsorted(days, trip_days)] = n
+    at = np.searchsorted(days, weather_days)
+    hours = np.bincount(at, minlength=len(days))
+    temp, precip, wind = (np.bincount(at, weights=c, minlength=len(days))
+                          for c in (weather.temp_c, weather.precip_mm, weather.wind_mps))
+    complete = np.isin(days, span) & (hours >= 24 - MAX_MISSING_WEATHER_HOURS)
+    columns = (days, counts, hours, temp, precip, wind, complete)
+    return [DailyRow(d, c, t / k, p, w / k, ok) if k else DailyRow(d, c, None, None, None, ok)
+            for d, c, k, t, p, w, ok in zip(*(col.tolist() for col in columns))]
 
 
 @dataclass(slots=True)
@@ -236,49 +246,41 @@ def daily_correlations(rows: list[DailyRow]) -> list[CorrelationReport]:
     return out
 
 
-def hourly_correlations(trips: TripTable, weather: list[WeatherRecord]) -> list[CorrelationReport]:
+def hourly_correlations(trips: TripTable, weather: WeatherTable) -> list[CorrelationReport]:
     """Pearson of hourly trip counts against weather over the UTC hours from
     the first trip's to the last's; hours missing weather are excluded."""
-    index, n = np.unique(trips.start_us // _HOUR_US, return_counts=True)
+    index, n = np.unique(trips.start_us // HOUR_US, return_counts=True)
     if not len(index):
         return []
-    counts = dict(zip(index.tolist(), n.tolist()))
-    wx = {to_us(w.hour) // _HOUR_US: w for w in weather}
-    hours = sorted(h for h in wx if index[0] <= h <= index[-1])
-    out = []
-    for var, getter in (("temp_c", lambda w: w.temp_c),
-                        ("precip_mm", lambda w: w.precip_mm),
-                        ("wind_mps", lambda w: w.wind_mps)):
-        if len(hours) < 3:
-            continue
-        xs = [getter(wx[h]) for h in hours]
-        ys = [counts.get(h, 0) for h in hours]
-        out.append(CorrelationReport(var, "hourly", _safe_pearson(xs, ys), len(hours)))
-    return out
+    hour = weather.hour_us // HOUR_US
+    rows = np.argsort(hour, kind="stable")
+    rows = rows[(index[0] <= hour[rows]) & (hour[rows] <= index[-1])]
+    if len(rows) < 3:
+        return []
+    at = np.searchsorted(index, hour[rows])
+    ys = np.where(index[at] == hour[rows], n[at], 0)
+    return [CorrelationReport(var, "hourly", _safe_pearson(getattr(weather, var)[rows], ys), len(rows))
+            for var in ("temp_c", "precip_mm", "wind_mps")]
 
 
-def pollution_daily_correlations(rows: list[DailyRow], pollution: list[PollutionRecord],
+def pollution_daily_correlations(rows: list[DailyRow], pollution: PollutionTable,
                                  utc_offset_min: int) -> list[CorrelationReport]:
     """Daily-mean pollutant levels vs daily trip counts; the result is
     data-dependent, only the computation is contractual."""
-    by_date: dict[date, list[PollutionRecord]] = {}
-    for p in pollution:
-        by_date.setdefault(local_date(p.hour, utc_offset_min), []).append(p)
+    days, at = np.unique(_local_days(pollution.hour_us, utc_offset_min), return_inverse=True)
     usable = {r.date: r.trip_count for r in rows if r.complete}
+    keep = np.array([d in usable for d in days.tolist()], dtype=bool)
+    ys = np.array([usable.get(d, 0) for d in days.tolist()], dtype=np.float64)
     out = []
     for var in ("pm", "o3", "no2", "so2"):
-        xs, ys = [], []
-        for d, recs in sorted(by_date.items()):
-            if d not in usable:
-                continue
-            vals = [getattr(p, var) for p in recs if getattr(p, var) is not None]
-            if not vals:
-                continue
-            xs.append(sum(vals) / len(vals))
-            ys.append(usable[d])
-        if len(xs) < 3:
+        level = getattr(pollution, var)
+        present = ~np.isnan(level)
+        k = np.bincount(at[present], minlength=len(days))
+        total = np.bincount(at[present], weights=level[present], minlength=len(days))
+        sel = keep & (k > 0)
+        if sel.sum() < 3:
             continue
-        out.append(CorrelationReport(var, "daily", _safe_pearson(xs, ys), len(xs)))
+        out.append(CorrelationReport(var, "daily", _safe_pearson(total[sel] / k[sel], ys[sel]), int(sel.sum())))
     return out
 
 
@@ -299,12 +301,12 @@ class WeekContrast:
 
 
 def week_contrast(rows: list[DailyRow], week_a_start: date, week_b_start: date,
-                  weather: list[WeatherRecord] | None = None,
+                  weather: WeatherTable | None = None,
                   utc_offset_min: int = 0) -> WeekContrast:
     """Compare two Monday-anchored weeks day by day (ratio = week a / week b).
 
-    When weather records are supplied the report carries week a's hourly
-    precipitation overlay for plotting.
+    When a weather table is supplied the report carries week a's hourly
+    precipitation overlay for plotting, in time order.
     """
     for name, start in (("week_a_start", week_a_start), ("week_b_start", week_b_start)):
         if start.weekday() != 0:
@@ -324,10 +326,10 @@ def week_contrast(rows: list[DailyRow], week_a_start: date, week_b_start: date,
 
     overlay: list[tuple[str, float]] = []
     if weather is not None:
-        wanted = set(days_a)
-        for w in sorted(weather, key=lambda w: w.hour):
-            if local_date(w.hour, utc_offset_min) in wanted:
-                overlay.append((format_utc(w.hour), w.precip_mm))
+        order = np.argsort(weather.hour_us, kind="stable")
+        days = _local_days(weather.hour_us[order], utc_offset_min)
+        order = order[np.isin(days, np.array(days_a, dtype="datetime64[D]"))]
+        overlay = list(zip(utc_strings(weather.hour_us[order]), weather.precip_mm[order].tolist()))
     return WeekContrast(week_a_start, week_b_start, contrast, overlay)
 
 

@@ -1,63 +1,47 @@
 """Model-ready dataset construction: fixed-width trip-count slots, dummy
 encoding, lag features (count one hour / one week back), chronological splits
 with contiguous 10-fold CV blocks, and min-max scaling fitted on training rows
-only."""
+only.
+
+Slot starts are int64 microseconds since the epoch: `SlotSeries.start_us`
+and the `FeatureMatrix.slot_us` column."""
 
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .covariates import CalendarEntry, WeatherRecord, pearson
+from .covariates import CalendarEntry, WeatherTable, pearson
 from .errors import MissingInputError, ParameterError, ParseError, SchemaError, StateError, UndefinedCorrelationError
 from .ingest import TripTable
-from .util import UTC, WEEKDAY_NAMES, month_key, parse_utc, format_utc, read_json, to_local, truncate_hour, write_json
+from .util import HOUR_US, MINUTE_US, WEEKDAY_NAMES, local_datetimes, parse_utc, read_json, utc_strings, write_json
 
 SLOT_WIDTHS = (30, 60)
 SEASONS = ("spring", "summer", "autumn", "winter")
 SPLIT_RATIOS = {"90/10": 0.10, "80/20": 0.20, "70/30": 0.30, "60/40": 0.40}
 CV_FOLDS = 10
 
-# columns the scaler touches (plus the numeric-hour variant when present)
+# the columns the scaler touches, where the matrix has them
 NUMERIC_COLUMNS = ("temperature", "precipitation", "hour_history", "week_history", "hour_of_the_day")
-
-
-def season_of_month(month: int) -> str:
-    if 3 <= month <= 5:
-        return "spring"
-    if 6 <= month <= 8:
-        return "summer"
-    if 9 <= month <= 11:
-        return "autumn"
-    return "winter"
 
 
 @dataclass
 class SlotSeries:
     width_minutes: int
-    start: datetime  # UTC, aligned to the width
+    start_us: int  # UTC, aligned to the width
     counts: np.ndarray  # contiguous int64, zero-filled
-
-    def slot_start(self, i: int) -> datetime:
-        return self.start + timedelta(minutes=self.width_minutes * i)
 
     def __len__(self) -> int:
         return len(self.counts)
 
 
-def _check_aligned(ts: datetime, width: int, name: str) -> None:
-    if ts.second or ts.microsecond or (ts.minute % width) != 0:
-        raise ParameterError(f"{name} {ts.isoformat()} is not aligned to {width} minutes")
-
-
-def aggregate_slots(trips: TripTable, width_minutes: int,
-                    span: tuple[datetime, datetime]) -> tuple[SlotSeries, int]:
-    """Count the table's trips into fixed-width slots by `start_us` over [start, end).
+def aggregate_slots(trips: TripTable, width_minutes: int, span: tuple[int, int]) -> tuple[SlotSeries, int]:
+    """Count the table's trips into fixed-width slots by `start_us` over the
+    instants [start, end).
 
     The span length must be a whole number of slots. Trips outside the span
     are tallied (second return value), never silently dropped.
@@ -67,28 +51,29 @@ def aggregate_slots(trips: TripTable, width_minutes: int,
     start, end = span
     if end <= start:
         raise ParameterError("span end must be after start")
-    _check_aligned(start, width_minutes, "span start")
-    total_min = (end - start).total_seconds() / 60.0
-    n_slots = total_min / width_minutes
-    if n_slots != int(n_slots):
+    width_us = width_minutes * MINUTE_US
+    if start % width_us:
+        raise ParameterError(f"span start {utc_strings([start])[0]} is not aligned to {width_minutes} minutes")
+    n_slots, rest = divmod(end - start, width_us)
+    if rest:
         raise ParameterError("span length must be a whole number of slots")
     width_s = width_minutes * 60
-    start_s = start.timestamp()
-    ts = trips.start_us / 1e6  # seconds, as datetime.timestamp() gives them
-    inside = (start_s <= ts) & (ts < end.timestamp())
+    start_s = start / 1e6
+    ts = trips.start_us / 1e6  # seconds, as the slot bounds are compared
+    inside = (start_s <= ts) & (ts < end / 1e6)
     slot = ((ts[inside] - start_s) // width_s).astype(np.int64)
-    counts = np.bincount(slot, minlength=int(n_slots))
+    counts = np.bincount(slot, minlength=n_slots)
     return SlotSeries(width_minutes, start, counts), int(len(ts) - inside.sum())
 
 
-def aligned_span(trips: TripTable, width_minutes: int) -> tuple[datetime, datetime]:
+def aligned_span(trips: TripTable, width_minutes: int) -> tuple[int, int]:
     """Smallest aligned [start, end) covering every `start_us` of the table."""
     if not trips:
         raise ParameterError("no trips to span")
-    width_s = width_minutes * 60
-    lo = int(trips.start_us.min()) // 1_000_000 // width_s * width_s
-    hi = int(trips.start_us.max()) // 1_000_000 // width_s * width_s
-    return datetime.fromtimestamp(lo, UTC), datetime.fromtimestamp(hi + width_s, UTC)
+    width_us = width_minutes * MINUTE_US
+    lo = int(trips.start_us.min()) // width_us * width_us
+    hi = int(trips.start_us.max()) // width_us * width_us
+    return lo, hi + width_us
 
 
 @dataclass
@@ -96,7 +81,7 @@ class FeatureMatrix:
     X: np.ndarray               # (n_rows, n_cols) float64
     y: np.ndarray               # (n_rows,) float64 slot counts
     column_names: list[str]
-    slot_starts: list[datetime]  # strictly increasing
+    slot_us: np.ndarray         # (n_rows,) int64 slot starts, strictly increasing
     width_minutes: int
     next_row: np.ndarray | None = None  # (n_cols,) row of the slot after the last
 
@@ -108,90 +93,85 @@ class FeatureMatrix:
         return self.X[:, self.column_names.index(name)]
 
 
-def build_features(slots: SlotSeries, weather: list[WeatherRecord],
+def build_features(slots: SlotSeries, weather: WeatherTable,
                    calendar: list[CalendarEntry], utc_offset_min: int,
                    hour_as_numeric: bool = False,
-                   hour_history_sum: bool = False) -> tuple[FeatureMatrix, list[tuple[datetime, str]]]:
+                   hour_history_sum: bool = False) -> tuple[FeatureMatrix, np.ndarray]:
     """Assemble the regression matrix from a slot series plus covariates.
 
     Lags: hour_history is the count of the slot starting 60 minutes earlier
     (or, behind `hour_history_sum`, the summed two preceding 30-minute slots);
     week_history the count exactly 7 days back. The first 7 days of slots are
     dropped for lacking history. Weather is taken from the hour containing the
-    slot start; a gap there drops the row (second return value logs it). The
-    month columns are the months of the kept rows.
+    slot start; a gap there drops the row (the second return value holds the
+    starts of the dropped slots). The month columns are the months of the
+    kept rows.
 
-    `next_row` is the row of the slot after the last kept one, built the same
-    way from the full count series. Its weather comes from the records when
-    they cover its hour, else from the last kept row; a next slot in a month
-    no kept row is in sets no month column.
+    `next_row` is the row of the slot after the last kept one, built with the
+    kept rows from the full count series. Its weather comes from the table
+    when it covers its hour, else from the last kept row; a next slot in a
+    month no kept row is in sets no month column.
     """
     width = slots.width_minutes
     per_hour = 60 // width
-    lag_hour = per_hour
     lag_week = 7 * 24 * per_hour
     counts = slots.counts
+    starts = slots.start_us + width * MINUTE_US * np.arange(len(counts) + 1, dtype=np.int64)
 
-    wx = {w.hour: w for w in weather}
-    holidays = {e.date for e in calendar if e.kind == "holiday"}
+    slot_hour = starts // HOUR_US * HOUR_US
+    found = np.isin(slot_hour, weather.hour_us)
+    history = np.arange(lag_week, len(counts))
+    kept = history[found[history]]
+    dropped = starts[history[~found[history]]]
 
-    kept: list[tuple[int, WeatherRecord]] = []
-    dropped: list[tuple[datetime, str]] = []
-    for i in range(lag_week, len(counts)):
-        rec = wx.get(truncate_hour(slots.slot_start(i)))
-        if rec is None:
-            dropped.append((slots.slot_start(i), "missing-weather"))
-        else:
-            kept.append((i, rec))
-    months = sorted({month_key(to_local(slots.slot_start(i), utc_offset_min).date()) for i, _ in kept})
+    # the kept slots and, when there is one, the slot after the last of them
+    i = np.append(kept, kept[-1] + 1) if len(kept) else kept
+    local = local_datetimes(starts[i], utc_offset_min)
+    hour = local.astype("datetime64[h]").astype(np.int64) % 24
+    day = local.astype("datetime64[D]").astype(np.int64)
+    month = local.astype("datetime64[M]").astype(np.int64)
+    months = np.unique(month[:len(kept)])
 
     names: list[str] = ["temperature", "precipitation"]
     if hour_as_numeric:
         names.append("hour_of_the_day")
     else:
         names.extend(f"hour_of_the_day={h}" for h in range(24))
-    names.extend(f"month={m}" for m in months)
+    names.extend(f"month={m}" for m in months.astype("datetime64[M]"))
     names.extend(f"season={s}" for s in SEASONS)
     names.extend(f"day_of_week={d}" for d in WEEKDAY_NAMES)
     names.extend(["holiday", "hour_history", "week_history"])
-    col_index = {name: j for j, name in enumerate(names)}
 
-    def row_at(i: int, temp_c: float, precip_mm: float) -> np.ndarray:
-        """Feature row of slot i; it reads the counts of earlier slots only."""
-        local = to_local(slots.slot_start(i), utc_offset_min)
-        row = np.zeros(len(names))
-        row[0] = temp_c
-        row[1] = precip_mm
-        if hour_as_numeric:
-            row[col_index["hour_of_the_day"]] = local.hour
-        else:
-            row[col_index[f"hour_of_the_day={local.hour}"]] = 1.0
-        month = col_index.get(f"month={month_key(local.date())}")
-        if month is not None:  # None only for a next slot past the last kept row's month
-            row[month] = 1.0
-        row[col_index[f"season={season_of_month(local.month)}"]] = 1.0
-        row[col_index[f"day_of_week={WEEKDAY_NAMES[local.weekday()]}"]] = 1.0
-        row[col_index["holiday"]] = 1.0 if local.date() in holidays else 0.0
-        if hour_history_sum and width == 30:
-            row[col_index["hour_history"]] = float(counts[i - 1] + counts[i - 2])
-        else:
-            row[col_index["hour_history"]] = float(counts[i - lag_hour])
-        row[col_index["week_history"]] = float(counts[i - lag_week])
-        return row
+    rows = np.arange(len(i))
+    X = np.zeros((len(i), len(names)))
+    # each slot's record is the last one at or before its hour: its own hour's
+    # for a kept slot, the last kept row's for a next slot whose hour has none
+    by_hour = np.argsort(weather.hour_us, kind="stable")
+    record = by_hour[np.searchsorted(weather.hour_us[by_hour], slot_hour[i], side="right") - 1]
+    X[:, 0] = weather.temp_c[record]
+    X[:, 1] = weather.precip_mm[record]
+    if hour_as_numeric:
+        X[:, 2] = hour
+        at_month = 3
+    else:
+        X[rows, 2 + hour] = 1.0
+        at_month = 2 + 24
+    has_month = np.isin(month, months)
+    X[rows[has_month], at_month + np.searchsorted(months, month[has_month])] = 1.0
+    at_season = at_month + len(months)
+    X[rows, at_season + (month - 2) % 12 // 3] = 1.0
+    X[rows, at_season + len(SEASONS) + (day + 3) % 7] = 1.0
+    holidays = np.array([e.date for e in calendar if e.kind == "holiday"], dtype="datetime64[D]").astype(np.int64)
+    X[:, -3] = np.isin(day, holidays)
+    if hour_history_sum and width == 30:
+        X[:, -2] = counts[i - 1] + counts[i - 2]
+    else:
+        X[:, -2] = counts[i - per_hour]
+    X[:, -1] = counts[i - lag_week]
 
-    rows = [row_at(i, rec.temp_c, rec.precip_mm) for i, rec in kept]
-    starts = [slots.slot_start(i) for i, _ in kept]
-
-    next_row = None
-    if rows:
-        last = kept[-1][0]
-        rec = wx.get(truncate_hour(slots.slot_start(last + 1)))
-        temp_c, precip_mm = (rec.temp_c, rec.precip_mm) if rec is not None else rows[-1][:2]
-        next_row = row_at(last + 1, temp_c, precip_mm)
-
-    X = np.vstack(rows) if rows else np.zeros((0, len(names)))
-    y = np.array([counts[i] for i, _ in kept], dtype=np.float64)
-    return FeatureMatrix(X, y, names, starts, width, next_row), dropped
+    matrix = FeatureMatrix(X[:len(kept)], counts[kept].astype(np.float64), names, starts[kept], width,
+                           X[-1] if len(kept) else None)
+    return matrix, dropped
 
 
 def group_columns(matrix: FeatureMatrix, group: str) -> list[int]:
@@ -209,7 +189,7 @@ def drop_group(matrix: FeatureMatrix, group: str) -> FeatureMatrix:
     keep = [j for j in range(len(matrix.column_names)) if j not in drop]
     return FeatureMatrix(matrix.X[:, keep], matrix.y.copy(),
                          [matrix.column_names[j] for j in keep],
-                         list(matrix.slot_starts), matrix.width_minutes,
+                         matrix.slot_us, matrix.width_minutes,
                          None if matrix.next_row is None else matrix.next_row[keep])
 
 
@@ -298,8 +278,7 @@ class MinMaxScaler:
             j = matrix.column_names.index(name)
             X[:, j] = self._scale(X[:, j], lo, hi)
         y = self.scale_target(matrix.y)
-        return FeatureMatrix(X, y, list(matrix.column_names), list(matrix.slot_starts),
-                             matrix.width_minutes)
+        return FeatureMatrix(X, y, list(matrix.column_names), matrix.slot_us, matrix.width_minutes)
 
     def scale_target(self, values):
         self._check()
@@ -334,17 +313,14 @@ def write_features_csv(matrix: FeatureMatrix, path, *, utc_offset_min: int,
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(matrix.column_names + ["target", "slot_start"])
-        for i in range(matrix.n_rows):
-            row = [repr(float(v)) for v in matrix.X[i]]
-            row.append(repr(float(matrix.y[i])))
-            row.append(format_utc(matrix.slot_starts[i]))
-            w.writerow(row)
+        for x, y, stamp in zip(matrix.X, matrix.y, utc_strings(matrix.slot_us)):
+            w.writerow([*(repr(float(v)) for v in x), repr(float(y)), stamp])
     write_json(sidecar_path(path), {
         "width_minutes": matrix.width_minutes,
         "utc_offset_min": utc_offset_min,
         "hour_as_numeric": hour_as_numeric,
         "hour_history_sum": hour_history_sum,
-        "next_slot_start": format_utc(matrix.slot_starts[-1] + timedelta(minutes=matrix.width_minutes)),
+        "next_slot_start": utc_strings([matrix.slot_us[-1] + matrix.width_minutes * MINUTE_US])[0],
         "next_row": matrix.next_row.tolist(),
     })
 
@@ -384,7 +360,7 @@ def read_features_csv(path) -> FeatureMatrix:
     next_row = meta.get("next_row")
     if not isinstance(next_row, list) or len(next_row) != len(names):
         raise SchemaError(f"{meta_path}: next_row does not match the {len(names)} columns of {path}")
-    return FeatureMatrix(np.asarray(X_rows), np.asarray(y_vals), names, starts, width,
+    return FeatureMatrix(np.asarray(X_rows), np.asarray(y_vals), names, np.asarray(starts, dtype=np.int64), width,
                          np.asarray(next_row, dtype=np.float64))
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ParseError, RangeError, SchemaError
-from .util import csv_rows, parse_utc, to_us, utc_strings
+from .util import csv_rows, parse_utc, utc_strings
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -146,7 +146,7 @@ def parse_points(source) -> PointTable:
         if not activity_id:
             raise SchemaError(f"line {line}: empty activity_id")
         try:
-            ts = parse_utc(ts_text)
+            us = parse_utc(ts_text)
         except ValueError:
             raise ParseError(line, f"bad timestamp: {ts_text!r}") from None
         la = _opt_float(lat_s, line, "lat", -90.0, 90.0)
@@ -156,7 +156,7 @@ def parse_points(source) -> PointTable:
         acc = _opt_float(acc_s, line, "accuracy", 0.0, math.inf)
         spd = _opt_float(spd_s, line, "speed", 0.0, math.inf)
         activity.append(codes.setdefault(activity_id, len(codes)))
-        t.append(to_us(ts))
+        t.append(us)
         lat.append(la)
         lon.append(lo)
         accuracy.append(acc)
@@ -276,7 +276,7 @@ TRIP_HEADER = [
 
 
 def write_trips_csv(trips: TripTable, path) -> None:
-    """One row per trip: times as `format_utc` renders them, floats by `repr`."""
+    """One row per trip: times as `utc_strings` renders them, floats by `repr`."""
     floats = (trips.start_point[:, 0], trips.start_point[:, 1], trips.end_point[:, 0], trips.end_point[:, 1],
               trips.distance, trips.duration, trips.avg_speed)
     columns = [trips.trip_id.tolist(), utc_strings(trips.start_us), utc_strings(trips.end_us),

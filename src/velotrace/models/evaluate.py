@@ -28,6 +28,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..features import FeatureMatrix, MinMaxScaler, SplitPlan, drop_group
+from ..util import MINUTE_US
 from .boosting import GradientBoosting
 from .forest import RandomForest
 from .linear import LinearModel
@@ -81,8 +82,7 @@ def scorable(matrix: FeatureMatrix, targets, lookback: int, fit_rows=None) -> np
     and rows j-lookback..j on consecutive time slots. Row `n_rows` is the slot
     after the last row. With `fit_rows`, the window must also lie inside them."""
     j = np.asarray(targets, dtype=np.int64)
-    step = 60 * matrix.width_minutes
-    slot = np.array([s.timestamp() for s in matrix.slot_starts]) // step
+    slot = matrix.slot_us // (matrix.width_minutes * MINUTE_US)
     slot = np.append(slot, slot[-1] + 1)
     lo = np.maximum(j - lookback, 0)
     ok = (j >= lookback) & (slot[j] - slot[lo] == lookback)

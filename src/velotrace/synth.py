@@ -40,7 +40,7 @@ import numpy as np
 from .errors import ParameterError
 from .ingest import EARTH_RADIUS_M, POINT_HEADER, half_angles
 from .spatial import M_PER_DEG_LAT, _m_per_deg_lon
-from .util import format_utc, write_json
+from .util import local_datetimes, utc_strings, write_json
 
 HEAT_THRESHOLD_C = 27.0
 COLD_PENALTY_PER_DEG = 0.01
@@ -137,6 +137,8 @@ class SynthConfig:
         for name, value, want, ok in checks:
             if not (_is_finite_number(value) and ok(value)):
                 raise ParameterError(f"synth.{name} must be {want}, got {value!r}")
+        if not self.end_date > self.start_date:
+            raise ParameterError(f"synth.end_date must be after start_date {self.start_date}, got {self.end_date}")
         n = self.point_interval_s
         if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n > 0):
             raise ParameterError(f"synth.point_interval_s must be a positive integer, got {n!r}")
@@ -362,24 +364,22 @@ def _lines(cols) -> str:
 def _write_weather(cfg: SynthConfig, path: Path) -> None:
     rain = _rain_lookup(cfg)
     rng = _day_rng(cfg.seed, WEATHER_STREAM)
-    start = _local_midnight_utc(cfg.start_date, cfg.utc_offset_min) - timedelta(hours=3)
-    end = _local_midnight_utc(cfg.end_date, cfg.utc_offset_min) + timedelta(hours=3)
-    n_hours = int((end - start).total_seconds() // 3600)
-    local_tz = timezone(timedelta(minutes=cfg.utc_offset_min))
+    start_s, end_s = (int(_local_midnight_utc(d, cfg.utc_offset_min).timestamp())
+                      for d in (cfg.start_date, cfg.end_date))
+    hour_us = np.arange(start_s - 3 * 3600, end_s + 3 * 3600, 3600, dtype=np.int64) * 1_000_000
+    local = local_datetimes(hour_us, cfg.utc_offset_min)
+    days = local.astype("datetime64[D]").tolist()
+    hours = (local.astype("datetime64[h]").astype(np.int64) % 24).tolist()
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["timestamp", "temp_c", "precip_mm", "wind_mps"])
-        for k in range(n_hours):
-            hour = start + timedelta(hours=k)
-            local = hour.astimezone(local_tz)
-            t_day = daily_temperature(cfg.temp_curve, local.date())
-            temp = (t_day
-                    + DIURNAL_AMPLITUDE_C * math.cos(2.0 * math.pi * (local.hour - 15) / 24.0)
+        for stamp, day, hour in zip(utc_strings(hour_us), days, hours):
+            temp = (daily_temperature(cfg.temp_curve, day)
+                    + DIURNAL_AMPLITUDE_C * math.cos(2.0 * math.pi * (hour - 15) / 24.0)
                     + rng.normal(0.0, 0.2))
-            precip = rain.get((local.date(), local.hour), (0.0, 0.0))[0]
+            precip = rain.get((day, hour), (0.0, 0.0))[0]
             wind = max(0.0, 3.0 + rng.normal(0.0, 1.0))
-            w.writerow([format_utc(hour), repr(round(temp, 2)), repr(float(precip)),
-                        repr(round(wind, 2))])
+            w.writerow([stamp, repr(round(temp, 2)), repr(float(precip)), repr(round(wind, 2))])
 
 
 def _write_calendar(cfg: SynthConfig, path: Path) -> None:

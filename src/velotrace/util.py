@@ -1,6 +1,10 @@
-"""Small shared helpers: timestamps, local-time conversion, weekday names,
-hashing, CSV input and JSON input/output. A column of instants is int64
-microseconds since the epoch."""
+"""Small shared helpers: timestamps, weekday names, hashing, CSV input and
+JSON input/output.
+
+An instant is int64 microseconds since the epoch everywhere, alone or as a
+column: `parse_utc` reads one, `utc_strings` renders a column of them, and
+`local_datetimes` gives their local calendar (day, month, hour) at a fixed
+UTC offset. `MINUTE_US` and `HOUR_US` turn durations into that unit."""
 
 from __future__ import annotations
 
@@ -8,67 +12,43 @@ import csv
 import hashlib
 import json
 import os
-from datetime import date, datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError
 
-UTC = timezone.utc
-_EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
+
+MINUTE_US = 60_000_000
+HOUR_US = 60 * MINUTE_US
 
 WEEKDAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
 
 
-def parse_utc(text: str) -> datetime:
-    """Parse an ISO-8601 UTC instant of the form YYYY-MM-DDThh:mm:ssZ."""
+def parse_utc(text: str) -> int:
+    """The instant of an ISO-8601 UTC timestamp of the form YYYY-MM-DDThh:mm:ssZ."""
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
     dt = datetime.fromisoformat(text)
     if dt.tzinfo is None:
         raise ValueError(f"timestamp lacks UTC marker: {text!r}")
-    return dt.astimezone(UTC)
-
-
-def format_utc(dt: datetime) -> str:
-    """Render a UTC instant as YYYY-MM-DDThh:mm:ssZ."""
-    return dt.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def to_us(dt: datetime) -> int:
-    """An aware instant in microseconds since the epoch."""
     return (dt - _EPOCH) // _MICROSECOND
 
 
-def utc_strings(us: np.ndarray) -> list[str]:
-    """A column of instants rendered as `format_utc` renders each one."""
-    return np.datetime_as_string(us.astype("datetime64[us]"), unit="s", timezone="UTC").tolist()
+def utc_strings(us) -> list[str]:
+    """Instants rendered as YYYY-MM-DDThh:mm:ssZ, whole seconds."""
+    return np.datetime_as_string(np.asarray(us, dtype=np.int64).astype("datetime64[us]"),
+                                 unit="s", timezone="UTC").tolist()
 
 
-def local_datetimes(us: np.ndarray, utc_offset_min: int) -> np.ndarray:
-    """A column of instants as naive local `datetime64[us]` at a fixed UTC
-    offset; cast the result to `datetime64[D]` or `[M]` for local days or
-    months (an int64 cast to those units would be read as days or months)."""
-    return (us + utc_offset_min * 60_000_000).astype("datetime64[us]")
-
-
-def to_local(dt: datetime, utc_offset_min: int) -> datetime:
-    """Shift a UTC instant into the configured fixed-offset local time."""
-    return dt.astimezone(timezone(timedelta(minutes=utc_offset_min)))
-
-
-def local_date(dt: datetime, utc_offset_min: int) -> date:
-    return to_local(dt, utc_offset_min).date()
-
-
-def truncate_hour(dt: datetime) -> datetime:
-    return dt.replace(minute=0, second=0, microsecond=0)
-
-
-def month_key(d: date) -> str:
-    return f"{d.year:04d}-{d.month:02d}"
+def local_datetimes(us, utc_offset_min: int) -> np.ndarray:
+    """Instants as naive local `datetime64[us]` at a fixed UTC offset; cast
+    the result to `datetime64[D]`, `[M]` or `[h]` for local days, months or
+    hours (an int64 cast to those units would be read as days or months)."""
+    return (np.asarray(us, dtype=np.int64) + utc_offset_min * MINUTE_US).astype("datetime64[us]")
 
 
 def csv_rows(source):

@@ -5,17 +5,41 @@ from datetime import date, datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from velotrace.covariates import WeatherTable
 from velotrace.ingest import POINT_HEADER, PointTable, TripTable, assemble_trips, parse_points
-from velotrace.util import format_utc
 
 UTC = timezone.utc
+EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
 T0 = datetime(2017, 5, 1, 8, 0, 0, tzinfo=UTC)  # a Monday
+
+
+def us(dt: datetime) -> int:
+    """An aware datetime as the program holds an instant: microseconds since the epoch."""
+    return (dt - EPOCH) // timedelta(microseconds=1)
+
+
+def from_us(value) -> datetime:
+    """The aware UTC datetime of an instant in microseconds since the epoch."""
+    return EPOCH + timedelta(microseconds=int(value))
+
+
+def utc_text(dt: datetime) -> str:
+    """An aware datetime as the program renders a UTC instant."""
+    return dt.astimezone(UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def weather_table(hour_us, temp_c, precip_mm, wind_mps) -> WeatherTable:
+    """A WeatherTable of these hours (microseconds), in the given order; a
+    scalar value applies to every hour."""
+    hours = np.asarray(hour_us, dtype=np.int64)
+    return WeatherTable(hours, *(np.broadcast_to(np.asarray(v, dtype=np.float64), hours.shape).copy()
+                                 for v in (temp_c, precip_mm, wind_mps)))
 
 
 def pt(aid, seconds, lat=None, lon=None, accuracy=5.0, speed=3.0, base=T0) -> str:
     """One points CSV data row (whole seconds); None leaves a field empty."""
     fields = ["" if v is None else repr(float(v)) for v in (lat, lon, accuracy, speed)]
-    return ",".join([aid, format_utc(base + timedelta(seconds=seconds)), *fields])
+    return ",".join([aid, utc_text(base + timedelta(seconds=seconds)), *fields])
 
 
 def point_table(rows) -> PointTable:

@@ -22,9 +22,9 @@ from velotrace.features import read_features_csv
 from velotrace.ingest import POINT_HEADER, assemble_trips, load_points_npz, parse_points
 from velotrace.models import LinearModel, ModelSpec, load_artifact, train_model
 from velotrace.spatial import build_density_grid, write_density_csv
-from velotrace.util import format_utc, local_date, month_key, sha256_file
+from velotrace.util import sha256_file
 
-EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+from conftest import from_us, utc_text
 
 CONFIG = {
     "synth": {"start_date": "2017-05-24", "end_date": "2017-06-06", "base_trips_per_day": 40},
@@ -126,8 +126,8 @@ def test_monthly_density_groups_points_by_local_month(city, tmp_path, offset):
     by_month = {}
     for t_us, lat, lon in zip(table.t.tolist(), table.lat.tolist(), table.lon.tolist()):
         if not math.isnan(lat):
-            when = EPOCH + timedelta(microseconds=t_us)
-            by_month.setdefault(month_key(local_date(when, offset)), []).append((lat, lon))
+            local = from_us(t_us).astimezone(timezone(timedelta(minutes=offset)))
+            by_month.setdefault(local.strftime("%Y-%m"), []).append((lat, lon))
     assert sorted(by_month) == ["2017-05", "2017-06"]
     for mk, coords in by_month.items():
         grid = build_density_grid(coords, tuple(cli.DEFAULTS["bbox"]), cli.DEFAULTS["spatial"]["cell_size_m"])
@@ -188,7 +188,7 @@ def test_predictions_actual_column_is_the_target(city, tmp_path):
     run(city, tmp_path, ["features", "--width", "60"])
     run(city, tmp_path, ["train", "--split", "60/40"])
     matrix = read_features_csv(tmp_path / "features.csv")
-    target = {format_utc(s): y for s, y in zip(matrix.slot_starts, matrix.y)}
+    target = {utc_text(from_us(s)): y for s, y in zip(matrix.slot_us, matrix.y)}
     files = sorted(tmp_path.glob("predictions*.csv"))
     assert [p.name for p in files] == ["predictions.csv", "predictions_boost.csv", "predictions_linear.csv"]
     for path in files:
@@ -233,7 +233,7 @@ def test_tabular_predict_reads_the_next_row_of_features_json(city, tmp_path, cap
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     matrix = read_features_csv(tmp_path / "features.csv")
     tm = load_artifact(json.loads((tmp_path / f"model_{kind}.json").read_text()))
-    assert summary["slot_start"] == format_utc(matrix.slot_starts[-1] + timedelta(minutes=60))
+    assert summary["slot_start"] == utc_text(from_us(matrix.slot_us[-1]) + timedelta(minutes=60))
     assert summary["predicted"] == float(tm.model.predict(matrix.next_row[np.newaxis, :])[0])
     assert json.loads((tmp_path / "prediction.json").read_text()) == {
         k: v for k, v in summary.items() if k != "command"}
@@ -246,7 +246,7 @@ def test_lstm_predict_rejects_a_trailing_window_across_a_gap(city, tmp_path):
     run(city, tmp_path, ["features", "--width", "60"], weather=weather)
     matrix = read_features_csv(tmp_path / "features.csv")
     gap = [j for j in range(1, matrix.n_rows)
-           if matrix.slot_starts[j] - matrix.slot_starts[j - 1] != timedelta(minutes=60)]
+           if from_us(matrix.slot_us[j]) - from_us(matrix.slot_us[j - 1]) != timedelta(minutes=60)]
     assert len(gap) == 1 and matrix.n_rows - gap[0] < 24
     tm = train_model(matrix, range(matrix.n_rows - 30), ModelSpec("lstm", {"lookback": 24, "epochs": 1}))
     with pytest.raises(ParameterError, match="gap"):
@@ -509,8 +509,11 @@ def test_cli_process_failure_prints_only_the_error_json(tmp_path):
     ({"synth": {"holiday_suppressions": [["2017-05-25", "half"]]}}, "synth.holiday_suppressions"),
     ({"synth": {"null_events": [["2017-05-17", "strike"]]}}, "synth.null_events"),
     ({"synth": {"null_events": [["2017-02-30", "strike", "s"]]}}, "synth.null_events"),
+    ({"synth": {"start_date": "2017-05-03", "end_date": "2017-05-02"}}, "synth.end_date"),
+    ({"synth": {"start_date": "2017-05-03", "end_date": "2017-05-03"}}, "synth.end_date"),
 ], ids=["seed", "synth-seed", "temp_curve", "temp_curve-value", "start_date", "bbox", "hourly_shape",
-        "hub-weight", "hub-lat", "rain-start_hour", "holiday-short", "holiday-value", "null-short", "null-date"])
+        "hub-weight", "hub-lat", "rain-start_hour", "holiday-short", "holiday-value", "null-short", "null-date",
+        "end-before-start", "empty-span"])
 def test_malformed_synth_config_exits_1(tmp_path, capsys, config, key):
     sections = {**CONFIG, **config, "synth": {**CONFIG["synth"], **config.get("synth", {})}}
     path = tmp_path / "config.json"
@@ -643,6 +646,18 @@ def test_covariates_with_pollution_and_contrast_weeks(two_week_city, tmp_path):
                 in week_a]
     assert len(expected) == 7 * 24 and sum(mm > 0 for _, mm in expected) == 8
     assert contrast["precip_overlay_a"] == expected
+
+
+def test_non_finite_weather_value_exits_3_with_its_line(city, tmp_path, capsys):
+    weather = tmp_path / "weather.csv"
+    lines = (city / "inputs" / "weather.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+    stamp, _, precip, wind = lines[4].split(",")
+    lines[4] = ",".join([stamp, "nan", precip, wind])
+    weather.write_text("".join(lines), encoding="utf-8")
+    err = error_of(capsys, cli_args(city, tmp_path, ["covariates"], weather=weather))
+    assert (err["exit_code"], err["type"]) == (3, "RangeError")
+    assert err["message"].startswith("line 5: non-finite")
+    assert not (tmp_path / "correlations.json").exists()
 
 
 def test_malformed_hub_file_row_exits_3_with_its_line(city, tmp_path, capsys):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from velotrace.covariates import (
     CalendarEntry,
     DailyRow,
-    WeatherRecord,
     daily_correlations,
     daily_join,
     event_impact,
@@ -27,7 +26,7 @@ from velotrace.errors import (
     UndefinedCorrelationError,
 )
 
-from conftest import csv_stream, make_trips
+from conftest import csv_stream, make_trips, us, weather_table
 
 UTC = timezone.utc
 
@@ -69,9 +68,13 @@ class TestPearson:
         assert r == pytest.approx(pearson([a * v + b for v in x], y), abs=1e-9)
 
 
-def hourly_weather(d: date, temp=15.0, precip=0.0, wind=2.0, hours=range(24)):
-    return [WeatherRecord(datetime(d.year, d.month, d.day, h, tzinfo=UTC), temp, precip, wind)
-            for h in hours]
+def day_hours(d: date, hours=range(24)) -> list[int]:
+    return [us(datetime(d.year, d.month, d.day, h, tzinfo=UTC)) for h in hours]
+
+
+def hourly_weather(*days: date, temp=15.0, precip=0.0, wind=2.0, hours=range(24)):
+    """The same weather in the given hours of each day."""
+    return weather_table([h for d in days for h in day_hours(d, hours)], temp, precip, wind)
 
 
 class TestDailyJoin:
@@ -88,7 +91,7 @@ class TestDailyJoin:
 
     def test_missing_weather_marks_incomplete(self):
         trips = make_trips([datetime(2017, 5, 1, 8, 0, tzinfo=UTC)])
-        rows = daily_join(trips, [], 0)
+        rows = daily_join(trips, hourly_weather(), 0)
         assert len(rows) == 1 and not rows[0].complete
 
     def test_too_many_missing_hours_incomplete(self):
@@ -101,7 +104,7 @@ class TestDailyJoin:
 
     def test_zero_trip_day_inside_span_is_a_value(self):
         trips = make_trips([datetime(2017, 5, 1, 8, 0, tzinfo=UTC), datetime(2017, 5, 3, 8, 0, tzinfo=UTC)])
-        weather = sum((hourly_weather(date(2017, 5, d)) for d in (1, 2, 3)), [])
+        weather = hourly_weather(*(date(2017, 5, d) for d in (1, 2, 3)))
         rows = daily_join(trips, weather, 0)
         mid = [r for r in rows if r.date == date(2017, 5, 2)][0]
         assert mid.trip_count == 0 and mid.complete
@@ -109,7 +112,7 @@ class TestDailyJoin:
     def test_conservation(self):
         trips = make_trips([datetime(2017, 5, 1, 8, 0, tzinfo=UTC) + timedelta(hours=h)
                             for h in range(0, 96, 7)])
-        rows = daily_join(trips, [], 0)
+        rows = daily_join(trips, hourly_weather(), 0)
         assert sum(r.trip_count for r in rows) == len(trips)
 
     def test_comfort_peak_negative_correlation_above_27(self):
@@ -117,15 +120,16 @@ class TestDailyJoin:
         rng = np.random.default_rng(4)
         start = date(2017, 6, 1)
         starts = []
-        weather = []
+        hours, hour_temps = [], []
         temps = np.linspace(18, 36, 40)
         for i, temp in enumerate(temps):
             d = start + timedelta(days=int(i))
-            weather += hourly_weather(d, temp=float(temp))
+            hours += day_hours(d)
+            hour_temps += [float(temp)] * 24
             n = max(1, int(round(500 - 12 * abs(temp - 20) + rng.normal(0, 5))))
             base = datetime(d.year, d.month, d.day, 6, tzinfo=UTC)
             starts += [base + timedelta(seconds=90 * k) for k in range(n)]
-        rows = daily_join(make_trips(starts), weather, 0)
+        rows = daily_join(make_trips(starts), weather_table(hours, hour_temps, 0.0, 2.0), 0)
         hot = [r for r in rows if r.complete and r.mean_temp is not None and r.mean_temp >= 27]
         assert len(hot) >= 10
         r = pearson([r.mean_temp for r in hot], [r.trip_count for r in hot])
@@ -280,8 +284,8 @@ WEATHER_CSV = "timestamp,temp_c,precip_mm,wind_mps\n2017-05-01T00:00:00Z,15.0,0.
 
 class TestParsers:
     def test_weather_roundtrip(self):
-        recs = parse_weather(csv_stream(WEATHER_CSV))
-        assert recs[0].temp_c == 15.0 and recs[0].hour.hour == 0
+        table = parse_weather(csv_stream(WEATHER_CSV))
+        assert table.temp_c[0] == 15.0 and table.hour_us[0] == us(datetime(2017, 5, 1, 0, tzinfo=UTC))
 
     def test_weather_duplicate_hour_rejected(self):
         text = WEATHER_CSV + "2017-05-01T00:30:00Z,16.0,0.0,2.0\n"
@@ -292,10 +296,28 @@ class TestParsers:
         with pytest.raises(RangeError):
             parse_weather(csv_stream("timestamp,temp_c,precip_mm,wind_mps\n2017-05-01T00:00:00Z,15.0,-1.0,2.0\n"))
 
+    def test_weather_columns_keep_file_order_and_truncate_to_the_hour(self):
+        text = WEATHER_CSV.splitlines()[0] + "\n2017-05-01T01:00:00Z,16.0,0.5,3.0\n2017-05-01T00:20:00Z,15.0,0.0,2.0\n"
+        table = parse_weather(csv_stream(text))
+        assert table.hour_us.tolist() == [us(datetime(2017, 5, 1, h, tzinfo=UTC)) for h in (1, 0)]
+        assert (table.temp_c.tolist(), table.precip_mm.tolist(), table.wind_mps.tolist()) == (
+            [16.0, 15.0], [0.5, 0.0], [3.0, 2.0])
+
+    @pytest.mark.parametrize("values", ["nan,0.0,2.0", "15.0,inf,2.0", "15.0,0.0,-inf", "-Infinity,0.0,2.0"])
+    def test_weather_non_finite_value_rejected(self, values):
+        with pytest.raises(RangeError, match="^line 3: non-finite"):
+            parse_weather(csv_stream(WEATHER_CSV + f"2017-05-01T01:00:00Z,{values}\n"))
+
+    @pytest.mark.parametrize("values", ["nan,,30.1,", "12.5,inf,,", ",,,-inf"])
+    def test_pollution_non_finite_value_rejected(self, values):
+        text = f"timestamp,pm,o3,no2,so2\n2017-05-01T00:00:00Z,12.5,,30.1,\n2017-05-01T01:00:00Z,{values}\n"
+        with pytest.raises(RangeError, match="^line 3: non-finite"):
+            parse_pollution(csv_stream(text))
+
     def test_pollution_optional_fields(self):
         text = "timestamp,pm,o3,no2,so2\n2017-05-01T00:00:00Z,12.5,,30.1,\n"
-        rec = parse_pollution(csv_stream(text))[0]
-        assert rec.pm == 12.5 and rec.o3 is None and rec.no2 == 30.1 and rec.so2 is None
+        table = parse_pollution(csv_stream(text))
+        assert table.pm[0] == 12.5 and np.isnan(table.o3[0]) and table.no2[0] == 30.1 and np.isnan(table.so2[0])
 
     def test_calendar_parse_and_kinds(self):
         text = "date,kind,label\n2017-08-15,holiday,Ferragosto\n2017-05-09,strike,transit\n"

@@ -13,9 +13,8 @@ from velotrace.descriptive import (
 from velotrace.covariates import daily_join
 from velotrace.errors import DataError, ParameterError
 from velotrace.synth import TripLengthDist, sample_trip_lengths
-from velotrace.util import month_key, to_local
 
-from conftest import make_trips
+from conftest import make_trips, weather_table
 
 UTC = timezone.utc
 
@@ -111,15 +110,16 @@ class TestTemporalProfile:
         weekday, hourly = [0] * 7, {True: [0] * 24, False: [0] * 24}
         monthly, daily = {}, {}
         for start in starts:
-            local = to_local(start, offset)
+            local = start.astimezone(timezone(timedelta(minutes=offset)))
             weekday[local.weekday()] += 1
             hourly[local.weekday() < 5][local.hour] += 1
-            monthly[month_key(local.date())] = monthly.get(month_key(local.date()), 0) + 1
+            monthly[local.strftime("%Y-%m")] = monthly.get(local.strftime("%Y-%m"), 0) + 1
             daily[local.date()] = daily.get(local.date(), 0) + 1
         p = temporal_profile(trips, offset)
         assert (p.weekday_counts, p.hourly_weekday, p.hourly_weekend) == (weekday, hourly[True], hourly[False])
         assert p.monthly_counts == dict(sorted(monthly.items()))
-        assert {r.date: r.trip_count for r in daily_join(trips, [], offset) if r.trip_count} == daily
+        no_weather = weather_table([], 0.0, 0.0, 0.0)
+        assert {r.date: r.trip_count for r in daily_join(trips, no_weather, offset) if r.trip_count} == daily
 
 
 def profile_with(monthly: dict):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from velotrace import cli
-from velotrace.covariates import WeatherRecord
 from velotrace.errors import ParameterError
 from velotrace.features import FeatureMatrix, SlotSeries, build_features, chronological_split
 from velotrace.models import (
@@ -18,7 +17,8 @@ from velotrace.models import (
     predict_rows,
     train_model,
 )
-from velotrace.util import format_utc
+
+from conftest import from_us, us, utc_text, weather_table
 
 UTC = timezone.utc
 START = datetime(2017, 5, 1, tzinfo=UTC)
@@ -37,7 +37,7 @@ def rigged_matrix(n=140, seed=0, with_null=False):
         cols["nullfeat"] = np.ones(n)
     names = list(cols)
     X = np.column_stack([cols[c] for c in names])
-    starts = [START + timedelta(minutes=30 * i) for i in range(n)]
+    starts = us(START) + 30 * 60_000_000 * np.arange(n)
     return FeatureMatrix(X, y, names, starts, 30)
 
 
@@ -96,12 +96,13 @@ def gapped_matrix(gap_offsets, n_slots=7 * 24 + 120):
     """A 60-minute matrix whose weather lacks the hours at these slot offsets
     past the first week, so that build_features drops their rows."""
     counts = np.random.default_rng(0).integers(0, 30, size=n_slots)
-    slots = SlotSeries(60, START, counts)
-    gaps = {slots.slot_start(7 * 24 + k) for k in gap_offsets}
-    weather = [WeatherRecord(slots.slot_start(i), 15.0 + i % 7, 0.0, 2.0)
-               for i in range(n_slots) if slots.slot_start(i) not in gaps]
+    slots = SlotSeries(60, us(START), counts)
+    starts = [us(START + timedelta(hours=i)) for i in range(n_slots)]
+    gaps = {starts[7 * 24 + k] for k in gap_offsets}
+    kept = [i for i in range(n_slots) if starts[i] not in gaps]
+    weather = weather_table([starts[i] for i in kept], [15.0 + i % 7 for i in kept], 0.0, 2.0)
     matrix, dropped = build_features(slots, weather, [], 120)
-    assert dropped == [(ts, "missing-weather") for ts in sorted(gaps)]
+    assert dropped.tolist() == sorted(gaps)
     return matrix
 
 
@@ -121,7 +122,7 @@ def test_scoring_leaves_out_the_windows_across_a_dropped_slot():
     step = timedelta(hours=1)
 
     def has_window(j):
-        return j >= lookback and matrix.slot_starts[j] - matrix.slot_starts[j - lookback] == lookback * step
+        return j >= lookback and from_us(matrix.slot_us[j]) - from_us(matrix.slot_us[j - lookback]) == lookback * step
 
     lstm = ModelSpec("lstm", {"hidden_size": 4, "lookback": lookback, "epochs": 1}, seed=1)
     report, fitted = evaluate(matrix, plan, [ModelSpec("linear"), lstm], with_cv=True)
@@ -144,9 +145,11 @@ def test_scoring_leaves_out_the_windows_across_a_dropped_slot():
 
 def parity_series(width):
     counts = np.random.default_rng(width).integers(0, 30, size=7 * 24 * 60 // width + 60)
-    slots = SlotSeries(width, datetime(2017, 5, 1, 6, 0, tzinfo=UTC), counts)
-    weather = [WeatherRecord(slots.slot_start(0) + timedelta(hours=h), 10.0 + 0.3 * h, float(h % 4), 2.0)
-               for h in range(len(counts) * width // 60 + 2)]
+    start = datetime(2017, 5, 1, 6, 0, tzinfo=UTC)
+    slots = SlotSeries(width, us(start), counts)
+    hours = range(len(counts) * width // 60 + 2)
+    weather = weather_table([us(start + timedelta(hours=h)) for h in hours], [10.0 + 0.3 * h for h in hours],
+                            [float(h % 4) for h in hours], 2.0)
     return counts, slots, weather
 
 
@@ -159,11 +162,11 @@ def test_predict_is_predict_rows_on_the_next_slot(width, hour_history_sum, spec)
     full, _ = build_features(slots, weather, [], 120, hour_history_sum=hour_history_sum)
     tm = train_model(full, range(40), spec)
     for k in (45, 52, full.n_rows - 1):
-        cut, _ = build_features(SlotSeries(width, slots.start, counts[:len(counts) - full.n_rows + k]),
+        cut, _ = build_features(SlotSeries(width, slots.start_us, counts[:len(counts) - full.n_rows + k]),
                                 weather, [], 120, hour_history_sum=hour_history_sum)
         assert cut.n_rows == k and cut.column_names == full.column_names
         served = cli._next_slot_prediction(tm, cut)
-        assert served["slot_start"] == format_utc(full.slot_starts[k])
+        assert served["slot_start"] == utc_text(from_us(full.slot_us[k]))
         assert served["predicted"] == predict_rows(tm, full, [k])[0]
         assert served["predicted"] == predict_rows(tm, cut, [k])[0]
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from velotrace.covariates import CalendarEntry, WeatherRecord
+from velotrace.covariates import CalendarEntry
 from velotrace.errors import MissingInputError, ParameterError, SchemaError, StateError
 from velotrace.features import (
     FeatureMatrix,
@@ -22,42 +22,43 @@ from velotrace.features import (
     write_features_csv,
 )
 
-from conftest import make_trips
+from conftest import from_us, make_trips, us, weather_table
 
 UTC = timezone.utc
 START = datetime(2017, 5, 1, 10, 0, tzinfo=UTC)
+MINUTE = 60_000_000
+HOUR = 60 * MINUTE
+DAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
 
 
 def make_slots(counts, width=30, start=START):
-    return SlotSeries(width, start, np.asarray(counts, dtype=np.int64))
+    return SlotSeries(width, us(start), np.asarray(counts, dtype=np.int64))
+
+
+def slot_start(slots: SlotSeries, i: int) -> int:
+    return slots.start_us + i * slots.width_minutes * MINUTE
 
 
 def weather_for(slots: SlotSeries, temp=15.0, precip=0.0, missing_hours=()):
-    first = slots.start.replace(minute=0)
-    last = slots.slot_start(len(slots) - 1)
-    out = []
-    h = first
-    while h <= last:
-        if h not in missing_hours:
-            out.append(WeatherRecord(h, temp, precip, 2.0))
-        h += timedelta(hours=1)
-    return out
+    """One record per hour from the first slot's to the last slot's."""
+    hours = range(slots.start_us // HOUR * HOUR, slot_start(slots, len(slots) - 1) + 1, HOUR)
+    return weather_table([h for h in hours if h not in missing_hours], temp, precip, 2.0)
 
 
 class TestAggregateSlots:
     def test_binning_by_start_time(self):
         trips = make_trips([START + timedelta(minutes=m) for m in (5, 20, 45)])
-        series, oos = aggregate_slots(trips, 30, (START, START + timedelta(minutes=60)))
+        series, oos = aggregate_slots(trips, 30, (us(START), us(START + timedelta(minutes=60))))
         assert series.counts.tolist() == [2, 1]
         assert oos == 0
 
     def test_zero_fill(self):
-        series, _ = aggregate_slots(make_trips([]), 60, (START, START + timedelta(hours=1)))
+        series, _ = aggregate_slots(make_trips([]), 60, (us(START), us(START + timedelta(hours=1))))
         assert series.counts.tolist() == [0]
 
     def test_width_60_equals_paired_30(self):
         trips = make_trips([START + timedelta(minutes=m) for m in (1, 31, 61, 95, 119)])
-        span = (START, START + timedelta(hours=2))
+        span = (us(START), us(START + timedelta(hours=2)))
         s60, _ = aggregate_slots(trips, 60, span)
         s30, _ = aggregate_slots(trips, 30, span)
         paired = s30.counts.reshape(-1, 2).sum(axis=1)
@@ -65,7 +66,7 @@ class TestAggregateSlots:
 
     def test_out_of_span_tallied(self):
         trips = make_trips([START - timedelta(minutes=31), START + timedelta(minutes=5)])
-        series, oos = aggregate_slots(trips, 30, (START, START + timedelta(minutes=30)))
+        series, oos = aggregate_slots(trips, 30, (us(START), us(START + timedelta(minutes=30))))
         assert series.counts.tolist() == [1]
         assert oos == 1
 
@@ -79,9 +80,9 @@ class TestAggregateSlots:
         def floor(t):
             return t.replace(minute=t.minute // width * width, second=0)
 
-        assert aligned_span(trips, width) == (floor(min(starts)), floor(max(starts)) + step)
+        assert aligned_span(trips, width) == (us(floor(min(starts))), us(floor(max(starts)) + step))
         end = START + timedelta(hours=4)
-        series, oos = aggregate_slots(trips, width, (START, end))
+        series, oos = aggregate_slots(trips, width, (us(START), us(end)))
         counts = [0] * len(series)
         for t in starts:
             if START <= t < end:
@@ -90,11 +91,11 @@ class TestAggregateSlots:
 
     def test_alignment_validation(self):
         with pytest.raises(ParameterError, match="aligned"):
-            aggregate_slots(make_trips([]), 30, (START + timedelta(minutes=5), START + timedelta(minutes=65)))
+            aggregate_slots(make_trips([]), 30, (us(START + timedelta(minutes=5)), us(START + timedelta(minutes=65))))
         with pytest.raises(ParameterError, match="whole number"):
-            aggregate_slots(make_trips([]), 60, (START, START + timedelta(minutes=90)))
+            aggregate_slots(make_trips([]), 60, (us(START), us(START + timedelta(minutes=90))))
         with pytest.raises(ParameterError):
-            aggregate_slots(make_trips([]), 45, (START, START + timedelta(minutes=90)))
+            aggregate_slots(make_trips([]), 45, (us(START), us(START + timedelta(minutes=90))))
 
 
 def build(counts, width=30, **kw):
@@ -108,7 +109,7 @@ class TestBuildFeatures:
     def test_constant_series_lags(self):
         n = 7 * 48 + 10
         matrix, dropped = build([5] * n)
-        assert not dropped
+        assert not len(dropped)
         assert matrix.n_rows == 10
         assert np.all(matrix.column("hour_history") == 5.0)
         assert np.all(matrix.column("week_history") == 5.0)
@@ -148,20 +149,20 @@ class TestBuildFeatures:
     def test_holiday_flag_local_date(self):
         cal = [CalendarEntry(date(2017, 5, 8), "holiday", "x")]
         matrix, _ = build([1] * (7 * 48 + 48), calendar=cal)
-        from velotrace.util import local_date
-        expected = [1.0 if local_date(s, 120) == date(2017, 5, 8) else 0.0
-                    for s in matrix.slot_starts]
+        local = timezone(timedelta(minutes=120))
+        expected = [1.0 if from_us(s).astimezone(local).date() == date(2017, 5, 8) else 0.0
+                    for s in matrix.slot_us]
         assert matrix.column("holiday").tolist() == expected
         assert sum(expected) > 0
 
     def test_weather_gap_drops_row(self):
         n = 7 * 48 + 4
         slots = make_slots([1] * n)
-        gap = slots.slot_start(7 * 48 + 2).replace(minute=0)
+        gap = slot_start(slots, 7 * 48 + 2) // HOUR * HOUR
         weather = weather_for(slots, missing_hours={gap})
         matrix, dropped = build_features(slots, weather, [], 120)
         assert len(dropped) == 2  # both half-hour slots of the gap hour
-        assert all(reason == "missing-weather" for _, reason in dropped)
+        assert dropped.tolist() == [gap, gap + 30 * MINUTE]
         assert matrix.n_rows == n - 7 * 48 - 2
 
     def test_numeric_hour_variant(self):
@@ -183,7 +184,64 @@ class TestBuildFeatures:
 
     def test_row_timestamps_strictly_increasing(self):
         matrix, _ = build([1] * (7 * 48 + 20))
-        assert all(a < b for a, b in zip(matrix.slot_starts, matrix.slot_starts[1:]))
+        assert matrix.slot_us.dtype == np.int64
+        assert all(a < b for a, b in zip(matrix.slot_us, matrix.slot_us[1:]))
+
+    @given(start_h=st.integers(0, 24 * 400), width=st.sampled_from([30, 60]), offset=st.integers(-720, 840),
+           extra=st.integers(1, 60), gap=st.integers(0, 70), cover_next=st.booleans(),
+           hour_as_numeric=st.booleans(), hour_history_sum=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_match_a_per_slot_datetime_loop(self, start_h, width, offset, extra, gap, cover_next,
+                                                 hour_as_numeric, hour_history_sum):
+        """Every stored row and the next row, rebuilt one slot at a time with datetime."""
+        start = datetime(2016, 11, 1, tzinfo=UTC) + timedelta(hours=start_h)
+        step = timedelta(minutes=width)
+        per_hour = 60 // width
+        lag_week = 7 * 24 * per_hour
+        counts = np.random.default_rng(start_h).integers(0, 9, size=lag_week + extra)
+        n_hours = (len(counts) + (1 if cover_next else 0) - 1) // per_hour + 1
+        weather = {start + timedelta(hours=k): (10.0 + 0.5 * k, float(k % 3))
+                   for k in range(n_hours) if k != 7 * 24 + gap}
+        local_tz = timezone(timedelta(minutes=offset))
+        holiday = (start + 8 * timedelta(days=1)).astimezone(local_tz).date()
+        slots = make_slots(counts, width=width, start=start)
+        table = weather_table([us(h) for h in weather], *zip(*weather.values()), 2.0)
+        matrix, dropped = build_features(slots, table, [CalendarEntry(holiday, "holiday", "x")], offset,
+                                         hour_as_numeric=hour_as_numeric, hour_history_sum=hour_history_sum)
+
+        def hour_of(i):
+            return (start + i * step).replace(minute=0)
+
+        kept = [i for i in range(lag_week, len(counts)) if hour_of(i) in weather]
+        assert dropped.tolist() == [us(start + i * step) for i in range(lag_week, len(counts)) if i not in kept]
+        assert matrix.slot_us.tolist() == [us(start + i * step) for i in kept]
+        assert matrix.y.tolist() == [float(counts[i]) for i in kept]
+        months = sorted({f"{(start + i * step).astimezone(local_tz):%Y-%m}" for i in kept})
+        assert [c for c in matrix.column_names if c.startswith("month=")] == [f"month={m}" for m in months]
+
+        def row(i, temp, precip):
+            local = (start + i * step).astimezone(local_tz)
+            values = dict.fromkeys(matrix.column_names, 0.0)
+            values["temperature"], values["precipitation"] = temp, precip
+            if hour_as_numeric:
+                values["hour_of_the_day"] = float(local.hour)
+            else:
+                values[f"hour_of_the_day={local.hour}"] = 1.0
+            if f"{local:%Y-%m}" in months:
+                values[f"month={local:%Y-%m}"] = 1.0
+            season = ("winter" if local.month in (12, 1, 2) else "spring" if local.month <= 5
+                      else "summer" if local.month <= 8 else "autumn")
+            values[f"season={season}"] = 1.0
+            values[f"day_of_week={DAY_NAMES[local.weekday()]}"] = 1.0
+            values["holiday"] = float(local.date() == holiday)
+            lag = counts[i - 1] + counts[i - 2] if hour_history_sum and width == 30 else counts[i - per_hour]
+            values["hour_history"], values["week_history"] = float(lag), float(counts[i - lag_week])
+            return [values[c] for c in matrix.column_names]
+
+        assert matrix.X.tolist() == [row(i, *weather[hour_of(i)]) for i in kept]
+        if kept:
+            nxt = kept[-1] + 1
+            assert matrix.next_row.tolist() == row(nxt, *weather.get(hour_of(nxt), weather[hour_of(kept[-1])]))
 
     def test_month_columns_come_from_the_stored_rows(self):
         # the unstored first week is all March; every stored row is in April
@@ -202,7 +260,7 @@ def toy_matrix(n=200, p_noise=3, seed=0):
         cols[f"noise{k}"] = rng.normal(0, 1, n)
     names = list(cols)
     X = np.column_stack([cols[c] for c in names])
-    starts = [START + timedelta(minutes=30 * i) for i in range(n)]
+    starts = us(START) + 30 * MINUTE * np.arange(n)
     return FeatureMatrix(X, y, names, starts, 30)
 
 
@@ -250,8 +308,8 @@ class TestChronologicalSplit:
         m = toy_matrix(n=60)
         for ratio in ("90/10", "80/20", "70/30", "60/40"):
             plan = chronological_split(m, ratio)
-            assert max(m.slot_starts[i] for i in plan.train_rows) < \
-                min(m.slot_starts[i] for i in plan.test_rows)
+            assert max(m.slot_us[i] for i in plan.train_rows) < \
+                min(m.slot_us[i] for i in plan.test_rows)
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ParameterError):
@@ -319,7 +377,7 @@ class TestCsvRoundTrip:
         assert back.column_names == m.column_names
         assert np.array_equal(back.X, m.X)
         assert np.array_equal(back.y, m.y)
-        assert back.slot_starts == m.slot_starts
+        assert back.slot_us.dtype == np.int64 and np.array_equal(back.slot_us, m.slot_us)
         assert back.width_minutes == 30
         assert np.array_equal(back.next_row, m.next_row)
 
@@ -351,15 +409,9 @@ OPTIONS = {"utc_offset_min": 120, "hour_as_numeric": False, "hour_history_sum": 
 
 def varying_weather(slots: SlotSeries, n_slots: int, missing_hours=()):
     """One record per hour up to slot n_slots - 1, each with its own temperature and rain."""
-    out = []
-    h = slots.start.replace(minute=0)
-    k = 0
-    while h <= slots.slot_start(n_slots - 1):
-        if h not in missing_hours:
-            out.append(WeatherRecord(h, 10.0 + 0.25 * k, float(k % 3), 2.0))
-        h += timedelta(hours=1)
-        k += 1
-    return out
+    hours = range(slots.start_us // HOUR * HOUR, slot_start(slots, n_slots - 1) + 1, HOUR)
+    kept = [k for k, h in enumerate(hours) if h not in missing_hours]
+    return weather_table([hours[k] for k in kept], [10.0 + 0.25 * k for k in kept], [float(k % 3) for k in kept], 2.0)
 
 
 class TestNextRow:
@@ -379,10 +431,10 @@ class TestNextRow:
         uncut, _ = build_features(full, weather, calendar, 120, **kw)
         assert uncut.column("holiday").any() and not uncut.column("holiday").all()
         for k in range(lag_week + 1, len(counts)):
-            cut, _ = build_features(make_slots(counts[:k], width=width, start=full.start),
+            cut, _ = build_features(make_slots(counts[:k], width=width, start=from_us(full.start_us)),
                                     weather, calendar, 120, **kw)
             assert cut.column_names == uncut.column_names
-            assert cut.slot_starts[-1] + timedelta(minutes=width) == uncut.slot_starts[k - lag_week]
+            assert cut.slot_us[-1] + width * MINUTE == uncut.slot_us[k - lag_week]
             assert np.array_equal(cut.next_row, uncut.X[k - lag_week]), k
 
     def test_width_30_hour_history_sum_reads_the_two_preceding_slots(self):
@@ -396,10 +448,10 @@ class TestNextRow:
         full = make_slots(counts, width=60)
         k = len(counts) - 3  # the cut series ends at slot k - 1; slot k's hour has no record
         covered = varying_weather(full, len(counts))
-        gap = [w for w in covered if w.hour != full.slot_start(k)]
+        gap = varying_weather(full, len(counts), missing_hours={slot_start(full, k)})
         uncut, _ = build_features(full, covered, [], 120)
         cut, dropped = build_features(make_slots(counts[:k], width=60), gap, [], 120)
-        assert not dropped
+        assert not len(dropped)
         row = k - 7 * 24
         assert cut.next_row[:2].tolist() == uncut.X[row - 1, :2].tolist()  # the last kept row's weather
         assert cut.next_row[:2].tolist() != uncut.X[row, :2].tolist()
