@@ -36,7 +36,7 @@ from .features import (
     chronological_split,
     feature_target_correlation,
 )
-from .ingest import PointTable, Rejection, TripTable, assemble_trips, haversine, parse_points
+from .ingest import PointTable, Rejection, TripTable, assemble_trips, parse_points
 from .models import ModelSpec, ablate, evaluate, metrics
 from .spatial import DensityGrid, HubSpreadReport, build_density_grid, grid_diff, hub_spread
 from .synth import Hub, RainEvent, SynthConfig, TempCurve, generate

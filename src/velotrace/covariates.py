@@ -108,12 +108,17 @@ def parse_pollution(source) -> PollutionTable:
     if header != POLLUTION_HEADER:
         raise SchemaError(f"bad pollution header {header!r}, expected {POLLUTION_HEADER!r}")
     hours, levels = array("q"), array("d")
+    seen: set[int] = set()
     for line, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 5:
             raise ParseError(line, f"expected 5 fields, got {len(row)}")
-        hours.append(_hour(row[0], line))
+        hour = _hour(row[0], line)
+        if hour in seen:
+            raise SchemaError(f"line {line}: duplicate pollution hour {utc_strings([hour])[0]}")
+        seen.add(hour)
+        hours.append(hour)
         for name, text in zip(POLLUTION_HEADER[1:], row[1:]):
             if text == "":
                 levels.append(math.nan)

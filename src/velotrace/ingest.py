@@ -93,11 +93,6 @@ class Rejection:
     n_points: int = 1
 
 
-def haversine(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Great-circle distance in meters between two (lat, lon) pairs."""
-    return float(2.0 * EARTH_RADIUS_M * half_angles(a[0], a[1], b[0], b[1]))
-
-
 def half_angles(lat1, lon1, lat2, lon2):
     """Half the central angle between points 1 and 2, pairwise over arrays of
     degrees (haversine formula); a great-circle distance is

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from velotrace.covariates import WeatherTable
-from velotrace.ingest import POINT_HEADER, PointTable, TripTable, assemble_trips, parse_points
+from velotrace.ingest import (
+    EARTH_RADIUS_M, POINT_HEADER, PointTable, TripTable, assemble_trips, half_angles, parse_points,
+)
 
 UTC = timezone.utc
 EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
@@ -34,6 +36,12 @@ def weather_table(hour_us, temp_c, precip_mm, wind_mps) -> WeatherTable:
     hours = np.asarray(hour_us, dtype=np.int64)
     return WeatherTable(hours, *(np.broadcast_to(np.asarray(v, dtype=np.float64), hours.shape).copy()
                                  for v in (temp_c, precip_mm, wind_mps)))
+
+
+def great_circle_m(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """Great-circle distance in meters between two (lat, lon) pairs, as the
+    program measures it: `2 * EARTH_RADIUS_M * half_angles`."""
+    return float(2.0 * EARTH_RADIUS_M * half_angles(a[0], a[1], b[0], b[1]))
 
 
 def pt(aid, seconds, lat=None, lon=None, accuracy=5.0, speed=3.0, base=T0) -> str:

@@ -660,6 +660,16 @@ def test_non_finite_weather_value_exits_3_with_its_line(city, tmp_path, capsys):
     assert not (tmp_path / "correlations.json").exists()
 
 
+def test_duplicate_pollution_hour_exits_3_with_its_line(city, tmp_path, capsys):
+    pollution = tmp_path / "pollution.csv"
+    pollution.write_text("timestamp,pm,o3,no2,so2\n2017-05-01T00:00:00Z,10,,,\n2017-05-01T00:30:00Z,90,,,\n",
+                         encoding="utf-8")
+    err = error_of(capsys, cli_args(city, tmp_path, ["covariates", "--pollution", str(pollution)]))
+    assert (err["exit_code"], err["type"]) == (3, "SchemaError")
+    assert err["message"].startswith("line 3: duplicate pollution hour")
+    assert not (tmp_path / "correlations.json").exists()
+
+
 def test_malformed_hub_file_row_exits_3_with_its_line(city, tmp_path, capsys):
     hubs = tmp_path / "hubs.csv"
     lines = (city / "inputs" / "hubs.csv").read_text(encoding="utf-8").splitlines(keepends=True)

@@ -314,6 +314,11 @@ class TestParsers:
         with pytest.raises(RangeError, match="^line 3: non-finite"):
             parse_pollution(csv_stream(text))
 
+    def test_pollution_duplicate_hour_rejected(self):
+        text = "timestamp,pm,o3,no2,so2\n2017-05-01T00:00:00Z,10,,,\n2017-05-01T00:30:00Z,90,,,\n"
+        with pytest.raises(SchemaError, match="^line 3: duplicate pollution hour 2017-05-01T00:00:00Z"):
+            parse_pollution(csv_stream(text))
+
     def test_pollution_optional_fields(self):
         text = "timestamp,pm,o3,no2,so2\n2017-05-01T00:00:00Z,12.5,,30.1,\n"
         table = parse_pollution(csv_stream(text))

@@ -14,13 +14,12 @@ from velotrace.ingest import (
     PointTable,
     TripTable,
     assemble_trips,
-    haversine,
     load_points_npz,
     parse_points,
     save_points_npz,
 )
 
-from conftest import T0, csv_stream, point_table, pt, same_trips
+from conftest import T0, csv_stream, great_circle_m, point_table, pt, same_trips
 
 HEADER = "activity_id,timestamp,lat,lon,accuracy,speed\n"
 
@@ -79,14 +78,16 @@ class TestParsePoints:
 
 
 class TestHaversine:
+    """The haversine formula as `half_angles` computes it."""
+
     def test_identical_points(self):
-        assert haversine((44.4939, 11.3428), (44.4939, 11.3428)) == 0.0
+        assert great_circle_m((44.4939, 11.3428), (44.4939, 11.3428)) == 0.0
 
     def test_one_degree_on_equator(self):
-        assert haversine((0.0, 0.0), (0.0, 1.0)) == pytest.approx(EQUATOR_ONE_DEG_M, abs=0.01)
+        assert great_circle_m((0.0, 0.0), (0.0, 1.0)) == pytest.approx(EQUATOR_ONE_DEG_M, abs=0.01)
 
     def test_bologna_pair_matches_independent_oracle(self):
-        d = haversine((44.4939, 11.3428), (44.5058, 11.3426))
+        d = great_circle_m((44.4939, 11.3428), (44.5058, 11.3426))
         assert d == pytest.approx(BOLOGNA_PAIR_M, rel=1e-3)
 
     coords = st.tuples(st.floats(-89, 89), st.floats(-179, 179))
@@ -94,13 +95,13 @@ class TestHaversine:
     @given(a=coords, b=coords)
     @settings(max_examples=100)
     def test_symmetry_and_nonnegative(self, a, b):
-        assert haversine(a, b) >= 0.0
-        assert haversine(a, b) == pytest.approx(haversine(b, a), rel=1e-12, abs=1e-9)
+        assert great_circle_m(a, b) >= 0.0
+        assert great_circle_m(a, b) == pytest.approx(great_circle_m(b, a), rel=1e-12, abs=1e-9)
 
     @given(a=coords, b=coords, c=coords)
     @settings(max_examples=100)
     def test_triangle_inequality(self, a, b, c):
-        assert haversine(a, c) <= haversine(a, b) + haversine(b, c) + 1e-6
+        assert great_circle_m(a, c) <= great_circle_m(a, b) + great_circle_m(b, c) + 1e-6
 
 
 class TestAssembleTrips:
@@ -262,7 +263,7 @@ class TestTripMetrics:
         points = [pt("A", 0, 0.0, 0.0), pt("A", 60, 0.0, 0.001), pt("A", 120, 0.0, 0.002)]
         trips, _ = assemble_trips(point_table(points))
         assert trips.duration[0] == 120.0
-        assert trips.distance[0] == pytest.approx(2 * haversine((0.0, 0.0), (0.0, 0.001)), rel=1e-12)
+        assert trips.distance[0] == pytest.approx(2 * great_circle_m((0.0, 0.0), (0.0, 0.001)), rel=1e-12)
 
     def test_zero_duration_gives_no_trip(self):
         points = [pt("A", 0, 1.0, 1.0), pt("A", 0, 1.0, 1.0)]

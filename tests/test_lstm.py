@@ -7,6 +7,112 @@ from velotrace.errors import InputError, TrainingError
 from velotrace.models import LstmParams, LstmRegressor, build_windows, metrics
 
 
+# The step-by-step kernel the time-major one replaced, kept as the reference:
+# per step it concatenates [x_t, h], multiplies by the packed W, and applies
+# a masked sigmoid to the three sigmoid gates.
+def reference_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_forward(model: LstmRegressor, X):
+    """X: (B, T, D). Returns (yhat (B,), cache for backprop)."""
+    B, T, D = X.shape
+    H = model.params.hidden_size
+    W, b = model.weights["W"], model.weights["b"]
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    cache = []
+    for t in range(T):
+        xh = np.concatenate([X[:, t, :], h], axis=1)
+        z = xh @ W + b
+        i = reference_sigmoid(z[:, :H])
+        f = reference_sigmoid(z[:, H:2 * H])
+        g = np.tanh(z[:, 2 * H:3 * H])
+        o = reference_sigmoid(z[:, 3 * H:])
+        c_prev = c
+        c = f * c_prev + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        cache.append((xh, i, f, g, o, c_prev, tanh_c))
+    yhat = h @ model.weights["w_out"] + model.weights["b_out"][0]
+    cache.append(h)
+    return yhat, cache
+
+
+def reference_loss_and_grads(model: LstmRegressor, X, y):
+    """Mean squared error over the batch plus gradients for every weight."""
+    B, T, D = X.shape
+    H = model.params.hidden_size
+    yhat, cache = reference_forward(model, X)
+    h_last = cache[-1]
+    err = yhat - y
+    loss = float((err * err).mean())
+
+    dyhat = 2.0 * err / B
+    grads = {
+        "w_out": h_last.T @ dyhat,
+        "b_out": np.array([dyhat.sum()]),
+        "W": np.zeros_like(model.weights["W"]),
+        "b": np.zeros_like(model.weights["b"]),
+    }
+    W = model.weights["W"]
+    dh = np.outer(dyhat, model.weights["w_out"])
+    dc_next = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        xh, i, f, g, o, c_prev, tanh_c = cache[t]
+        do = dh * tanh_c
+        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_next
+        di = dc * g
+        df = dc * c_prev
+        dg = dc * i
+        dz = np.concatenate([
+            di * i * (1.0 - i),
+            df * f * (1.0 - f),
+            dg * (1.0 - g * g),
+            do * o * (1.0 - o),
+        ], axis=1)
+        grads["W"] += xh.T @ dz
+        grads["b"] += dz.sum(axis=0)
+        dxh = dz @ W.T
+        dh = dxh[:, D:]
+        dc_next = dc * f
+    return loss, grads
+
+
+class ReferenceLstm(LstmRegressor):
+    """Trains through the reference kernel."""
+
+    def loss_and_grads(self, X, y):
+        return reference_loss_and_grads(self, X, y)
+
+
+def random_model(B, T, D, H, seed=0, **params):
+    """A model with every weight perturbed off its initial values, and a batch for it."""
+    rng = np.random.default_rng(seed)
+    model = LstmRegressor(D, LstmParams(hidden_size=H, lookback=T, **params), seed=seed)
+    for w in model.weights.values():
+        w += rng.normal(0.0, 0.5, size=w.shape)
+    return model, rng.uniform(0.0, 1.0, size=(B, T, D)), rng.normal(0.0, 1.0, size=B)
+
+
+def arrays_outside_weights(model) -> list[str]:
+    """The model's attributes, other than its weights, that hold a NumPy array."""
+    def holds(v):
+        if isinstance(v, np.ndarray):
+            return True
+        if isinstance(v, dict):
+            return any(holds(x) for x in v.values())
+        if isinstance(v, (list, tuple)):
+            return any(holds(x) for x in v)
+        return hasattr(v, "__dict__") and holds(vars(v))
+    return [k for k, v in vars(model).items() if k != "weights" and holds(v)]
+
+
 def gradcheck(model: LstmRegressor, X, y, step=1e-4, rel_tol=1e-4):
     """Central finite differences against analytic BPTT gradients."""
     _, grads = model.loss_and_grads(X, y)
@@ -44,6 +150,69 @@ def test_same_seed_bitwise_identical_weights():
     b = LstmRegressor(3, params, seed=9).fit(X, y)
     for key in a.weights:
         assert a.weights[key].tobytes() == b.weights[key].tobytes()
+
+
+@pytest.mark.parametrize("B,T,D,H", [(1, 1, 1, 1), (7, 5, 3, 4), (32, 48, 41, 32)])
+def test_kernel_matches_reference(B, T, D, H):
+    model, X, y = random_model(B, T, D, H)
+    loss, grads = model.loss_and_grads(X, y)
+    ref_loss, ref_grads = reference_loss_and_grads(model, X, y)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert grads.keys() == ref_grads.keys()
+    for key, ref in ref_grads.items():
+        assert grads[key].shape == ref.shape
+        assert np.max(np.abs(grads[key] - ref)) <= 1e-12 * np.max(np.abs(ref)), key
+
+
+def test_predict_beyond_batch_size_matches_reference():
+    model, X, _ = random_model(23, 6, 3, 5, batch_size=4)
+    pred = model.predict(X)
+    ref = reference_forward(model, X)[0]
+    assert pred.shape == (23,)
+    assert np.max(np.abs(pred - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class RecordingLstm(LstmRegressor):
+    """Records, at every batch, which attributes besides the weights hold arrays."""
+
+    def loss_and_grads(self, X, y):
+        self.seen = arrays_outside_weights(self)
+        return super().loss_and_grads(X, y)
+
+
+@pytest.mark.parametrize("n,batch_size", [(21, 8), (5, 32)])
+def test_fit_workspace_edge_cases(n, batch_size):
+    """A short last batch, and a batch larger than the window count: same-seed
+    fits stay bitwise identical, follow the reference kernel's training, and
+    leave no workspace on the model."""
+    rng = np.random.default_rng(11)
+    X = rng.uniform(0, 1, size=(n, 6, 3))
+    y = rng.uniform(0, 1, size=n)
+    params = LstmParams(hidden_size=4, lookback=6, epochs=4, batch_size=batch_size)
+    a = RecordingLstm(3, params, seed=9).fit(X, y)
+    b = LstmRegressor(3, params, seed=9).fit(X, y)
+    ref = ReferenceLstm(3, params, seed=9).fit(X, y)
+    assert a.seen == ["_workspace"]
+    del a.seen
+    for model in (a, b):
+        assert arrays_outside_weights(model) == []
+    for key in a.weights:
+        assert a.weights[key].tobytes() == b.weights[key].tobytes()
+        np.testing.assert_allclose(a.weights[key], ref.weights[key], rtol=0, atol=1e-12)
+    assert a.train_loss == pytest.approx(ref.train_loss, rel=1e-12)
+
+
+def test_fit_meta_reports_the_loss_curve():
+    rng = np.random.default_rng(4)
+    X = rng.uniform(0, 1, size=(20, 4, 2))
+    y = rng.uniform(0, 1, size=20)
+    model = LstmRegressor(2, LstmParams(hidden_size=3, lookback=4, epochs=5, batch_size=8), seed=1).fit(X, y)
+    meta = model.fit_meta()
+    assert len(meta["train_loss"]) == meta["epochs_run"] == 5
+    assert meta["train_loss"][-1] == meta["final_train_loss"]
+    assert all(isinstance(v, float) for v in meta["train_loss"])
+    untrained = LstmRegressor(2, LstmParams(hidden_size=3, lookback=4, epochs=0), seed=1).fit(X, y)
+    assert untrained.fit_meta() == {"epochs_run": 0, "final_train_loss": None, "train_loss": []}
 
 
 def test_constant_series_converges_to_constant():
@@ -102,6 +271,18 @@ def test_window_stacking_shapes():
     assert np.array_equal(W[0], rows[0:3])
     assert np.array_equal(W[1], rows[4:7])
     assert t.tolist() == [3.0, 7.0]
+
+
+def test_windows_match_stacked_slices():
+    rng = np.random.default_rng(6)
+    rows = rng.normal(size=(30, 4))
+    y = rng.normal(size=30)
+    targets = [29, 5, 17, 5, 12]
+    W, t = build_windows(rows, y, 5, targets)
+    stacked = np.stack([rows[j - 5:j] for j in targets])
+    assert W.shape == stacked.shape and W.flags.c_contiguous
+    assert W.tobytes() == stacked.tobytes()
+    assert t.tolist() == y[targets].tolist()
 
 
 def test_state_round_trip():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from velotrace.errors import ParameterError, ParseError, RangeError
-from velotrace.ingest import haversine
 from velotrace.spatial import (
     M_PER_DEG_LAT,
     HubDef,
@@ -18,7 +17,7 @@ from velotrace.spatial import (
     parse_hub_file,
 )
 
-from conftest import csv_stream, make_trips
+from conftest import csv_stream, great_circle_m, make_trips
 
 BBOX = (44.45, 11.28, 44.54, 11.40)
 
@@ -140,7 +139,7 @@ class TestHubSpread:
 
     def test_boundary_radius_closed(self):
         start = offset_point(HUB, 250, 0)
-        radius = haversine(start, HUB)  # exactly at the boundary
+        radius = great_circle_m(start, HUB)  # exactly at the boundary
         rep = hub_spread(trips_between((start, offset_point(HUB, 900, 0))), HUB, radius, 200, 3)
         assert rep.total_trips_from_hub == 1
 
@@ -165,7 +164,7 @@ class TestHubSpread:
 
         def rank_of(rep, pt):
             for d in rep.destinations:
-                if haversine(d.cell_center, pt) < 150:
+                if great_circle_m(d.cell_center, pt) < 150:
                     return d.rank
             return None
 
@@ -200,8 +199,8 @@ class TestHubSpread:
         rep = hub_spread(trips, origin, 300, 200, top_k=2)
         assert len(rep.destinations) == 2
         first, second = rep.destinations
-        assert haversine(first.cell_center, station) < 150   # station ranks 1
-        assert haversine(second.cell_center, campus) < 150   # campus ranks 2
+        assert great_circle_m(first.cell_center, station) < 150   # station ranks 1
+        assert great_circle_m(second.cell_center, campus) < 150   # campus ranks 2
         share = first.trip_count / (first.trip_count + second.trip_count)
         assert share == pytest.approx(0.6, abs=0.05)
 
