@@ -1,6 +1,8 @@
-"""Random forest regressor: CART trees on bootstrap samples with per-split
-random feature subsets. Each subset is drawn from the columns that vary on the
-tree's bootstrap sample, and `max_features` counts only those, so a constant
+"""Random forest regressor: CART trees on bootstrap samples with random
+feature subsets, over columns binned once for the whole forest. A tree's
+bootstrap is one `integers(0, n, n)` draw, fitted as row weights. Each level
+of the tree then draws one subset per splittable node from the columns that
+vary on its sample, and `max_features` counts only those, so a constant
 column changes nothing. Each tree draws from its own RNG stream, derived from
 (seed, tree index), so a tree does not depend on the trees fitted before it."""
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from .tree import FEATURES_THIRD, RegressionTree, check_minimums, fit_inputs, resolve_max_features
+from .tree import FEATURES_THIRD, Bins, RegressionTree, check_minimums, fit_inputs, resolve_max_features
 
 
 @dataclass(frozen=True)
@@ -45,17 +47,14 @@ class RandomForest:
         X, y = fit_inputs(X, y, "forest")
         params.validate(X.shape[1])
         n = len(y)
+        bins = Bins(X)
 
         def build(t: int) -> RegressionTree:
             rng = np.random.default_rng((seed, t))
-            if params.bootstrap:
-                idx = rng.integers(0, n, size=n)
-                Xb, yb = X[idx], y[idx]
-            else:
-                Xb, yb = X, y
-            return RegressionTree.fit(Xb, yb, rng=rng, max_depth=params.max_depth,
+            mult = np.bincount(rng.integers(0, n, size=n), minlength=n) if params.bootstrap else None
+            return RegressionTree.fit(X, y, rng=rng, max_depth=params.max_depth,
                                       min_samples_leaf=params.min_samples_leaf,
-                                      max_features=params.max_features)
+                                      max_features=params.max_features, weight=mult, bins=bins)
 
         return cls(params, [build(t) for t in range(params.n_trees)])
 

@@ -187,6 +187,17 @@ def test_artifact_round_trip_predictions():
         assert model_artifact(back, m.column_names) == doc, spec.kind
 
 
+def test_boosting_training_curve_survives_the_artifact():
+    m = rigged_matrix()
+    tm = train_model(m, chronological_split(m, "80/20").train_rows, SPECS[2])
+    curve = tm.meta["train_mse"]
+    assert len(curve) == tm.meta["rounds_run"] == 25
+    assert curve[-1] == tm.meta["final_train_mse"]
+    assert all(later <= earlier for earlier, later in zip(curve, curve[1:]))
+    back = load_artifact(json.loads(json.dumps(model_artifact(tm, m.column_names))))
+    assert back.meta["train_mse"] == curve
+
+
 def test_ablate_null_feature_is_inert_for_trees():
     m = rigged_matrix(with_null=True)
     plan = chronological_split(m, "80/20")

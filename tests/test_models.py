@@ -66,6 +66,14 @@ class TestForest:
         boot = RandomForest.fit(X, y, ForestParams(n_trees=50, max_depth=0), seed=0)
         assert boot.predict(X)[0] == pytest.approx(y.mean(), abs=3 * y.std() / np.sqrt(50))
 
+    def test_bootstrap_stream_is_pinned(self):
+        """Tree t resamples with default_rng((seed, t)).integers(0, n, n)."""
+        rng = np.random.default_rng(8)
+        X = rng.uniform(0, 1, size=(40, 3))
+        y = rng.integers(0, 20, size=40).astype(np.float64)
+        model = RandomForest.fit(X, y, ForestParams(n_trees=1, max_depth=0), seed=5)
+        assert model.trees[0].value[0] == y[np.random.default_rng((5, 0)).integers(0, 40, 40)].mean()
+
     def test_same_seed_identical(self):
         X, y = smooth_data(150)
         params = ForestParams(n_trees=10, max_depth=6)
