@@ -88,7 +88,7 @@ from .ingest import (
     TOO_FEW_POINTS,
     ZERO_DURATION,
     assemble_trips,
-    load_points_npz,
+    load_trips_npz,
     parse_points,
     save_points_npz,
     write_rejections_csv,
@@ -244,15 +244,16 @@ def _parse_and_assemble(points_path: Path):
     return table, trips, rejections
 
 
-def _load_trips(cfg: dict):
-    """(repaired point table, trip table) of the configured points file, from
-    ingest's `points.npz` when it was built from this file, else parsed afresh."""
+def _load_trips(cfg: dict, *columns: str):
+    """The trip table of the configured points file and the named columns of
+    its repaired point table, by name: from ingest's `points.npz` when it was
+    built from this file, reading no other array, else parsed afresh."""
     points_path = _require(cfg, "points")
-    loaded = load_points_npz(_outdir(cfg) / "points.npz", sha256_file(points_path))
+    loaded = load_trips_npz(_outdir(cfg) / "points.npz", sha256_file(points_path), columns)
     if loaded is not None:
         return loaded
     table, trips, _ = _parse_and_assemble(points_path)
-    return table, trips
+    return trips, {name: getattr(table, name) for name in columns}
 
 
 # ---------------------------------------------------------------- subcommands
@@ -293,7 +294,7 @@ def cmd_ingest(cfg: dict, args) -> None:
 
 def cmd_describe(cfg: dict, args) -> None:
     outdir = _outdir(cfg)
-    _, trips = _load_trips(cfg)
+    trips, _ = _load_trips(cfg)
     d = cfg["describe"]
     offset = cfg["utc_offset_min"]
     hists = {
@@ -323,15 +324,14 @@ def cmd_describe(cfg: dict, args) -> None:
 
 def cmd_spatial(cfg: dict, args) -> None:
     outdir = _outdir(cfg)
-    table, trips = _load_trips(cfg)
     sp = cfg["spatial"]
+    trips, points = _load_trips(cfg, "lat", "lon", *(["t"] if sp["per_month"] else []))
+    lat, lon = points["lat"], points["lon"]
     offset = cfg["utc_offset_min"]
     bbox = tuple(cfg["bbox"])
-    present = ~np.isnan(table.lat)
-    coords = np.column_stack((table.lat[present], table.lon[present]))
     files = []
 
-    grid = build_density_grid(coords, bbox, sp["cell_size_m"])
+    grid = build_density_grid(lat, lon, bbox, sp["cell_size_m"])
     density_path = outdir / "density.csv"
     write_density_csv(grid, density_path)
     files.append(density_path)
@@ -339,9 +339,10 @@ def cmd_spatial(cfg: dict, args) -> None:
     periods = [("all", trips)]
     if sp["per_month"]:
         # local calendar month of each point and of each trip's start
-        months = local_datetimes(table.t[present], offset).astype("datetime64[M]")
-        for m in np.unique(months):
-            g = build_density_grid(coords[months == m], bbox, sp["cell_size_m"])
+        months = local_datetimes(points["t"], offset).astype("datetime64[M]")
+        for m in np.unique(months[~np.isnan(lat)]):
+            month = months == m
+            g = build_density_grid(lat[month], lon[month], bbox, sp["cell_size_m"])
             p = outdir / f"density_{m}.csv"
             write_density_csv(g, p)
             files.append(p)
@@ -387,7 +388,7 @@ def cmd_covariates(cfg: dict, args) -> None:
             raise ParameterError("--week-a and --week-b must be given together")
         weeks = _week_start("--week-a", args.week_a), _week_start("--week-b", args.week_b)
     outdir = _outdir(cfg)
-    _, trips = _load_trips(cfg)
+    trips, _ = _load_trips(cfg)
     offset = cfg["utc_offset_min"]
     weather = parse_weather(_require(cfg, "weather"))
     calendar = parse_calendar(_require(cfg, "calendar"))
@@ -426,7 +427,7 @@ def cmd_covariates(cfg: dict, args) -> None:
 
 def cmd_features(cfg: dict, args) -> None:
     outdir = _outdir(cfg)
-    _, trips = _load_trips(cfg)
+    trips, _ = _load_trips(cfg)
     fc = cfg["features"]
     width = int(args.width or fc["width"])
     split = args.split or fc["split"]

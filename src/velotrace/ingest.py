@@ -9,9 +9,16 @@ time, and builds a `TripTable`: one NumPy column per field, one row per
 trip, ordered by trip id, with distance / duration / speed per trip.
 Distances are great-circle on a sphere of radius 6,371,000 m.
 
+`assemble_trips` holds, beyond the table, the sort order and a few n-byte
+masks: each column's gaps are repaired from the gap rows and their
+neighbours alone, and the distances are summed from half-angles computed a
+batch of trips at a time. Ingest memory thus grows with the points it
+stores, not with its temporaries.
+
 `save_points_npz` stores the repaired point table and the trip table of one
 points file in `points.npz`, keyed by that file's sha256, one npz array per
-column under the column's name; `load_points_npz` gives both tables back, so
+column under the column's name; `load_points_npz` gives both tables back, and
+`load_trips_npz` the trip table with only the point columns asked for, so
 later analyses need not parse and assemble again.
 """
 
@@ -36,6 +43,8 @@ POINT_HEADER = ["activity_id", "timestamp", "lat", "lon", "accuracy", "speed"]
 BOUNDARY_MISSING = "boundary-missing"
 TOO_FEW_POINTS = "too-few-points"
 ZERO_DURATION = "zero-duration"
+
+_BLOCK = 1 << 12  # points per batch of trips whose half-angles are computed together
 
 @dataclass(slots=True)
 class PointTable:
@@ -164,40 +173,79 @@ def parse_points(source) -> PointTable:
                       np.asarray(lat), np.asarray(lon), np.asarray(accuracy), np.asarray(speed))
 
 
-def _fill(v: np.ndarray, t: np.ndarray, starts: np.ndarray) -> None:
-    """Fill the NaNs of `v` in place, group by group; groups are the runs of
-    rows that begin at `starts`, with `t` (seconds) ascending in each.
+def _runs(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the last position of each run of adjacent positions in
+    `pos`, ascending and not empty."""
+    brk = np.diff(pos) != 1
+    return pos[np.append(True, brk)], pos[np.append(brk, True)]
 
-    A gap between present values takes `v0 + (v1 - v0) * (t - t0) / (t1 - t0)`
-    from the nearest present values before and after it, or `v0` when
-    `t1 == t0`. A gap before the first or after the last present value takes
-    that value, and a group with no present value gets 0.0.
+
+def _fill(v: np.ndarray, t: np.ndarray, order: np.ndarray, first: np.ndarray, last: np.ndarray) -> None:
+    """Fill the NaNs of `v` in the rows `order[first[i]:last[i] + 1]` in
+    place, span by span; the spans are disjoint and ascending, and `t`
+    (int64 microseconds) ascends along `order` in each.
+
+    A gap between present values takes `v0 + (v1 - v0) * (t - t0) / (t1 - t0)`,
+    times in seconds, from the nearest present values before and after it, or
+    `v0` when `t1 == t0`. A gap before the first or after the last present
+    value takes that value, and a span with no present value gets 0.0. Only
+    the gaps and their neighbours are read: beyond two n-byte masks, the work
+    and the memory grow with the gaps.
     """
-    missing = np.isnan(v)
-    if not missing.any():
+    gap = np.flatnonzero(np.isnan(v)[order])
+    span = np.searchsorted(first, gap, side="right") - 1
+    keep = gap <= np.append(last, -1)[span]  # a gap before the first span reads the -1
+    gap, span = gap[keep], span[keep]
+    if not gap.size:
         return
-    n = len(v)
-    idx = np.arange(n)
-    sizes = np.diff(np.append(starts, n))
-    group_first = np.repeat(starts, sizes)
-    group_last = np.repeat(starts + sizes - 1, sizes)
-    prev = np.maximum.accumulate(np.where(missing, -1, idx))
-    nxt = np.minimum.accumulate(np.where(missing, n, idx)[::-1])[::-1]
-    has_prev = missing & (prev >= group_first)
-    has_next = missing & (nxt <= group_last)
+    lo, hi = _runs(gap)
+    prev = np.repeat(lo - 1, hi - lo + 1)  # the positions just before and after each gap's run
+    nxt = np.repeat(hi + 1, hi - lo + 1)
+    has_prev, has_next = prev >= first[span], nxt <= last[span]
 
-    gap = np.flatnonzero(has_prev & has_next)
-    a, b = prev[gap], nxt[gap]
-    v0, v1, t0, t1 = v[a], v[b], t[a], t[b]
+    both = has_prev & has_next
+    a, b, at = order[prev[both]], order[nxt[both]], order[gap[both]]
+    v0, v1, t0, t1 = v[a], v[b], t[a] / 1e6, t[b] / 1e6  # seconds, as datetime.timestamp() gives them
     same = t1 == t0
-    interp = v0 + (v1 - v0) * (t[gap] - t0) / np.where(same, 1.0, t1 - t0)
-    v[gap] = np.where(same, v0, interp)
+    interp = v0 + (v1 - v0) * (t[at] / 1e6 - t0) / np.where(same, 1.0, t1 - t0)
+    v[at] = np.where(same, v0, interp)
 
     lead = has_next & ~has_prev
-    v[lead] = v[nxt[lead]]
+    v[order[gap[lead]]] = v[order[nxt[lead]]]
     trail = has_prev & ~has_next
-    v[trail] = v[prev[trail]]
-    v[missing & ~has_prev & ~has_next] = 0.0
+    v[order[gap[trail]]] = v[order[prev[trail]]]
+    v[order[gap[~has_prev & ~has_next]]] = 0.0
+
+
+def _present_span(lat: np.ndarray, order: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """(first, last) sorted position of a present coordinate per group; a
+    group with none gets first = end and last = end - 1. Found from the runs
+    of adjacent positions without one; the first run holds a sentinel at -1."""
+    gone = np.flatnonzero(np.append(True, np.isnan(lat)[order]))
+    gone -= 1
+    lo, hi = _runs(gone)
+    r = np.searchsorted(lo, starts, side="right") - 1  # the run that holds each start, if any
+    first = np.minimum(np.where(hi[r] >= starts, hi[r] + 1, starts), ends)
+    r = np.searchsorted(lo, ends - 1, side="right") - 1
+    return first, np.maximum(np.where(hi[r] >= ends - 1, lo[r] - 1, ends - 1), first - 1)
+
+
+def _path_angles(lat: np.ndarray, lon: np.ndarray, order: np.ndarray, first, last) -> np.ndarray:
+    """Per trip, the sum of the half-angles between its consecutive points
+    from sorted position `first` to `last`; the trips are ascending. Trips
+    are taken a batch of about `_BLOCK` points at a time, their coordinates
+    gathered through `order`."""
+    total = np.empty(first.size)
+    i = 0
+    while i < first.size:
+        j = max(int(np.searchsorted(last, first[i] + _BLOCK)), i + 1)
+        base = first[i]
+        rows = order[base:last[j - 1] + 1]
+        la, lo = lat[rows], lon[rows]
+        angles = half_angles(la[:-1], lo[:-1], la[1:], lo[1:])
+        total[i:j] = [angles[a:b].sum() for a, b in zip((first[i:j] - base).tolist(), (last[i:j] - base).tolist())]
+        i = j
+    return total
 
 
 def assemble_trips(table: PointTable) -> tuple[TripTable, list[Rejection]]:
@@ -209,58 +257,47 @@ def assemble_trips(table: PointTable) -> tuple[TripTable, list[Rejection]]:
     `_fill`). Groups keeping >= 2 points and a positive time span become
     trips, ordered by activity id; the log lists each group's rejections in
     that order too.
-    """
-    n = len(table)
-    order = np.lexsort((table.t, table.activity))
-    act = table.activity[order]
-    t_us = table.t[order]
-    starts = np.flatnonzero(np.diff(act, prepend=-1))  # codes are >= 0, so row 0 starts a group
-    ends = np.append(starts, n)[1:]
-    sizes = ends - starts
 
-    # first and last present coordinate per group; none present: first = end, last = end - 1
-    idx = np.arange(n)
-    present = ~np.isnan(table.lat[order])
-    first = np.minimum(np.minimum.reduceat(np.where(present, idx, n), starts), ends)
-    last = np.maximum(np.maximum.reduceat(np.where(present, idx, -1), starts), first - 1)
+    Memory: beyond the table and the result, the work holds the sort order
+    (8 bytes a point), n-byte masks, and arrays the size of the gaps and of
+    one batch of trips; no column is copied in sorted order.
+    """
+    order = np.lexsort((table.t, table.activity))
+    sizes = np.bincount(table.activity, minlength=len(table.ids))
+    code = np.flatnonzero(sizes)  # the activity of each group, in sorted order
+    sizes = sizes[code]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    first, last = _present_span(table.lat, order, starts, ends)
     kept = last - first + 1
-    inside = (idx >= np.repeat(first, sizes)) & (idx <= np.repeat(last, sizes))
 
     # repair the kept rows of groups that keep >= 2 points
     ok = kept >= 2
-    rows = np.flatnonzero(np.repeat(ok, sizes) & inside)
-    pos = order[rows]
-    ts = t_us[rows] / 1e6  # seconds, as datetime.timestamp() gives them
-    group_starts = np.cumsum(kept[ok]) - kept[ok]
     for name in ("lat", "lon", "speed", "accuracy"):
-        column = getattr(table, name)
-        v = column[pos]
-        _fill(v, ts, group_starts)
-        column[pos] = v
+        _fill(getattr(table, name), table.t, order, first[ok], last[ok])
 
     is_trip = ok.copy()
-    is_trip[ok] = t_us[last[ok]] != t_us[first[ok]]
+    is_trip[ok] = table.t[order[last[ok]]] != table.t[order[first[ok]]]
     rejections: list[Rejection] = []
-    boundary = iter(utc_strings(t_us[~inside]))  # the rows outside [first, last], in order
+    # the repair leaves a coordinate missing only outside [first, last]: those rows, in order
+    boundary = iter(utc_strings(table.t[order[np.isnan(table.lat)[order]]]))
     logged = (kept < sizes) | ~is_trip
-    for aid, size, f, k, trip in zip(table.ids[act[starts[logged]]].tolist(), sizes[logged].tolist(),
+    for aid, size, f, k, trip in zip(table.ids[code[logged]].tolist(), sizes[logged].tolist(),
                                      first[logged].tolist(), kept[logged].tolist(), is_trip[logged].tolist()):
         rejections += [Rejection(aid, BOUNDARY_MISSING, next(boundary)) for _ in range(size - k)]
         if k < 2:
             rejections.append(Rejection(aid, TOO_FEW_POINTS, f"{k} points after repair", k))
         elif not trip:
-            rejections.append(Rejection(aid, ZERO_DURATION, utc_strings(t_us[f:f + 1])[0], k))
+            rejections.append(Rejection(aid, ZERO_DURATION, utc_strings(table.t[order[f:f + 1]])[0], k))
 
     f, l = first[is_trip], last[is_trip]
-    lat, lon = table.lat[order], table.lon[order]
-    angles = half_angles(lat[:-1], lon[:-1], lat[1:], lon[1:])
-    distance = 2.0 * EARTH_RADIUS_M * np.array([angles[a:b].sum() for a, b in zip(f.tolist(), l.tolist())],
-                                               dtype=np.float64)
-    duration = (t_us[l] - t_us[f]) / 1e6
+    distance = 2.0 * EARTH_RADIUS_M * _path_angles(table.lat, table.lon, order, f, l)
+    f, l = order[f], order[l]  # the file rows of each trip's first and last point
+    duration = (table.t[l] - table.t[f]) / 1e6
     # the ids are as wide as the longest kept one, as in points.npz
-    trip_id = np.array(table.ids[act[starts[is_trip]]].tolist(), dtype=str)
-    trips = TripTable(trip_id, kept[is_trip], t_us[f], t_us[l], np.column_stack((lat[f], lon[f])),
-                      np.column_stack((lat[l], lon[l])), distance, duration, distance / duration)
+    trip_id = np.array(table.ids[code[is_trip]].tolist(), dtype=str)
+    trips = TripTable(trip_id, kept[is_trip], table.t[f], table.t[l], np.column_stack((table.lat[f], table.lon[f])),
+                      np.column_stack((table.lat[l], table.lon[l])), distance, duration, distance / duration)
     return trips, rejections
 
 
@@ -304,14 +341,21 @@ def save_points_npz(path, table: PointTable, trips: TripTable, source_sha256: st
         np.savez(f, source_sha256=np.array(source_sha256), **_columns(table), **_columns(trips))
 
 
-def load_points_npz(path, source_sha256: str) -> tuple[PointTable, TripTable] | None:
-    """Point table and trip table saved by `save_points_npz` from the points
-    file whose sha256 is `source_sha256`; None when the file is missing,
-    unreadable or was built from other points."""
+def load_trips_npz(path, source_sha256: str, columns=()) -> tuple[TripTable, dict] | None:
+    """The trip table saved by `save_points_npz` from the points file whose
+    sha256 is `source_sha256`, and the named columns of its point table by
+    name; None when the file is missing, unreadable or was built from other
+    points. No other array of the file is read."""
     try:
         with np.load(path, allow_pickle=False) as z:
             if str(z["source_sha256"]) != source_sha256:
                 return None
-            return tuple(cls(*(z[f.name] for f in fields(cls))) for cls in (PointTable, TripTable))
+            return TripTable(*(z[f.name] for f in fields(TripTable))), {name: z[name] for name in columns}
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
+
+
+def load_points_npz(path, source_sha256: str) -> tuple[PointTable, TripTable] | None:
+    """Point table and trip table saved by `save_points_npz`, as `load_trips_npz` reads them."""
+    loaded = load_trips_npz(path, source_sha256, [f.name for f in fields(PointTable)])
+    return None if loaded is None else (PointTable(**loaded[1]), loaded[0])

@@ -17,7 +17,13 @@ consecutive time slots. Tabular models have lookback 0, so they score every
 row; a recurrent window may not reach back over a slot that `build_features`
 dropped. CV folds, test scoring and ablation all go through `fit_and_score`,
 which leaves out the targets the rule rejects and counts them; the counts
-appear in the report as `skipped` per fold and `test_skipped` per model."""
+appear in the report as `skipped` per fold and `test_skipped` per model.
+
+A recurrent model trains and predicts on `build_windows`' `Windows` of the
+scaled matrix: each batch gathers its windows' rows into the model's
+workspace, so neither `train_model` nor `predict_rows` builds the (N,
+lookback, D) window array, `lookback` times the matrix; beyond the scaled
+copy of the matrix their memory does not grow with the number of windows."""
 
 from __future__ import annotations
 

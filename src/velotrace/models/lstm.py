@@ -9,6 +9,12 @@ have such a window. Training uses squared loss and Adam; every random choice
 (weight init, batch shuffling) comes from the seed, so learned weights are
 bitwise reproducible.
 
+`build_windows` gives `Windows`: the feature matrix and each window's first
+row, not an (N, lookback, D) copy, which would be `lookback` times the
+matrix. Each batch copies its windows' rows straight into the workspace, so
+`fit` and `predict` hold the matrix plus a fixed-size work area, however
+many windows there are.
+
 The kernel is time-major (Appleyard, Kocisky & Blunsom, arXiv:1604.01946):
 the input half of every step's pre-activation, bias included, is one GEMM over
 the (T*B, D) rows; each step adds only `h @ W_h`, applies one tanh to all four
@@ -55,15 +61,40 @@ def _gate_affine(H: int) -> tuple[np.ndarray, np.ndarray]:
     return scale, np.repeat([0.5, 0.5, 0.0, 0.5], H)
 
 
-def build_windows(X: np.ndarray, y: np.ndarray, lookback: int, targets) -> tuple[np.ndarray, np.ndarray]:
-    """Gather sliding windows: target row j is predicted from rows j-lookback..j-1."""
+class Windows:
+    """The windows of `lookback` consecutive rows of X that start at the rows
+    `starts`, read on demand, so no (N, lookback, D) array is ever built.
+    `windows[batch]` selects windows without copying rows, and `gather`
+    copies each window's rows straight into a time-major buffer."""
+
+    def __init__(self, X: np.ndarray, lookback: int, starts: np.ndarray):
+        self.X, self.lookback, self.starts = X, lookback, starts
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.starts.size, self.lookback, self.X.shape[1])
+
+    def __len__(self) -> int:
+        return self.starts.size
+
+    def __getitem__(self, key) -> "Windows":
+        return Windows(self.X, self.lookback, self.starts[key])
+
+    def gather(self, out: np.ndarray) -> None:
+        """Window k's step t into `out[t, k]`, for `out` of shape (lookback, len, D)."""
+        for k, s in enumerate(self.starts.tolist()):
+            out[:, k] = self.X[s:s + self.lookback]
+
+
+def build_windows(X: np.ndarray, y: np.ndarray, lookback: int, targets) -> tuple[Windows, np.ndarray]:
+    """The windows of the targets and their values: target row j is predicted
+    from rows j-lookback..j-1."""
     targets = np.asarray(list(targets), dtype=np.int64)
     if targets.size == 0:
         raise InputError(f"sequence shorter than lookback+1 ({lookback + 1}): no usable windows")
     if targets.min() < lookback:
         raise InputError(f"target row {int(targets.min())} lacks {lookback} rows of history")
-    windows = np.lib.stride_tricks.sliding_window_view(X, (lookback, X.shape[1]))[:, 0]
-    return windows[targets - lookback], y[targets]
+    return Windows(X, lookback, targets - lookback), y[targets]
 
 
 class _Workspace:
@@ -108,15 +139,18 @@ class LstmRegressor:
         self.train_loss: list[float] = []
         self._workspace: _Workspace | None = None  # set only while `fit` runs
 
-    def _forward(self, X: np.ndarray, buf: dict) -> np.ndarray:
-        """Run windows X (B, T, D) through the recurrence, keeping every step's
-        state in `buf`; returns yhat (B,)."""
+    def _forward(self, X, buf: dict) -> np.ndarray:
+        """Run windows X (B, T, D), an array or `Windows`, through the
+        recurrence, keeping every step's state in `buf`; returns yhat (B,)."""
         B, T, D = X.shape
         H = self.params.hidden_size
         W = self.weights["W"]
         scale, shift = _gate_affine(H)
         xh, z, gates, c, tanh_c = buf["xh"], buf["z"], buf["gates"], buf["c"], buf["tanh_c"]
-        xh[:T, :, 1:1 + D] = X.swapaxes(0, 1)
+        if isinstance(X, Windows):
+            X.gather(xh[:T, :, 1:1 + D])
+        else:
+            xh[:T, :, 1:1 + D] = X.swapaxes(0, 1)
         xh[0, :, 1 + D:] = 0.0
         c[0] = 0.0
         rows = xh[:T].reshape(T * B, 1 + D + H)
@@ -138,8 +172,9 @@ class LstmRegressor:
             np.multiply(o, tc, out=h1)
         return h[T] @ self.weights["w_out"] + self.weights["b_out"][0]
 
-    def loss_and_grads(self, X: np.ndarray, y: np.ndarray):
-        """Mean squared error over the batch plus gradients for every weight."""
+    def loss_and_grads(self, X, y: np.ndarray):
+        """Mean squared error over the batch of windows X (B, T, D), an array or
+        `Windows`, plus gradients for every weight."""
         B, T, D = X.shape
         H = self.params.hidden_size
         buf = (self._workspace or _Workspace(B, T, D, H)).take(B)
@@ -189,11 +224,11 @@ class LstmRegressor:
         }
         return loss, grads
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LstmRegressor":
-        """Adam over shuffled mini-batches of windows; raises TrainingError on
-        a non-finite epoch loss. Every batch reuses one workspace, released on
-        return."""
-        if X.ndim != 3 or X.shape[2] != self.input_size:
+    def fit(self, X, y: np.ndarray) -> "LstmRegressor":
+        """Adam over shuffled mini-batches of the windows X (N, T, D), an array
+        or `Windows`; raises TrainingError on a non-finite epoch loss. Every
+        batch reuses one workspace, released on return."""
+        if len(X.shape) != 3 or X.shape[2] != self.input_size:
             raise InputError(f"expected windows of shape (N, T, {self.input_size})")
         if len(X) != len(y) or len(X) == 0:
             raise InputError("empty or mismatched training windows")
@@ -229,8 +264,9 @@ class LstmRegressor:
             self._workspace = None
         return self
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predictions for windows X (N, T, D), run in chunks of `batch_size`."""
+    def predict(self, X) -> np.ndarray:
+        """Predictions for the windows X (N, T, D), an array or `Windows`, run
+        in chunks of `batch_size` through one workspace."""
         size = max(1, min(len(X), self.params.batch_size))
         ws = _Workspace(size, X.shape[1], self.input_size, self.params.hidden_size)
         out = np.empty(len(X))

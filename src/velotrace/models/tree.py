@@ -109,7 +109,7 @@ class RegressionTree:
         q = varying.size
         m = resolve_max_features(max_features, p, q)
         step = max(1, _CELLS // nbins)
-        ivar = index[:, varying]
+        ivar = index if q == p else index.take(varying, axis=1)  # C-contiguous, so ravel() is a view
         levels = []  # (feature, threshold, value, split) of each level's nodes
         node, width, depth = np.zeros(rows.size, dtype=np.intp), 1, 0
         while width:

@@ -33,11 +33,13 @@ class DensityGrid:
     ignored: int            # points outside the bbox
 
 
-def build_density_grid(points, bbox, cell_size: float) -> DensityGrid:
-    """Count (lat, lon) points into metric cells anchored at the bbox SW corner.
+def build_density_grid(lat, lon, bbox, cell_size: float) -> DensityGrid:
+    """Count the points of the columns `lat` and `lon` into metric cells
+    anchored at the bbox SW corner.
 
     Points on the closed bbox boundary are kept (top/right edges fold into the
-    last row/column). Normalization is per grid, i.e. per call.
+    last row/column); a point without a coordinate (NaN) is neither counted
+    nor ignored. Normalization is per grid, i.e. per call.
     """
     min_lat, min_lon, max_lat, max_lon = bbox
     if not (min_lat < max_lat and min_lon < max_lon):
@@ -51,12 +53,7 @@ def build_density_grid(points, bbox, cell_size: float) -> DensityGrid:
     n_rows = max(1, math.ceil((max_lat - min_lat) * m_lat / cell_size))
     n_cols = max(1, math.ceil((max_lon - min_lon) * m_lon / cell_size))
 
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if pts.size == 0:
-        counts = np.zeros((n_rows, n_cols), dtype=np.int64)
-        return DensityGrid(bbox, cell_size, n_rows, n_cols, counts, counts.astype(np.float64), 0)
-
-    lat, lon = pts[:, 0], pts[:, 1]
+    lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
     inside = (lat >= min_lat) & (lat <= max_lat) & (lon >= min_lon) & (lon <= max_lon)
     rows = np.floor((lat[inside] - min_lat) * m_lat / cell_size).astype(np.int64)
     cols = np.floor((lon[inside] - min_lon) * m_lon / cell_size).astype(np.int64)
@@ -66,7 +63,8 @@ def build_density_grid(points, bbox, cell_size: float) -> DensityGrid:
     counts = flat.reshape(n_rows, n_cols).astype(np.int64)
     peak = counts.max()
     normalized = counts / peak if peak > 0 else counts.astype(np.float64)
-    return DensityGrid(bbox, cell_size, n_rows, n_cols, counts, normalized, int(len(pts) - inside.sum()))
+    ignored = np.count_nonzero(~(np.isnan(lat) | np.isnan(lon))) - np.count_nonzero(inside)
+    return DensityGrid(bbox, cell_size, n_rows, n_cols, counts, normalized, int(ignored))
 
 
 def grid_diff(a: DensityGrid, b: DensityGrid) -> np.ndarray:

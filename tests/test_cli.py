@@ -130,7 +130,8 @@ def test_monthly_density_groups_points_by_local_month(city, tmp_path, offset):
             by_month.setdefault(local.strftime("%Y-%m"), []).append((lat, lon))
     assert sorted(by_month) == ["2017-05", "2017-06"]
     for mk, coords in by_month.items():
-        grid = build_density_grid(coords, tuple(cli.DEFAULTS["bbox"]), cli.DEFAULTS["spatial"]["cell_size_m"])
+        lat, lon = np.transpose(coords)
+        grid = build_density_grid(lat, lon, tuple(cli.DEFAULTS["bbox"]), cli.DEFAULTS["spatial"]["cell_size_m"])
         write_density_csv(grid, tmp_path / "reference.csv")
         assert (tmp_path / f"density_{mk}.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes(), mk
 

@@ -13,6 +13,7 @@ from velotrace.ingest import (
     ZERO_DURATION,
     PointTable,
     TripTable,
+    _fill,
     assemble_trips,
     load_points_npz,
     parse_points,
@@ -102,6 +103,71 @@ class TestHaversine:
     @settings(max_examples=100)
     def test_triangle_inequality(self, a, b, c):
         assert great_circle_m(a, c) <= great_circle_m(a, b) + great_circle_m(b, c) + 1e-6
+
+
+def oracle_fill(v: np.ndarray, t: np.ndarray, starts: np.ndarray) -> None:
+    """The dense gap repair `_fill` replaced, kept as its oracle: fill the NaNs
+    of `v` in place, group by group; groups are the runs of rows that begin at
+    `starts`, with `t` (seconds) ascending in each. Every step holds n-length
+    arrays, where `_fill` reads only the gaps and their neighbours."""
+    missing = np.isnan(v)
+    if not missing.any():
+        return
+    n = len(v)
+    idx = np.arange(n)
+    sizes = np.diff(np.append(starts, n))
+    group_first = np.repeat(starts, sizes)
+    group_last = np.repeat(starts + sizes - 1, sizes)
+    prev = np.maximum.accumulate(np.where(missing, -1, idx))
+    nxt = np.minimum.accumulate(np.where(missing, n, idx)[::-1])[::-1]
+    has_prev = missing & (prev >= group_first)
+    has_next = missing & (nxt <= group_last)
+
+    gap = np.flatnonzero(has_prev & has_next)
+    a, b = prev[gap], nxt[gap]
+    v0, v1, t0, t1 = v[a], v[b], t[a], t[b]
+    same = t1 == t0
+    interp = v0 + (v1 - v0) * (t[gap] - t0) / np.where(same, 1.0, t1 - t0)
+    v[gap] = np.where(same, v0, interp)
+
+    lead = has_next & ~has_prev
+    v[lead] = v[nxt[lead]]
+    trail = has_prev & ~has_next
+    v[trail] = v[prev[trail]]
+    v[missing & ~has_prev & ~has_next] = 0.0
+
+
+class TestFill:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_dense_oracle_bit_for_bit(self, data):
+        """Random group sizes and NaN patterns (leading, trailing, all
+        missing), repeated timestamps, and spans scattered through a longer
+        column, in a random row order, whose other rows stay as they are."""
+        sizes = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+        n = sum(sizes)
+        share = data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        dense = np.where(rng.random(n) < share, np.nan, rng.normal(0.0, 50.0, n))
+        # ascending in each group, with ties, in microseconds
+        t_us = np.concatenate([np.cumsum(rng.integers(0, 3, k)) * rng.choice([1, 250_000, 1_000_000])
+                               for k in sizes]) + 1_494_000_000_000_000
+        # each group's span of sorted positions, after 0-2 positions outside every span
+        skip = rng.integers(0, 3, len(sizes) + 1)
+        first = np.cumsum(skip[:-1]) + np.cumsum(sizes) - sizes
+        last = first + np.array(sizes) - 1
+        inside = np.concatenate([np.arange(f, l + 1) for f, l in zip(first, last)])
+        order = rng.permutation(n + skip.sum())
+        v = rng.choice([np.nan, 1.5], order.size)
+        t = np.zeros(order.size, dtype=np.int64)
+        v[order[inside]], t[order[inside]] = dense, t_us
+        before = v.copy()
+
+        oracle_fill(dense, t_us / 1e6, np.cumsum(sizes) - sizes)
+        _fill(v, t, order, first, last)
+        assert v[order[inside]].tobytes() == dense.tobytes()
+        outside = np.delete(order, inside)
+        assert v[outside].tobytes() == before[outside].tobytes()
 
 
 class TestAssembleTrips:

@@ -263,13 +263,21 @@ def test_window_history_validation():
         build_windows(rows, y, 3, [2])  # target lacks history
 
 
+def gathered(W) -> np.ndarray:
+    """The windows of a `Windows` as one (N, T, D) array, through its gather."""
+    N, T, D = W.shape
+    out = np.full((T, N, D), np.nan)
+    W.gather(out)
+    return out.swapaxes(0, 1)
+
+
 def test_window_stacking_shapes():
     rows = np.arange(20, dtype=float).reshape(10, 2)
     y = np.arange(10, dtype=float)
     W, t = build_windows(rows, y, 3, [3, 7])
     assert W.shape == (2, 3, 2)
-    assert np.array_equal(W[0], rows[0:3])
-    assert np.array_equal(W[1], rows[4:7])
+    assert np.array_equal(gathered(W)[0], rows[0:3])
+    assert np.array_equal(gathered(W)[1], rows[4:7])
     assert t.tolist() == [3.0, 7.0]
 
 
@@ -280,9 +288,30 @@ def test_windows_match_stacked_slices():
     targets = [29, 5, 17, 5, 12]
     W, t = build_windows(rows, y, 5, targets)
     stacked = np.stack([rows[j - 5:j] for j in targets])
-    assert W.shape == stacked.shape and W.flags.c_contiguous
-    assert W.tobytes() == stacked.tobytes()
+    assert W.shape == stacked.shape == gathered(W).shape
+    assert gathered(W).tobytes() == stacked.tobytes()
+    assert gathered(W[[4, 0]]).tobytes() == stacked[[4, 0]].tobytes()
+    assert gathered(W[1:3]).tobytes() == stacked[1:3].tobytes()
     assert t.tolist() == y[targets].tolist()
+
+
+@pytest.mark.parametrize("n,batch_size", [(37, 8), (5, 32)])
+def test_windows_train_and_predict_as_stacked_windows(n, batch_size):
+    """Windows gathered batch by batch give the weights, losses and
+    predictions of the same windows stacked into one array, bit for bit."""
+    rng = np.random.default_rng(12)
+    rows = rng.uniform(0, 1, size=(n + 6, 3))
+    y = rng.uniform(0, 1, size=n + 6)
+    targets = rng.permutation(np.arange(6, n + 6))
+    W, t = build_windows(rows, y, 6, targets)
+    stacked = np.stack([rows[j - 6:j] for j in targets])
+    params = LstmParams(hidden_size=4, lookback=6, epochs=3, batch_size=batch_size)
+    a = LstmRegressor(3, params, seed=9).fit(W, t)
+    b = LstmRegressor(3, params, seed=9).fit(stacked, t)
+    for key in a.weights:
+        assert a.weights[key].tobytes() == b.weights[key].tobytes()
+    assert a.train_loss == b.train_loss
+    assert a.predict(W).tobytes() == b.predict(stacked).tobytes()
 
 
 def test_state_round_trip():

@@ -22,6 +22,11 @@ from conftest import csv_stream, great_circle_m, make_trips
 BBOX = (44.45, 11.28, 44.54, 11.40)
 
 
+def columns(points):
+    """The lat and lon columns of a list of (lat, lon) points."""
+    return np.asarray(points, dtype=np.float64).reshape(-1, 2).T
+
+
 def cell_point(bbox, cell_size, row, col):
     """Center of a given cell in lat/lon."""
     center_lat = (bbox[0] + bbox[2]) / 2
@@ -33,42 +38,47 @@ class TestDensityGrid:
     def test_max_normalization(self):
         a = cell_point(BBOX, 100, 2, 2)
         b = cell_point(BBOX, 100, 5, 5)
-        grid = build_density_grid([a] * 4 + [b] * 2, BBOX, 100)
+        grid = build_density_grid(*columns([a] * 4 + [b] * 2), BBOX, 100)
         assert grid.counts.sum() == 6
         assert grid.normalized.max() == 1.0
         assert sorted(grid.normalized[grid.normalized > 0].tolist()) == [0.5, 1.0]
 
     def test_all_points_outside(self):
-        grid = build_density_grid([(0.0, 0.0), (10.0, 10.0)], BBOX, 100)
+        grid = build_density_grid(*columns([(0.0, 0.0), (10.0, 10.0)]), BBOX, 100)
         assert grid.counts.sum() == 0
         assert grid.ignored == 2
         assert grid.normalized.max() == 0.0
 
     def test_degenerate_bbox_rejected(self):
         with pytest.raises(ParameterError):
-            build_density_grid([], (44.5, 11.3, 44.4, 11.4), 100)
+            build_density_grid(*columns([]), (44.5, 11.3, 44.4, 11.4), 100)
         with pytest.raises(ParameterError):
-            build_density_grid([], BBOX, 0)
+            build_density_grid(*columns([]), BBOX, 0)
 
     def test_boundary_points_kept(self):
-        grid = build_density_grid([(BBOX[0], BBOX[1]), (BBOX[2], BBOX[3])], BBOX, 100)
+        grid = build_density_grid(*columns([(BBOX[0], BBOX[1]), (BBOX[2], BBOX[3])]), BBOX, 100)
         assert grid.counts.sum() == 2
         assert grid.ignored == 0
+
+    def test_points_without_coordinate_are_neither_counted_nor_ignored(self):
+        inside, outside = cell_point(BBOX, 100, 2, 2), (0.0, 0.0)
+        grid = build_density_grid(*columns([inside, (np.nan, np.nan), outside, (np.nan, np.nan)]), BBOX, 100)
+        assert (grid.counts.sum(), grid.ignored) == (1, 1)
 
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_point_conservation(self, data):
         pts = data.draw(st.lists(
             st.tuples(st.floats(44.3, 44.7), st.floats(11.1, 11.5)), max_size=60))
-        grid = build_density_grid(pts, BBOX, 200)
+        grid = build_density_grid(*columns(pts), BBOX, 200)
         assert int(grid.counts.sum()) + grid.ignored == len(pts)
 
     @given(k=st.integers(2, 9))
     @settings(max_examples=20, deadline=None)
     def test_scale_invariance_of_normalized(self, k):
         pts = [cell_point(BBOX, 200, 1, 1)] * 3 + [cell_point(BBOX, 200, 4, 2)] * 7
-        g1 = build_density_grid(pts, BBOX, 200)
-        gk = build_density_grid(pts * k, BBOX, 200)
+        g1 = build_density_grid(*columns(pts), BBOX, 200)
+        gk = build_density_grid(*columns(pts * k), BBOX, 200)
         assert np.array_equal(g1.normalized, gk.normalized)
 
     def test_halved_volume_preserves_normalized_profile(self):
@@ -83,8 +93,7 @@ class TestDensityGrid:
             with tempfile.TemporaryDirectory() as d:
                 man = generate(cfg, d)
                 table = parse_points(man["files"]["points"])
-                pts = np.column_stack((table.lat, table.lon))
-            grids.append(build_density_grid(pts, BBOX, 200))
+            grids.append(build_density_grid(table.lat, table.lon, BBOX, 200))
         diff = grid_diff(grids[0], grids[1])
         assert np.abs(diff).max() < 0.05
 
@@ -92,12 +101,12 @@ class TestDensityGrid:
 class TestGridDiff:
     def test_identity(self):
         pts = [cell_point(BBOX, 200, 0, 0)]
-        g = build_density_grid(pts, BBOX, 200)
+        g = build_density_grid(*columns(pts), BBOX, 200)
         assert np.all(grid_diff(g, g) == 0.0)
 
     def test_full_contrast(self):
-        a = build_density_grid([cell_point(BBOX, 200, 1, 1)], BBOX, 200)
-        b = build_density_grid([cell_point(BBOX, 200, 3, 3)], BBOX, 200)
+        a = build_density_grid(*columns([cell_point(BBOX, 200, 1, 1)]), BBOX, 200)
+        b = build_density_grid(*columns([cell_point(BBOX, 200, 3, 3)]), BBOX, 200)
         d = grid_diff(a, b)
         assert d.max() == 1.0 and d.min() == -1.0
 
@@ -105,13 +114,13 @@ class TestGridDiff:
         rng = np.random.default_rng(5)
         pts_a = [(44.45 + rng.random() * 0.09, 11.28 + rng.random() * 0.12) for _ in range(100)]
         pts_b = [(44.45 + rng.random() * 0.09, 11.28 + rng.random() * 0.12) for _ in range(80)]
-        a = build_density_grid(pts_a, BBOX, 300)
-        b = build_density_grid(pts_b, BBOX, 300)
+        a = build_density_grid(*columns(pts_a), BBOX, 300)
+        b = build_density_grid(*columns(pts_b), BBOX, 300)
         assert np.allclose(grid_diff(a, b) + b.normalized, a.normalized)
 
     def test_shape_mismatch_rejected(self):
-        a = build_density_grid([], BBOX, 200)
-        b = build_density_grid([], BBOX, 300)
+        a = build_density_grid(*columns([]), BBOX, 200)
+        b = build_density_grid(*columns([]), BBOX, 300)
         with pytest.raises(ParameterError):
             grid_diff(a, b)
 
