@@ -26,44 +26,29 @@ of unknown name or wrong type) or a bad `--week-a`/`--week-b` pair exits 1
 before any point is drawn or model fitted; a malformed input file (invalid
 JSON, a bad `features.csv` or hubs file row, a model artifact with a missing
 or malformed field) exits 3.
+
+A command loads only the layers it runs. This module imports no layer at
+start-up: each function or class it takes from one is named in
+`_LAYER_NAMES` and imported on its first lookup as an attribute of this
+module (a PEP 562 `__getattr__`), then kept in its namespace. Commands and
+helpers call every such name as `_cli.<name>`, so a helper works when called
+directly, and a function replaced on this module (the benchmark tracer's
+wrapper, a test's patch) is the one the commands call. So `ingest` loads no
+model, and `train` and `predict` load only `features` and `models`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-from dataclasses import asdict, fields
 import sys
+from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .covariates import (
-    daily_correlations,
-    daily_join,
-    event_impact,
-    holiday_impact,
-    hourly_correlations,
-    parse_calendar,
-    parse_pollution,
-    parse_weather,
-    pollution_daily_correlations,
-    week_contrast,
-)
-from .descriptive import (
-    DEFAULT_DISTANCE_BIN_M,
-    DEFAULT_DURATION_BIN_S,
-    DEFAULT_SPEED_BIN_MPS,
-    histogram,
-    monthly_change,
-    profile_as_dict,
-    temporal_profile,
-    write_histogram_csv,
-    write_monthly_csv,
-)
+from . import __version__, layer_getattr
 from .errors import (
     DataError,
     MissingInputError,
@@ -72,53 +57,26 @@ from .errors import (
     TrainingError,
     VelotraceError,
 )
-from .features import (
-    aggregate_slots,
-    aligned_span,
-    build_features,
-    chronological_split,
-    feature_target_correlation,
-    read_features_csv,
-    sidecar_path,
-    split_plan_as_dict,
-    write_features_csv,
-)
-from .ingest import (
-    BOUNDARY_MISSING,
-    TOO_FEW_POINTS,
-    ZERO_DURATION,
-    assemble_trips,
-    load_trips_npz,
-    parse_points,
-    save_points_npz,
-    write_rejections_csv,
-    write_trips_csv,
-)
-from .models import (
-    MODEL_KINDS,
-    ModelSpec,
-    evaluate,
-    load_artifact,
-    model_artifact,
-    predict_rows,
-)
-from .spatial import (
-    build_density_grid,
-    hub_report_as_dict,
-    hub_spread,
-    parse_hub_file,
-    write_density_csv,
-)
-from .synth import (
-    Hub,
-    RainEvent,
-    SpeedDist,
-    SynthConfig,
-    TempCurve,
-    TripLengthDist,
-    generate,
-)
-from .util import MINUTE_US, local_datetimes, read_json, sha256_file, utc_strings, write_json
+from .util import MINUTE_US, MODEL_KINDS, local_datetimes, read_json, sha256_file, utc_strings, write_json
+
+# the layer names the commands call, by the module that defines them
+_LAYER_NAMES = {
+    "synth": ("generate", "synth_config_from_dict"),
+    "ingest": ("BOUNDARY_MISSING", "TOO_FEW_POINTS", "ZERO_DURATION", "assemble_trips", "load_trips_npz",
+               "parse_points", "save_points_npz", "write_rejections_csv", "write_trips_csv"),
+    "descriptive": ("histogram", "monthly_change", "profile_as_dict", "temporal_profile", "write_histogram_csv",
+                    "write_monthly_csv"),
+    "spatial": ("build_density_grid", "hub_report_as_dict", "hub_spread", "parse_hub_file", "write_density_csv"),
+    "covariates": ("daily_correlations", "daily_join", "event_impact", "holiday_impact", "hourly_correlations",
+                   "parse_calendar", "parse_pollution", "parse_weather", "pollution_daily_correlations",
+                   "week_contrast"),
+    "features": ("aggregate_slots", "aligned_span", "build_features", "chronological_split",
+                 "feature_target_correlation", "read_features_csv", "sidecar_path", "split_plan_as_dict",
+                 "write_features_csv"),
+    "models": ("ModelSpec", "evaluate", "load_artifact", "model_artifact", "predict_rows"),
+}
+__getattr__ = layer_getattr(globals(), _LAYER_NAMES)
+_cli = sys.modules[__name__]  # this module, whose attributes the commands call
 
 DEFAULTS = {
     "out": "out",
@@ -126,8 +84,8 @@ DEFAULTS = {
     "utc_offset_min": 120,
     "bbox": [44.45, 11.28, 44.54, 11.40],
     "paths": {},
-    "describe": {"bin_distance_m": DEFAULT_DISTANCE_BIN_M, "bin_duration_s": DEFAULT_DURATION_BIN_S,
-                 "bin_speed_mps": DEFAULT_SPEED_BIN_MPS},
+    # bin widths that resolve the expected peaks (~1600 m, ~720 s, ~3.9 m/s)
+    "describe": {"bin_distance_m": 200.0, "bin_duration_s": 60.0, "bin_speed_mps": 0.2},
     "spatial": {"cell_size_m": 50.0, "dest_cell_size_m": 200.0, "top_k": 10, "per_month": False},
     "features": {"width": 60, "split": "90/10", "hour_as_numeric": False, "hour_history_sum": False},
     "train": {"width": None, "split": "90/10", "models": ["all"], "with_cv": True},
@@ -239,8 +197,8 @@ def _emit(summary: dict) -> None:
 
 
 def _parse_and_assemble(points_path: Path):
-    table = parse_points(points_path)
-    trips, rejections = assemble_trips(table)
+    table = _cli.parse_points(points_path)
+    trips, rejections = _cli.assemble_trips(table)
     return table, trips, rejections
 
 
@@ -249,7 +207,7 @@ def _load_trips(cfg: dict, *columns: str):
     its repaired point table, by name: from ingest's `points.npz` when it was
     built from this file, reading no other array, else parsed afresh."""
     points_path = _require(cfg, "points")
-    loaded = load_trips_npz(_outdir(cfg) / "points.npz", sha256_file(points_path), columns)
+    loaded = _cli.load_trips_npz(_outdir(cfg) / "points.npz", sha256_file(points_path), columns)
     if loaded is not None:
         return loaded
     table, trips, _ = _parse_and_assemble(points_path)
@@ -260,8 +218,8 @@ def _load_trips(cfg: dict, *columns: str):
 
 def cmd_synth(cfg: dict, args) -> None:
     outdir = _outdir(cfg)
-    sc = synth_config_from_dict(_merge(DEMO_SYNTH, cfg.get("synth", {})), cfg["seed"], cfg["utc_offset_min"])
-    result = generate(sc, outdir)
+    sc = _cli.synth_config_from_dict(_merge(DEMO_SYNTH, cfg.get("synth", {})), cfg["seed"], cfg["utc_offset_min"])
+    result = _cli.generate(sc, outdir)
     hub_path = outdir / "hubs.csv"
     with open(hub_path, "w", encoding="utf-8", newline="") as f:
         f.write("name,lat,lon,radius_m\n")
@@ -281,11 +239,11 @@ def cmd_ingest(cfg: dict, args) -> None:
     trips_path = outdir / "trips.csv"
     rej_path = outdir / "rejections.csv"
     npz_path = outdir / "points.npz"
-    write_trips_csv(trips, trips_path)
-    write_rejections_csv(rejections, rej_path)
-    save_points_npz(npz_path, table, trips, sha256_file(points_path))
+    _cli.write_trips_csv(trips, trips_path)
+    _cli.write_rejections_csv(rejections, rej_path)
+    _cli.save_points_npz(npz_path, table, trips, sha256_file(points_path))
     _update_manifest(outdir, [trips_path, rej_path, npz_path])
-    by_reason = dict.fromkeys((BOUNDARY_MISSING, TOO_FEW_POINTS, ZERO_DURATION), 0)
+    by_reason = dict.fromkeys((_cli.BOUNDARY_MISSING, _cli.TOO_FEW_POINTS, _cli.ZERO_DURATION), 0)
     for r in rejections:
         by_reason[r.reason] += 1
     _emit({"command": "ingest", "points": len(table), "trips": len(trips),
@@ -298,21 +256,21 @@ def cmd_describe(cfg: dict, args) -> None:
     d = cfg["describe"]
     offset = cfg["utc_offset_min"]
     hists = {
-        "distance": histogram(trips.distance, d["bin_distance_m"]),
-        "duration": histogram(trips.duration, d["bin_duration_s"]),
-        "speed": histogram(trips.avg_speed, d["bin_speed_mps"]),
+        "distance": _cli.histogram(trips.distance, d["bin_distance_m"]),
+        "duration": _cli.histogram(trips.duration, d["bin_duration_s"]),
+        "speed": _cli.histogram(trips.avg_speed, d["bin_speed_mps"]),
     }
     files = []
     for name, h in hists.items():
         p = outdir / f"histogram_{name}.csv"
-        write_histogram_csv(h, p)
+        _cli.write_histogram_csv(h, p)
         files.append(p)
-    profile = temporal_profile(trips, offset)
+    profile = _cli.temporal_profile(trips, offset)
     profile_path = outdir / "profile.json"
-    write_json(profile_path, profile_as_dict(profile))
+    write_json(profile_path, _cli.profile_as_dict(profile))
     files.append(profile_path)
     monthly_path = outdir / "monthly.csv"
-    write_monthly_csv(monthly_change(profile), monthly_path)
+    _cli.write_monthly_csv(_cli.monthly_change(profile), monthly_path)
     files.append(monthly_path)
     _update_manifest(outdir, files)
     _emit({"command": "describe", "trips": len(trips),
@@ -331,9 +289,9 @@ def cmd_spatial(cfg: dict, args) -> None:
     bbox = tuple(cfg["bbox"])
     files = []
 
-    grid = build_density_grid(lat, lon, bbox, sp["cell_size_m"])
+    grid = _cli.build_density_grid(lat, lon, bbox, sp["cell_size_m"])
     density_path = outdir / "density.csv"
-    write_density_csv(grid, density_path)
+    _cli.write_density_csv(grid, density_path)
     files.append(density_path)
 
     periods = [("all", trips)]
@@ -342,9 +300,9 @@ def cmd_spatial(cfg: dict, args) -> None:
         months = local_datetimes(points["t"], offset).astype("datetime64[M]")
         for m in np.unique(months[~np.isnan(lat)]):
             month = months == m
-            g = build_density_grid(lat[month], lon[month], bbox, sp["cell_size_m"])
+            g = _cli.build_density_grid(lat[month], lon[month], bbox, sp["cell_size_m"])
             p = outdir / f"density_{m}.csv"
-            write_density_csv(g, p)
+            _cli.write_density_csv(g, p)
             files.append(p)
         trip_months = local_datetimes(trips.start_us, offset).astype("datetime64[M]")
         periods += [(str(m), trips.take(trip_months == m)) for m in np.unique(trip_months)]
@@ -354,13 +312,13 @@ def cmd_spatial(cfg: dict, args) -> None:
     if hubs_cfg_path:
         if not Path(hubs_cfg_path).exists():
             raise MissingInputError(hubs_cfg_path)
-        for hub in parse_hub_file(hubs_cfg_path):
+        for hub in _cli.parse_hub_file(hubs_cfg_path):
             for period, selected in periods:
-                reports.append(hub_spread(selected, (hub.lat, hub.lon), hub.radius_m,
+                reports.append(_cli.hub_spread(selected, (hub.lat, hub.lon), hub.radius_m,
                                           sp["dest_cell_size_m"], sp["top_k"],
                                           period=period, hub_name=hub.name))
     hubs_path = outdir / "hubs.json"
-    write_json(hubs_path, [hub_report_as_dict(r) for r in reports])
+    write_json(hubs_path, [_cli.hub_report_as_dict(r) for r in reports])
     files.append(hubs_path)
     _update_manifest(outdir, files)
     _emit({"command": "spatial", "points_binned": int(grid.counts.sum()),
@@ -390,26 +348,26 @@ def cmd_covariates(cfg: dict, args) -> None:
     outdir = _outdir(cfg)
     trips, _ = _load_trips(cfg)
     offset = cfg["utc_offset_min"]
-    weather = parse_weather(_require(cfg, "weather"))
-    calendar = parse_calendar(_require(cfg, "calendar"))
-    rows = daily_join(trips, weather, offset)
+    weather = _cli.parse_weather(_require(cfg, "weather"))
+    calendar = _cli.parse_calendar(_require(cfg, "calendar"))
+    rows = _cli.daily_join(trips, weather, offset)
 
-    correlations = [asdict(c) for c in daily_correlations(rows)]
-    correlations += [asdict(c) for c in hourly_correlations(trips, weather)]
+    correlations = [asdict(c) for c in _cli.daily_correlations(rows)]
+    correlations += [asdict(c) for c in _cli.hourly_correlations(trips, weather)]
     if cfg.get("paths", {}).get("pollution"):
-        pollution = parse_pollution(_require(cfg, "pollution"))
-        correlations += [asdict(c) for c in pollution_daily_correlations(rows, pollution, offset)]
+        pollution = _cli.parse_pollution(_require(cfg, "pollution"))
+        correlations += [asdict(c) for c in _cli.pollution_daily_correlations(rows, pollution, offset)]
     corr_path = outdir / "correlations.json"
     write_json(corr_path, correlations)
 
     holidays_path = outdir / "holidays.json"
-    impacts = _write_impacts(holidays_path, *holiday_impact(rows, calendar))
+    impacts = _write_impacts(holidays_path, *_cli.holiday_impact(rows, calendar))
     events_path = outdir / "events.json"
-    impacts_e = _write_impacts(events_path, *event_impact(rows, calendar))
+    impacts_e = _write_impacts(events_path, *_cli.event_impact(rows, calendar))
     files = [corr_path, holidays_path, events_path]
 
     if weeks:
-        wc = week_contrast(rows, *weeks, weather=weather, utc_offset_min=offset)
+        wc = _cli.week_contrast(rows, *weeks, weather=weather, utc_offset_min=offset)
         wc_path = outdir / "week_contrast.json"
         write_json(wc_path, {
             "week_a_start": str(wc.week_a_start),
@@ -431,20 +389,20 @@ def cmd_features(cfg: dict, args) -> None:
     fc = cfg["features"]
     width = int(args.width or fc["width"])
     split = args.split or fc["split"]
-    weather = parse_weather(_require(cfg, "weather"))
-    calendar = parse_calendar(_require(cfg, "calendar"))
-    slots, out_of_span = aggregate_slots(trips, width, aligned_span(trips, width))
+    weather = _cli.parse_weather(_require(cfg, "weather"))
+    calendar = _cli.parse_calendar(_require(cfg, "calendar"))
+    slots, out_of_span = _cli.aggregate_slots(trips, width, _cli.aligned_span(trips, width))
     options = {"utc_offset_min": cfg["utc_offset_min"], "hour_as_numeric": fc["hour_as_numeric"],
                "hour_history_sum": fc["hour_history_sum"]}
-    matrix, dropped = build_features(slots, weather, calendar, **options)
-    plan = chronological_split(matrix, split)
+    matrix, dropped = _cli.build_features(slots, weather, calendar, **options)
+    plan = _cli.chronological_split(matrix, split)
     features_path = outdir / "features.csv"
-    write_features_csv(matrix, features_path, **options)
+    _cli.write_features_csv(matrix, features_path, **options)
     plan_path = outdir / "splitplan.json"
-    write_json(plan_path, split_plan_as_dict(plan))
+    write_json(plan_path, _cli.split_plan_as_dict(plan))
     corr_path = outdir / "feature_correlations.json"
-    write_json(corr_path, [{"column": c, "r": r} for c, r in feature_target_correlation(matrix)])
-    _update_manifest(outdir, [features_path, sidecar_path(features_path), plan_path, corr_path])
+    write_json(corr_path, [{"column": c, "r": r} for c, r in _cli.feature_target_correlation(matrix)])
+    _update_manifest(outdir, [features_path, _cli.sidecar_path(features_path), plan_path, corr_path])
     _emit({"command": "features", "rows": matrix.n_rows, "columns": len(matrix.column_names),
            "width": width, "split": split, "dropped_rows": len(dropped),
            "out_of_span_trips": out_of_span})
@@ -459,7 +417,7 @@ def _model_specs(cfg: dict, requested: list[str]) -> list[ModelSpec]:
     seed = mc.get("seed", cfg["seed"])
     if type(seed) is not int:  # a bool is not a seed
         raise ParameterError(f"{key} must be an integer, got {seed!r}")
-    return [ModelSpec(k, mc.get(k, {}), seed=seed) for k in kinds]
+    return [_cli.ModelSpec(k, mc.get(k, {}), seed=seed) for k in kinds]
 
 
 def cmd_train(cfg: dict, args) -> None:
@@ -468,14 +426,14 @@ def cmd_train(cfg: dict, args) -> None:
     requested = [args.model] if args.model else list(tc["models"])
     specs = _model_specs(cfg, requested)
     features_path = Path(cfg.get("paths", {}).get("features") or (outdir / "features.csv"))
-    matrix = read_features_csv(features_path)
+    matrix = _cli.read_features_csv(features_path)
     width = int(args.width or tc.get("width") or matrix.width_minutes)
     if width != matrix.width_minutes:
         raise ParameterError(
             f"requested width {width} but features.csv was built at {matrix.width_minutes}; rerun `features --width {width}`")
     split = args.split or tc["split"]
-    plan = chronological_split(matrix, split)
-    report, fitted = evaluate(matrix, plan, specs, with_cv=bool(tc.get("with_cv", True)))
+    plan = _cli.chronological_split(matrix, split)
+    report, fitted = _cli.evaluate(matrix, plan, specs, with_cv=bool(tc.get("with_cv", True)))
 
     files = []
     report_path = outdir / "eval_report.json"
@@ -484,7 +442,7 @@ def cmd_train(cfg: dict, args) -> None:
     best_kind, best_mae = None, None
     for kind, score in fitted.items():
         artifact_path = outdir / f"model_{kind}.json"
-        write_json(artifact_path, model_artifact(score.model, matrix.column_names))
+        write_json(artifact_path, _cli.model_artifact(score.model, matrix.column_names))
         files.append(artifact_path)
         pred_path = outdir / f"predictions_{kind}.csv"
         _write_predictions(pred_path, matrix, score.targets, score.predictions)
@@ -515,8 +473,8 @@ def cmd_predict(cfg: dict, args) -> None:
     if not artifact_path.exists():
         raise MissingInputError(artifact_path)
     features_path = Path(cfg.get("paths", {}).get("features") or (outdir / "features.csv"))
-    tm = load_artifact(read_json(artifact_path))
-    matrix = read_features_csv(features_path)
+    tm = _cli.load_artifact(read_json(artifact_path))
+    matrix = _cli.read_features_csv(features_path)
     if args.width and int(args.width) != matrix.width_minutes:
         raise ParameterError(
             f"horizon {args.width} does not match the {matrix.width_minutes}-minute features file")
@@ -532,81 +490,9 @@ def _next_slot_prediction(tm, matrix) -> dict:
     `predict_rows` on row `n_rows`, scored as the test rows are."""
     width = matrix.width_minutes
     next_start = matrix.slot_us[-1] + width * MINUTE_US
-    value = float(predict_rows(tm, matrix, [matrix.n_rows])[0])
+    value = float(_cli.predict_rows(tm, matrix, [matrix.n_rows])[0])
     return {"slot_start": utc_strings([next_start])[0], "width_minutes": width,
             "model": tm.spec.kind, "predicted": value}
-
-
-def _int(v) -> int:
-    if type(v) is not int:
-        raise TypeError(f"{v!r} is not an integer")
-    return v
-
-
-def _finite(v) -> bool:
-    return type(v) in (int, float) and math.isfinite(v)
-
-
-def _numbers(n: int):
-    """The converter of a JSON list of `n` finite numbers to a tuple."""
-    def convert(values) -> tuple:
-        if len(values) != n or not all(map(_finite, values)):
-            raise TypeError(f"expected a list of {n} finite numbers")
-        return tuple(values)
-    return convert
-
-
-def _record(cls):
-    """The converter of a JSON object to `cls(**obj)`, whose float fields
-    must hold finite numbers."""
-    def convert(obj) -> cls:
-        rec = cls(**obj)
-        for f in fields(cls):
-            if f.type == "float" and not _finite(getattr(rec, f.name)):
-                raise TypeError(f"{f.name} must be a finite number, got {getattr(rec, f.name)!r}")
-        return rec
-    return convert
-
-
-def _rain_event(e: dict) -> RainEvent:
-    return RainEvent(date.fromisoformat(e["day"]), int(e["start_hour"]), int(e["duration_h"]),
-                     float(e["mm_per_hour"]), float(e["suppression"]))
-
-
-# how a synth config value becomes a SynthConfig field; other keys pass as given
-_SYNTH_VALUES = {
-    "seed": _int,
-    "utc_offset_min": _int,
-    "start_date": date.fromisoformat,
-    "end_date": date.fromisoformat,
-    "bbox": _numbers(4),
-    "hourly_shape": _numbers(24),
-    "hubs": lambda hubs: tuple(map(_record(Hub), hubs)),
-    "temp_curve": _record(TempCurve),
-    "trip_length": _record(TripLengthDist),
-    "speed": _record(SpeedDist),
-    "rain_events": lambda events: tuple(_rain_event(e) for e in events),
-    "holiday_suppressions": lambda pairs: tuple((date.fromisoformat(d), float(s)) for d, s in pairs),
-    "null_events": lambda events: tuple((date.fromisoformat(d), kind, label) for d, kind, label in events),
-}
-
-
-def synth_config_from_dict(d: dict, seed: int, utc_offset_min: int) -> SynthConfig:
-    """The SynthConfig of a `synth` config section; `seed` and
-    `utc_offset_min` apply where the section sets neither. A value of the
-    wrong shape raises ParameterError naming its key."""
-    unknown = sorted(set(d) - {f.name for f in fields(SynthConfig)})
-    if unknown:
-        raise ParameterError(f"unknown synth keys {unknown}")
-    kwargs = {}
-    for key, value in {"seed": seed, "utc_offset_min": utc_offset_min, **d}.items():
-        try:
-            kwargs[key] = _SYNTH_VALUES.get(key, lambda v: v)(value)
-        except KeyError as e:
-            raise ParameterError(f"synth.{key} lacks the key {e}, got {value!r}") from None
-        except (TypeError, ValueError) as e:
-            raise ParameterError(f"synth.{key} is malformed ({e}), got {value!r}") from None
-    return SynthConfig(**kwargs)
 
 
 COMMANDS = {

@@ -23,7 +23,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .ingest import TripTable
-from .util import HOUR_US, WEEKDAY_NAMES, csv_rows, local_datetimes, parse_utc, utc_strings
+from .util import HOUR_US, WEEKDAY_NAMES, csv_rows, local_datetimes, parse_utc, pearson, utc_strings
 
 WEATHER_HEADER = ["timestamp", "temp_c", "precip_mm", "wind_mps"]
 POLLUTION_HEADER = ["timestamp", "pm", "o3", "no2", "so2"]
@@ -160,24 +160,6 @@ def parse_calendar(source) -> list[CalendarEntry]:
         seen.add(key)
         out.append(CalendarEntry(d, kind, row[2]))
     return out
-
-
-def pearson(x, y) -> float:
-    """Product-moment correlation; zero variance raises, it never silently yields 0."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(x) != len(y):
-        raise ParameterError(f"length mismatch: {len(x)} vs {len(y)}")
-    if len(x) < 3:
-        raise ParameterError("pearson needs at least 3 samples")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(xc @ xc)
-    syy = float(yc @ yc)
-    if sxx == 0 or syy == 0:
-        raise UndefinedCorrelationError("zero variance in a series")
-    # separate square roots avoid under/overflow of the product
-    return float(xc @ yc) / (math.sqrt(sxx) * math.sqrt(syy))
 
 
 @dataclass(slots=True)

@@ -13,11 +13,6 @@ from .errors import DataError, ParameterError
 from .ingest import TripTable
 from .util import WEEKDAY_NAMES, local_datetimes
 
-# default bin widths resolve the expected peaks (~1600 m, ~720 s, ~3.9 m/s)
-DEFAULT_DISTANCE_BIN_M = 200.0
-DEFAULT_DURATION_BIN_S = 60.0
-DEFAULT_SPEED_BIN_MPS = 0.2
-
 
 @dataclass
 class Histogram:

@@ -10,15 +10,20 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .covariates import CalendarEntry, WeatherTable, pearson
 from .errors import MissingInputError, ParameterError, ParseError, SchemaError, StateError, UndefinedCorrelationError
-from .ingest import TripTable
-from .util import HOUR_US, MINUTE_US, WEEKDAY_NAMES, local_datetimes, parse_utc, read_json, utc_strings, write_json
+from .util import (HOUR_US, MINUTE_US, WEEKDAY_NAMES, local_datetimes, parse_utc, pearson, read_json, utc_strings,
+                   write_json)
+
+if TYPE_CHECKING:  # annotations only: `train` and `predict` load neither layer
+    from .covariates import CalendarEntry, WeatherTable
+    from .ingest import TripTable
 
 SLOT_WIDTHS = (30, 60)
 SEASONS = ("spring", "summer", "autumn", "winter")
@@ -326,7 +331,18 @@ def write_features_csv(matrix: FeatureMatrix, path, *, utc_offset_min: int,
 
 
 def read_features_csv(path) -> FeatureMatrix:
-    """The matrix of a features file, with the width and next-slot row of its sidecar."""
+    """The matrix of a features file, with the width and next-slot row of its sidecar.
+
+    The body is parsed by one `np.loadtxt` call, NumPy's C tokenizer, into a
+    float64 field of the values and a text field of the stamps, which become
+    microseconds through `datetime64`. A file that the fast path cannot vouch
+    for goes through the row parser (`csv` and a `float` per cell) instead:
+    a header that does not end in `target,slot_start`, a row of another field
+    count or with a value `loadtxt` rejects, a stamp other than the
+    20-character `YYYY-MM-DDThh:mm:ssZ` rendering of its instant, or fewer
+    than 2 rows. So X, y and `slot_us` are the row parser's, bit for bit, and
+    a malformed file raises its error, with its line, as the row parser
+    finds it."""
     meta_path = sidecar_path(path)
     for p in (Path(path), meta_path):
         if not p.exists():
@@ -334,12 +350,62 @@ def read_features_csv(path) -> FeatureMatrix:
     meta = read_json(meta_path)
     if not isinstance(meta, dict):
         raise SchemaError(f"{meta_path}: not a JSON object")
+    names, X, y, slot_us = _load_columns(path) or _parse_rows(path)
+    if len(y) < 2:
+        raise ParameterError("features file needs at least 2 rows")
+    width = meta.get("width_minutes")
+    if width not in SLOT_WIDTHS:
+        raise SchemaError(f"{meta_path}: slot width {width!r} not in {SLOT_WIDTHS}")
+    next_row = meta.get("next_row")
+    if not isinstance(next_row, list) or len(next_row) != len(names):
+        raise SchemaError(f"{meta_path}: next_row does not match the {len(names)} columns of {path}")
+    return FeatureMatrix(X, y, names, slot_us, width, np.asarray(next_row, dtype=np.float64))
+
+
+def _is_features_header(header: list[str]) -> bool:
+    return len(header) >= 3 and header[-1] == "slot_start" and header[-2] == "target"
+
+
+_FIRST_SECOND = np.datetime64("0001-01-01T00:00:00")  # year 0 renders, but `parse_utc` rejects it
+
+
+def _load_columns(path):
+    """(names, X, y, slot_us) of a features file by one `np.loadtxt` call, or
+    None where the row parser must read it."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        header = next(csv.reader(f), [])
+        if not _is_features_header(header):
+            return None
+        # one field past 20 characters, so that a longer stamp cannot pass
+        dtype = np.dtype([("values", np.float64, (len(header) - 1,)), ("stamp", "U21")])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body: the row parser reports it
+                body = np.loadtxt(f, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return None
+    if len(body) < 2:
+        return None
+    stamp = body["stamp"]
+    try:
+        seconds = stamp.astype("U19").astype("datetime64[s]")
+    except ValueError:
+        return None
+    if seconds.min() < _FIRST_SECOND or (np.char.add(np.datetime_as_string(seconds, unit="s"), "Z") != stamp).any():
+        return None
+    values = body["values"]
+    slot_us = seconds.astype("datetime64[us]").astype(np.int64)
+    return header[:-2], np.ascontiguousarray(values[:, :-1]), values[:, -1].copy(), slot_us
+
+
+def _parse_rows(path):
+    """(names, X, y, slot_us) of a features file, row by row; a malformed
+    header raises SchemaError and a malformed row ParseError with its line."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         header = next(reader, [])
-        if len(header) < 3 or header[-1] != "slot_start" or header[-2] != "target":
+        if not _is_features_header(header):
             raise SchemaError(f"not a features file: {path}")
-        names = header[:-2]
         X_rows, y_vals, starts = [], [], []
         for row in reader:
             if not row:
@@ -352,16 +418,7 @@ def read_features_csv(path) -> FeatureMatrix:
                 starts.append(parse_utc(row[-1]))
             except ValueError as e:
                 raise ParseError(reader.line_num, str(e)) from None
-    if len(X_rows) < 2:
-        raise ParameterError("features file needs at least 2 rows")
-    width = meta.get("width_minutes")
-    if width not in SLOT_WIDTHS:
-        raise SchemaError(f"{meta_path}: slot width {width!r} not in {SLOT_WIDTHS}")
-    next_row = meta.get("next_row")
-    if not isinstance(next_row, list) or len(next_row) != len(names):
-        raise SchemaError(f"{meta_path}: next_row does not match the {len(names)} columns of {path}")
-    return FeatureMatrix(np.asarray(X_rows), np.asarray(y_vals), names, np.asarray(starts, dtype=np.int64), width,
-                         np.asarray(next_row, dtype=np.float64))
+    return header[:-2], np.asarray(X_rows), np.asarray(y_vals), np.asarray(starts, dtype=np.int64)
 
 
 def split_plan_as_dict(plan: SplitPlan) -> dict:

@@ -3,7 +3,8 @@ cross-validation on the training range, held-out test scoring, and feature
 ablation. Scalers for the recurrent model are always fitted on the training
 portion in play, never on validation or test rows.
 
-A model kind is defined once, in `MODELS`: its name maps to the class that
+A model kind is defined once: its name in `util.MODEL_KINDS`, which the CLI
+reads without loading any model, and its class in `MODELS`, the class that
 fits, predicts, saves and loads it. A new kind provides `Params` (a frozen
 dataclass of its hyperparameters, or None; a `lookback` field makes the kind
 recurrent), `fit(X, y, params, seed)` if tabular or `cls(input_size, params,
@@ -34,15 +35,14 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..features import FeatureMatrix, MinMaxScaler, SplitPlan, drop_group
-from ..util import MINUTE_US
+from ..util import MINUTE_US, MODEL_KINDS
 from .boosting import GradientBoosting
 from .forest import RandomForest
 from .linear import LinearModel
 from .lstm import LstmRegressor, build_windows
 from .metrics import Metrics, metrics
 
-MODELS = {"linear": LinearModel, "forest": RandomForest, "boost": GradientBoosting, "lstm": LstmRegressor}
-MODEL_KINDS = tuple(MODELS)
+MODELS = dict(zip(MODEL_KINDS, (LinearModel, RandomForest, GradientBoosting, LstmRegressor), strict=True))
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,13 @@ many windows there are.
 The kernel is time-major (Appleyard, Kocisky & Blunsom, arXiv:1604.01946):
 the input half of every step's pre-activation, bias included, is one GEMM over
 the (T*B, D) rows; each step adds only `h @ W_h`, applies one tanh to all four
-gates (a sigmoid is an affine map of tanh) and updates the cell. The backward
-pass forms the gate-derivative factors of all steps before its reverse loop,
-which keeps only dc, dz and dh = dz @ W_h^T, and every weight and bias
-gradient is one GEMM after it. The per-step arrays live in a `_Workspace`
-that `fit` allocates once, every batch reuses, and `fit` releases."""
+gates (a sigmoid is an affine map of tanh) and updates the cell; only the
+tanh of every step is kept, not its gates. The backward pass recomputes the
+gates from it and forms the gate-derivative factors of all steps before its
+reverse loop, which keeps only dc, dz and dh = dz @ W_h^T, and every weight
+and bias gradient is one GEMM after it. The per-step arrays live in a
+`_Workspace` that `fit` allocates once, every batch reuses, and `fit`
+releases."""
 
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from .tree import check_minimums
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_GATE_STEPS = 8  # steps whose gates the backward pass recomputes at a time
 
 
 @dataclass(frozen=True)
@@ -104,14 +107,17 @@ class _Workspace:
     gives the input half of the pre-activations with the bias, and one gives
     every weight gradient; h_0 is zero and slot `steps` holds only h_T. `z`
     holds the input half, then each step's tanh A, then the gate-derivative
-    factors, and the reverse loop turns each step's factors into its dz. `c`
-    holds the cell states from c_0 = 0, `tanh_c` their tanh and then dc's
-    factor from dh. `take(B)` views the leading part of each flat buffer, so a
-    short batch reuses them as contiguous arrays."""
+    factors, and the reverse loop turns each step's factors into its dz. `a`
+    holds a step's pre-activation and then its gates in the forward pass, and
+    the gates of up to `_GATE_STEPS` steps, recomputed from A, in the backward
+    pass; `f` keeps the forget gates, which the reverse loop reads. `c` holds
+    the cell states from c_0 = 0, `tanh_c` their tanh and then dc's factor
+    from dh. `take(B)` views the leading part of each flat buffer, so a short
+    batch reuses them as contiguous arrays."""
 
     def __init__(self, size: int, steps: int, D: int, H: int):
-        self.shapes = {"xh": (steps + 1, 1 + D + H), "z": (steps, 4 * H), "gates": (steps, 4 * H),
-                       "c": (steps + 1, H), "tanh_c": (steps, H)}
+        self.shapes = {"xh": (steps + 1, 1 + D + H), "z": (steps, 4 * H), "a": (min(steps, _GATE_STEPS), 4 * H),
+                       "f": (steps, H), "c": (steps + 1, H), "tanh_c": (steps, H)}
         self.flat = {k: np.empty(n * size * w) for k, (n, w) in self.shapes.items()}
         self.flat["xh"][::1 + D + H] = 1.0
 
@@ -146,7 +152,7 @@ class LstmRegressor:
         H = self.params.hidden_size
         W = self.weights["W"]
         scale, shift = _gate_affine(H)
-        xh, z, gates, c, tanh_c = buf["xh"], buf["z"], buf["gates"], buf["c"], buf["tanh_c"]
+        xh, z, a, c, tanh_c = buf["xh"], buf["z"], buf["a"][0], buf["c"], buf["tanh_c"]
         if isinstance(X, Windows):
             X.gather(xh[:T, :, 1:1 + D])
         else:
@@ -158,8 +164,8 @@ class LstmRegressor:
         W_h = W[D:] * scale
         scale_rows, shift_rows = np.tile(scale, (B, 1)), np.tile(shift, (B, 1))  # contiguous, like a step's gates
         h = xh[:, :, 1 + D:]
-        per_gate = gates.reshape(T, B, 4, H).transpose(2, 0, 1, 3)  # i, f, g, o, each (T, B, H)
-        for a, zt, i, f, g, o, c0, c1, tc, h0, h1 in zip(gates, z, *per_gate, c[:-1], c[1:], tanh_c, h[:-1], h[1:]):
+        i, f, g, o = a.reshape(B, 4, H).transpose(1, 0, 2)  # the step's gates, each (B, H)
+        for zt, c0, c1, tc, h0, h1 in zip(z, c[:-1], c[1:], tanh_c, h[:-1], h[1:]):
             np.dot(h0, W_h, out=a)
             a += zt
             np.tanh(a, out=zt)
@@ -187,22 +193,34 @@ class LstmRegressor:
         # candidate, A being the step's tanh. dz is kept without the 1/4 (`slope`),
         # which W_h takes before the reverse loop and the gradients after it:
         # dz = [dc*g*(1-A_i²), dc*c_prev*(1-A_f²), dc*i*(1-A_g²), dh*tanh_c*(1-A_o²)],
-        # all factors but dc and dh known before the loop.
-        xh, gates, c, dz, tanh_c = buf["xh"], buf["gates"], buf["c"], buf["z"], buf["tanh_c"]
-        np.multiply(dz, dz, out=dz)
-        np.subtract(1.0, dz, out=dz)
-        i, f, g, o = gates.reshape(T, B, 4, H).transpose(2, 0, 1, 3)
+        # all factors but dc and dh known before the loop. The gates are
+        # recomputed from A as `_forward` computes them, a few steps at a time
+        # in `a`, before A turns into its factors; the reverse loop reads the
+        # forget gates from `f`.
+        xh, dz, a, f, c, tanh_c = buf["xh"], buf["z"], buf["a"], buf["f"], buf["c"], buf["tanh_c"]
+        scale, shift = _gate_affine(H)
+        for s in range(0, T, len(a)):
+            A = dz[s:s + len(a)]
+            n = len(A)
+            gates = a[:n]
+            np.multiply(A, scale, out=gates)
+            gates += shift
+            i, f[s:s + n], g, o = gates.reshape(n, B, 4, H).transpose(2, 0, 1, 3)
+            np.multiply(A, A, out=A)
+            np.subtract(1.0, A, out=A)
+            dgate = A.reshape(n, B, 4, H)
+            dgate[:, :, 0] *= g
+            dgate[:, :, 1] *= c[s:s + n]
+            dgate[:, :, 2] *= i
+            dgate[:, :, 3] *= tanh_c[s:s + n]
+            # dc's factor from dh: o * (1 - tanh_c²), in place of tanh_c
+            dc_factor = tanh_c[s:s + n]
+            np.multiply(dc_factor, dc_factor, out=dc_factor)
+            np.subtract(1.0, dc_factor, out=dc_factor)
+            np.multiply(dc_factor, o, out=dc_factor)
         dgate = dz.reshape(T, B, 4, H)
-        dgate[:, :, 0] *= g
-        dgate[:, :, 1] *= c[:T]
-        dgate[:, :, 2] *= i
-        dgate[:, :, 3] *= tanh_c
-        # dc's factor from dh: o * (1 - tanh_c²), in place of tanh_c
-        np.multiply(tanh_c, tanh_c, out=tanh_c)
-        np.subtract(1.0, tanh_c, out=tanh_c)
-        np.multiply(tanh_c, o, out=tanh_c)
 
-        slope = _gate_affine(H)[0] ** 2
+        slope = scale ** 2
         W_hT = (self.weights["W"][D:] * slope).T
         dh = np.outer(dyhat, self.weights["w_out"])
         dc = np.zeros((B, H))

@@ -60,18 +60,23 @@ def check_minimums(params, **minimums) -> None:
 class Bins:
     """The distinct values of every column of X as bins on one axis, each
     column's in ascending order and columns of equal bin count adjacent.
-    `index[i, j]` is row i's bin in column j; `value` and `column` give each
-    bin's value and column; `runs` holds the (start, stop, size) spans of
-    equal-size columns."""
+    `index[i, j]` is row i's bin in column j, an int32 (no matrix comes near
+    2**31 distinct values); `value` and `column` give each bin's value and
+    column; `runs` holds the (start, stop, size) spans of equal-size columns."""
 
     def __init__(self, X):
-        uniq = [np.unique(col, return_inverse=True) for col in np.asarray(X, dtype=np.float64).T]
-        size = np.array([u.size for u, _ in uniq], dtype=np.intp)
+        X = np.asarray(X, dtype=np.float64)
+        self.index = np.empty(X.shape, dtype=np.int32)  # filled column by column, below
+        values = []
+        for j, col in enumerate(X.T):
+            u, self.index[:, j] = np.unique(col, return_inverse=True)
+            values.append(u)
+        size = np.array([u.size for u in values], dtype=np.intp)
         order = np.argsort(size, kind="stable")
         start = np.empty_like(size)
         start[order] = np.cumsum(size[order]) - size[order]
-        self.index = np.stack([s + inv for s, (_, inv) in zip(start, uniq)], axis=1)
-        self.value = np.concatenate([uniq[j][0] for j in order])
+        self.index += start.astype(np.int32)
+        self.value = np.concatenate([values[j] for j in order])
         self.column = np.repeat(order, size[order])
         width, count = np.unique(size, return_counts=True)
         stop = np.cumsum(width * count)

@@ -23,6 +23,8 @@ uniforms u for the accuracies, round(3 + 9u, 1), and, when missing_fraction > 0
 and m > 2, 3m more that blank an interior point's coordinates, speed and
 accuracy (in that order) where they fall below missing_fraction. Stream
 (seed, 2i) holds only day i's noise factor.
+
+`synth_config_from_dict` builds the `SynthConfig` of a JSON config section.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import csv
 import math
 import numbers
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -150,6 +152,79 @@ class SynthConfig:
 
 def _is_finite_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _int(v) -> int:
+    if type(v) is not int:
+        raise TypeError(f"{v!r} is not an integer")
+    return v
+
+
+def _finite(v) -> bool:
+    """Whether a JSON value is a finite number (a bool is not)."""
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _numbers(n: int):
+    """The converter of a JSON list of `n` finite numbers to a tuple."""
+    def convert(values) -> tuple:
+        if len(values) != n or not all(map(_finite, values)):
+            raise TypeError(f"expected a list of {n} finite numbers")
+        return tuple(values)
+    return convert
+
+
+def _record(cls):
+    """The converter of a JSON object to `cls(**obj)`, whose float fields
+    must hold finite numbers."""
+    def convert(obj) -> cls:
+        rec = cls(**obj)
+        for f in fields(cls):
+            if f.type == "float" and not _finite(getattr(rec, f.name)):
+                raise TypeError(f"{f.name} must be a finite number, got {getattr(rec, f.name)!r}")
+        return rec
+    return convert
+
+
+def _rain_event(e: dict) -> RainEvent:
+    return RainEvent(date.fromisoformat(e["day"]), int(e["start_hour"]), int(e["duration_h"]),
+                     float(e["mm_per_hour"]), float(e["suppression"]))
+
+
+# how a synth config value becomes a SynthConfig field; other keys pass as given
+_SYNTH_VALUES = {
+    "seed": _int,
+    "utc_offset_min": _int,
+    "start_date": date.fromisoformat,
+    "end_date": date.fromisoformat,
+    "bbox": _numbers(4),
+    "hourly_shape": _numbers(24),
+    "hubs": lambda hubs: tuple(map(_record(Hub), hubs)),
+    "temp_curve": _record(TempCurve),
+    "trip_length": _record(TripLengthDist),
+    "speed": _record(SpeedDist),
+    "rain_events": lambda events: tuple(_rain_event(e) for e in events),
+    "holiday_suppressions": lambda pairs: tuple((date.fromisoformat(d), float(s)) for d, s in pairs),
+    "null_events": lambda events: tuple((date.fromisoformat(d), kind, label) for d, kind, label in events),
+}
+
+
+def synth_config_from_dict(d: dict, seed: int, utc_offset_min: int) -> SynthConfig:
+    """The SynthConfig of a `synth` config section; `seed` and
+    `utc_offset_min` apply where the section sets neither. A value of the
+    wrong shape raises ParameterError naming its key."""
+    unknown = sorted(set(d) - {f.name for f in fields(SynthConfig)})
+    if unknown:
+        raise ParameterError(f"unknown synth keys {unknown}")
+    kwargs = {}
+    for key, value in {"seed": seed, "utc_offset_min": utc_offset_min, **d}.items():
+        try:
+            kwargs[key] = _SYNTH_VALUES.get(key, lambda v: v)(value)
+        except KeyError as e:
+            raise ParameterError(f"synth.{key} lacks the key {e}, got {value!r}") from None
+        except (TypeError, ValueError) as e:
+            raise ParameterError(f"synth.{key} is malformed ({e}), got {value!r}") from None
+    return SynthConfig(**kwargs)
 
 
 def _day_rng(seed: int, key: int) -> np.random.Generator:

@@ -1,5 +1,5 @@
-"""Small shared helpers: timestamps, weekday names, hashing, CSV input and
-JSON input/output.
+"""Small shared helpers: timestamps, weekday names, the model kind names,
+Pearson correlation, hashing, CSV input and JSON input/output.
 
 An instant is int64 microseconds since the epoch everywhere, alone or as a
 column: `parse_utc` reads one, `utc_strings` renders a column of them, and
@@ -11,13 +11,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParameterError, ParseError, UndefinedCorrelationError
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
@@ -26,6 +27,9 @@ MINUTE_US = 60_000_000
 HOUR_US = 60 * MINUTE_US
 
 WEEKDAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
+
+# the forecasting model kinds, in report order; `models.evaluate.MODELS` gives each its class
+MODEL_KINDS = ("linear", "forest", "boost", "lstm")
 
 
 def parse_utc(text: str) -> int:
@@ -83,3 +87,21 @@ def write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, sort_keys=True, indent=2)
         f.write("\n")
+
+
+def pearson(x, y) -> float:
+    """Product-moment correlation; zero variance raises, it never silently yields 0."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if len(x) != len(y):
+        raise ParameterError(f"length mismatch: {len(x)} vs {len(y)}")
+    if len(x) < 3:
+        raise ParameterError("pearson needs at least 3 samples")
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sxx = float(xc @ xc)
+    syy = float(yc @ yc)
+    if sxx == 0 or syy == 0:
+        raise UndefinedCorrelationError("zero variance in a series")
+    # separate square roots avoid under/overflow of the product
+    return float(xc @ yc) / (math.sqrt(sxx) * math.sqrt(syy))

@@ -7,6 +7,7 @@ import csv
 import json
 import math
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -464,14 +465,19 @@ def test_malformed_artifact_exits_3(city, trained, tmp_path, capsys, damage):
     assert (err["exit_code"], err["type"]) == (3, "SchemaError")
 
 
-@pytest.mark.parametrize("change", [
-    lambda line: "abc" + line[line.index(","):],
-    lambda line: line[:line.rindex(",") + 1] + "2017-13-01T00:00:00Z\r\n",
-    lambda line: line[:line.index(",") + 1] + line,
-], ids=["non-numeric-cell", "bad-slot-start", "extra-field"])
-def test_malformed_features_row_exits_3_with_its_line(city, trained, tmp_path, capsys, change):
+MALFORMED_ROWS = {
+    "non-numeric-cell": lambda line: "abc" + line[line.index(","):],
+    "bad-slot-start": lambda line: line[:line.rindex(",") + 1] + "2017-13-01T00:00:00Z\r\n",
+    "extra-field": lambda line: line[:line.index(",") + 1] + line,
+}
+
+
+@pytest.mark.parametrize("command, change", [("train", c) for c in MALFORMED_ROWS.values()]
+                         + [("predict", c) for c in MALFORMED_ROWS.values()],
+                         ids=[*MALFORMED_ROWS, *(f"predict-{name}" for name in MALFORMED_ROWS)])
+def test_malformed_features_row_exits_3_with_its_line(city, trained, tmp_path, capsys, command, change):
     damaged_copy(trained, tmp_path, "features.csv", replace_line(5, change))
-    err = error_of(capsys, cli_args(city, tmp_path, command_argv("train", tmp_path)))
+    err = error_of(capsys, cli_args(city, tmp_path, command_argv(command, tmp_path)))
     assert (err["exit_code"], err["type"]) == (3, "ParseError")
     assert err["message"].startswith("line 5:")
 
@@ -482,16 +488,115 @@ def test_features_file_without_its_header_exits_3(city, trained, tmp_path, capsy
     assert (err["exit_code"], err["type"]) == (3, "SchemaError")
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this velotrace."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_cli_process_failure_prints_only_the_error_json(tmp_path):
     """As a user runs it: exit 1, nothing on stderr, the error JSON last on stdout."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     config = config_with(tmp_path, models={"boost": {"n_rounds": 2.5}})
     proc = subprocess.run([sys.executable, "-m", "velotrace.cli", "train", "--config", config,
-                           "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env, timeout=120)
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True, env=child_env(),
+                          timeout=120)
     assert (proc.returncode, proc.stderr) == (1, "")
     err = json.loads(proc.stdout.strip().splitlines()[-1])["error"]
     assert (err["exit_code"], err["type"]) == (1, "ParameterError") and "'n_rounds'" in err["message"]
+
+
+def in_child(code: str, *argv: str):
+    """The JSON that `code`, run in a fresh interpreter with `argv`, prints last."""
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=child_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+# The velotrace layers each command loads besides cli, errors and util: a
+# command imports only what it runs, so `ingest` loads no model and `train`
+# and `predict` load none of synth, spatial, descriptive, covariates or ingest.
+COMMAND_LAYERS = {
+    "synth": {"synth", "ingest", "spatial"},
+    "ingest": {"ingest"},
+    "describe": {"descriptive", "ingest"},
+    "spatial": {"spatial", "ingest"},
+    "covariates": {"covariates", "ingest"},
+    "features": {"features", "covariates", "ingest"},
+    "train": {"features", "models"},
+    "predict": {"features", "models"},
+}
+LOADED_LAYERS = """\
+import json, sys
+from velotrace import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted({m.split(".")[1] for m in sys.modules if m.startswith("velotrace.")})]))
+"""
+
+
+def command_of(name: str, outdir) -> list[str]:
+    return {"features": ["features", "--width", "60"], "train": ["train", "--model", "linear"],
+            "predict": ["predict", "--artifact", str(outdir / "model_linear.json")]}.get(name, [name])
+
+
+@pytest.mark.parametrize("command", COMMAND_LAYERS)
+def test_a_command_loads_only_its_layers(city, trained, tmp_path, command):
+    shutil.copytree(trained, tmp_path, dirs_exist_ok=True)
+    code, layers = in_child(LOADED_LAYERS, *cli_args(city, tmp_path, command_of(command, tmp_path)))
+    assert code == 0
+    assert set(layers) == {"cli", "errors", "util"} | COMMAND_LAYERS[command]
+
+
+def test_package_exports_load_their_layer_on_first_access():
+    loaded = "sorted(m for m in sys.modules if m.startswith('velotrace.'))"
+    before, after = in_child(f"import json, sys, velotrace\nbefore = {loaded}\n"
+                             f"from velotrace import SynthConfig\nprint(json.dumps([before, {loaded}]))")
+    assert before == [] and "velotrace.synth" in after and "velotrace.models" not in after
+
+
+def test_a_cli_helper_works_in_a_fresh_interpreter(trained):
+    """A helper looks its layer names up on the cli module, so it needs no command to have run first."""
+    code = """\
+import json, sys
+from velotrace import cli
+from velotrace.features import read_features_csv
+from velotrace.models import load_artifact
+tm = load_artifact(json.load(open(sys.argv[1])))
+print(json.dumps(cli._next_slot_prediction(tm, read_features_csv(sys.argv[2]))))
+"""
+    artifact, features = trained / "model_linear.json", trained / "features.csv"
+    expected = cli._next_slot_prediction(load_artifact(json.loads(artifact.read_text())), read_features_csv(features))
+    assert in_child(code, str(artifact), str(features)) == expected
+
+
+TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "trace_stage.py"
+CLI_PATCHES = [attr for module, _, attr, _ in runpy.run_path(str(TRACER))["PATCHES"] if module == "velotrace.cli"]
+# a command that calls each name the tracer wraps on the cli module
+CALLER = {
+    "generate": "synth", "parse_points": "ingest", "assemble_trips": "ingest", "write_trips_csv": "ingest",
+    "histogram": "describe", "temporal_profile": "describe", "build_density_grid": "spatial",
+    "hub_spread": "spatial", "parse_weather": "covariates", "parse_calendar": "covariates",
+    "daily_join": "covariates", "hourly_correlations": "covariates", "holiday_impact": "covariates",
+    "aggregate_slots": "features", "build_features": "features", "feature_target_correlation": "features",
+    "write_features_csv": "features", "read_features_csv": "train", "evaluate": "train",
+    "model_artifact": "train", "load_artifact": "predict", "write_json": "train", "sha256_file": "ingest",
+}
+
+
+@pytest.mark.parametrize("name", CLI_PATCHES)
+def test_a_function_replaced_on_the_cli_module_is_the_one_called(city, trained, tmp_path, monkeypatch, name):
+    """The tracer wraps these names where the commands look them up: on the cli module."""
+    assert set(CALLER) == set(CLI_PATCHES)
+    shutil.copytree(trained, tmp_path, dirs_exist_ok=True)
+    real, calls = getattr(cli, name), []
+
+    def replaced(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, replaced)
+    run(city, tmp_path, command_of(CALLER[name], tmp_path))
+    assert calls
 
 
 @pytest.mark.parametrize("config, key", [

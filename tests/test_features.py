@@ -21,6 +21,7 @@ from velotrace.features import (
     read_features_csv,
     write_features_csv,
 )
+from velotrace.features import _load_columns, _parse_rows
 
 from conftest import from_us, make_trips, us, weather_table
 
@@ -403,6 +404,58 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError, match="next_row"):
             read_features_csv(tmp_path / "features.csv")
 
+
+# finite float64 values, with signed zeros, subnormals, huge magnitudes and integers
+CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+                  st.integers(-2 ** 53, 2 ** 53).map(float))
+FIRST_SECOND, LAST_SECOND = -62_135_596_800, 253_402_300_799  # 0001-01-01 and 9999-12-31, UTC
+
+
+class TestCsvReaders:
+    """`read_features_csv` reads a file by NumPy's C tokenizer and falls back to
+    the row parser where the fast path cannot vouch for the file; either way
+    it returns what the row parser gives, bit for bit."""
+
+    @staticmethod
+    def same_columns(a, b) -> bool:
+        return a[0] == b[0] and all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+                                    for x, y in zip(a[1:], b[1:]))
+
+    @given(data=st.data(), n=st.integers(2, 12), k=st.integers(1, 5), width=st.sampled_from([30, 60]))
+    @settings(max_examples=40, deadline=None)
+    def test_fast_path_is_the_row_parser_bit_for_bit(self, tmp_path_factory, data, n, k, width):
+        cells = np.array(data.draw(st.lists(CELLS, min_size=n * (k + 1), max_size=n * (k + 1))))
+        step = width * 60
+        start = data.draw(st.integers(FIRST_SECOND, LAST_SECOND - n * step)) // step * step
+        X, y = cells[:n * k].reshape(n, k), cells[n * k:]
+        slot_us = (start + step * np.arange(n, dtype=np.int64)) * 1_000_000
+        matrix = FeatureMatrix(X, y, [f"c{j}" for j in range(k)], slot_us, width, X[-1])
+        path = tmp_path_factory.mktemp("csv") / "features.csv"
+        write_features_csv(matrix, path, **OPTIONS)
+        fast = _load_columns(path)
+        assert fast is not None
+        assert self.same_columns(fast, _parse_rows(path))
+        assert self.same_columns(fast, (matrix.column_names, X, y, slot_us))
+
+    @pytest.mark.parametrize("change, fast", [
+        (lambda row: '"' + row[:row.index(",")] + '"' + row[row.index(","):], False),
+        (lambda row: "0_" + row, False),
+        (lambda row: row.replace("T", " ", 1), False),
+        (lambda row: row.replace("Z", "+00:00"), False),
+        (lambda row: row + "\r\n", True),
+    ], ids=["quoted-cell", "underscore-digit", "space-in-stamp", "offset-stamp", "blank-line"])
+    def test_an_unusual_file_reads_as_the_row_parser_reads_it(self, tmp_path, change, fast):
+        m, _ = build(list(range(7 * 48 + 30)))
+        path = tmp_path / "features.csv"
+        write_features_csv(m, path, **OPTIONS)
+        lines = path.read_bytes().decode("utf-8").split("\r\n")
+        lines[3] = change(lines[3])
+        path.write_bytes("\r\n".join(lines).encode("utf-8"))
+        assert (_load_columns(path) is not None) == fast
+        back = read_features_csv(path)
+        assert self.same_columns((back.column_names, back.X, back.y, back.slot_us), _parse_rows(path))
+        assert np.array_equal(back.X, m.X) and np.array_equal(back.slot_us, m.slot_us)
 
 OPTIONS = {"utc_offset_min": 120, "hour_as_numeric": False, "hour_history_sum": False}
 
