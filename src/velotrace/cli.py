@@ -20,18 +20,18 @@ output renders instants with `utc_strings`.
 Failures print a machine-readable error JSON and exit 2 (missing input),
 3 (schema/data error), 4 (training failure), or 1 (anything else). A config
 error (an unknown key in any section, a value of another type than its
-default's, a `synth` value of the wrong shape or that no draw can use, an
-empty `train.models`, a seed that is not an integer, a model hyperparameter
-of unknown name or wrong type) or a bad `--week-a`/`--week-b` pair exits 1
-before any point is drawn or model fitted; a malformed input file (invalid
+default's, a `synth` value of the wrong shape or that no draw can use, a
+slot width other than 30 or 60, an empty `train.models`, a seed that is not
+an integer, a model hyperparameter of unknown name or wrong type) or a bad
+`--week-a`/`--week-b` pair exits 1 before any point is drawn or model fitted; a malformed input file (invalid
 JSON, a bad `features.csv` or hubs file row, a model artifact with a missing
 or malformed field) exits 3.
 
 A command loads only the layers it runs. This module imports no layer at
 start-up: each function or class it takes from one is named in
-`_LAYER_NAMES` and imported on its first lookup as an attribute of this
-module (a PEP 562 `__getattr__`), then kept in its namespace. Commands and
-helpers call every such name as `_cli.<name>`, so a helper works when called
+`_LAYER_NAMES`, and this module's `__getattr__` (PEP 562) imports it on its
+first lookup and keeps it in the module's namespace. Commands and helpers
+call every such name as `_cli.<name>`, so a helper works when called
 directly, and a function replaced on this module (the benchmark tracer's
 wrapper, a test's patch) is the one the commands call. So `ingest` loads no
 model, and `train` and `predict` load only `features` and `models`.
@@ -40,6 +40,7 @@ model, and `train` and `predict` load only `features` and `models`.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from dataclasses import asdict
@@ -48,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, layer_getattr
+from . import __version__
 from .errors import (
     DataError,
     MissingInputError,
@@ -57,7 +58,7 @@ from .errors import (
     TrainingError,
     VelotraceError,
 )
-from .util import MINUTE_US, MODEL_KINDS, local_datetimes, read_json, sha256_file, utc_strings, write_json
+from .util import MINUTE_US, MODEL_KINDS, SLOT_WIDTHS, local_datetimes, read_json, sha256_file, utc_strings, write_json
 
 # the layer names the commands call, by the module that defines them
 _LAYER_NAMES = {
@@ -73,9 +74,22 @@ _LAYER_NAMES = {
     "features": ("aggregate_slots", "aligned_span", "build_features", "chronological_split",
                  "feature_target_correlation", "read_features_csv", "sidecar_path", "split_plan_as_dict",
                  "write_features_csv"),
-    "models": ("ModelSpec", "evaluate", "load_artifact", "model_artifact", "predict_rows"),
+    "models.evaluate": ("ModelSpec", "evaluate", "predict_rows"),
+    "models.serialize": ("load_artifact", "model_artifact"),
 }
-__getattr__ = layer_getattr(globals(), _LAYER_NAMES)
+_LAYER_OF = {name: layer for layer, names in _LAYER_NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a name of `_LAYER_NAMES` from its layer on the first lookup and
+    keep it in this module, where later lookups find it, or what replaced it."""
+    layer = _LAYER_OF.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__package__}.{layer}"), name)
+    return value
+
+
 _cli = sys.modules[__name__]  # this module, whose attributes the commands call
 
 DEFAULTS = {
@@ -129,7 +143,7 @@ def load_config(args) -> dict:
         cfg = _merge(cfg, loaded)
         _check_sections(cfg)
     for key in ("out", "seed", "utc_offset_min"):
-        v = getattr(args, key.replace("-", "_"), None)
+        v = getattr(args, key, None)
         if v is not None:
             cfg = _merge(cfg, {key: v})
     return cfg
@@ -150,7 +164,8 @@ def _check_type(name: str, value, default) -> None:
 
 def _check_sections(cfg: dict) -> None:
     """A config section holds only the keys its commands read, each of the
-    type of its default; so do the top-level `seed` and `utc_offset_min`."""
+    type of its default; so do the top-level `seed` and `utc_offset_min`. A
+    slot width, `features.width` or a set `train.width`, is one of `SLOT_WIDTHS`."""
     known = {name: set(DEFAULTS[name]) for name in ("describe", "spatial", "features", "train")}
     known["models"] = {*MODEL_KINDS, "seed"}
     for name, keys in known.items():
@@ -165,6 +180,10 @@ def _check_sections(cfg: dict) -> None:
                 _check_type(f"{name}.{key}", value, DEFAULTS[name][key])
     for key in ("seed", "utc_offset_min"):
         _check_type(key, cfg[key], DEFAULTS[key])
+    for name in ("features", "train"):
+        width = cfg[name]["width"]
+        if width is not None and width not in SLOT_WIDTHS:
+            raise ParameterError(f"{name}.width must be one of {SLOT_WIDTHS}, got {width!r}")
 
 
 def _require(cfg: dict, path_key: str) -> Path:
@@ -387,7 +406,7 @@ def cmd_features(cfg: dict, args) -> None:
     outdir = _outdir(cfg)
     trips, _ = _load_trips(cfg)
     fc = cfg["features"]
-    width = int(args.width or fc["width"])
+    width = args.width or fc["width"]
     split = args.split or fc["split"]
     weather = _cli.parse_weather(_require(cfg, "weather"))
     calendar = _cli.parse_calendar(_require(cfg, "calendar"))
@@ -427,13 +446,13 @@ def cmd_train(cfg: dict, args) -> None:
     specs = _model_specs(cfg, requested)
     features_path = Path(cfg.get("paths", {}).get("features") or (outdir / "features.csv"))
     matrix = _cli.read_features_csv(features_path)
-    width = int(args.width or tc.get("width") or matrix.width_minutes)
+    width = args.width or tc["width"] or matrix.width_minutes
     if width != matrix.width_minutes:
         raise ParameterError(
             f"requested width {width} but features.csv was built at {matrix.width_minutes}; rerun `features --width {width}`")
     split = args.split or tc["split"]
     plan = _cli.chronological_split(matrix, split)
-    report, fitted = _cli.evaluate(matrix, plan, specs, with_cv=bool(tc.get("with_cv", True)))
+    report, fitted = _cli.evaluate(matrix, plan, specs, with_cv=tc["with_cv"])
 
     files = []
     report_path = outdir / "eval_report.json"
@@ -450,10 +469,6 @@ def cmd_train(cfg: dict, args) -> None:
         mae = report.entries[kind]["test"]["mae"]
         if best_mae is None or mae < best_mae:
             best_kind, best_mae = kind, mae
-    pred_path = outdir / "predictions.csv"
-    best = fitted[best_kind]
-    _write_predictions(pred_path, matrix, best.targets, best.predictions)
-    files.append(pred_path)
     _update_manifest(outdir, files)
     _emit({"command": "train", "split": split, "width": matrix.width_minutes,
            "models": sorted(fitted), "best_model": best_kind,
@@ -527,15 +542,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--week-a", dest="week_a", help="Monday date (YYYY-MM-DD) of the contrast week A")
     p.add_argument("--week-b", dest="week_b", help="Monday date of the contrast week B")
     p = sub.add_parser("features", parents=[common])
-    p.add_argument("--width", type=int, choices=(30, 60))
+    p.add_argument("--width", type=int, choices=SLOT_WIDTHS)
     p.add_argument("--split", choices=("90/10", "80/20", "70/30", "60/40"))
     p = sub.add_parser("train", parents=[common])
-    p.add_argument("--width", type=int, choices=(30, 60))
+    p.add_argument("--width", type=int, choices=SLOT_WIDTHS)
     p.add_argument("--split", choices=("90/10", "80/20", "70/30", "60/40"))
     p.add_argument("--model", choices=MODEL_KINDS + ("all",))
     p = sub.add_parser("predict", parents=[common])
     p.add_argument("--artifact", help="trained model artifact JSON")
-    p.add_argument("--width", type=int, choices=(30, 60), help="horizon; must match the features file")
+    p.add_argument("--width", type=int, choices=SLOT_WIDTHS, help="horizon; must match the features file")
     return parser
 
 

@@ -49,14 +49,6 @@ def histogram(values, bin_width: float, origin: float = 0.0) -> Histogram:
     return Histogram(bin_width, origin, bins, len(values))
 
 
-def share_below(values, threshold: float) -> float:
-    """Fraction of values strictly below the threshold."""
-    values = list(values)
-    if not values:
-        raise ParameterError("share_below needs at least one value")
-    return sum(1 for v in values if v < threshold) / len(values)
-
-
 @dataclass
 class TemporalProfile:
     weekday_counts: list[int]      # Monday..Sunday

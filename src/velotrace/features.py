@@ -18,14 +18,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import MissingInputError, ParameterError, ParseError, SchemaError, StateError, UndefinedCorrelationError
-from .util import (HOUR_US, MINUTE_US, WEEKDAY_NAMES, local_datetimes, parse_utc, pearson, read_json, utc_strings,
-                   write_json)
+from .util import (HOUR_US, MINUTE_US, SLOT_WIDTHS, WEEKDAY_NAMES, local_datetimes, parse_utc, pearson, read_json,
+                   utc_strings, write_json)
 
 if TYPE_CHECKING:  # annotations only: `train` and `predict` load neither layer
     from .covariates import CalendarEntry, WeatherTable
     from .ingest import TripTable
 
-SLOT_WIDTHS = (30, 60)
 SEASONS = ("spring", "summer", "autumn", "winter")
 SPLIT_RATIOS = {"90/10": 0.10, "80/20": 0.20, "70/30": 0.30, "60/40": 0.40}
 CV_FOLDS = 10
@@ -177,25 +176,6 @@ def build_features(slots: SlotSeries, weather: WeatherTable,
     matrix = FeatureMatrix(X[:len(kept)], counts[kept].astype(np.float64), names, starts[kept], width,
                            X[-1] if len(kept) else None)
     return matrix, dropped
-
-
-def group_columns(matrix: FeatureMatrix, group: str) -> list[int]:
-    """Column indices belonging to a feature group (exact name or one-hot prefix)."""
-    prefix = group + "="
-    idx = [j for j, n in enumerate(matrix.column_names) if n == group or n.startswith(prefix)]
-    if not idx:
-        raise ParameterError(f"unknown feature group: {group!r}")
-    return idx
-
-
-def drop_group(matrix: FeatureMatrix, group: str) -> FeatureMatrix:
-    """Copy of the matrix without the named feature group's columns."""
-    drop = set(group_columns(matrix, group))
-    keep = [j for j in range(len(matrix.column_names)) if j not in drop]
-    return FeatureMatrix(matrix.X[:, keep], matrix.y.copy(),
-                         [matrix.column_names[j] for j in keep],
-                         matrix.slot_us, matrix.width_minutes,
-                         None if matrix.next_row is None else matrix.next_row[keep])
 
 
 def feature_target_correlation(matrix: FeatureMatrix) -> list[tuple[str, float | None]]:

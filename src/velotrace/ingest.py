@@ -17,9 +17,9 @@ stores, not with its temporaries.
 
 `save_points_npz` stores the repaired point table and the trip table of one
 points file in `points.npz`, keyed by that file's sha256, one npz array per
-column under the column's name; `load_points_npz` gives both tables back, and
-`load_trips_npz` the trip table with only the point columns asked for, so
-later analyses need not parse and assemble again.
+column under the column's name; `load_trips_npz` gives the trip table back
+with only the point columns asked for, so later analyses need not parse and
+assemble again.
 """
 
 from __future__ import annotations
@@ -353,9 +353,3 @@ def load_trips_npz(path, source_sha256: str, columns=()) -> tuple[TripTable, dic
             return TripTable(*(z[f.name] for f in fields(TripTable))), {name: z[name] for name in columns}
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
-
-
-def load_points_npz(path, source_sha256: str) -> tuple[PointTable, TripTable] | None:
-    """Point table and trip table saved by `save_points_npz`, as `load_trips_npz` reads them."""
-    loaded = load_trips_npz(path, source_sha256, [f.name for f in fields(PointTable)])
-    return None if loaded is None else (PointTable(**loaded[1]), loaded[0])

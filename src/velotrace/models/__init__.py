@@ -1,25 +1,3 @@
-from .boosting import BoostParams, GradientBoosting
-from .evaluate import (
-    AblationResult,
-    EvalReport,
-    MODEL_KINDS,
-    ModelSpec,
-    TrainedModel,
-    ablate,
-    evaluate,
-    predict_rows,
-    train_model,
-)
-from .forest import ForestParams, RandomForest
-from .linear import LinearModel
-from .lstm import LstmParams, LstmRegressor, build_windows
-from .metrics import Metrics, metrics
-from .serialize import load_artifact, model_artifact
-from .tree import RegressionTree
-
-__all__ = [
-    "AblationResult", "BoostParams", "EvalReport", "ForestParams", "GradientBoosting",
-    "LinearModel", "LstmParams", "LstmRegressor", "MODEL_KINDS", "Metrics", "ModelSpec",
-    "RandomForest", "RegressionTree", "TrainedModel", "ablate", "build_windows",
-    "evaluate", "load_artifact", "metrics", "model_artifact", "predict_rows", "train_model",
-]
+"""Next-slot forecasting models: `linear`, `tree` with `forest` and `boosting`
+on it, `lstm`; their table, fitting and scoring in `evaluate`, `metrics`, and
+versioned JSON artifacts in `serialize`."""

@@ -1,7 +1,7 @@
 """Training/evaluation orchestration: the table of model kinds, contiguous-block
-cross-validation on the training range, held-out test scoring, and feature
-ablation. Scalers for the recurrent model are always fitted on the training
-portion in play, never on validation or test rows.
+cross-validation on the training range, and held-out test scoring. Scalers
+for the recurrent model are always fitted on the training portion in play,
+never on validation or test rows.
 
 A model kind is defined once: its name in `util.MODEL_KINDS`, which the CLI
 reads without loading any model, and its class in `MODELS`, the class that
@@ -16,7 +16,7 @@ One window rule decides which targets a model can score (`scorable`): a
 target needs the `lookback` rows before it, and with it they must be
 consecutive time slots. Tabular models have lookback 0, so they score every
 row; a recurrent window may not reach back over a slot that `build_features`
-dropped. CV folds, test scoring and ablation all go through `fit_and_score`,
+dropped. CV folds and test scoring both go through `fit_and_score`,
 which leaves out the targets the rule rejects and counts them; the counts
 appear in the report as `skipped` per fold and `test_skipped` per model.
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ParameterError
-from ..features import FeatureMatrix, MinMaxScaler, SplitPlan, drop_group
+from ..features import FeatureMatrix, MinMaxScaler, SplitPlan
 from ..util import MINUTE_US, MODEL_KINDS
 from .boosting import GradientBoosting
 from .forest import RandomForest
@@ -156,13 +156,6 @@ def fit_and_score(matrix: FeatureMatrix, fit_rows, targets, spec: ModelSpec) -> 
                  len(targets) - len(scored))
 
 
-def _test_score(matrix: FeatureMatrix, plan: SplitPlan, spec: ModelSpec) -> Score:
-    score = fit_and_score(matrix, plan.train_rows, plan.test_rows, spec)
-    if score.metrics is None:
-        raise ParameterError(f"{spec.kind}: fewer than 2 test rows have a window of consecutive slots")
-    return score
-
-
 @dataclass
 class EvalReport:
     ratio: str
@@ -190,27 +183,10 @@ def evaluate(matrix: FeatureMatrix, plan: SplitPlan, specs: list[ModelSpec],
                 score = fit_and_score(matrix, allowed, fold, spec)
                 cv_results.append({"fold": [fold.start, fold.stop], "skipped": score.skipped,
                                    "metrics": None if score.metrics is None else score.metrics.as_dict()})
-        test = _test_score(matrix, plan, spec)
+        test = fit_and_score(matrix, plan.train_rows, plan.test_rows, spec)
+        if test.metrics is None:
+            raise ParameterError(f"{spec.kind}: fewer than 2 test rows have a window of consecutive slots")
         entries[spec.kind] = {"cv": cv_results, "test": test.metrics.as_dict(),
                               "test_skipped": test.skipped, "meta": test.model.meta}
         fitted[spec.kind] = test
     return EvalReport(plan.ratio, matrix.width_minutes, entries), fitted
-
-
-@dataclass
-class AblationResult:
-    group: str
-    baseline: Metrics
-    ablated: Metrics
-    pct_change: dict  # metric name -> (ablated - baseline) / baseline, None where undefined
-
-
-def ablate(matrix: FeatureMatrix, plan: SplitPlan, spec: ModelSpec, group: str) -> AblationResult:
-    """Retrain from scratch without one feature group and compare test metrics."""
-    reduced = drop_group(matrix, group)  # raises ParameterError on unknown group
-    baseline = _test_score(matrix, plan, spec).metrics
-    ablated = _test_score(reduced, plan, spec).metrics
-    after = ablated.as_dict()
-    pct = {k: None if (b in (None, 0) or after[k] is None) else (after[k] - b) / b
-           for k, b in baseline.as_dict().items()}
-    return AblationResult(group, baseline, ablated, pct)

@@ -67,13 +67,6 @@ def build_density_grid(lat, lon, bbox, cell_size: float) -> DensityGrid:
     return DensityGrid(bbox, cell_size, n_rows, n_cols, counts, normalized, int(ignored))
 
 
-def grid_diff(a: DensityGrid, b: DensityGrid) -> np.ndarray:
-    """Elementwise a.normalized - b.normalized; grids must be congruent."""
-    if a.bbox != b.bbox or a.cell_size != b.cell_size or a.counts.shape != b.counts.shape:
-        raise ParameterError("grids differ in bbox, cell size, or shape")
-    return a.normalized - b.normalized
-
-
 @dataclass
 class Destination:
     cell_center: tuple[float, float]

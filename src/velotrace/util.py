@@ -1,5 +1,5 @@
-"""Small shared helpers: timestamps, weekday names, the model kind names,
-Pearson correlation, hashing, CSV input and JSON input/output.
+"""Small shared helpers: timestamps, weekday names, the model kind names and
+slot widths, Pearson correlation, hashing, CSV input and JSON input/output.
 
 An instant is int64 microseconds since the epoch everywhere, alone or as a
 column: `parse_utc` reads one, `utc_strings` renders a column of them, and
@@ -30,6 +30,9 @@ WEEKDAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturd
 
 # the forecasting model kinds, in report order; `models.evaluate.MODELS` gives each its class
 MODEL_KINDS = ("linear", "forest", "boost", "lstm")
+
+# the slot widths in minutes that features are built at
+SLOT_WIDTHS = (30, 60)
 
 
 def parse_utc(text: str) -> int:

@@ -20,8 +20,10 @@ import pytest
 from velotrace import cli
 from velotrace.errors import ParameterError, TrainingError
 from velotrace.features import read_features_csv
-from velotrace.ingest import POINT_HEADER, assemble_trips, load_points_npz, parse_points
-from velotrace.models import LinearModel, ModelSpec, load_artifact, train_model
+from velotrace.ingest import POINT_HEADER, assemble_trips, load_trips_npz, parse_points
+from velotrace.models.evaluate import ModelSpec, train_model
+from velotrace.models.linear import LinearModel
+from velotrace.models.serialize import load_artifact
 from velotrace.spatial import build_density_grid, write_density_csv
 from velotrace.util import sha256_file
 
@@ -192,7 +194,7 @@ def test_predictions_actual_column_is_the_target(city, tmp_path):
     matrix = read_features_csv(tmp_path / "features.csv")
     target = {utc_text(from_us(s)): y for s, y in zip(matrix.slot_us, matrix.y)}
     files = sorted(tmp_path.glob("predictions*.csv"))
-    assert [p.name for p in files] == ["predictions.csv", "predictions_boost.csv", "predictions_linear.csv"]
+    assert [p.name for p in files] == ["predictions_boost.csv", "predictions_linear.csv"]
     for path in files:
         with open(path, newline="") as f:
             rows = list(csv.DictReader(f))
@@ -205,8 +207,8 @@ def test_ingest_of_header_only_points_writes_a_loadable_npz(city, tmp_path):
     points = tmp_path / "points.csv"
     points.write_text(",".join(POINT_HEADER) + "\n", encoding="utf-8")
     run(city, tmp_path / "out", ["ingest"], points)
-    table, trips = load_points_npz(tmp_path / "out" / "points.npz", sha256_file(points))
-    assert len(table) == 0 and len(trips) == 0
+    trips, columns = load_trips_npz(tmp_path / "out" / "points.npz", sha256_file(points), ["t"])
+    assert len(columns["t"]) == 0 and len(trips) == 0
     for name in ("trips.csv", "rejections.csv"):
         assert len((tmp_path / "out" / name).read_text().splitlines()) == 1, name
 
@@ -547,20 +549,13 @@ def test_a_command_loads_only_its_layers(city, trained, tmp_path, command):
     assert set(layers) == {"cli", "errors", "util"} | COMMAND_LAYERS[command]
 
 
-def test_package_exports_load_their_layer_on_first_access():
-    loaded = "sorted(m for m in sys.modules if m.startswith('velotrace.'))"
-    before, after = in_child(f"import json, sys, velotrace\nbefore = {loaded}\n"
-                             f"from velotrace import SynthConfig\nprint(json.dumps([before, {loaded}]))")
-    assert before == [] and "velotrace.synth" in after and "velotrace.models" not in after
-
-
 def test_a_cli_helper_works_in_a_fresh_interpreter(trained):
     """A helper looks its layer names up on the cli module, so it needs no command to have run first."""
     code = """\
 import json, sys
 from velotrace import cli
 from velotrace.features import read_features_csv
-from velotrace.models import load_artifact
+from velotrace.models.serialize import load_artifact
 tm = load_artifact(json.load(open(sys.argv[1])))
 print(json.dumps(cli._next_slot_prediction(tm, read_features_csv(sys.argv[2]))))
 """
@@ -643,6 +638,11 @@ WRONG_TYPES = [
     ("train", "models", ["linear", 3], "a list of strings"),
     ("train", "with_cv", "no", "true or false"),
     (None, "utc_offset_min", 1.5, "an integer"),
+    # a slot width of the right type is also one of the widths features are built at
+    ("features", "width", 0, "one of (30, 60)"),
+    ("features", "width", 45, "one of (30, 60)"),
+    ("train", "width", 0, "one of (30, 60)"),
+    ("train", "width", 45, "one of (30, 60)"),
 ]
 
 

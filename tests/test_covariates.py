@@ -176,8 +176,8 @@ class TestWeekContrast:
         assert all(r.ratio is None for r in wc.rows)
 
     def test_morning_rain_hurts_more_than_afternoon(self):
-        from velotrace import SynthConfig, generate, parse_points, assemble_trips
-        from velotrace.synth import RainEvent
+        from velotrace.ingest import assemble_trips, parse_points
+        from velotrace.synth import RainEvent, SynthConfig, generate
 
         cfg = SynthConfig(
             seed=23, start_date=date(2017, 5, 1), end_date=date(2017, 5, 15),
@@ -261,7 +261,8 @@ class TestEventImpact:
         assert impacts == []
 
     def test_null_events_from_generator(self):
-        from velotrace import SynthConfig, TempCurve, assemble_trips, generate, parse_points
+        from velotrace.ingest import assemble_trips, parse_points
+        from velotrace.synth import SynthConfig, TempCurve, generate
 
         cfg = SynthConfig(
             seed=31, start_date=date(2017, 5, 1), end_date=date(2017, 5, 22),

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from velotrace.descriptive import (
     histogram,
     monthly_change,
-    share_below,
     temporal_profile,
 )
 from velotrace.covariates import daily_join
@@ -24,9 +23,6 @@ class TestHistogram:
         h = histogram([100.0, 150.0, 900.0], 500.0)
         assert dict(h.bins) == {0.0: 2, 500.0: 1}
         assert h.total == 3
-
-    def test_share_below(self):
-        assert share_below([1, 2, 3, 4, 5], 3.5) == 0.6
 
     def test_empty_input(self):
         h = histogram([], 10.0)

@@ -7,16 +7,9 @@ import pytest
 from velotrace import cli
 from velotrace.errors import ParameterError
 from velotrace.features import FeatureMatrix, SlotSeries, build_features, chronological_split
-from velotrace.models import (
-    MODEL_KINDS,
-    ModelSpec,
-    ablate,
-    evaluate,
-    load_artifact,
-    model_artifact,
-    predict_rows,
-    train_model,
-)
+from velotrace.models.evaluate import ModelSpec, evaluate, predict_rows, train_model
+from velotrace.models.serialize import load_artifact, model_artifact
+from velotrace.util import MODEL_KINDS
 
 from conftest import from_us, us, utc_text, weather_table
 
@@ -24,7 +17,7 @@ UTC = timezone.utc
 START = datetime(2017, 5, 1, tzinfo=UTC)
 
 
-def rigged_matrix(n=140, seed=0, with_null=False):
+def rigged_matrix(n=140, seed=0):
     """Target is a noisy function of one informative column plus a target copy."""
     rng = np.random.default_rng(seed)
     y = 10.0 + 5.0 * np.sin(np.arange(n) / 6.0) + rng.normal(0, 0.3, n)
@@ -33,8 +26,6 @@ def rigged_matrix(n=140, seed=0, with_null=False):
         "signal": np.sin(np.arange(n) / 6.0) + rng.normal(0, 0.05, n),
         "noise": rng.normal(0, 1, n),
     }
-    if with_null:
-        cols["nullfeat"] = np.ones(n)
     names = list(cols)
     X = np.column_stack([cols[c] for c in names])
     starts = us(START) + 30 * 60_000_000 * np.arange(n)
@@ -196,27 +187,6 @@ def test_boosting_training_curve_survives_the_artifact():
     assert all(later <= earlier for earlier, later in zip(curve, curve[1:]))
     back = load_artifact(json.loads(json.dumps(model_artifact(tm, m.column_names))))
     assert back.meta["train_mse"] == curve
-
-
-def test_ablate_null_feature_is_inert_for_trees():
-    m = rigged_matrix(with_null=True)
-    plan = chronological_split(m, "80/20")
-    for spec in (SPECS[1], SPECS[2]):
-        res = ablate(m, plan, spec, "nullfeat")
-        assert res.pct_change["mae"] is not None
-        assert abs(res.pct_change["mae"]) < 0.02
-
-    # at the shipped 200 rounds boosting can exploit the leak; SPECS[2]'s
-    # 25 rounds at rate 0.1 leave ~0.9**25 of the residual unfitted
-    res = ablate(m, plan, ModelSpec("boost", seed=1), "target_copy")
-    assert res.pct_change["mae"] > 1.0  # removing the target leak hurts a lot
-
-
-def test_ablate_unknown_group_rejected():
-    m = rigged_matrix()
-    plan = chronological_split(m, "80/20")
-    with pytest.raises(ParameterError):
-        ablate(m, plan, SPECS[0], "nope")
 
 
 def test_unknown_kind_rejected():

@@ -15,9 +15,7 @@ from velotrace.features import (
     aligned_span,
     build_features,
     chronological_split,
-    drop_group,
     feature_target_correlation,
-    group_columns,
     read_features_csv,
     write_features_csv,
 )
@@ -144,7 +142,7 @@ class TestBuildFeatures:
     def test_one_hot_groups_sum_to_one(self):
         matrix, _ = build(list(range(7 * 48 + 48)))
         for group in ("hour_of_the_day", "month", "season", "day_of_week"):
-            cols = group_columns(matrix, group)
+            cols = [j for j, name in enumerate(matrix.column_names) if name.startswith(group + "=")]
             assert np.all(matrix.X[:, cols].sum(axis=1) == 1.0)
 
     def test_holiday_flag_local_date(self):
@@ -356,19 +354,6 @@ class TestMinMaxScaler:
             MinMaxScaler().transform(toy_matrix(n=10))
 
 
-class TestGroups:
-    def test_drop_group_removes_columns(self):
-        m, _ = build([1] * (7 * 48 + 4))
-        reduced = drop_group(m, "hour_of_the_day")
-        assert not any(c.startswith("hour_of_the_day") for c in reduced.column_names)
-        assert reduced.X.shape[1] == m.X.shape[1] - 24
-
-    def test_unknown_group_rejected(self):
-        m, _ = build([1] * (7 * 48 + 4))
-        with pytest.raises(ParameterError):
-            group_columns(m, "bogus")
-
-
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         m, _ = build(list(range(7 * 48 + 30)))
@@ -519,9 +504,3 @@ class TestNextRow:
         assert matrix.X[:, matrix.column_names.index("month=2017-05")].all()
         assert matrix.next_row[matrix.column_names.index("month=2017-05")] == 0.0
         assert matrix.next_row[matrix.column_names.index("season=summer")] == 1.0
-
-    def test_drop_group_keeps_next_row_aligned(self):
-        m, _ = build([1] * (7 * 48 + 4))
-        reduced = drop_group(m, "hour_of_the_day")
-        assert reduced.next_row.tolist() == [v for c, v in zip(m.column_names, m.next_row)
-                                             if not c.startswith("hour_of_the_day")]

@@ -15,7 +15,7 @@ from velotrace.ingest import (
     TripTable,
     _fill,
     assemble_trips,
-    load_points_npz,
+    load_trips_npz,
     parse_points,
     save_points_npz,
 )
@@ -350,10 +350,16 @@ class TestPointsNpz:
         trips, _ = assemble_trips(table)
         return table, trips
 
+    @staticmethod
+    def load(path, source_sha256):
+        """Both tables back: `load_trips_npz` asked for every point column."""
+        loaded = load_trips_npz(path, source_sha256, [f.name for f in fields(PointTable)])
+        return None if loaded is None else (PointTable(**loaded[1]), loaded[0])
+
     def test_round_trip_matches_assembled_trips(self, tmp_path):
         table, trips = self.assembled()
         save_points_npz(tmp_path / "p.npz", table, trips, "abc")
-        loaded_table, loaded = load_points_npz(tmp_path / "p.npz", "abc")
+        loaded_table, loaded = self.load(tmp_path / "p.npz", "abc")
         assert loaded.trip_id.tolist() == ["A", "B"]
         assert loaded.n_points.tolist() == [3, 2]
         for f in fields(TripTable):
@@ -372,13 +378,13 @@ class TestPointsNpz:
     def test_other_source_or_missing_file_gives_none(self, tmp_path):
         table, trips = self.assembled()
         save_points_npz(tmp_path / "p.npz", table, trips, "abc")
-        assert load_points_npz(tmp_path / "p.npz", "abd") is None
-        assert load_points_npz(tmp_path / "missing.npz", "abc") is None
+        assert self.load(tmp_path / "p.npz", "abd") is None
+        assert self.load(tmp_path / "missing.npz", "abc") is None
 
     def test_empty_trip_table(self, tmp_path):
         table = parse_points(csv_stream(HEADER))
         trips, rej = assemble_trips(table)
         assert len(trips) == 0 and rej == []
         save_points_npz(tmp_path / "p.npz", table, trips, "abc")
-        loaded_table, trips = load_points_npz(tmp_path / "p.npz", "abc")
+        loaded_table, trips = self.load(tmp_path / "p.npz", "abc")
         assert len(trips) == 0 and len(loaded_table) == 0

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from velotrace.errors import InputError, TrainingError
-from velotrace.models import LstmParams, LstmRegressor, build_windows, metrics
+from velotrace.models.lstm import LstmParams, LstmRegressor, build_windows
+from velotrace.models.metrics import metrics
 
 
 # The step-by-step kernel the time-major one replaced, kept as the reference:

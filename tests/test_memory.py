@@ -7,7 +7,8 @@ import numpy as np
 
 from velotrace.features import FeatureMatrix
 from velotrace.ingest import PointTable, assemble_trips
-from velotrace.models import LstmParams, LstmRegressor, ModelSpec, build_windows, predict_rows, train_model
+from velotrace.models.evaluate import ModelSpec, predict_rows, train_model
+from velotrace.models.lstm import LstmParams, LstmRegressor, build_windows
 
 from conftest import T0, us
 

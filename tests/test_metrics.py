@@ -1,9 +1,16 @@
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from velotrace.errors import ParameterError
-from velotrace.models import metrics
+from velotrace.models.metrics import metrics
+
+
+def test_the_metrics_module_is_not_shadowed_by_its_function():
+    import velotrace.models.metrics as module
+    assert isinstance(module, types.ModuleType) and module.metrics is metrics
 
 
 def test_perfect_prediction():

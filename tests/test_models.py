@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from velotrace.errors import InputError, ParameterError
-from velotrace.models import (
-    BoostParams,
-    ForestParams,
-    GradientBoosting,
-    LinearModel,
-    RandomForest,
-    RegressionTree,
-)
-from velotrace.models.tree import resolve_max_features
+from velotrace.models.boosting import BoostParams, GradientBoosting
+from velotrace.models.forest import ForestParams, RandomForest
+from velotrace.models.linear import LinearModel
+from velotrace.models.tree import RegressionTree, resolve_max_features
 
 
 def smooth_data(n=300, seed=0):

@@ -11,7 +11,6 @@ from velotrace.spatial import (
     HubDef,
     _m_per_deg_lon,
     build_density_grid,
-    grid_diff,
     hub_report_as_dict,
     hub_spread,
     parse_hub_file,
@@ -84,7 +83,8 @@ class TestDensityGrid:
     def test_halved_volume_preserves_normalized_profile(self):
         # same planted street geometry at different volumes: normalized grids agree
         import tempfile
-        from velotrace import SynthConfig, generate, parse_points
+        from velotrace.ingest import parse_points
+        from velotrace.synth import SynthConfig, generate
 
         grids = []
         for base in (1000, 500):
@@ -94,35 +94,8 @@ class TestDensityGrid:
                 man = generate(cfg, d)
                 table = parse_points(man["files"]["points"])
             grids.append(build_density_grid(table.lat, table.lon, BBOX, 200))
-        diff = grid_diff(grids[0], grids[1])
-        assert np.abs(diff).max() < 0.05
-
-
-class TestGridDiff:
-    def test_identity(self):
-        pts = [cell_point(BBOX, 200, 0, 0)]
-        g = build_density_grid(*columns(pts), BBOX, 200)
-        assert np.all(grid_diff(g, g) == 0.0)
-
-    def test_full_contrast(self):
-        a = build_density_grid(*columns([cell_point(BBOX, 200, 1, 1)]), BBOX, 200)
-        b = build_density_grid(*columns([cell_point(BBOX, 200, 3, 3)]), BBOX, 200)
-        d = grid_diff(a, b)
-        assert d.max() == 1.0 and d.min() == -1.0
-
-    def test_algebraic_identity(self):
-        rng = np.random.default_rng(5)
-        pts_a = [(44.45 + rng.random() * 0.09, 11.28 + rng.random() * 0.12) for _ in range(100)]
-        pts_b = [(44.45 + rng.random() * 0.09, 11.28 + rng.random() * 0.12) for _ in range(80)]
-        a = build_density_grid(*columns(pts_a), BBOX, 300)
-        b = build_density_grid(*columns(pts_b), BBOX, 300)
-        assert np.allclose(grid_diff(a, b) + b.normalized, a.normalized)
-
-    def test_shape_mismatch_rejected(self):
-        a = build_density_grid(*columns([]), BBOX, 200)
-        b = build_density_grid(*columns([]), BBOX, 300)
-        with pytest.raises(ParameterError):
-            grid_diff(a, b)
+        a, b = grids
+        assert np.abs(a.normalized - b.normalized).max() < 0.05
 
 
 HUB = (44.4939, 11.3428)
@@ -189,8 +162,8 @@ class TestHubSpread:
     def test_planted_flow_shares_recovered(self):
         # hubs placed at dest-cell centers of the origin's grid; 60/40 split by weight
         import tempfile
-        from velotrace import SynthConfig, generate, parse_points, assemble_trips
-        from velotrace.synth import Hub
+        from velotrace.ingest import assemble_trips, parse_points
+        from velotrace.synth import Hub, SynthConfig, generate
 
         origin = HUB
         station = offset_point(origin, 500, 300)

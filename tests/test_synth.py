@@ -6,14 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from velotrace import SynthConfig, assemble_trips, generate, parse_points
 from velotrace.covariates import parse_calendar, parse_pollution, parse_weather
 from velotrace.errors import ParameterError
+from velotrace.ingest import assemble_trips, parse_points
 from velotrace.synth import (
     Hub,
     RainEvent,
+    SynthConfig,
     TempCurve,
     daily_temperature,
+    generate,
     planted_hour_means,
     temperature_factor,
 )

@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from velotrace.models import RegressionTree
-from velotrace.models.tree import resolve_max_features
+from velotrace.models.tree import RegressionTree, resolve_max_features
 
 
 def oracle_best_split(X, y, idx, feats, min_leaf):
