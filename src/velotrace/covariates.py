@@ -23,7 +23,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .ingest import TripTable
-from .util import HOUR_US, WEEKDAY_NAMES, csv_rows, local_datetimes, parse_utc, pearson, utc_strings
+from .util import HOUR_US, WEEKDAY_NAMES, csv_records, local_datetimes, parse_utc, pearson, utc_strings
 
 WEATHER_HEADER = ["timestamp", "temp_c", "precip_mm", "wind_mps"]
 POLLUTION_HEADER = ["timestamp", "pm", "o3", "no2", "so2"]
@@ -72,17 +72,9 @@ def _hour(text: str, line: int) -> int:
 
 
 def parse_weather(source) -> WeatherTable:
-    rows = csv_rows(source)
-    header = next(rows, None)
-    if header != WEATHER_HEADER:
-        raise SchemaError(f"bad weather header {header!r}, expected {WEATHER_HEADER!r}")
     hours, values = array("q"), array("d")
     seen: set[int] = set()
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(line, f"expected 4 fields, got {len(row)}")
+    for line, row in csv_records(source, WEATHER_HEADER, "weather"):
         hour = _hour(row[0], line)
         try:
             temp, precip, wind = float(row[1]), float(row[2]), float(row[3])
@@ -103,17 +95,9 @@ def parse_weather(source) -> WeatherTable:
 
 
 def parse_pollution(source) -> PollutionTable:
-    rows = csv_rows(source)
-    header = next(rows, None)
-    if header != POLLUTION_HEADER:
-        raise SchemaError(f"bad pollution header {header!r}, expected {POLLUTION_HEADER!r}")
     hours, levels = array("q"), array("d")
     seen: set[int] = set()
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise ParseError(line, f"expected 5 fields, got {len(row)}")
+    for line, row in csv_records(source, POLLUTION_HEADER, "pollution"):
         hour = _hour(row[0], line)
         if hour in seen:
             raise SchemaError(f"line {line}: duplicate pollution hour {utc_strings([hour])[0]}")
@@ -136,17 +120,9 @@ def parse_pollution(source) -> PollutionTable:
 
 
 def parse_calendar(source) -> list[CalendarEntry]:
-    rows = csv_rows(source)
-    header = next(rows, None)
-    if header != CALENDAR_HEADER:
-        raise SchemaError(f"bad calendar header {header!r}, expected {CALENDAR_HEADER!r}")
     out: list[CalendarEntry] = []
     seen: set[tuple] = set()
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(line, f"expected 3 fields, got {len(row)}")
+    for line, row in csv_records(source, CALENDAR_HEADER, "calendar"):
         try:
             d = date.fromisoformat(row[0])
         except ValueError:

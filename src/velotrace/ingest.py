@@ -33,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ParseError, RangeError, SchemaError
-from .util import csv_rows, parse_utc, utc_strings
+from .util import csv_records, parse_utc, utc_strings
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -131,21 +131,10 @@ def parse_points(source) -> PointTable:
     optional columns become NaN; row order is preserved. Raises
     ParseError/RangeError/SchemaError naming the offending 1-based line.
     """
-    rows = csv_rows(source)
-    header = next(rows, None)
-    if header is None:
-        raise SchemaError("empty file: missing header row")
-    if header != POINT_HEADER:
-        raise SchemaError(f"bad header {header!r}, expected {POINT_HEADER!r}")
-
     codes: dict[str, int] = {}  # activity id -> rank of first appearance
     activity, t = array("i"), array("q")
     lat, lon, accuracy, speed = array("d"), array("d"), array("d"), array("d")
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 6:
-            raise ParseError(line, f"expected 6 fields, got {len(row)}")
+    for line, row in csv_records(source, POINT_HEADER, "points"):
         activity_id, ts_text, lat_s, lon_s, acc_s, spd_s = row
         if not activity_id:
             raise SchemaError(f"line {line}: empty activity_id")

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, RangeError, SchemaError
+from .errors import ParameterError, ParseError, RangeError
 from .ingest import EARTH_RADIUS_M, TripTable, half_angles
-from .util import csv_rows
+from .util import csv_records
 
 M_PER_DEG_LAT = math.pi / 180.0 * EARTH_RADIUS_M
 
@@ -131,16 +131,8 @@ def parse_hub_file(source) -> list[HubDef]:
     """Hub config CSV with header `name,lat,lon,radius_m`. A row that does
     not parse raises ParseError, a radius that is not finite and > 0
     RangeError, each naming the row's 1-based line."""
-    rows = csv_rows(source)
-    header = next(rows, None)
-    if header != ["name", "lat", "lon", "radius_m"]:
-        raise SchemaError(f"bad hub file header {header!r}")
     out = []
-    for line, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise ParseError(line, f"expected 4 fields, got {len(row)}")
+    for line, row in csv_records(source, ["name", "lat", "lon", "radius_m"], "hub"):
         try:
             lat, lon, radius = map(float, row[1:])
         except ValueError:

@@ -1,6 +1,11 @@
 """Small shared helpers: timestamps, weekday names, the model kind names and
 slot widths, Pearson correlation, hashing, CSV input and JSON input/output.
 
+Every input CSV with a fixed header (points, weather, pollution, calendar,
+hubs) is read by `csv_records`: it checks the header and each row's field
+count, skips blank rows, and numbers each row by the file line it ends on,
+so a quoted field that spans lines does not shift later line numbers.
+
 An instant is int64 microseconds since the epoch everywhere, alone or as a
 column: `parse_utc` reads one, `utc_strings` renders a column of them, and
 `local_datetimes` gives their local calendar (day, month, hour) at a fixed
@@ -13,12 +18,13 @@ import hashlib
 import json
 import math
 import os
+from contextlib import nullcontext
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, UndefinedCorrelationError
+from .errors import ParameterError, ParseError, SchemaError, UndefinedCorrelationError
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
@@ -58,13 +64,25 @@ def local_datetimes(us, utc_offset_min: int) -> np.ndarray:
     return (np.asarray(us, dtype=np.int64) + utc_offset_min * MINUTE_US).astype("datetime64[us]")
 
 
-def csv_rows(source):
-    """Yield the `csv.reader` rows of `source`, a path or an open text stream."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8", newline="") as f:
-            yield from csv.reader(f)
-    else:
-        yield from csv.reader(source)
+def csv_records(source, header: list[str], what: str):
+    """Yield `(line, row)` for each non-blank row of a CSV file whose first row
+    is `header`; `source` is a path or an open text stream, `what` names the
+    file in errors. `line` is the 1-based file line the row ends on. A missing
+    or other header raises SchemaError, a row of another field count
+    ParseError."""
+    opened = isinstance(source, (str, os.PathLike))
+    with open(source, "r", encoding="utf-8", newline="") if opened else nullcontext(source) as f:
+        reader = csv.reader(f)
+        found = next(reader, None)
+        if found is None:
+            raise SchemaError(f"empty {what} file: missing header row")
+        if found != header:
+            raise SchemaError(f"bad {what} header {found!r}, expected {header!r}")
+        for row in reader:
+            if row:
+                if len(row) != len(header):
+                    raise ParseError(reader.line_num, f"expected {len(header)} fields, got {len(row)}")
+                yield reader.line_num, row
 
 
 def sha256_file(path: Path) -> str:

@@ -380,12 +380,14 @@ def test_non_integer_model_seed_exits_1(city, tmp_path, capsys, seed):
     ("features", {"widht": 30}),
     ("train", {"with_vc": False}),
     ("models", {"forst": {"n_trees": 5}}),
+    ("paths", {"poinst": "points.csv"}),
+    (None, {"sed": 3}),
 ])
 def test_unknown_config_key_exits_1(city, tmp_path, capsys, section, keys):
-    config = config_with(tmp_path, **{section: {**CONFIG.get(section, {}), **keys}})
+    config = config_with(tmp_path, **({section: {**CONFIG.get(section, {}), **keys}} if section else keys))
     err = error_of(capsys, cli_args(city, tmp_path, ["features", "--width", "60"], config=config))
     assert (err["exit_code"], err["type"]) == (1, "ParameterError")
-    assert err["message"] == f"unknown {section} keys {sorted(keys)}"
+    assert err["message"] == f"unknown {section or 'top-level'} keys {sorted(keys)}"
     assert not (tmp_path / "features.csv").exists()
 
 
@@ -594,6 +596,32 @@ def test_a_function_replaced_on_the_cli_module_is_the_one_called(city, trained, 
     assert calls
 
 
+# each subcommand's options: (dest, type, choices) by option string
+COMMON_OPTIONS = {"--config": ("config", None, None), "--out": ("out", None, None), "--seed": ("seed", int, None),
+                  "--utc-offset-min": ("utc_offset_min", int, None),
+                  **{f"--{key}": (f"path_{key}", None, None)
+                     for key in ("points", "weather", "pollution", "calendar", "hubs", "features")}}
+WIDTH_OPTION = ("width", int, (30, 60))
+SPLIT_OPTION = ("split", None, ("90/10", "80/20", "70/30", "60/40"))
+OWN_OPTIONS = {
+    "synth": {}, "ingest": {}, "describe": {}, "spatial": {},
+    "covariates": {"--week-a": ("week_a", None, None), "--week-b": ("week_b", None, None)},
+    "features": {"--width": WIDTH_OPTION, "--split": SPLIT_OPTION},
+    "train": {"--width": WIDTH_OPTION, "--split": SPLIT_OPTION,
+              "--model": ("model", None, ("linear", "forest", "boost", "lstm", "all"))},
+    "predict": {"--artifact": ("artifact", None, None), "--width": WIDTH_OPTION},
+}
+
+
+def test_the_parser_pins_each_subcommand_s_options():
+    subcommands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    assert list(subcommands) == list(OWN_OPTIONS)
+    for name, own in OWN_OPTIONS.items():
+        options = {"/".join(a.option_strings): (a.dest, a.type, a.choices and tuple(a.choices))
+                   for a in subcommands[name]._actions if a.dest != "help"}
+        assert options == {**COMMON_OPTIONS, **own}, name
+
+
 @pytest.mark.parametrize("config, key", [
     ({"seed": "x"}, "seed"),
     ({"synth": {"seed": "x"}}, "synth.seed"),
@@ -643,6 +671,13 @@ WRONG_TYPES = [
     ("features", "width", 45, "one of (30, 60)"),
     ("train", "width", 0, "one of (30, 60)"),
     ("train", "width", 45, "one of (30, 60)"),
+    # every top-level value is checked, whether or not the command reads it
+    (None, "out", 5, "a string"),
+    (None, "paths", "x", "an object"),
+    ("paths", "points", 5, "a string"),
+    (None, "bbox", [1, 2], "a list of four numbers"),
+    (None, "bbox", [44.45, 11.28, 44.54, True], "a list of four numbers"),
+    (None, "synth", 5, "an object"),
 ]
 
 

@@ -62,6 +62,11 @@ class TestParsePoints:
         with pytest.raises(ParseError, match="line 3"):
             parse_points(stream)
 
+    def test_a_row_after_a_quoted_field_that_spans_lines_names_its_file_line(self):
+        stream = csv_stream(HEADER + '"a\nb",2017-05-09T08:00:00Z,1,1,,\nA2,not-a-time,1,1,,\n')
+        with pytest.raises(ParseError, match="^line 4: bad timestamp"):
+            parse_points(stream)
+
     def test_half_present_coordinate_is_schema_error(self):
         with pytest.raises(SchemaError, match="half-present"):
             parse_points(csv_stream(HEADER + "A1,2017-05-09T08:00:00Z,44.0,,,\n"))

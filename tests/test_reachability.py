@@ -52,3 +52,17 @@ def test_every_public_name_is_referenced_in_src():
                                                     if other is not stmt):
                 unreached.append(f"{module}.{name}")
     assert unreached == []
+
+
+def test_layer_names_are_the_names_the_cli_looks_up_on_itself():
+    """`_LAYER_NAMES` holds exactly the names that `cli.py` uses as
+    `_cli.<name>`: its strings count as references above, so a stale entry
+    would keep a dead layer function reached."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    table = next(stmt.value for stmt in tree.body
+                 if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] == ["_LAYER_NAMES"])
+    listed = [name for names in ast.literal_eval(table).values() for name in names]
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "_cli"}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == used
