@@ -24,12 +24,14 @@ Failures print a machine-readable error JSON and exit 2 (missing input),
 3 (schema/data error), 4 (training failure), or 1 (anything else). A config
 error (a key that `DEFAULTS` or a model kind does not name, a value of
 another type than its default's, a `bbox` that is not four numbers, a
-`synth` value of the wrong shape or that no draw can use, a slot width
-other than 30 or 60, an empty `train.models`, a model hyperparameter of
-unknown name or wrong type) or a bad `--week-a`/`--week-b` pair exits 1
-before any point is drawn or model fitted; a malformed input file (invalid
-JSON, a bad CSV header or row, a model artifact with a missing or malformed
-field) exits 3.
+`synth` value of the wrong shape or that no draw can use, a value out of
+range, from the file or a flag (a slot width other than 30 or 60, an unknown
+split, a bin width or cell size that is not positive, a `top_k` under 1, a
+`utc_offset_min` outside -720 to 840), an empty `train.models`, a model
+hyperparameter of unknown name or wrong type) or a bad `--week-a`/`--week-b`
+pair exits 1 before any point is drawn or model fitted; a malformed input
+file (invalid JSON, a bad CSV header or row, a model artifact with a missing
+or malformed field) exits 3.
 
 A command loads only the layers it runs. This module imports no layer at
 start-up: each function or class it takes from one is named in
@@ -61,7 +63,8 @@ from .errors import (
     TrainingError,
     VelotraceError,
 )
-from .util import MINUTE_US, MODEL_KINDS, SLOT_WIDTHS, local_datetimes, read_json, sha256_file, utc_strings, write_json
+from .util import (MINUTE_US, MODEL_KINDS, SLOT_WIDTHS, SPLIT_RATIOS, local_datetimes, read_json, sha256_file,
+                   utc_strings, write_json)
 
 # the layer names the commands call, by the module that defines them
 _LAYER_NAMES = {
@@ -137,7 +140,8 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_config(args) -> dict:
-    """`DEFAULTS`, overridden by the config file, overridden by the flags."""
+    """`DEFAULTS`, overridden by the config file, overridden by the flags,
+    checked by `_check_config`."""
     cfg = DEFAULTS
     if args.config:
         path = Path(args.config)
@@ -147,10 +151,12 @@ def load_config(args) -> dict:
         if not isinstance(loaded, dict):
             raise SchemaError(f"config file {path} does not hold a JSON object")
         cfg = _merge(cfg, loaded)
-        _check_config(cfg)
+        _check_config(cfg)  # before the flags, which may replace a bad value of the file
     flags = {key: getattr(args, key) for key in ("out", "seed", "utc_offset_min") if getattr(args, key) is not None}
     flags["paths"] = {key: getattr(args, f"path_{key}") for key in PATH_KEYS if getattr(args, f"path_{key}")}
-    return _merge(cfg, flags)
+    cfg = _merge(cfg, flags)
+    _check_config(cfg)
+    return cfg
 
 
 # the types a config value may take, by the type of its default; a bool is
@@ -166,17 +172,27 @@ def _check_type(name: str, value, default) -> None:
         raise ParameterError(f"{name} must be {want}, got {value!r}")
 
 
+# the section values that must be positive: bin widths and cell sizes
+_POSITIVE = (("describe", "bin_distance_m"), ("describe", "bin_duration_s"), ("describe", "bin_speed_mps"),
+             ("spatial", "cell_size_m"), ("spatial", "dest_cell_size_m"))
+
+
 def _check_config(cfg: dict) -> None:
     """The config holds only the keys of `DEFAULTS`, `bbox` four numbers, and
     each other top-level value the type of its default. A section holds only
     the keys its commands read (`models` a model kind or `seed`), each of the
-    type of its default; `synth` is checked where it is read. A slot width,
-    `features.width` or a set `train.width`, is one of `SLOT_WIDTHS`."""
+    type of its default; `synth` is checked where it is read. Each value is
+    also in range: `utc_offset_min` a UTC offset in use (-720 to 840), the
+    `_POSITIVE` values positive, `spatial.top_k` at least 1, a slot width
+    (`features.width` or a set `train.width`) one of `SLOT_WIDTHS`, and a
+    split one of `SPLIT_RATIOS`."""
     unknown = sorted(set(cfg) - set(DEFAULTS))
     if unknown:
         raise ParameterError(f"unknown top-level keys {unknown}")
     for key in ("out", "seed", "utc_offset_min", "paths", "synth"):
         _check_type(key, cfg[key], DEFAULTS[key])
+    if not -720 <= cfg["utc_offset_min"] <= 840:
+        raise ParameterError(f"utc_offset_min must be between -720 and 840, got {cfg['utc_offset_min']!r}")
     bbox = cfg["bbox"]
     if type(bbox) is not list or len(bbox) != 4 or not all(type(v) in (int, float) for v in bbox):
         raise ParameterError(f"bbox must be a list of four numbers, got {bbox!r}")
@@ -192,10 +208,17 @@ def _check_config(cfg: dict) -> None:
         if name != "models":
             for key, value in section.items():
                 _check_type(f"{name}.{key}", value, DEFAULTS[name][key])
+    for name, key in _POSITIVE:
+        if not cfg[name][key] > 0:  # NaN too
+            raise ParameterError(f"{name}.{key} must be positive, got {cfg[name][key]!r}")
+    if cfg["spatial"]["top_k"] < 1:
+        raise ParameterError(f"spatial.top_k must be at least 1, got {cfg['spatial']['top_k']!r}")
     for name in ("features", "train"):
-        width = cfg[name]["width"]
+        width, split = cfg[name]["width"], cfg[name]["split"]
         if width is not None and width not in SLOT_WIDTHS:
             raise ParameterError(f"{name}.width must be one of {SLOT_WIDTHS}, got {width!r}")
+        if split not in SPLIT_RATIOS:
+            raise ParameterError(f"{name}.split must be one of {tuple(SPLIT_RATIOS)}, got {split!r}")
 
 
 def _input(cfg: dict, key: str, required: bool = True) -> Path | None:
@@ -469,7 +492,7 @@ def _next_slot_prediction(tm, matrix) -> dict:
 
 
 _WIDTH = {"type": int, "choices": SLOT_WIDTHS}
-_SPLIT = {"choices": ("90/10", "80/20", "70/30", "60/40")}
+_SPLIT = {"choices": tuple(SPLIT_RATIOS)}
 
 # each command's function and its own flags, by name
 COMMANDS = {

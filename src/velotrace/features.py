@@ -18,15 +18,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import MissingInputError, ParameterError, ParseError, SchemaError, StateError, UndefinedCorrelationError
-from .util import (HOUR_US, MINUTE_US, SLOT_WIDTHS, WEEKDAY_NAMES, local_datetimes, parse_utc, pearson, read_json,
-                   utc_strings, write_json)
+from .util import (HOUR_US, MINUTE_US, SLOT_WIDTHS, SPLIT_RATIOS, WEEKDAY_NAMES, local_datetimes, parse_utc, pearson,
+                   read_json, utc_strings, write_json)
 
 if TYPE_CHECKING:  # annotations only: `train` and `predict` load neither layer
     from .covariates import CalendarEntry, WeatherTable
     from .ingest import TripTable
 
 SEASONS = ("spring", "summer", "autumn", "winter")
-SPLIT_RATIOS = {"90/10": 0.10, "80/20": 0.20, "70/30": 0.30, "60/40": 0.40}
 CV_FOLDS = 10
 
 # the columns the scaler touches, where the matrix has them
@@ -298,8 +297,9 @@ def write_features_csv(matrix: FeatureMatrix, path, *, utc_offset_min: int,
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(matrix.column_names + ["target", "slot_start"])
-        for x, y, stamp in zip(matrix.X, matrix.y, utc_strings(matrix.slot_us)):
-            w.writerow([*(repr(float(v)) for v in x), repr(float(y)), stamp])
+        # a row at a time, as Python floats, which `csv` writes as their repr
+        for x, target, stamp in zip(matrix.X, matrix.y.tolist(), utc_strings(matrix.slot_us)):
+            w.writerow(x.tolist() + [target, stamp])
     write_json(sidecar_path(path), {
         "width_minutes": matrix.width_minutes,
         "utc_offset_min": utc_offset_min,

@@ -24,7 +24,14 @@ A recurrent model trains and predicts on `build_windows`' `Windows` of the
 scaled matrix: each batch gathers its windows' rows into the model's
 workspace, so neither `train_model` nor `predict_rows` builds the (N,
 lookback, D) window array, `lookback` times the matrix; beyond the scaled
-copy of the matrix their memory does not grow with the number of windows."""
+copy of the matrix their memory does not grow with the number of windows.
+
+Precision: `train_model` hands the recurrent model windows of the scaled
+matrix in `WINDOW_DTYPE`, single precision, so it trains in float32 (every
+per-step GEMM, tanh and workspace buffer, the weights and Adam's moments);
+`predict_rows` hands a model windows in the dtype of its weights, so a loaded
+artifact predicts in the precision it was trained in. Tabular models and the
+scaler stay in float64."""
 
 from __future__ import annotations
 
@@ -43,6 +50,8 @@ from .lstm import LstmRegressor, build_windows
 from .metrics import Metrics, metrics
 
 MODELS = dict(zip(MODEL_KINDS, (LinearModel, RandomForest, GradientBoosting, LstmRegressor), strict=True))
+
+WINDOW_DTYPE = np.float32  # the precision a recurrent model trains in
 
 
 @dataclass(frozen=True)
@@ -111,7 +120,7 @@ def train_model(matrix: FeatureMatrix, rows, spec: ModelSpec) -> TrainedModel:
     scaler = MinMaxScaler().fit(matrix, rows)
     scaled = scaler.transform(matrix)
     targets = rows[scorable(matrix, rows, spec.lookback, fit_rows=rows)]
-    W, t = build_windows(scaled.X, scaled.y, spec.lookback, targets)
+    W, t = build_windows(scaled.X.astype(WINDOW_DTYPE), scaled.y, spec.lookback, targets)
     model = cls(scaled.X.shape[1], spec.params, spec.seed).fit(W, t)
     return TrainedModel(spec, model, scaler, {"rows_used": len(targets), **model.fit_meta()})
 
@@ -130,7 +139,7 @@ def predict_rows(tm: TrainedModel, matrix: FeatureMatrix, rows) -> np.ndarray:
     if lookback:
         scaled = tm.scaler.transform(matrix)
         # the next slot has no count; its window is all the model reads
-        W, _ = build_windows(scaled.X, np.append(scaled.y, np.nan), lookback, rows)
+        W, _ = build_windows(scaled.X.astype(tm.model.dtype), np.append(scaled.y, np.nan), lookback, rows)
         return tm.scaler.inverse_target(tm.model.predict(W))
     X = matrix.X if rows.max() < matrix.n_rows else np.vstack([matrix.X, matrix.next_row])
     return tm.model.predict(X[rows])

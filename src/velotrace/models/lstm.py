@@ -15,6 +15,13 @@ matrix. Each batch copies its windows' rows straight into the workspace, so
 `fit` and `predict` hold the matrix plus a fixed-size work area, however
 many windows there are.
 
+Precision: `fit` computes in the float dtype of the windows it is given, at
+least single precision: it casts the weights to it, and Adam's moments, the
+gradients and the workspace follow. `loss_and_grads` and `predict` compute in
+the dtype of the weights, so a fitted model predicts in the precision it was
+trained in; `state()` records that dtype and `from_state` restores it. The
+float64 reference tests drive this same code with float64 windows.
+
 The kernel is time-major (Appleyard, Kocisky & Blunsom, arXiv:1604.01946):
 the input half of every step's pre-activation, bias included, is one GEMM over
 the (T*B, D) rows; each step adds only `h @ W_h`, applies one tanh to all four
@@ -55,13 +62,17 @@ class LstmParams:
             raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
-def _gate_affine(H: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column scale and shift of the four gates. A sigmoid gate reads
-    sigmoid(z) = (1 + tanh(z/2)) / 2, so with its columns of W and b scaled by
-    1/2, one tanh over all four gates followed by `a * scale + shift` gives
-    every gate; the candidate's columns pass through unchanged."""
-    scale = np.repeat([0.5, 0.5, 1.0, 0.5], H)
-    return scale, np.repeat([0.5, 0.5, 0.0, 0.5], H)
+def _gate_affine(H: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column scale and shift of the four gates, in `dtype`. A sigmoid gate
+    reads sigmoid(z) = (1 + tanh(z/2)) / 2, so with its columns of W and b
+    scaled by 1/2, one tanh over all four gates followed by `a * scale + shift`
+    gives every gate; the candidate's columns pass through unchanged."""
+    return (np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype), H),
+            np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype), H))
+
+
+def _weight_shapes(D: int, H: int) -> dict:
+    return {"W": (D + H, 4 * H), "b": (4 * H,), "w_out": (H,), "b_out": (1,)}
 
 
 class Windows:
@@ -76,6 +87,10 @@ class Windows:
     @property
     def shape(self) -> tuple[int, int, int]:
         return (self.starts.size, self.lookback, self.X.shape[1])
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.X.dtype
 
     def __len__(self) -> int:
         return self.starts.size
@@ -113,12 +128,13 @@ class _Workspace:
     pass; `f` keeps the forget gates, which the reverse loop reads. `c` holds
     the cell states from c_0 = 0, `tanh_c` their tanh and then dc's factor
     from dh. `take(B)` views the leading part of each flat buffer, so a short
-    batch reuses them as contiguous arrays."""
+    batch reuses them as contiguous arrays. Every buffer is of `dtype`, the
+    precision the kernel computes in."""
 
-    def __init__(self, size: int, steps: int, D: int, H: int):
+    def __init__(self, size: int, steps: int, D: int, H: int, dtype):
         self.shapes = {"xh": (steps + 1, 1 + D + H), "z": (steps, 4 * H), "a": (min(steps, _GATE_STEPS), 4 * H),
                        "f": (steps, H), "c": (steps + 1, H), "tanh_c": (steps, H)}
-        self.flat = {k: np.empty(n * size * w) for k, (n, w) in self.shapes.items()}
+        self.flat = {k: np.empty(n * size * w, dtype) for k, (n, w) in self.shapes.items()}
         self.flat["xh"][::1 + D + H] = 1.0
 
     def take(self, B: int) -> dict:
@@ -128,22 +144,32 @@ class _Workspace:
 class LstmRegressor:
     Params = LstmParams
 
-    def __init__(self, input_size: int, params: LstmParams, seed: int):
+    def __init__(self, input_size: int, params: LstmParams, seed: int, weights: dict | None = None):
+        """A model of the given `weights`, else of random initial ones drawn
+        from the seed, which also seeds the batch shuffling of `fit`."""
         self.input_size = input_size
         self.params = params
-        self._rng = np.random.default_rng((seed,))
-        H, D = params.hidden_size, input_size
-        scale = 1.0 / np.sqrt(D + H)
-        self.weights = {
-            "W": self._rng.normal(0.0, scale, size=(D + H, 4 * H)),
-            "b": np.zeros(4 * H),
-            "w_out": self._rng.normal(0.0, scale, size=H),
-            "b_out": np.zeros(1),
-        }
-        self.weights["b"][H:2 * H] = 1.0  # forget-gate bias
+        self.seed = seed
+        self._rng = None  # made on first use, so a loaded model never loads numpy.random
+        self.weights = self._initial_weights() if weights is None else weights
         self.epochs_run = 0
         self.train_loss: list[float] = []
         self._workspace: _Workspace | None = None  # set only while `fit` runs
+
+    def _initial_weights(self) -> dict:
+        H, D = self.params.hidden_size, self.input_size
+        self._rng = np.random.default_rng((self.seed,))
+        scale = 1.0 / np.sqrt(D + H)
+        shapes = _weight_shapes(D, H)
+        weights = {"W": self._rng.normal(0.0, scale, size=shapes["W"]), "b": np.zeros(shapes["b"]),
+                   "w_out": self._rng.normal(0.0, scale, size=shapes["w_out"]), "b_out": np.zeros(shapes["b_out"])}
+        weights["b"][H:2 * H] = 1.0  # forget-gate bias
+        return weights
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The precision the model computes in: that of its weights."""
+        return self.weights["W"].dtype
 
     def _forward(self, X, buf: dict) -> np.ndarray:
         """Run windows X (B, T, D), an array or `Windows`, through the
@@ -151,7 +177,7 @@ class LstmRegressor:
         B, T, D = X.shape
         H = self.params.hidden_size
         W = self.weights["W"]
-        scale, shift = _gate_affine(H)
+        scale, shift = _gate_affine(H, W.dtype)
         xh, z, a, c, tanh_c = buf["xh"], buf["z"], buf["a"][0], buf["c"], buf["tanh_c"]
         if isinstance(X, Windows):
             X.gather(xh[:T, :, 1:1 + D])
@@ -180,12 +206,12 @@ class LstmRegressor:
 
     def loss_and_grads(self, X, y: np.ndarray):
         """Mean squared error over the batch of windows X (B, T, D), an array or
-        `Windows`, plus gradients for every weight."""
+        `Windows`, plus gradients for every weight, computed in the weights' dtype."""
         B, T, D = X.shape
         H = self.params.hidden_size
-        buf = (self._workspace or _Workspace(B, T, D, H)).take(B)
+        buf = (self._workspace or _Workspace(B, T, D, H, self.dtype)).take(B)
         yhat = self._forward(X, buf)
-        err = yhat - y
+        err = yhat - np.asarray(y, dtype=yhat.dtype)
         loss = float((err * err).mean())
         dyhat = 2.0 * err / B
 
@@ -198,7 +224,7 @@ class LstmRegressor:
         # in `a`, before A turns into its factors; the reverse loop reads the
         # forget gates from `f`.
         xh, dz, a, f, c, tanh_c = buf["xh"], buf["z"], buf["a"], buf["f"], buf["c"], buf["tanh_c"]
-        scale, shift = _gate_affine(H)
+        scale, shift = _gate_affine(H, dz.dtype)
         for s in range(0, T, len(a)):
             A = dz[s:s + len(a)]
             n = len(A)
@@ -223,7 +249,7 @@ class LstmRegressor:
         slope = scale ** 2
         W_hT = (self.weights["W"][D:] * slope).T
         dh = np.outer(dyhat, self.weights["w_out"])
-        dc = np.zeros((B, H))
+        dc = np.zeros((B, H), dz.dtype)
         for dz_t, dgate_t, dc_factor, f_t in zip(dz[::-1], dgate[::-1], tanh_c[::-1], f[::-1]):
             dc += dh * dc_factor
             dgate_t[:, :3] *= dc[:, None, :]
@@ -244,19 +270,25 @@ class LstmRegressor:
 
     def fit(self, X, y: np.ndarray) -> "LstmRegressor":
         """Adam over shuffled mini-batches of the windows X (N, T, D), an array
-        or `Windows`; raises TrainingError on a non-finite epoch loss. Every
-        batch reuses one workspace, released on return."""
+        or `Windows`, in their float dtype (at least single precision), to
+        which the weights are cast; raises TrainingError on a non-finite epoch
+        loss. Every batch reuses one workspace, released on return."""
         if len(X.shape) != 3 or X.shape[2] != self.input_size:
             raise InputError(f"expected windows of shape (N, T, {self.input_size})")
         if len(X) != len(y) or len(X) == 0:
             raise InputError("empty or mismatched training windows")
         p = self.params
+        dtype = np.result_type(X.dtype, np.float32)
+        self.weights = {k: w.astype(dtype, copy=False) for k, w in self.weights.items()}
+        y = np.asarray(y, dtype=dtype)
+        if self._rng is None:
+            self._rng = np.random.default_rng((self.seed,))
         m = {k: np.zeros_like(v) for k, v in self.weights.items()}
         v = {k: np.zeros_like(w) for k, w in self.weights.items()}
         step = 0
         order = np.arange(len(X))
         self.train_loss = []
-        self._workspace = _Workspace(min(len(X), p.batch_size), X.shape[1], self.input_size, p.hidden_size)
+        self._workspace = _Workspace(min(len(X), p.batch_size), X.shape[1], self.input_size, p.hidden_size, dtype)
         try:
             for epoch in range(p.epochs):
                 self._rng.shuffle(order)
@@ -284,10 +316,10 @@ class LstmRegressor:
 
     def predict(self, X) -> np.ndarray:
         """Predictions for the windows X (N, T, D), an array or `Windows`, run
-        in chunks of `batch_size` through one workspace."""
+        in chunks of `batch_size` through one workspace, in the weights' dtype."""
         size = max(1, min(len(X), self.params.batch_size))
-        ws = _Workspace(size, X.shape[1], self.input_size, self.params.hidden_size)
-        out = np.empty(len(X))
+        ws = _Workspace(size, X.shape[1], self.input_size, self.params.hidden_size, self.dtype)
+        out = np.empty(len(X), self.dtype)
         for at in range(0, len(X), size):
             chunk = X[at:at + size]
             out[at:at + size] = self._forward(chunk, ws.take(len(chunk)))
@@ -299,13 +331,19 @@ class LstmRegressor:
                 "train_loss": list(self.train_loss)}
 
     def state(self) -> dict:
-        """The artifact's `state`: the input width and the weights (not the scaler)."""
-        return {"weights": {k: w.tolist() for k, w in self.weights.items()}, "input_size": self.input_size}
+        """The artifact's `state`: the input width, the weights and their dtype (not the scaler)."""
+        return {"weights": {k: w.tolist() for k, w in self.weights.items()}, "input_size": self.input_size,
+                "dtype": self.dtype.name}
 
     @classmethod
     def from_state(cls, params: LstmParams, state: dict, seed: int) -> "LstmRegressor":
-        """The model of a `state()`; a weight of the wrong shape raises ValueError."""
-        model = cls(int(state["input_size"]), params, seed)
-        for k, w in model.weights.items():
-            model.weights[k] = np.asarray(state["weights"][k], dtype=np.float64).reshape(w.shape)
-        return model
+        """The model of a `state()`, drawing no random weights; a state without
+        a dtype is float64. A weight of the wrong shape, or a dtype other than
+        float32 or float64, raises ValueError."""
+        dtype = state.get("dtype", "float64")
+        if dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
+        D = int(state["input_size"])
+        weights = {k: np.asarray(state["weights"][k], dtype=dtype).reshape(shape)
+                   for k, shape in _weight_shapes(D, params.hidden_size).items()}
+        return cls(D, params, seed, weights)

@@ -6,6 +6,7 @@ adequate for a city-scale box."""
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -147,9 +148,9 @@ def write_density_csv(grid: DensityGrid, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["row", "col", "count", "normalized"])
-        for r in range(grid.n_rows):
-            for c in range(grid.n_cols):
-                w.writerow([r, c, int(grid.counts[r, c]), repr(float(grid.normalized[r, c]))])
+        cols = range(grid.n_cols)
+        for r in range(grid.n_rows):  # a grid row at a time, as Python values
+            w.writerows(zip(itertools.repeat(r), cols, grid.counts[r].tolist(), grid.normalized[r].tolist()))
 
 
 def hub_report_as_dict(rep: HubSpreadReport) -> dict:

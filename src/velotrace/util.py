@@ -1,5 +1,6 @@
-"""Small shared helpers: timestamps, weekday names, the model kind names and
-slot widths, Pearson correlation, hashing, CSV input and JSON input/output.
+"""Small shared helpers: timestamps, weekday names, the model kind names,
+slot widths and split ratios, Pearson correlation, hashing, CSV input and
+JSON input/output.
 
 Every input CSV with a fixed header (points, weather, pollution, calendar,
 hubs) is read by `csv_records`: it checks the header and each row's field
@@ -39,6 +40,9 @@ MODEL_KINDS = ("linear", "forest", "boost", "lstm")
 
 # the slot widths in minutes that features are built at
 SLOT_WIDTHS = (30, 60)
+
+# the chronological train/test splits by name, each with the share of rows held out for test
+SPLIT_RATIOS = {"90/10": 0.10, "80/20": 0.20, "70/30": 0.30, "60/40": 0.40}
 
 
 def parse_utc(text: str) -> int:

@@ -1,10 +1,13 @@
 import io
+import os
 from dataclasses import fields
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import velotrace
 from velotrace.covariates import WeatherTable
 from velotrace.ingest import (
     EARTH_RADIUS_M, POINT_HEADER, PointTable, TripTable, assemble_trips, half_angles, parse_points,
@@ -13,6 +16,12 @@ from velotrace.ingest import (
 UTC = timezone.utc
 EPOCH = datetime(1970, 1, 1, tzinfo=UTC)
 T0 = datetime(2017, 5, 1, 8, 0, 0, tzinfo=UTC)  # a Monday
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this velotrace."""
+    src = str(Path(velotrace.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def us(dt: datetime) -> int:

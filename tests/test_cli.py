@@ -6,7 +6,6 @@ repairs and rejects points for every reason."""
 import csv
 import json
 import math
-import os
 import runpy
 import shutil
 import subprocess
@@ -27,7 +26,7 @@ from velotrace.models.serialize import load_artifact
 from velotrace.spatial import build_density_grid, write_density_csv
 from velotrace.util import sha256_file
 
-from conftest import from_us, utc_text
+from conftest import child_env, from_us, utc_text
 
 CONFIG = {
     "synth": {"start_date": "2017-05-24", "end_date": "2017-06-06", "base_trips_per_day": 40},
@@ -492,12 +491,6 @@ def test_features_file_without_its_header_exits_3(city, trained, tmp_path, capsy
     assert (err["exit_code"], err["type"]) == (3, "SchemaError")
 
 
-def child_env() -> dict:
-    """The environment of a child interpreter that imports this velotrace."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 def test_cli_process_failure_prints_only_the_error_json(tmp_path):
     """As a user runs it: exit 1, nothing on stderr, the error JSON last on stdout."""
     config = config_with(tmp_path, models={"boost": {"n_rounds": 2.5}})
@@ -678,6 +671,18 @@ WRONG_TYPES = [
     (None, "bbox", [1, 2], "a list of four numbers"),
     (None, "bbox", [44.45, 11.28, 44.54, True], "a list of four numbers"),
     (None, "synth", 5, "an object"),
+    # a value of the right type is also in range, whether or not the command reads it
+    (None, "utc_offset_min", 100000, "between -720 and 840"),
+    (None, "utc_offset_min", -721, "between -720 and 840"),
+    ("describe", "bin_distance_m", 0, "positive"),
+    ("describe", "bin_duration_s", -60.0, "positive"),
+    ("describe", "bin_speed_mps", float("nan"), "positive"),
+    ("spatial", "cell_size_m", 0.0, "positive"),
+    ("spatial", "dest_cell_size_m", -1, "positive"),
+    ("spatial", "top_k", 0, "at least 1"),
+    ("spatial", "top_k", -1, "at least 1"),
+    ("features", "split", "50/50", "one of ('90/10', '80/20', '70/30', '60/40')"),
+    ("train", "split", "90-10", "one of ('90/10', '80/20', '70/30', '60/40')"),
 ]
 
 
@@ -690,6 +695,20 @@ def test_config_value_of_the_wrong_type_exits_1(city, tmp_path, capsys, section,
     name = f"{section}.{key}" if section else key
     assert (err["exit_code"], err["type"], err["message"]) == (1, "ParameterError", f"{name} must be {want}, got {value!r}")
     assert not (tmp_path / "features.csv").exists()
+
+
+@pytest.mark.parametrize("with_config", [True, False], ids=["config", "no-config"])
+@pytest.mark.parametrize("offset", ["841", "-100000"])
+def test_utc_offset_flag_out_of_range_exits_1(city, tmp_path, capsys, with_config, offset):
+    """The flag is checked like a config value, with or without a config file."""
+    argv = cli_args(city, tmp_path, ["describe", "--utc-offset-min", offset])
+    if not with_config:
+        at = argv.index("--config")
+        del argv[at:at + 2]
+    err = error_of(capsys, argv)
+    assert (err["exit_code"], err["type"], err["message"]) == (
+        1, "ParameterError", f"utc_offset_min must be between -720 and 840, got {int(offset)}")
+    assert not (tmp_path / "profile.json").exists()
 
 
 def test_int_config_value_where_the_default_is_a_float_is_accepted(city, tmp_path):

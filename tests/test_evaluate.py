@@ -7,7 +7,8 @@ import pytest
 from velotrace import cli
 from velotrace.errors import ParameterError
 from velotrace.features import FeatureMatrix, SlotSeries, build_features, chronological_split
-from velotrace.models.evaluate import ModelSpec, evaluate, predict_rows, train_model
+from velotrace.models import evaluate as evaluate_module
+from velotrace.models.evaluate import ModelSpec, evaluate, fit_and_score, predict_rows, train_model
 from velotrace.models.serialize import load_artifact, model_artifact
 from velotrace.util import MODEL_KINDS
 
@@ -176,6 +177,23 @@ def test_artifact_round_trip_predictions():
         back = load_artifact(doc)
         assert np.array_equal(direct, predict_rows(back, m, rows)), spec.kind
         assert model_artifact(back, m.column_names) == doc, spec.kind
+
+
+def test_lstm_trains_and_scores_in_float32(monkeypatch):
+    """The recurrent model trains in float32, its test predictions are
+    `predict_rows` on the same rows, and they follow a float64 fit of the same
+    spec to well within a trip."""
+    m = rigged_matrix()
+    plan = chronological_split(m, "80/20")
+    tm = train_model(m, plan.train_rows, SPECS[3])
+    assert {w.dtype for w in tm.model.weights.values()} == {np.dtype(np.float32)}
+    single = fit_and_score(m, plan.train_rows, plan.test_rows, SPECS[3])
+    assert single.skipped == 0
+    assert single.predictions.tobytes() == predict_rows(tm, m, single.targets).tobytes()
+    monkeypatch.setattr(evaluate_module, "WINDOW_DTYPE", np.float64)
+    double = fit_and_score(m, plan.train_rows, plan.test_rows, SPECS[3])
+    assert double.model.model.dtype == np.float64
+    np.testing.assert_allclose(single.predictions, double.predictions, rtol=0, atol=1e-4)
 
 
 def test_boosting_training_curve_survives_the_artifact():

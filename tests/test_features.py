@@ -1,3 +1,4 @@
+import csv
 import json
 from datetime import date, datetime, timedelta, timezone
 
@@ -20,6 +21,7 @@ from velotrace.features import (
     write_features_csv,
 )
 from velotrace.features import _load_columns, _parse_rows
+from velotrace.util import utc_strings
 
 from conftest import from_us, make_trips, us, weather_table
 
@@ -422,6 +424,12 @@ class TestCsvReaders:
         assert fast is not None
         assert self.same_columns(fast, _parse_rows(path))
         assert self.same_columns(fast, (matrix.column_names, X, y, slot_us))
+        with open(path.with_name("reference.csv"), "w", encoding="utf-8", newline="") as f:
+            w = csv.writer(f)  # the cell-by-cell rendering: the repr of each value
+            w.writerow(matrix.column_names + ["target", "slot_start"])
+            for x, target, stamp in zip(X, y, utc_strings(slot_us)):
+                w.writerow([*(repr(float(v)) for v in x), repr(float(target)), stamp])
+        assert path.read_bytes() == path.with_name("reference.csv").read_bytes()
 
     @pytest.mark.parametrize("change, fast", [
         (lambda row: '"' + row[:row.index(",")] + '"' + row[row.index(","):], False),

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import pytest
 from velotrace.errors import InputError, TrainingError
 from velotrace.models.lstm import LstmParams, LstmRegressor, build_windows
 from velotrace.models.metrics import metrics
+
+from conftest import child_env
 
 
 # The step-by-step kernel the time-major one replaced, kept as the reference:
@@ -163,6 +167,46 @@ def test_kernel_matches_reference(B, T, D, H):
     for key, ref in ref_grads.items():
         assert grads[key].shape == ref.shape
         assert np.max(np.abs(grads[key] - ref)) <= 1e-12 * np.max(np.abs(ref)), key
+
+
+# float32 rounds each operation at 2**-24; over 48 steps of 41-wide inputs and
+# 32-wide state, a few hundred such roundings stay below this relative error
+FLOAT32_TOL = 100 * np.finfo(np.float32).eps
+
+
+@pytest.mark.parametrize("B,T,D,H", [(7, 5, 3, 4), (32, 48, 41, 32)])
+def test_float32_kernel_matches_reference(B, T, D, H):
+    """The kernel in single precision: float32 weights and windows give float32
+    loss terms and gradients within `FLOAT32_TOL` of the float64 reference."""
+    model, X, y = random_model(B, T, D, H)
+    ref_loss, ref_grads = reference_loss_and_grads(model, X, y)
+    model.weights = {k: w.astype(np.float32) for k, w in model.weights.items()}
+    loss, grads = model.loss_and_grads(X.astype(np.float32), y.astype(np.float32))
+    assert loss == pytest.approx(ref_loss, rel=FLOAT32_TOL)
+    for key, ref in ref_grads.items():
+        assert grads[key].dtype == np.float32 and grads[key].shape == ref.shape, key
+        assert np.max(np.abs(grads[key] - ref)) <= FLOAT32_TOL * np.max(np.abs(ref)), key
+    pred = model.predict(X.astype(np.float32))
+    ref_pred = reference_forward(model, X.astype(np.float32).astype(np.float64))[0]
+    assert pred.dtype == np.float32
+    assert np.max(np.abs(pred - ref_pred)) <= FLOAT32_TOL * np.max(np.abs(ref_pred))
+
+
+def test_fit_computes_in_the_dtype_of_its_windows():
+    """Float32 windows train float32 weights; float64 and integer windows
+    train float64 ones. The float32 fit follows the float64 one closely."""
+    rng = np.random.default_rng(13)
+    X = rng.uniform(0, 1, size=(40, 6, 3))
+    y = rng.uniform(0, 1, size=40)
+    params = LstmParams(hidden_size=4, lookback=6, epochs=5, batch_size=8)
+    single = LstmRegressor(3, params, seed=9).fit(X.astype(np.float32), y)
+    double = LstmRegressor(3, params, seed=9).fit(X, y)
+    assert {w.dtype for w in single.weights.values()} == {np.dtype(np.float32)}
+    assert {w.dtype for w in double.weights.values()} == {np.dtype(np.float64)}
+    assert LstmRegressor(3, params, seed=9).fit((X > 0.5).astype(np.int64), y).dtype == np.float64
+    assert single.train_loss == pytest.approx(double.train_loss, rel=1e-4)
+    for key, w in double.weights.items():
+        np.testing.assert_allclose(single.weights[key], w, rtol=0, atol=1e-4)
 
 
 def test_predict_beyond_batch_size_matches_reference():
@@ -324,3 +368,39 @@ def test_state_round_trip():
     clone = LstmRegressor.from_state(params, state, seed=99)
     assert clone.state() == state
     assert np.array_equal(model.predict(X), clone.predict(X))
+
+
+def test_state_records_the_dtype():
+    """A float32 model saves and restores float32 weights, bit for bit; a
+    state without a dtype, written before it was recorded, is float64."""
+    rng = np.random.default_rng(8)
+    X = rng.uniform(0, 1, size=(20, 4, 3)).astype(np.float32)
+    params = LstmParams(hidden_size=5, lookback=4, epochs=2, batch_size=8)
+    model = LstmRegressor(3, params, seed=4).fit(X, rng.uniform(0, 1, size=20))
+    state = json.loads(json.dumps(model.state()))
+    assert state["dtype"] == "float32"
+    clone = LstmRegressor.from_state(params, state, seed=4)
+    for key, w in model.weights.items():
+        assert clone.weights[key].dtype == np.float32 and clone.weights[key].tobytes() == w.tobytes()
+    assert model.predict(X).tobytes() == clone.predict(X).tobytes()
+    del state["dtype"]
+    assert LstmRegressor.from_state(params, state, seed=4).dtype == np.float64
+    with pytest.raises(ValueError, match="dtype"):
+        LstmRegressor.from_state(params, {**state, "dtype": "int8"}, seed=4)
+
+
+def test_loading_a_state_draws_no_random_weights():
+    """`from_state` builds the model without numpy.random, which a fresh
+    interpreter then never imports to predict."""
+    params = LstmParams(hidden_size=3, lookback=4, epochs=0)
+    state = LstmRegressor(2, params, seed=1).state()
+    script = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "from velotrace.models.lstm import LstmParams, LstmRegressor\n"
+        f"model = LstmRegressor.from_state(LstmParams(hidden_size=3, lookback=4, epochs=0), "
+        f"json.loads({json.dumps(json.dumps(state))}), seed=1)\n"
+        "model.predict(np.zeros((2, 4, 2)))\n"
+        "print('numpy.random' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=child_env())
+    assert out.stdout.strip() == "False"

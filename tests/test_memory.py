@@ -79,6 +79,21 @@ def test_lstm_fit_memory_does_not_grow_with_the_windows():
     assert large <= 1.05 * small, (small, large)
 
 
+def test_lstm_fit_on_float32_windows_holds_about_half_the_bytes():
+    """The workspace, weights, gradients and Adam moments follow the windows'
+    dtype, so a float32 fit peaks at about half of the same fit in float64."""
+    m = lstm_matrix(N + LOOKBACK)
+    params = LstmParams(hidden_size=8, lookback=LOOKBACK, epochs=1, batch_size=32)
+    targets = np.arange(LOOKBACK, LOOKBACK + N)
+
+    def fit(X):
+        return traced_peak(lambda: LstmRegressor(X.shape[1], params, seed=0).fit(
+            *build_windows(X, m.y, LOOKBACK, targets)))
+
+    single, double = fit(m.X.astype(np.float32)), fit(m.X)
+    assert single <= 0.6 * double, (single, double)
+
+
 def test_lstm_predict_rows_memory_does_not_grow_with_the_windows():
     m = lstm_matrix(4 * N + LOOKBACK)
     spec = ModelSpec("lstm", {"hidden_size": 8, "lookback": LOOKBACK, "epochs": 0, "batch_size": 32})

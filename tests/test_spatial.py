@@ -1,3 +1,4 @@
+import csv
 import json
 from datetime import date
 
@@ -14,6 +15,7 @@ from velotrace.spatial import (
     hub_report_as_dict,
     hub_spread,
     parse_hub_file,
+    write_density_csv,
 )
 
 from conftest import csv_stream, great_circle_m, make_trips
@@ -79,6 +81,21 @@ class TestDensityGrid:
         g1 = build_density_grid(*columns(pts), BBOX, 200)
         gk = build_density_grid(*columns(pts * k), BBOX, 200)
         assert np.array_equal(g1.normalized, gk.normalized)
+
+    def test_density_csv_writes_each_cell_as_its_repr(self, tmp_path):
+        """The file is the cell-by-cell rendering: row, col, the count and the
+        repr of the normalized value, in row-major order."""
+        pts = [cell_point(BBOX, 700, 1, 2)] * 3 + [cell_point(BBOX, 700, 13, 0)] * 7 + [(44.46, 11.39)]
+        grid = build_density_grid(*columns(pts), BBOX, 700)
+        write_density_csv(grid, tmp_path / "density.csv")
+        with open(tmp_path / "reference.csv", "w", encoding="utf-8", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["row", "col", "count", "normalized"])
+            for r in range(grid.n_rows):
+                for c in range(grid.n_cols):
+                    w.writerow([r, c, int(grid.counts[r, c]), repr(float(grid.normalized[r, c]))])
+        assert (grid.n_rows, grid.n_cols) == (15, 14)
+        assert (tmp_path / "density.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_halved_volume_preserves_normalized_profile(self):
         # same planted street geometry at different volumes: normalized grids agree
