@@ -64,7 +64,7 @@ from .errors import (
     VelotraceError,
 )
 from .util import (MINUTE_US, MODEL_KINDS, SLOT_WIDTHS, SPLIT_RATIOS, local_datetimes, read_json, sha256_file,
-                   utc_strings, write_json)
+                   utc_strings, write_csv, write_json)
 
 # the layer names the commands call, by the module that defines them
 _LAYER_NAMES = {
@@ -272,10 +272,7 @@ def cmd_synth(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:
     sc = _cli.synth_config_from_dict(_merge(DEMO_SYNTH, cfg["synth"]), cfg["seed"], cfg["utc_offset_min"])
     result = _cli.generate(sc, out)
     hub_path = out / "hubs.csv"
-    with open(hub_path, "w", encoding="utf-8", newline="") as f:
-        f.write("name,lat,lon,radius_m\n")
-        for h in sc.hubs:
-            f.write(f"{h.name},{h.lat!r},{h.lon!r},300.0\n")
+    write_csv(hub_path, ["name", "lat", "lon", "radius_m"], ((h.name, h.lat, h.lon, 300.0) for h in sc.hubs))
     files = [Path(p) for p in result["files"].values()] + [hub_path]
     totals = result["truth"]["totals"]
     return files, {"files": sorted(str(p) for p in files), "expected_trips": totals["expected_trips"],
@@ -437,7 +434,8 @@ def _model_specs(cfg: dict, requested: list[str]) -> list[ModelSpec]:
 def cmd_train(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:
     tc = cfg["train"]
     specs = _model_specs(cfg, [args.model] if args.model else list(tc["models"]))
-    matrix = _cli.read_features_csv(_features_path(cfg, out))
+    features_path = _features_path(cfg, out)
+    matrix = _cli.read_features_csv(features_path)
     width = args.width or tc["width"] or matrix.width_minutes
     if width != matrix.width_minutes:
         raise ParameterError(
@@ -447,23 +445,22 @@ def cmd_train(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:
     report, fitted = _cli.evaluate(matrix, plan, specs, with_cv=tc["with_cv"])
 
     files = [out / "eval_report.json"]
-    write_json(files[0], report.as_dict())
+    doc = {**report.as_dict(), "features_sha256": sha256_file(features_path)}
+    old = read_json(files[0]) if files[0].exists() else {}
+    # another kind's entry stays when it scored the same features file at the same ratio and width
+    if isinstance(old, dict) and all(old.get(k) == doc[k] for k in ("ratio", "width_minutes", "features_sha256")):
+        doc["models"] = {**old["models"], **doc["models"]}
+    write_json(files[0], doc)
     for kind, score in fitted.items():
         artifact_path, pred_path = out / f"model_{kind}.json", out / f"predictions_{kind}.csv"
         write_json(artifact_path, _cli.model_artifact(score.model, matrix.column_names))
-        _write_predictions(pred_path, matrix, score.targets, score.predictions)
+        write_csv(pred_path, ["slot_start", "actual", "predicted"], zip(
+            utc_strings(matrix.slot_us[score.targets]), matrix.y[score.targets].tolist(), map(float, score.predictions)))
         files += [artifact_path, pred_path]
     test = {k: report.entries[k]["test"] for k in sorted(fitted)}
     best = min(fitted, key=lambda k: test[k]["mae"], default=None)  # the first of equal scores
     return files, {"split": split, "width": matrix.width_minutes, "models": sorted(fitted),
                    "best_model": best, "test_metrics": test}
-
-
-def _write_predictions(path: Path, matrix, rows, predictions) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("slot_start,actual,predicted\n")
-        for stamp, j, p in zip(utc_strings(matrix.slot_us[rows]), rows, predictions):
-            f.write(f"{stamp},{float(matrix.y[j])!r},{float(p)!r}\n")
 
 
 def cmd_predict(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:

@@ -4,14 +4,13 @@ monthly trends. Trips are attributed to the local time of their start instant
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ParameterError
 from .ingest import TripTable
-from .util import WEEKDAY_NAMES, local_datetimes
+from .util import WEEKDAY_NAMES, local_datetimes, write_csv
 
 
 @dataclass
@@ -109,23 +108,13 @@ def monthly_change(profile: TemporalProfile) -> list[MonthChange]:
 
 
 def write_histogram_csv(h: Histogram, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["lower_edge", "count"])
-        for edge, count in h.bins:
-            w.writerow([repr(edge), count])
+    write_csv(path, ["lower_edge", "count"], ((repr(edge), count) for edge, count in h.bins))
 
 
 def write_monthly_csv(changes: list[MonthChange], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["month", "count", "pct_change_vs_prev", "share_of_peak"])
-        for mc in changes:
-            w.writerow([
-                mc.month, mc.count,
-                "" if mc.pct_change is None else repr(mc.pct_change),
-                repr(mc.share_of_peak),
-            ])
+    write_csv(path, ["month", "count", "pct_change_vs_prev", "share_of_peak"], (
+        (mc.month, mc.count, "" if mc.pct_change is None else repr(mc.pct_change), repr(mc.share_of_peak))
+        for mc in changes))
 
 
 def profile_as_dict(p: TemporalProfile) -> dict:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import MissingInputError, ParameterError, ParseError, SchemaError, StateError, UndefinedCorrelationError
 from .util import (HOUR_US, MINUTE_US, SLOT_WIDTHS, SPLIT_RATIOS, WEEKDAY_NAMES, local_datetimes, parse_utc, pearson,
-                   read_json, utc_strings, write_json)
+                   read_json, utc_strings, write_csv, write_json)
 
 if TYPE_CHECKING:  # annotations only: `train` and `predict` load neither layer
     from .covariates import CalendarEntry, WeatherTable
@@ -294,12 +294,9 @@ def write_features_csv(matrix: FeatureMatrix, path, *, utc_offset_min: int,
                        hour_as_numeric: bool, hour_history_sum: bool) -> None:
     """Write the matrix to `path` and its sidecar: the width, the options of
     `build_features` and the next-slot row."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(matrix.column_names + ["target", "slot_start"])
-        # a row at a time, as Python floats, which `csv` writes as their repr
-        for x, target, stamp in zip(matrix.X, matrix.y.tolist(), utc_strings(matrix.slot_us)):
-            w.writerow(x.tolist() + [target, stamp])
+    rows = zip(matrix.X, matrix.y.tolist(), utc_strings(matrix.slot_us))
+    # a row at a time, as Python floats, which `csv` writes as their repr
+    write_csv(path, matrix.column_names + ["target", "slot_start"], (x.tolist() + [y, t] for x, y, t in rows))
     write_json(sidecar_path(path), {
         "width_minutes": matrix.width_minutes,
         "utc_offset_min": utc_offset_min,

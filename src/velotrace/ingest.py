@@ -24,7 +24,6 @@ assemble again.
 
 from __future__ import annotations
 
-import csv
 import math
 import zipfile
 from array import array
@@ -33,7 +32,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ParseError, RangeError, SchemaError
-from .util import csv_records, parse_utc, utc_strings
+from .util import csv_records, parse_utc, utc_strings, write_csv
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -45,6 +44,7 @@ TOO_FEW_POINTS = "too-few-points"
 ZERO_DURATION = "zero-duration"
 
 _BLOCK = 1 << 12  # points per batch of trips whose half-angles are computed together
+_TRIP_BLOCK = 1 << 10  # trips per block of rows that `write_trips_csv` renders together
 
 @dataclass(slots=True)
 class PointTable:
@@ -297,23 +297,21 @@ TRIP_HEADER = [
 
 
 def write_trips_csv(trips: TripTable, path) -> None:
-    """One row per trip: times as `utc_strings` renders them, floats by `repr`."""
-    floats = (trips.start_point[:, 0], trips.start_point[:, 1], trips.end_point[:, 0], trips.end_point[:, 1],
-              trips.distance, trips.duration, trips.avg_speed)
-    columns = [trips.trip_id.tolist(), utc_strings(trips.start_us), utc_strings(trips.end_us),
-               *(map(repr, c.tolist()) for c in floats), trips.n_points.tolist()]
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(TRIP_HEADER)
-        w.writerows(zip(*columns))
+    """One row per trip: times as `utc_strings` renders them, floats by `repr`.
+    The rows are rendered `_TRIP_BLOCK` trips at a time, so the text of one
+    block, not of the whole table, is held at once."""
+    def rows():
+        for a in range(0, len(trips), _TRIP_BLOCK):
+            b = trips.take(slice(a, a + _TRIP_BLOCK))
+            yield from zip(b.trip_id.tolist(), utc_strings(b.start_us), utc_strings(b.end_us),
+                           *b.start_point.T.tolist(), *b.end_point.T.tolist(), b.distance.tolist(),
+                           b.duration.tolist(), b.avg_speed.tolist(), b.n_points.tolist())
+
+    write_csv(path, TRIP_HEADER, rows())
 
 
 def write_rejections_csv(rejections: list[Rejection], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["activity_id", "reason", "detail"])
-        for r in rejections:
-            w.writerow([r.activity_id, r.reason, r.detail])
+    write_csv(path, ["activity_id", "reason", "detail"], ((r.activity_id, r.reason, r.detail) for r in rejections))
 
 
 def _columns(table) -> dict:

@@ -39,17 +39,17 @@ class GradientBoosting:
 
     @classmethod
     def fit(cls, X, y, params: BoostParams, seed: int = 0) -> "GradientBoosting":
+        """`seed` is unused: each round's tree searches every column and draws nothing."""
         X, y = fit_inputs(X, y, "boosting")
 
         base = float(y.mean())
         pred = np.full(len(y), base)
         trees: list[RegressionTree] = []
         losses: list[float] = []
-        rng = np.random.default_rng((seed, 0))
         bins = Bins(X)
         for _ in range(params.n_rounds):
             residual = y - pred
-            tree = RegressionTree.fit(X, residual, rng=rng, max_depth=params.max_depth,
+            tree = RegressionTree.fit(X, residual, max_depth=params.max_depth,
                                       min_samples_leaf=params.min_samples_leaf,
                                       max_features=FEATURES_ALL, bins=bins)
             pred = pred + params.learning_rate * tree.predict(X)

@@ -5,7 +5,6 @@ adequate for a city-scale box."""
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -14,7 +13,7 @@ import numpy as np
 
 from .errors import ParameterError, ParseError, RangeError
 from .ingest import EARTH_RADIUS_M, TripTable, half_angles
-from .util import csv_records
+from .util import csv_records, write_csv
 
 M_PER_DEG_LAT = math.pi / 180.0 * EARTH_RADIUS_M
 
@@ -145,12 +144,11 @@ def parse_hub_file(source) -> list[HubDef]:
 
 
 def write_density_csv(grid: DensityGrid, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["row", "col", "count", "normalized"])
-        cols = range(grid.n_cols)
-        for r in range(grid.n_rows):  # a grid row at a time, as Python values
-            w.writerows(zip(itertools.repeat(r), cols, grid.counts[r].tolist(), grid.normalized[r].tolist()))
+    cols = range(grid.n_cols)
+    # a grid row at a time, as Python values
+    write_csv(path, ["row", "col", "count", "normalized"], itertools.chain.from_iterable(
+        zip(itertools.repeat(r), cols, grid.counts[r].tolist(), grid.normalized[r].tolist())
+        for r in range(grid.n_rows)))
 
 
 def hub_report_as_dict(rep: HubSpreadReport) -> dict:

@@ -29,7 +29,6 @@ accuracy (in that order) where they fall below missing_fraction. Stream
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from contextlib import nullcontext
@@ -42,7 +41,7 @@ import numpy as np
 from .errors import ParameterError
 from .ingest import EARTH_RADIUS_M, POINT_HEADER, half_angles
 from .spatial import M_PER_DEG_LAT, _m_per_deg_lon
-from .util import local_datetimes, utc_strings, write_json
+from .util import local_datetimes, utc_strings, write_csv, write_json
 
 HEAT_THRESHOLD_C = 27.0
 COLD_PENALTY_PER_DEG = 0.01
@@ -432,7 +431,14 @@ def _reprs(values: np.ndarray) -> np.ndarray:
 
 
 def _lines(cols) -> str:
-    """CSV rows of string columns in `csv.writer`'s dialect; no field here needs quoting."""
+    """CSV rows of string columns in `csv.writer`'s dialect, joined by hand.
+
+    The points writer bypasses `util.write_csv` because no generated field
+    (an `A<day><n>` id, a UTC stamp, a float's repr or "") ever needs
+    quoting, and `csv.writer` checks every field for it: on the 91,780
+    rows of a three-week 60-trips-a-day city (seed 1) this join takes
+    0.045 s of CPU against 0.28 s for `csv.writer.writerows` (best of 5
+    on a 2-core x86-64 host)."""
     return "\r\n".join(map(",".join, zip(*(c.tolist() for c in cols)))) + "\r\n"
 
 
@@ -445,24 +451,21 @@ def _write_weather(cfg: SynthConfig, path: Path) -> None:
     local = local_datetimes(hour_us, cfg.utc_offset_min)
     days = local.astype("datetime64[D]").tolist()
     hours = (local.astype("datetime64[h]").astype(np.int64) % 24).tolist()
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["timestamp", "temp_c", "precip_mm", "wind_mps"])
+
+    def rows():  # drawn in row order, as the rows are written
         for stamp, day, hour in zip(utc_strings(hour_us), days, hours):
             temp = (daily_temperature(cfg.temp_curve, day)
                     + DIURNAL_AMPLITUDE_C * math.cos(2.0 * math.pi * (hour - 15) / 24.0)
                     + rng.normal(0.0, 0.2))
             precip = rain.get((day, hour), (0.0, 0.0))[0]
             wind = max(0.0, 3.0 + rng.normal(0.0, 1.0))
-            w.writerow([stamp, repr(round(temp, 2)), repr(float(precip)), repr(round(wind, 2))])
+            yield stamp, repr(round(temp, 2)), repr(float(precip)), repr(round(wind, 2))
+
+    write_csv(path, ["timestamp", "temp_c", "precip_mm", "wind_mps"], rows())
 
 
 def _write_calendar(cfg: SynthConfig, path: Path) -> None:
     entries = [(d, "holiday", "synthetic-holiday") for d, _ in cfg.holiday_suppressions]
     entries.extend(cfg.null_events)
     entries.sort(key=lambda e: (str(e[0]), e[1], e[2]))
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["date", "kind", "label"])
-        for d, kind, label in entries:
-            w.writerow([str(d), kind, label])
+    write_csv(path, ["date", "kind", "label"], ((str(d), kind, label) for d, kind, label in entries))

@@ -1,11 +1,16 @@
 """Small shared helpers: timestamps, weekday names, the model kind names,
 slot widths and split ratios, Pearson correlation, hashing, CSV input and
-JSON input/output.
+output and JSON input/output.
 
 Every input CSV with a fixed header (points, weather, pollution, calendar,
 hubs) is read by `csv_records`: it checks the header and each row's field
 count, skips blank rows, and numbers each row by the file line it ends on,
 so a quoted field that spans lines does not shift later line numbers.
+Every CSV table the program emits is written by `write_csv`: UTF-8, the
+`csv` module's default dialect (rows end in CR LF, a field is quoted only
+when it holds a comma, a double quote or a line break), a header row, then
+the rows, taken from an iterable so a caller can render them a block at a
+time. The one exception is `synth`'s points writer (see `synth._lines`).
 
 An instant is int64 microseconds since the epoch everywhere, alone or as a
 column: `parse_utc` reads one, `utc_strings` renders a column of them, and
@@ -87,6 +92,15 @@ def csv_records(source, header: list[str], what: str):
                 if len(row) != len(header):
                     raise ParseError(reader.line_num, f"expected {len(header)} fields, got {len(row)}")
                 yield reader.line_num, row
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write `header`, then each row of the iterable `rows`; a non-string
+    field is written as its `str`, which is `repr` for a Python float."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def sha256_file(path: Path) -> str:

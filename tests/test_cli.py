@@ -895,3 +895,65 @@ def test_analysis_outputs_are_pinned(city, tmp_path, offset):
              "features.csv", "features.json"]
     assert sorted(p.name for p in tmp_path.glob("density*.csv")) == sorted(n for n in names if n.startswith("density"))
     assert {name: sha256_file(tmp_path / name) for name in names} == PINNED_OUTPUTS[offset]
+
+
+def test_training_one_kind_at_a_time_keeps_every_kind_in_the_report(city, tmp_path):
+    run(city, tmp_path, ["features", "--width", "60"])
+    run(city, tmp_path, ["train", "--model", "linear"])
+    linear = json.loads((tmp_path / "eval_report.json").read_text())["models"]["linear"]
+    run(city, tmp_path, ["train", "--model", "boost"])
+    report = json.loads((tmp_path / "eval_report.json").read_text())
+    assert sorted(report["models"]) == ["boost", "linear"]
+    assert report["models"]["linear"] == linear
+    assert report["features_sha256"] == sha256_file(tmp_path / "features.csv")
+    # another split scores other test rows, so the report starts afresh
+    run(city, tmp_path, ["train", "--model", "boost", "--split", "60/40"])
+    assert sorted(json.loads((tmp_path / "eval_report.json").read_text())["models"]) == ["boost"]
+
+
+def test_hub_names_that_need_quoting_reach_hubs_json(tmp_path):
+    names = ["Piazza, Maggiore", 'Porta "San" Felice']
+    hubs = [{"name": name, "lat": lat, "lon": 11.34, "weight": 1.0} for name, lat in zip(names, (44.49, 44.50))]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"start_date": "2017-05-24", "end_date": "2017-05-27",
+                                            "base_trips_per_day": 20, "hubs": hubs}}), encoding="utf-8")
+    common = ["--config", str(config), "--out", str(tmp_path)]
+    assert cli.main(["synth", *common]) == 0
+    assert cli.main(["spatial", *common, "--points", str(tmp_path / "points.csv"),
+                     "--hubs", str(tmp_path / "hubs.csv")]) == 0
+    assert sorted(r["hub_name"] for r in json.loads((tmp_path / "hubs.json").read_text())) == names
+
+
+# every CSV that `chain` writes
+CHAIN_CSVS = ["points.csv", "weather.csv", "calendar.csv", "hubs.csv", "trips.csv", "rejections.csv",
+              "histogram_distance.csv", "histogram_duration.csv", "histogram_speed.csv", "monthly.csv",
+              "density.csv", "density_2017-05.csv", "density_2017-06.csv", "features.csv",
+              "predictions_linear.csv", "predictions_boost.csv"]
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """A directory holding the outputs of the whole chain, synth to predict,
+    on the city's config, each command reading the files written before it."""
+    out = tmp_path_factory.mktemp("chain")
+    config = out / "config.json"
+    config.write_text(json.dumps(CONFIG), encoding="utf-8")
+    common = ["--config", str(config), "--out", str(out)]
+    common += [arg for key in ("points", "weather", "calendar", "hubs") for arg in (f"--{key}", str(out / f"{key}.csv"))]
+    for argv in (["synth"], ["ingest"], *ANALYSES, ["train"], ["predict", "--artifact", str(out / "model_boost.json")]):
+        assert cli.main(argv + common) == 0, argv
+    return out
+
+
+def test_the_chain_writes_the_listed_csvs(chain):
+    assert sorted(p.name for p in chain.glob("*.csv")) == sorted(CHAIN_CSVS)
+
+
+@pytest.mark.parametrize("name", CHAIN_CSVS)
+def test_each_csv_row_ends_in_crlf_and_has_its_header_s_field_count(chain, name):
+    data = (chain / name).read_bytes()
+    assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n")
+    with open(chain / name, encoding="utf-8", newline="") as f:
+        rows = list(csv.reader(f))
+    assert len(rows) == data.count(b"\r\n")  # no field spans lines
+    assert [len(row) for row in rows] == [len(rows[0])] * len(rows)

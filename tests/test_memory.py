@@ -1,14 +1,16 @@
 """Memory scaling, measured with tracemalloc: NumPy reports its buffers to it,
 so these tests time nothing and give the same bytes on every run."""
 
+import csv
 import tracemalloc
 
 import numpy as np
 
 from velotrace.features import FeatureMatrix
-from velotrace.ingest import PointTable, assemble_trips
+from velotrace.ingest import TRIP_HEADER, PointTable, TripTable, assemble_trips, write_trips_csv
 from velotrace.models.evaluate import ModelSpec, predict_rows, train_model
 from velotrace.models.lstm import LstmParams, LstmRegressor, build_windows
+from velotrace.util import utc_strings
 
 from conftest import T0, us
 
@@ -104,3 +106,27 @@ def test_lstm_predict_rows_memory_does_not_grow_with_the_windows():
 
     small, large = predict(N), predict(4 * N)
     assert large <= 1.05 * small, (small, large)
+
+
+def synthetic_trips(n=20_000, seed=0) -> TripTable:
+    """A table of n trips with random times, end points and lengths."""
+    rng = np.random.default_rng(seed)
+    start = us(T0) + rng.integers(0, 30 * 86_400, n) * 1_000_000
+    duration = rng.integers(60, 3_600, n).astype(np.float64)
+    distance = rng.uniform(200.0, 8_000.0, n)
+    points = [np.column_stack((44.45 + rng.uniform(0, 0.09, n), 11.28 + rng.uniform(0, 0.12, n))) for _ in range(2)]
+    return TripTable(np.array([f"A{i:06d}" for i in range(n)]), rng.integers(3, 200, n), start,
+                     start + (duration * 1_000_000).astype(np.int64), *points, distance, duration, distance / duration)
+
+
+def test_write_trips_csv_renders_a_block_of_trips_at_a_time(tmp_path):
+    # Rendering every column as a Python list first peaked at 9.2 MB here.
+    trips = synthetic_trips()
+    path = tmp_path / "trips.csv"
+    assert traced_peak(lambda: write_trips_csv(trips, path)) < 2_000_000
+    with open(path, encoding="utf-8", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header == TRIP_HEADER and [r[0] for r in rows] == trips.trip_id.tolist()
+    assert [r[1] for r in rows] == utc_strings(trips.start_us)
+    floats = np.column_stack((trips.start_point, trips.end_point, trips.distance, trips.duration, trips.avg_speed))
+    assert np.array_equal(np.array([r[3:10] for r in rows], dtype=np.float64), floats)

@@ -143,6 +143,18 @@ class TestBoost:
             with pytest.raises(ParameterError):
                 GradientBoosting.fit(X, y, BoostParams(learning_rate=eta), seed=0)
 
+    def test_fit_makes_no_generator(self, monkeypatch):
+        """Each round's tree searches every column, so boosting draws nothing."""
+        X, y = smooth_data(100)
+        expected = GradientBoosting.fit(X, y, BoostParams(n_rounds=5, max_depth=3), seed=0).predict(X)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("boosting made a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        model = GradientBoosting.fit(X, y, BoostParams(n_rounds=5, max_depth=3), seed=0)
+        assert np.array_equal(model.predict(X), expected)
+
 
 class TestConstantColumn:
     """A column constant on the fit rows must not change any tree model."""
