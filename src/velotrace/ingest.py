@@ -1,11 +1,11 @@
 """GPS point parsing and trip reconstruction.
 
 Points arrive as CSV rows keyed by an opaque activity id. `parse_points`
-reads them into a `PointTable`: one NumPy column per field, rows in file
-order, activity ids coded as indices into the sorted distinct ids, and NaN
-for an absent value. `assemble_trips` sorts the rows by (activity, time),
-repairs missing values in the table's columns by linear interpolation in
-time, and builds a `TripTable`: one NumPy column per field, one row per
+reads them into a `PointTable`: one NumPy column per kept field, rows in
+file order, activity ids coded as indices into the sorted distinct ids; a
+point's accuracy and speed are checked, not kept. `assemble_trips` sorts the
+rows by (activity, time), repairs missing coordinates by linear interpolation
+in time, and builds a `TripTable`: one NumPy column per field, one row per
 trip, ordered by trip id, with distance / duration / speed per trip.
 Distances are great-circle on a sphere of radius 6,371,000 m.
 
@@ -15,11 +15,11 @@ neighbours alone, and the distances are summed from half-angles computed a
 batch of trips at a time. Ingest memory thus grows with the points it
 stores, not with its temporaries.
 
-`save_points_npz` stores the repaired point table and the trip table of one
-points file in `points.npz`, keyed by that file's sha256, one npz array per
-column under the column's name; `load_trips_npz` gives the trip table back
-with only the point columns asked for, so later analyses need not parse and
-assemble again.
+`save_points_npz` stores the repaired point table (ids, activity, t, lat,
+lon) and the trip table of one points file in `points.npz`, keyed by that
+file's sha256, one npz array per column under the column's name;
+`load_trips_npz` gives the trip table back with only the point columns
+asked for, so later analyses need not parse and assemble again.
 """
 
 from __future__ import annotations
@@ -51,16 +51,14 @@ class PointTable:
     """GPS points as NumPy columns, one row per point.
 
     `ids` holds the sorted distinct activity ids and `activity` each row's
-    index into `ids`; `t` is int64 microseconds since the epoch; `lat`, `lon`,
-    `accuracy` and `speed` are float64 with NaN where the value is absent.
+    index into `ids`; `t` is int64 microseconds since the epoch; `lat` and
+    `lon` are float64, NaN where absent. Accuracy and speed are not kept.
     """
     ids: np.ndarray
     activity: np.ndarray
     t: np.ndarray
     lat: np.ndarray
     lon: np.ndarray
-    accuracy: np.ndarray
-    speed: np.ndarray
 
     def __len__(self) -> int:
         return len(self.t)
@@ -127,13 +125,12 @@ def _opt_float(text: str, line: int, name: str, lo: float, hi: float) -> float:
 def parse_points(source) -> PointTable:
     """Parse a point CSV (header `activity_id,timestamp,lat,lon,accuracy,speed`).
 
-    `source` may be a path or an open text stream. Empty strings in the four
-    optional columns become NaN; row order is preserved. Raises
-    ParseError/RangeError/SchemaError naming the offending 1-based line.
+    `source` may be a path or an open text stream. The four last fields may be
+    empty; accuracy and speed are checked, then dropped. Rows keep file order.
+    Raises ParseError/RangeError/SchemaError naming the offending 1-based line.
     """
     codes: dict[str, int] = {}  # activity id -> rank of first appearance
-    activity, t = array("i"), array("q")
-    lat, lon, accuracy, speed = array("d"), array("d"), array("d"), array("d")
+    activity, t, lat, lon = array("i"), array("q"), array("d"), array("d")
     for line, row in csv_records(source, POINT_HEADER, "points"):
         activity_id, ts_text, lat_s, lon_s, acc_s, spd_s = row
         if not activity_id:
@@ -146,20 +143,18 @@ def parse_points(source) -> PointTable:
         lo = _opt_float(lon_s, line, "lon", -180.0, 180.0)
         if math.isnan(la) != math.isnan(lo):
             raise SchemaError(f"line {line}: half-present coordinate (lat and lon must appear together)")
-        acc = _opt_float(acc_s, line, "accuracy", 0.0, math.inf)
-        spd = _opt_float(spd_s, line, "speed", 0.0, math.inf)
+        _opt_float(acc_s, line, "accuracy", 0.0, math.inf)
+        _opt_float(spd_s, line, "speed", 0.0, math.inf)
         activity.append(codes.setdefault(activity_id, len(codes)))
         t.append(us)
         lat.append(la)
         lon.append(lo)
-        accuracy.append(acc)
-        speed.append(spd)
 
     ids = sorted(codes)
     rank = np.empty(len(ids), dtype=np.int32)
     rank[[codes[a] for a in ids]] = np.arange(len(ids), dtype=np.int32)
     return PointTable(np.array(ids, dtype=str), rank[np.asarray(activity)], np.asarray(t),
-                      np.asarray(lat), np.asarray(lon), np.asarray(accuracy), np.asarray(speed))
+                      np.asarray(lat), np.asarray(lon))
 
 
 def _runs(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,10 +237,9 @@ def assemble_trips(table: PointTable) -> tuple[TripTable, list[Rejection]]:
 
     Per activity (rows sorted by time, stable on ties): coordinates missing at
     a boundary are dropped; in groups that keep >= 2 points, interior missing
-    coordinates and speed/accuracy gaps are filled in the table's columns (see
-    `_fill`). Groups keeping >= 2 points and a positive time span become
-    trips, ordered by activity id; the log lists each group's rejections in
-    that order too.
+    coordinates are filled in the table's columns (see `_fill`). Groups
+    keeping >= 2 points and a positive time span become trips, ordered by
+    activity id; the log lists each group's rejections in that order too.
 
     Memory: beyond the table and the result, the work holds the sort order
     (8 bytes a point), n-byte masks, and arrays the size of the gaps and of
@@ -262,8 +256,8 @@ def assemble_trips(table: PointTable) -> tuple[TripTable, list[Rejection]]:
 
     # repair the kept rows of groups that keep >= 2 points
     ok = kept >= 2
-    for name in ("lat", "lon", "speed", "accuracy"):
-        _fill(getattr(table, name), table.t, order, first[ok], last[ok])
+    for v in (table.lat, table.lon):
+        _fill(v, table.t, order, first[ok], last[ok])
 
     is_trip = ok.copy()
     is_trip[ok] = table.t[order[last[ok]]] != table.t[order[first[ok]]]
@@ -319,10 +313,10 @@ def _columns(table) -> dict:
 
 
 def save_points_npz(path, table: PointTable, trips: TripTable, source_sha256: str) -> None:
-    """Write the point table and the trip table as a plain (pickle-free) npz.
-
-    `table` should be taken after `assemble_trips`, which repairs its
-    columns in place. The bytes depend only on the inputs.
+    """Write the point table (ids, activity, t, lat, lon) and the trip table
+    as a plain (pickle-free) npz. `table` should be taken after
+    `assemble_trips`, which repairs its coordinates in place. The bytes
+    depend only on the inputs.
     """
     with open(path, "wb") as f:
         np.savez(f, source_sha256=np.array(source_sha256), **_columns(table), **_columns(trips))

@@ -3,11 +3,13 @@
 names and fit meta) plus `state`: the model's own `state()`, with the scaler
 bounds a recurrent model was trained with. Loading rebuilds the model with
 its class's `from_state`, so predictions match the original exactly (JSON
-floats round-trip). A missing or malformed field raises SchemaError."""
+floats round-trip). A missing or malformed field, or column names other
+than those of the features to be scored, raises SchemaError."""
 
 from __future__ import annotations
 
 from dataclasses import asdict
+from itertools import zip_longest
 
 from ..errors import ParameterError, SchemaError
 from ..features import MinMaxScaler
@@ -32,10 +34,15 @@ def model_artifact(tm: TrainedModel, column_names: list[str]) -> dict:
     return doc
 
 
-def load_artifact(doc: dict) -> TrainedModel:
+def load_artifact(doc: dict, column_names=None) -> TrainedModel:
     try:
         if doc["format_version"] != FORMAT_VERSION:
             raise SchemaError(f"unsupported artifact version {doc['format_version']!r}")
+        if column_names is not None:
+            for j, pair in enumerate(zip_longest(doc["column_names"], column_names)):
+                if pair[0] != pair[1]:
+                    trained, given = ("absent" if c is None else repr(c) for c in pair)
+                    raise SchemaError(f"feature column {j + 1} is {given}, but the model was trained on {trained}")
         spec = ModelSpec(doc["kind"], doc.get("hyperparams", {}), int(doc.get("seed", 0)))
         state = doc["state"]
         model = MODELS[spec.kind].from_state(spec.params, state, spec.seed)

@@ -159,15 +159,10 @@ def _int(v) -> int:
     return v
 
 
-def _finite(v) -> bool:
-    """Whether a JSON value is a finite number (a bool is not)."""
-    return type(v) in (int, float) and math.isfinite(v)
-
-
 def _numbers(n: int):
     """The converter of a JSON list of `n` finite numbers to a tuple."""
     def convert(values) -> tuple:
-        if len(values) != n or not all(map(_finite, values)):
+        if len(values) != n or not all(map(_is_finite_number, values)):
             raise TypeError(f"expected a list of {n} finite numbers")
         return tuple(values)
     return convert
@@ -179,7 +174,7 @@ def _record(cls):
     def convert(obj) -> cls:
         rec = cls(**obj)
         for f in fields(cls):
-            if f.type == "float" and not _finite(getattr(rec, f.name)):
+            if f.type == "float" and not _is_finite_number(getattr(rec, f.name)):
                 raise TypeError(f"{f.name} must be a finite number, got {getattr(rec, f.name)!r}")
         return rec
     return convert

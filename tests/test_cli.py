@@ -22,9 +22,9 @@ from velotrace.features import read_features_csv
 from velotrace.ingest import POINT_HEADER, assemble_trips, load_trips_npz, parse_points
 from velotrace.models.evaluate import ModelSpec, train_model
 from velotrace.models.linear import LinearModel
-from velotrace.models.serialize import load_artifact
+from velotrace.models.serialize import load_artifact, model_artifact
 from velotrace.spatial import build_density_grid, write_density_csv
-from velotrace.util import sha256_file
+from velotrace.util import sha256_file, write_csv
 
 from conftest import child_env, from_us, utc_text
 
@@ -173,6 +173,28 @@ def test_truncated_npz_is_ignored(city, tmp_path, parse_calls):
     assert len(parse_calls) == len(ANALYSES)
     run_analyses(city, tmp_path / "b")
     assert_same_analysis_outputs(tmp_path / "a", tmp_path / "b")
+
+
+def test_an_npz_that_also_holds_accuracy_and_speed_still_serves(city, tmp_path, parse_calls):
+    """`points.npz` files written before the parse dropped accuracy and speed
+    hold them as two more point columns."""
+    run(city, tmp_path / "old", ["ingest"])
+    npz = tmp_path / "old" / "points.npz"
+    with np.load(npz, allow_pickle=False) as z:
+        arrays = {k: z[k] for k in z.files}
+    n = len(arrays["t"])
+    point_columns = {k: arrays[k] for k in ("source_sha256", "ids", "activity", "t", "lat", "lon")}
+    np.savez(npz, **{**point_columns, "accuracy": np.full(n, 5.0), "speed": np.full(n, 3.0), **arrays})
+    del parse_calls[:]
+    for argv in (["describe"], ["spatial"]):
+        run(city, tmp_path / "old", argv)
+    assert parse_calls == []
+    for argv in (["describe"], ["spatial"]):
+        run(city, tmp_path / "fresh", argv)
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir() if p.name != "manifest.json")
+    assert {"profile.json", "density.csv", "hubs.json"} <= set(names)
+    for name in names:
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 
 
 def test_ingest_summary_counts_rejections_by_reason(city, tmp_path, capsys):
@@ -466,6 +488,36 @@ def test_malformed_artifact_exits_3(city, trained, tmp_path, capsys, damage):
     damaged_copy(trained, tmp_path, "model_linear.json", lambda text: json.dumps(damage(json.loads(text))))
     err = error_of(capsys, cli_args(city, tmp_path, command_argv("predict", tmp_path)))
     assert (err["exit_code"], err["type"]) == (3, "SchemaError")
+
+
+def test_predict_on_a_renamed_feature_column_exits_3(city, trained, tmp_path, capsys):
+    rename = replace_line(1, lambda line: line.replace("month=2017-05", "month=2017-06"))
+    damaged_copy(trained, tmp_path, "features.csv", rename)
+    j = read_features_csv(trained / "features.csv").column_names.index("month=2017-05") + 1
+    err = error_of(capsys, cli_args(city, tmp_path, command_argv("predict", tmp_path)))
+    assert (err["exit_code"], err["type"]) == (3, "SchemaError")
+    assert err["message"] == f"feature column {j} is 'month=2017-06', but the model was trained on 'month=2017-05'"
+    assert not (tmp_path / "prediction.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["linear", "lstm"])
+@pytest.mark.parametrize("dropped, found", [("holiday", "'hour_history'"), ("week_history", "absent")])
+def test_predict_on_features_without_a_column_exits_3(city, trained, tmp_path, capsys, kind, dropped, found):
+    shutil.copytree(trained, tmp_path, dirs_exist_ok=True)
+    matrix = read_features_csv(trained / "features.csv")
+    if kind == "lstm":
+        tm = train_model(matrix, range(matrix.n_rows), ModelSpec("lstm", {"lookback": 24, "epochs": 1}))
+        (tmp_path / "model_lstm.json").write_text(json.dumps(model_artifact(tm, matrix.column_names)))
+    j = matrix.column_names.index(dropped)
+    with open(trained / "features.csv", encoding="utf-8", newline="") as f:
+        header, *rows = csv.reader(f)
+    write_csv(tmp_path / "features.csv", header[:j] + header[j + 1:], (r[:j] + r[j + 1:] for r in rows))
+    meta = json.loads((trained / "features.json").read_text())
+    del meta["next_row"][j]
+    (tmp_path / "features.json").write_text(json.dumps(meta))
+    err = error_of(capsys, cli_args(city, tmp_path, ["predict", "--artifact", str(tmp_path / f"model_{kind}.json")]))
+    assert (err["exit_code"], err["type"]) == (3, "SchemaError")
+    assert err["message"] == f"feature column {j + 1} is {found}, but the model was trained on {dropped!r}"
 
 
 MALFORMED_ROWS = {
@@ -842,12 +894,13 @@ def test_malformed_hub_file_row_exits_3_with_its_line(city, tmp_path, capsys):
 
 
 # sha256 of each analysis output of `city`, by --utc-offset-min, as the
-# per-trip implementation of trip assembly wrote them
+# per-trip implementation of trip assembly wrote them; `points.npz` without
+# the accuracy and speed columns that the parse checks but does not keep
 PINNED_OUTPUTS = {
     120: {
         "trips.csv": "fc2da3077a0d4bf46db8a6ee9ed45f36bfc6a078f150590f188a65752652341b",
         "rejections.csv": "f9a6cb3a98a53164d1df431e7d4b3ed9fff170a0c4c074565ebabe53eb10638f",
-        "points.npz": "9860da502772481b07aeaa8e09cff9660a2b655aa5b90450374d9f8b0378b367",
+        "points.npz": "880e1262f25ded64dc45cd81f0c335a679b20b77d787615e1eb58667b976bc58",
         "histogram_distance.csv": "36e59fd6df6e2088416a7fbb70f62387e5679585507f94ad238ba5c77f546ca6",
         "histogram_duration.csv": "2005c587bab78d92cb7d3a2ccefb64858b5cc21ea9c36fa7ccc18354681d1e6f",
         "histogram_speed.csv": "e3dc2c8f0a148f650442e4d839172d323b7971b81e110a145cd4ee8851a216bf",
@@ -866,7 +919,7 @@ PINNED_OUTPUTS = {
     -330: {
         "trips.csv": "fc2da3077a0d4bf46db8a6ee9ed45f36bfc6a078f150590f188a65752652341b",
         "rejections.csv": "f9a6cb3a98a53164d1df431e7d4b3ed9fff170a0c4c074565ebabe53eb10638f",
-        "points.npz": "9860da502772481b07aeaa8e09cff9660a2b655aa5b90450374d9f8b0378b367",
+        "points.npz": "880e1262f25ded64dc45cd81f0c335a679b20b77d787615e1eb58667b976bc58",
         "histogram_distance.csv": "36e59fd6df6e2088416a7fbb70f62387e5679585507f94ad238ba5c77f546ca6",
         "histogram_duration.csv": "2005c587bab78d92cb7d3a2ccefb64858b5cc21ea9c36fa7ccc18354681d1e6f",
         "histogram_speed.csv": "e3dc2c8f0a148f650442e4d839172d323b7971b81e110a145cd4ee8851a216bf",

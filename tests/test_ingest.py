@@ -46,12 +46,11 @@ class TestParsePoints:
         at = datetime(2017, 5, 9, 8, 0, 0, 250000, tzinfo=timezone.utc)
         assert table.t.tolist() == [(at - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(microseconds=1)]
         assert table.t.dtype == np.int64
-        row = [getattr(table, name)[0] for name in ("lat", "lon", "accuracy", "speed")]
-        assert row == [44.4939, 11.3428, 5.0, 3.2]
+        assert [table.lat[0], table.lon[0]] == [44.4939, 11.3428]
 
     def test_empty_optional_fields_become_absent(self):
         table = parse_points(csv_stream(HEADER + "A1,2017-05-09T08:00:00Z,,,,\n"))
-        assert all(math.isnan(getattr(table, name)[0]) for name in ("lat", "lon", "accuracy", "speed"))
+        assert all(math.isnan(getattr(table, name)[0]) for name in ("lat", "lon"))
 
     def test_lat_out_of_range_names_line(self):
         with pytest.raises(RangeError, match="line 2"):
@@ -70,6 +69,15 @@ class TestParsePoints:
     def test_half_present_coordinate_is_schema_error(self):
         with pytest.raises(SchemaError, match="half-present"):
             parse_points(csv_stream(HEADER + "A1,2017-05-09T08:00:00Z,44.0,,,\n"))
+
+    @pytest.mark.parametrize("values, error, message", [
+        ("-1.0,3.0", RangeError, "accuracy -1.0 outside"), ("5.0,-0.5", RangeError, "speed -0.5 outside"),
+        ("abc,", ParseError, "bad accuracy"), (",x", ParseError, "bad speed"),
+    ])
+    def test_accuracy_and_speed_are_checked_though_not_kept(self, values, error, message):
+        stream = csv_stream(HEADER + f"A1,2017-05-09T08:00:00Z,1,1,,\nA1,2017-05-09T08:00:10Z,1,1,{values}\n")
+        with pytest.raises(error, match=f"^line 3: {message}"):
+            parse_points(stream)
 
     def test_bad_header_rejected(self):
         with pytest.raises(SchemaError):
@@ -225,25 +233,6 @@ class TestAssembleTrips:
         assert t1.distance[0] == t2.distance[0]
         assert t1.start_us[0] == t2.start_us[0]
 
-    def test_speed_and_accuracy_gap_filling(self):
-        points = [
-            pt("A", 0, 1.0, 1.0, accuracy=None, speed=2.0),
-            pt("A", 10, 1.0, 1.001, accuracy=4.0, speed=None),
-            pt("A", 20, 1.0, 1.002, accuracy=8.0, speed=6.0),
-        ]
-        table = point_table(points)
-        assemble_trips(table)
-        assert table.accuracy[0] == 4.0          # edge extended from nearest
-        assert table.speed[1] == pytest.approx(4.0)  # interior interpolated
-        assert not np.isnan(table.speed).any() and not np.isnan(table.accuracy).any()
-
-    def test_absent_speed_in_whole_trip_becomes_zero(self):
-        table = point_table([pt("A", 0, 1.0, 1.0, speed=None), pt("A", 10, 1.0, 1.001, speed=None),
-                             pt("B", 0, 2.0, 2.0, speed=None)])
-        assemble_trips(table)
-        assert table.speed[:2].tolist() == [0.0, 0.0]
-        assert math.isnan(table.speed[2])  # B is rejected and keeps its values
-
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_partition_property(self, data):
@@ -378,7 +367,6 @@ class TestPointsNpz:
                                            for s in (0, 0, 10, 20, 30, 60, 5)]
         assert math.isnan(loaded_table.lat[1]) and math.isnan(loaded_table.lon[1])
         assert loaded_table.lat[3] == pytest.approx(44.495)
-        assert loaded_table.speed[2] == 3.0 and loaded_table.accuracy[3] == 5.0
 
     def test_other_source_or_missing_file_gives_none(self, tmp_path):
         table, trips = self.assembled()
