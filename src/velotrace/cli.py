@@ -7,8 +7,10 @@ config, the parsed arguments and the output directory and returns the files
 it wrote and its summary; `main` does the rest once: it loads the config
 (flag values override config-file values, which override `DEFAULTS`), makes
 the output directory, runs the command, records each returned file's sha256
-in `manifest.json` and prints `{"command": name, **summary}`. Every command
-is idempotent for fixed inputs and seed.
+in `manifest.json` and prints `{"command": name, **summary}` on one line,
+encoded as `write_json` encodes a file. A command writes each report
+dataclass as it is (`util.json_default`). Every command is idempotent for
+fixed inputs and seed.
 
 `ingest` also saves the trips and the repaired points to `points.npz`
 (accuracy and speed are checked, not kept); describe, spatial, covariates and
@@ -51,7 +53,6 @@ import argparse
 import importlib
 import json
 import sys
-from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 
@@ -66,23 +67,21 @@ from .errors import (
     TrainingError,
     VelotraceError,
 )
-from .util import (MINUTE_US, MODEL_KINDS, SLOT_WIDTHS, SPLIT_RATIOS, local_datetimes, read_json, sha256_file,
-                   utc_strings, write_csv, write_json)
+from .util import (MINUTE_US, MODEL_KINDS, SLOT_WIDTHS, SPLIT_RATIOS, json_default, local_datetimes, read_json,
+                   sha256_file, utc_strings, write_csv, write_json)
 
 # the layer names the commands call, by the module that defines them
 _LAYER_NAMES = {
     "synth": ("generate", "synth_config_from_dict"),
     "ingest": ("BOUNDARY_MISSING", "TOO_FEW_POINTS", "ZERO_DURATION", "assemble_trips", "load_trips_npz",
                "parse_points", "save_points_npz", "write_rejections_csv", "write_trips_csv"),
-    "descriptive": ("histogram", "monthly_change", "profile_as_dict", "temporal_profile", "write_histogram_csv",
-                    "write_monthly_csv"),
-    "spatial": ("build_density_grid", "hub_report_as_dict", "hub_spread", "parse_hub_file", "write_density_csv"),
+    "descriptive": ("histogram", "monthly_change", "temporal_profile", "write_histogram_csv", "write_monthly_csv"),
+    "spatial": ("build_density_grid", "hub_spread", "parse_hub_file", "write_density_csv"),
     "covariates": ("daily_correlations", "daily_join", "event_impact", "holiday_impact", "hourly_correlations",
                    "parse_calendar", "parse_pollution", "parse_weather", "pollution_daily_correlations",
                    "week_contrast"),
     "features": ("aggregate_slots", "aligned_span", "build_features", "chronological_split",
-                 "feature_target_correlation", "read_features_csv", "sidecar_path", "split_plan_as_dict",
-                 "write_features_csv"),
+                 "feature_target_correlation", "read_features_csv", "sidecar_path", "write_features_csv"),
     "models.evaluate": ("ModelSpec", "evaluate", "predict_rows"),
     "models.serialize": ("load_artifact", "model_artifact"),
 }
@@ -113,7 +112,7 @@ DEFAULTS = {
     "describe": {"bin_distance_m": 200.0, "bin_duration_s": 60.0, "bin_speed_mps": 0.2},
     "spatial": {"cell_size_m": 50.0, "dest_cell_size_m": 200.0, "top_k": 10, "per_month": False},
     "features": {"width": 60, "split": "90/10", "hour_as_numeric": False, "hour_history_sum": False},
-    "train": {"width": None, "split": "90/10", "models": ["all"], "with_cv": True},
+    "train": {"split": "90/10", "models": ["all"], "with_cv": True},
     "models": {},
     "synth": {},
 }
@@ -162,11 +161,10 @@ def load_config(args) -> dict:
     return cfg
 
 
-# the types a config value may take, by the type of its default; a bool is
-# never an int, and a None default (train.width) stands for an optional int
+# the types a config value may take, by the type of its default; a bool is never an int
 _CONFIG_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
                  float: ((int, float), "a number"), str: ((str,), "a string"), dict: ((dict,), "an object"),
-                 type(None): ((int, type(None)), "an integer or null"), list: ((list,), "a list of strings")}
+                 list: ((list,), "a list of strings")}
 
 
 def _check_type(name: str, value, default) -> None:
@@ -186,9 +184,9 @@ def _check_config(cfg: dict) -> None:
     the keys its commands read (`models` a model kind or `seed`), each of the
     type of its default; `synth` is checked where it is read. Each value is
     also in range: `utc_offset_min` a UTC offset in use (-720 to 840), the
-    `_POSITIVE` values positive, `spatial.top_k` at least 1, a slot width
-    (`features.width` or a set `train.width`) one of `SLOT_WIDTHS`, and a
-    split one of `SPLIT_RATIOS`."""
+    `_POSITIVE` values positive, `spatial.top_k` at least 1,
+    `features.width` one of `SLOT_WIDTHS`, and a split one of
+    `SPLIT_RATIOS`."""
     unknown = sorted(set(cfg) - set(DEFAULTS))
     if unknown:
         raise ParameterError(f"unknown top-level keys {unknown}")
@@ -216,12 +214,11 @@ def _check_config(cfg: dict) -> None:
             raise ParameterError(f"{name}.{key} must be positive, got {cfg[name][key]!r}")
     if cfg["spatial"]["top_k"] < 1:
         raise ParameterError(f"spatial.top_k must be at least 1, got {cfg['spatial']['top_k']!r}")
+    if cfg["features"]["width"] not in SLOT_WIDTHS:
+        raise ParameterError(f"features.width must be one of {SLOT_WIDTHS}, got {cfg['features']['width']!r}")
     for name in ("features", "train"):
-        width, split = cfg[name]["width"], cfg[name]["split"]
-        if width is not None and width not in SLOT_WIDTHS:
-            raise ParameterError(f"{name}.width must be one of {SLOT_WIDTHS}, got {width!r}")
-        if split not in SPLIT_RATIOS:
-            raise ParameterError(f"{name}.split must be one of {tuple(SPLIT_RATIOS)}, got {split!r}")
+        if cfg[name]["split"] not in SPLIT_RATIOS:
+            raise ParameterError(f"{name}.split must be one of {tuple(SPLIT_RATIOS)}, got {cfg[name]['split']!r}")
 
 
 def _input(cfg: dict, key: str, required: bool = True) -> Path | None:
@@ -309,7 +306,7 @@ def cmd_describe(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:
         _cli.write_histogram_csv(h, p)
     profile = _cli.temporal_profile(trips, cfg["utc_offset_min"])
     profile_path, monthly_path = out / "profile.json", out / "monthly.csv"
-    write_json(profile_path, _cli.profile_as_dict(profile))
+    write_json(profile_path, profile)
     _cli.write_monthly_csv(_cli.monthly_change(profile), monthly_path)
     return files + [profile_path, monthly_path], {
         "trips": len(trips), "workingday_share": profile.workingday_share,
@@ -347,7 +344,7 @@ def cmd_spatial(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:
             reports.append(_cli.hub_spread(selected, (hub.lat, hub.lon), hub.radius_m, sp["dest_cell_size_m"],
                                            sp["top_k"], period=period, hub_name=hub.name))
     files.append(out / "hubs.json")
-    write_json(files[-1], [_cli.hub_report_as_dict(r) for r in reports])
+    write_json(files[-1], reports)
     return files, {"points_binned": int(grid.counts.sum()), "ignored": grid.ignored, "hub_reports": len(reports)}
 
 
@@ -356,13 +353,6 @@ def _week_start(flag: str, text: str) -> date:
         return date.fromisoformat(text)
     except ValueError:
         raise ParameterError(f"{flag} must be a date YYYY-MM-DD, got {text!r}") from None
-
-
-def _write_impacts(path: Path, impacts, skipped) -> list:
-    """Write an impact report, dates as ISO text; returns the impacts."""
-    write_json(path, {key: [{**asdict(r), "date": str(r.date)} for r in report]
-                      for key, report in (("impacts", impacts), ("skipped", skipped))})
-    return impacts
 
 
 def cmd_covariates(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:
@@ -377,28 +367,22 @@ def cmd_covariates(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:
     calendar = _cli.parse_calendar(_input(cfg, "calendar"))
     rows = _cli.daily_join(trips, weather, offset)
 
-    correlations = [asdict(c) for c in _cli.daily_correlations(rows)]
-    correlations += [asdict(c) for c in _cli.hourly_correlations(trips, weather)]
+    correlations = _cli.daily_correlations(rows) + _cli.hourly_correlations(trips, weather)
     pollution_path = _input(cfg, "pollution", required=False)
     if pollution_path:
         pollution = _cli.parse_pollution(pollution_path)
-        correlations += [asdict(c) for c in _cli.pollution_daily_correlations(rows, pollution, offset)]
+        correlations += _cli.pollution_daily_correlations(rows, pollution, offset)
     files = [out / "correlations.json", out / "holidays.json", out / "events.json"]
     write_json(files[0], correlations)
-    impacts = _write_impacts(files[1], *_cli.holiday_impact(rows, calendar))
-    impacts_e = _write_impacts(files[2], *_cli.event_impact(rows, calendar))
+    holidays, events = _cli.holiday_impact(rows, calendar), _cli.event_impact(rows, calendar)
+    for path, (impacts, skipped) in zip(files[1:], (holidays, events)):
+        write_json(path, {"impacts": impacts, "skipped": skipped})
 
     if weeks:
-        wc = _cli.week_contrast(rows, *weeks, weather=weather, utc_offset_min=offset)
         files.append(out / "week_contrast.json")
-        write_json(files[-1], {
-            "week_a_start": str(wc.week_a_start),
-            "week_b_start": str(wc.week_b_start),
-            "rows": [asdict(r) for r in wc.rows],
-            "precip_overlay_a": wc.precip_overlay_a,
-        })
+        write_json(files[-1], _cli.week_contrast(rows, *weeks, weather=weather, utc_offset_min=offset))
     return files, {"daily_rows": len(rows), "complete_days": sum(r.complete for r in rows),
-                   "holiday_impacts": len(impacts), "event_impacts": len(impacts_e)}
+                   "holiday_impacts": len(holidays[0]), "event_impacts": len(events[0])}
 
 
 def cmd_features(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:
@@ -415,7 +399,7 @@ def cmd_features(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:
     plan = _cli.chronological_split(matrix, split)
     features_path, plan_path, corr_path = out / "features.csv", out / "splitplan.json", out / "feature_correlations.json"
     _cli.write_features_csv(matrix, features_path, **options)
-    write_json(plan_path, _cli.split_plan_as_dict(plan))
+    write_json(plan_path, plan)
     write_json(corr_path, [{"column": c, "r": r} for c, r in _cli.feature_target_correlation(matrix)])
     return [features_path, _cli.sidecar_path(features_path), plan_path, corr_path], {
         "rows": matrix.n_rows, "columns": len(matrix.column_names), "width": width, "split": split,
@@ -439,16 +423,12 @@ def cmd_train(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:
     specs = _model_specs(cfg, [args.model] if args.model else list(tc["models"]))
     features_path = _features_path(cfg, out)
     matrix = _cli.read_features_csv(features_path)
-    width = args.width or tc["width"] or matrix.width_minutes
-    if width != matrix.width_minutes:
-        raise ParameterError(
-            f"requested width {width} but features.csv was built at {matrix.width_minutes}; rerun `features --width {width}`")
     split = args.split or tc["split"]
     plan = _cli.chronological_split(matrix, split)
     report, fitted = _cli.evaluate(matrix, plan, specs, with_cv=tc["with_cv"])
 
     files = [out / "eval_report.json"]
-    doc = {**report.as_dict(), "features_sha256": sha256_file(features_path)}
+    doc = {**json_default(report), "features_sha256": sha256_file(features_path)}
     old = read_json(files[0]) if files[0].exists() else {}
     # another kind's entry stays when it scored the same features file at the same ratio and width
     if isinstance(old, dict) and all(old.get(k) == doc[k] for k in ("ratio", "width_minutes", "features_sha256")):
@@ -460,8 +440,8 @@ def cmd_train(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:
         write_csv(pred_path, ["slot_start", "actual", "predicted"], zip(
             utc_strings(matrix.slot_us[score.targets]), matrix.y[score.targets].tolist(), map(float, score.predictions)))
         files += [artifact_path, pred_path]
-    test = {k: report.entries[k]["test"] for k in sorted(fitted)}
-    best = min(fitted, key=lambda k: test[k]["mae"], default=None)  # the first of equal scores
+    test = {k: fitted[k].metrics for k in sorted(fitted)}
+    best = min(fitted, key=lambda k: test[k].mae, default=None)  # the first of equal scores
     return files, {"split": split, "width": matrix.width_minutes, "models": sorted(fitted),
                    "best_model": best, "test_metrics": test}
 
@@ -472,9 +452,6 @@ def cmd_predict(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:
         raise MissingInputError(artifact_path)
     matrix = _cli.read_features_csv(_features_path(cfg, out))
     tm = _cli.load_artifact(read_json(artifact_path), matrix.column_names)
-    if args.width and args.width != matrix.width_minutes:
-        raise ParameterError(
-            f"horizon {args.width} does not match the {matrix.width_minutes}-minute features file")
     prediction = _next_slot_prediction(tm, matrix)
     out_path = out / "prediction.json"
     write_json(out_path, prediction)
@@ -491,7 +468,6 @@ def _next_slot_prediction(tm, matrix) -> dict:
             "model": tm.spec.kind, "predicted": value}
 
 
-_WIDTH = {"type": int, "choices": SLOT_WIDTHS}
 _SPLIT = {"choices": tuple(SPLIT_RATIOS)}
 
 # each command's function and its own flags, by name
@@ -502,10 +478,9 @@ COMMANDS = {
     "spatial": (cmd_spatial, {}),
     "covariates": (cmd_covariates, {"--week-a": {"help": "Monday date (YYYY-MM-DD) of the contrast week A"},
                                     "--week-b": {"help": "Monday date of the contrast week B"}}),
-    "features": (cmd_features, {"--width": _WIDTH, "--split": _SPLIT}),
-    "train": (cmd_train, {"--width": _WIDTH, "--split": _SPLIT, "--model": {"choices": MODEL_KINDS + ("all",)}}),
-    "predict": (cmd_predict, {"--artifact": {"help": "trained model artifact JSON"},
-                              "--width": {**_WIDTH, "help": "horizon; must match the features file"}}),
+    "features": (cmd_features, {"--width": {"type": int, "choices": SLOT_WIDTHS}, "--split": _SPLIT}),
+    "train": (cmd_train, {"--split": _SPLIT, "--model": {"choices": MODEL_KINDS + ("all",)}}),
+    "predict": (cmd_predict, {"--artifact": {"help": "trained model artifact JSON"}}),
 }
 
 
@@ -542,7 +517,7 @@ def main(argv=None) -> int:
         run, _ = COMMANDS[args.command]
         files, summary = run(cfg, args, out)
         _update_manifest(out, files)
-        print(json.dumps({"command": args.command, **summary}, sort_keys=True))
+        print(json.dumps({"command": args.command, **summary}, sort_keys=True, default=json_default))
         return 0
     except VelotraceError as exc:
         code = next((c for cls, c in _EXIT_CODES if isinstance(exc, cls)), 1)

@@ -1,6 +1,7 @@
 """Temporal descriptive statistics: value histograms, weekday/hourly profiles,
 monthly trends. Trips are attributed to the local time of their start instant
-(fixed UTC offset; no tz database)."""
+(fixed UTC offset; no tz database). `TemporalProfile` is the `profile.json`
+report: its field names are the file's keys."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ from .util import WEEKDAY_NAMES, local_datetimes, write_csv
 @dataclass
 class Histogram:
     bin_width: float
-    origin: float
     bins: list[tuple[float, int]]  # (lower_edge, count), contiguous from first to last occupied bin
     total: int
 
@@ -27,12 +27,12 @@ class Histogram:
         return max(self.bins, key=lambda b: b[1])
 
 
-def histogram(values, bin_width: float, origin: float = 0.0) -> Histogram:
-    """Bin non-negative reals into fixed-width bins anchored at `origin`.
+def histogram(values, bin_width: float) -> Histogram:
+    """Bin non-negative reals into fixed-width bins anchored at 0.
 
-    Value v lands in bin floor((v - origin) / bin_width). The bins list spans
-    first to last occupied bin including interior zeros; empty input gives an
-    empty histogram.
+    Value v lands in bin floor(v / bin_width), whose lower edge is a float
+    even for an int width. The bins list spans first to last occupied bin
+    including interior zeros; empty input gives an empty histogram.
     """
     if bin_width <= 0:
         raise ParameterError("bin_width must be positive")
@@ -41,16 +41,16 @@ def histogram(values, bin_width: float, origin: float = 0.0) -> Histogram:
     if len(bad):
         raise DataError(f"non-finite value in histogram input: {bad[0].item()!r}")
     if not len(values):
-        return Histogram(bin_width, origin, [], 0)
-    idx = np.floor((values - origin) / bin_width).astype(np.int64)
+        return Histogram(bin_width, [], 0)
+    idx = np.floor(values / bin_width).astype(np.int64)
     lo = int(idx.min())
-    bins = [(origin + (lo + i) * bin_width, c) for i, c in enumerate(np.bincount(idx - lo).tolist())]
-    return Histogram(bin_width, origin, bins, len(values))
+    bins = [(float((lo + i) * bin_width), c) for i, c in enumerate(np.bincount(idx - lo).tolist())]
+    return Histogram(bin_width, bins, len(values))
 
 
 @dataclass
 class TemporalProfile:
-    weekday_counts: list[int]      # Monday..Sunday
+    weekday_counts: dict[str, int]  # weekday name -> count, Monday..Sunday
     hourly_weekday: list[int]      # 24 counts, Mon-Fri trips
     hourly_weekend: list[int]      # 24 counts, Sat-Sun trips
     monthly_counts: dict[str, int]  # "YYYY-MM" -> count
@@ -72,7 +72,7 @@ def temporal_profile(trips: TripTable, utc_offset_min: int) -> TemporalProfile:
     months, counts = np.unique(local.astype("datetime64[M]"), return_counts=True)
     total = len(trips)
     return TemporalProfile(
-        weekday_counts=weekday,
+        weekday_counts=dict(zip(WEEKDAY_NAMES, weekday)),
         hourly_weekday=np.bincount(hour[workday], minlength=24).tolist(),
         hourly_weekend=np.bincount(hour[~workday], minlength=24).tolist(),
         monthly_counts=dict(zip(np.datetime_as_string(months).tolist(), counts.tolist())),
@@ -115,14 +115,3 @@ def write_monthly_csv(changes: list[MonthChange], path) -> None:
     write_csv(path, ["month", "count", "pct_change_vs_prev", "share_of_peak"], (
         (mc.month, mc.count, "" if mc.pct_change is None else repr(mc.pct_change), repr(mc.share_of_peak))
         for mc in changes))
-
-
-def profile_as_dict(p: TemporalProfile) -> dict:
-    return {
-        "weekday_counts": dict(zip(WEEKDAY_NAMES, p.weekday_counts)),
-        "hourly_weekday": p.hourly_weekday,
-        "hourly_weekend": p.hourly_weekend,
-        "monthly_counts": p.monthly_counts,
-        "workingday_share": p.workingday_share,
-        "total": p.total,
-    }

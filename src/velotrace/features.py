@@ -4,12 +4,14 @@ with contiguous 10-fold CV blocks, and min-max scaling fitted on training rows
 only.
 
 Slot starts are int64 microseconds since the epoch: `SlotSeries.start_us`
-and the `FeatureMatrix.slot_us` column."""
+and the `FeatureMatrix.slot_us` column. `SplitPlan` is the `splitplan.json`
+report: its field names are the file's keys, each range `[start, stop]`."""
 
 from __future__ import annotations
 
 import csv
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -336,6 +338,10 @@ def read_features_csv(path) -> FeatureMatrix:
     next_row = meta.get("next_row")
     if not isinstance(next_row, list) or len(next_row) != len(names):
         raise SchemaError(f"{meta_path}: next_row does not match the {len(names)} columns of {path}")
+    # a finite int or float, not a bool; comparing, unlike converting, cannot overflow on a huge int
+    bad = [v for v in next_row if type(v) not in (int, float) or not abs(v) <= sys.float_info.max]
+    if bad:
+        raise SchemaError(f"{meta_path}: next_row entry {bad[0]!r} is not a finite number")
     return FeatureMatrix(X, y, names, slot_us, width, np.asarray(next_row, dtype=np.float64))
 
 
@@ -396,12 +402,3 @@ def _parse_rows(path):
             except ValueError as e:
                 raise ParseError(reader.line_num, str(e)) from None
     return header[:-2], np.asarray(X_rows), np.asarray(y_vals), np.asarray(starts, dtype=np.int64)
-
-
-def split_plan_as_dict(plan: SplitPlan) -> dict:
-    return {
-        "ratio": plan.ratio,
-        "train_rows": [plan.train_rows.start, plan.train_rows.stop],
-        "test_rows": [plan.test_rows.start, plan.test_rows.stop],
-        "cv_folds": [[f.start, f.stop] for f in plan.cv_folds],
-    }

@@ -166,39 +166,28 @@ def _runs(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _fill(v: np.ndarray, t: np.ndarray, order: np.ndarray, first: np.ndarray, last: np.ndarray) -> None:
     """Fill the NaNs of `v` in the rows `order[first[i]:last[i] + 1]` in
-    place, span by span; the spans are disjoint and ascending, and `t`
-    (int64 microseconds) ascends along `order` in each.
+    place, span by span; the spans are disjoint and ascending, `t` (int64
+    microseconds) ascends along `order` in each, and each span begins and
+    ends on a present value, as the spans of `_present_span` that keep >= 2
+    points do.
 
-    A gap between present values takes `v0 + (v1 - v0) * (t - t0) / (t1 - t0)`,
-    times in seconds, from the nearest present values before and after it, or
-    `v0` when `t1 == t0`. A gap before the first or after the last present
-    value takes that value, and a span with no present value gets 0.0. Only
-    the gaps and their neighbours are read: beyond two n-byte masks, the work
-    and the memory grow with the gaps.
+    A gap takes `v0 + (v1 - v0) * (t - t0) / (t1 - t0)`, times in seconds,
+    from the nearest present values before and after it, or `v0` when
+    `t1 == t0`. Only the gaps and their neighbours are read: beyond two
+    n-byte masks, the work and the memory grow with the gaps.
     """
     gap = np.flatnonzero(np.isnan(v)[order])
     span = np.searchsorted(first, gap, side="right") - 1
-    keep = gap <= np.append(last, -1)[span]  # a gap before the first span reads the -1
-    gap, span = gap[keep], span[keep]
+    gap = gap[gap <= np.append(last, -1)[span]]  # a gap before the first span reads the -1
     if not gap.size:
         return
     lo, hi = _runs(gap)
-    prev = np.repeat(lo - 1, hi - lo + 1)  # the positions just before and after each gap's run
-    nxt = np.repeat(hi + 1, hi - lo + 1)
-    has_prev, has_next = prev >= first[span], nxt <= last[span]
-
-    both = has_prev & has_next
-    a, b, at = order[prev[both]], order[nxt[both]], order[gap[both]]
+    # the present positions just before and after each gap's run
+    a, b, at = order[np.repeat(lo - 1, hi - lo + 1)], order[np.repeat(hi + 1, hi - lo + 1)], order[gap]
     v0, v1, t0, t1 = v[a], v[b], t[a] / 1e6, t[b] / 1e6  # seconds, as datetime.timestamp() gives them
     same = t1 == t0
     interp = v0 + (v1 - v0) * (t[at] / 1e6 - t0) / np.where(same, 1.0, t1 - t0)
     v[at] = np.where(same, v0, interp)
-
-    lead = has_next & ~has_prev
-    v[order[gap[lead]]] = v[order[nxt[lead]]]
-    trail = has_prev & ~has_next
-    v[order[gap[trail]]] = v[order[prev[trail]]]
-    v[order[gap[~has_prev & ~has_next]]] = 0.0
 
 
 def _present_span(lat: np.ndarray, order: np.ndarray, starts: np.ndarray, ends: np.ndarray):

@@ -167,12 +167,10 @@ def fit_and_score(matrix: FeatureMatrix, fit_rows, targets, spec: ModelSpec) -> 
 
 @dataclass
 class EvalReport:
+    """The `eval_report.json` report: its field names are the file's keys."""
     ratio: str
     width_minutes: int
-    entries: dict  # kind -> {"cv": [...], "test": metrics dict, "test_skipped": int, "meta": {...}}
-
-    def as_dict(self) -> dict:
-        return {"ratio": self.ratio, "width_minutes": self.width_minutes, "models": self.entries}
+    models: dict  # kind -> {"cv": [...], "test": Metrics, "test_skipped": int, "meta": {...}}
 
 
 def evaluate(matrix: FeatureMatrix, plan: SplitPlan, specs: list[ModelSpec],
@@ -182,7 +180,7 @@ def evaluate(matrix: FeatureMatrix, plan: SplitPlan, specs: list[ModelSpec],
 
     Returns (EvalReport, {kind: test Score}).
     """
-    entries = {}
+    models = {}
     fitted = {}
     for spec in specs:
         cv_results = []
@@ -190,12 +188,11 @@ def evaluate(matrix: FeatureMatrix, plan: SplitPlan, specs: list[ModelSpec],
             for fold in plan.cv_folds:
                 allowed = np.r_[plan.train_rows.start:fold.start, fold.stop:plan.train_rows.stop]
                 score = fit_and_score(matrix, allowed, fold, spec)
-                cv_results.append({"fold": [fold.start, fold.stop], "skipped": score.skipped,
-                                   "metrics": None if score.metrics is None else score.metrics.as_dict()})
+                cv_results.append({"fold": fold, "skipped": score.skipped, "metrics": score.metrics})
         test = fit_and_score(matrix, plan.train_rows, plan.test_rows, spec)
         if test.metrics is None:
             raise ParameterError(f"{spec.kind}: fewer than 2 test rows have a window of consecutive slots")
-        entries[spec.kind] = {"cv": cv_results, "test": test.metrics.as_dict(),
-                              "test_skipped": test.skipped, "meta": test.model.meta}
+        models[spec.kind] = {"cv": cv_results, "test": test.metrics, "test_skipped": test.skipped,
+                             "meta": test.model.meta}
         fitted[spec.kind] = test
-    return EvalReport(plan.ratio, matrix.width_minutes, entries), fitted
+    return EvalReport(plan.ratio, matrix.width_minutes, models), fitted

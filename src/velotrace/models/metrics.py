@@ -17,9 +17,6 @@ class Metrics:
     rmse: float
     r2: float | None  # None when the actuals have zero variance
 
-    def as_dict(self) -> dict:
-        return {"mae": self.mae, "mse": self.mse, "rmse": self.rmse, "r2": self.r2}
-
 
 def metrics(y, yhat) -> Metrics:
     """Standard error suite; rmse = sqrt(mse), r2 = 1 - SS_res/SS_tot.

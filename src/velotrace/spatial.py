@@ -1,7 +1,8 @@
 """Spatial usage products: max-normalized density grids over a bounding box
 and hub spreading-out reports (ranked destination cells for trips leaving a
 named hub). Cells are metric, using meters-per-degree at a reference latitude;
-adequate for a city-scale box."""
+adequate for a city-scale box. `HubSpreadReport` is an entry of `hubs.json`:
+its field names are the entry's keys."""
 
 from __future__ import annotations
 
@@ -77,7 +78,7 @@ class Destination:
 @dataclass
 class HubSpreadReport:
     hub_center: tuple[float, float]
-    hub_radius: float
+    hub_radius_m: float
     period: str
     destinations: list[Destination]
     total_trips_from_hub: int
@@ -149,17 +150,3 @@ def write_density_csv(grid: DensityGrid, path) -> None:
     write_csv(path, ["row", "col", "count", "normalized"], itertools.chain.from_iterable(
         zip(itertools.repeat(r), cols, grid.counts[r].tolist(), grid.normalized[r].tolist())
         for r in range(grid.n_rows)))
-
-
-def hub_report_as_dict(rep: HubSpreadReport) -> dict:
-    return {
-        "hub_name": rep.hub_name,
-        "hub_center": list(rep.hub_center),
-        "hub_radius_m": rep.hub_radius,
-        "period": rep.period,
-        "total_trips_from_hub": rep.total_trips_from_hub,
-        "destinations": [
-            {"rank": d.rank, "cell_center": list(d.cell_center), "trip_count": d.trip_count}
-            for d in rep.destinations
-        ],
-    }

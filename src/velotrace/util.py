@@ -11,6 +11,10 @@ Every CSV table the program emits is written by `write_csv`: UTF-8, the
 when it holds a comma, a double quote or a line break), a header row, then
 the rows, taken from an iterable so a caller can render them a block at a
 time. The one exception is `synth`'s points writer (see `synth._lines`).
+Every JSON file the program emits is written by `write_json`, and `main`'s
+summary line is encoded the same way: sorted keys, with `json_default`
+rendering a report dataclass as the object of its fields, so a report's
+field names are its JSON keys and no converter restates them.
 
 An instant is int64 microseconds since the epoch everywhere, alone or as a
 column: `parse_utc` reads one, `utc_strings` renders a column of them, and
@@ -25,7 +29,8 @@ import json
 import math
 import os
 from contextlib import nullcontext
-from datetime import datetime, timedelta, timezone
+from dataclasses import fields, is_dataclass
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -119,12 +124,26 @@ def read_json(path: Path):
         raise ParseError(e.lineno, f"invalid JSON in {path}: {e.msg} (column {e.colno})") from None
 
 
+def json_default(obj):
+    """The JSON value of what `json` cannot encode itself: a dataclass
+    instance is the object of its fields, a `date` its ISO text and a step-1
+    `range` `[start, stop]`; anything else raises TypeError."""
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, date):
+        return obj.isoformat()
+    if isinstance(obj, range) and obj.step == 1:
+        return [obj.start, obj.stop]
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def write_json(path: Path, obj) -> None:
-    """Deterministic JSON output: sorted keys, stable float repr, trailing newline."""
+    """Deterministic JSON output: sorted keys, stable float repr, trailing
+    newline; values `json` lacks go through `json_default`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, sort_keys=True, indent=2)
+        json.dump(obj, f, sort_keys=True, indent=2, default=json_default)
         f.write("\n")
 
 

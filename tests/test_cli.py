@@ -322,13 +322,6 @@ def test_training_failure_exits_4(city, tmp_path, capsys, monkeypatch):
     assert (err["exit_code"], err["type"], err["message"]) == (4, "TrainingError", "loss diverged")
 
 
-def test_train_width_other_than_the_features_exits_1(city, tmp_path, capsys):
-    run(city, tmp_path, ["features", "--width", "60"])
-    err = error_of(capsys, cli_args(city, tmp_path, ["train", "--width", "30"]))
-    assert (err["exit_code"], err["type"]) == (1, "ParameterError")
-    assert "features --width 30" in err["message"]
-
-
 def test_rerun_of_the_chain_writes_an_identical_manifest(city, tmp_path):
     for outdir in (tmp_path / "a", tmp_path / "b"):
         run(city, outdir, ["ingest"])
@@ -520,6 +513,22 @@ def test_predict_on_features_without_a_column_exits_3(city, trained, tmp_path, c
     assert err["message"] == f"feature column {j + 1} is {found}, but the model was trained on {dropped!r}"
 
 
+@pytest.mark.parametrize("entry", ["1.5", None, True, float("nan")], ids=["string", "null", "bool", "nan"])
+def test_next_row_entry_that_is_not_a_finite_number_exits_3(city, trained, tmp_path, capsys, entry):
+    """The sidecar's next-slot row is checked where it is read, so that no
+    traceback and no `NaN` prediction (which is not JSON) can come of it."""
+    def damage(text):
+        meta = json.loads(text)
+        meta["next_row"][1] = entry
+        return json.dumps(meta)
+
+    damaged_copy(trained, tmp_path, "features.json", damage)
+    err = error_of(capsys, cli_args(city, tmp_path, command_argv("predict", tmp_path)))
+    assert (err["exit_code"], err["type"]) == (3, "SchemaError")
+    assert err["message"].endswith(f"next_row entry {entry!r} is not a finite number")
+    assert not (tmp_path / "prediction.json").exists()
+
+
 MALFORMED_ROWS = {
     "non-numeric-cell": lambda line: "abc" + line[line.index(","):],
     "bad-slot-start": lambda line: line[:line.rindex(",") + 1] + "2017-13-01T00:00:00Z\r\n",
@@ -652,9 +661,8 @@ OWN_OPTIONS = {
     "synth": {}, "ingest": {}, "describe": {}, "spatial": {},
     "covariates": {"--week-a": ("week_a", None, None), "--week-b": ("week_b", None, None)},
     "features": {"--width": WIDTH_OPTION, "--split": SPLIT_OPTION},
-    "train": {"--width": WIDTH_OPTION, "--split": SPLIT_OPTION,
-              "--model": ("model", None, ("linear", "forest", "boost", "lstm", "all"))},
-    "predict": {"--artifact": ("artifact", None, None), "--width": WIDTH_OPTION},
+    "train": {"--split": SPLIT_OPTION, "--model": ("model", None, ("linear", "forest", "boost", "lstm", "all"))},
+    "predict": {"--artifact": ("artifact", None, None)},
 }
 
 
@@ -706,7 +714,6 @@ WRONG_TYPES = [
     ("features", "width", "abc", "an integer"),
     ("features", "width", True, "an integer"),
     ("features", "split", 90, "a string"),
-    ("train", "width", "60", "an integer or null"),
     ("train", "models", "linear", "a list of strings"),
     ("train", "models", ["linear", 3], "a list of strings"),
     ("train", "with_cv", "no", "true or false"),
@@ -714,8 +721,6 @@ WRONG_TYPES = [
     # a slot width of the right type is also one of the widths features are built at
     ("features", "width", 0, "one of (30, 60)"),
     ("features", "width", 45, "one of (30, 60)"),
-    ("train", "width", 0, "one of (30, 60)"),
-    ("train", "width", 45, "one of (30, 60)"),
     # every top-level value is checked, whether or not the command reads it
     (None, "out", 5, "a string"),
     (None, "paths", "x", "an object"),
@@ -915,6 +920,7 @@ PINNED_OUTPUTS = {
         "events.json": "5ca14fbbe6e4cefeddd734be5fe6560364e27b9ce0bad5a8a6224a182274bd26",
         "features.csv": "0b8eb3e70c8bb7a9dd8c40755635f0ceecb71fb661063b64ac1996406e2c1708",
         "features.json": "dbb5da745081f4559039cb4cf51652148f2f1720174858439ed8dc134a9469c3",
+        "splitplan.json": "dc6b9dafb5ef69a8e8a7034571f0d6b661284c6868e8652ece7a2058d5c9929c",
     },
     -330: {
         "trips.csv": "fc2da3077a0d4bf46db8a6ee9ed45f36bfc6a078f150590f188a65752652341b",
@@ -934,6 +940,7 @@ PINNED_OUTPUTS = {
         "events.json": "5ca14fbbe6e4cefeddd734be5fe6560364e27b9ce0bad5a8a6224a182274bd26",
         "features.csv": "ab5e6998cd9eb848faa4d6c5d5ab8abc921c283a7685e1577af4ed5803cd6c70",
         "features.json": "ed6e80e772bb1c68abb73f5feadefbe7f41c71572e4ee460b6caea6c9ddbed87",
+        "splitplan.json": "dc6b9dafb5ef69a8e8a7034571f0d6b661284c6868e8652ece7a2058d5c9929c",
     },
 }
 
@@ -945,9 +952,23 @@ def test_analysis_outputs_are_pinned(city, tmp_path, offset):
     names = ["trips.csv", "rejections.csv", "points.npz", "histogram_distance.csv", "histogram_duration.csv",
              "histogram_speed.csv", "profile.json", "monthly.csv", "density.csv", "density_2017-05.csv",
              "density_2017-06.csv", "hubs.json", "correlations.json", "holidays.json", "events.json",
-             "features.csv", "features.json"]
+             "features.csv", "features.json", "splitplan.json"]
     assert sorted(p.name for p in tmp_path.glob("density*.csv")) == sorted(n for n in names if n.startswith("density"))
     assert {name: sha256_file(tmp_path / name) for name in names} == PINNED_OUTPUTS[offset]
+
+
+# sha256 of `eval_report.json` from `train --model boost` on `city` with CV on:
+# the ten folds and the test scores (trees use no BLAS, so the bytes are stable)
+PINNED_EVAL_REPORT = "b73cd4dc0fa79e9b3d6f2c554b1541096aa6b7e6a280487a75cec0e562d36930"
+
+
+def test_eval_report_with_cv_folds_is_pinned(city, tmp_path):
+    run(city, tmp_path, ["features", "--width", "60"])
+    config = config_with(tmp_path, train={**CONFIG["train"], "with_cv": True})
+    assert cli.main(cli_args(city, tmp_path, ["train", "--model", "boost"], config=config)) == 0
+    report = json.loads((tmp_path / "eval_report.json").read_text())
+    assert len(report["models"]["boost"]["cv"]) == 10
+    assert sha256_file(tmp_path / "eval_report.json") == PINNED_EVAL_REPORT
 
 
 def test_training_one_kind_at_a_time_keeps_every_kind_in_the_report(city, tmp_path):

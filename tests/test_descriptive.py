@@ -12,6 +12,7 @@ from velotrace.descriptive import (
 from velotrace.covariates import daily_join
 from velotrace.errors import DataError, ParameterError
 from velotrace.synth import TripLengthDist, sample_trip_lengths
+from velotrace.util import WEEKDAY_NAMES
 
 from conftest import make_trips, weather_table
 
@@ -68,7 +69,7 @@ class TestTemporalProfile:
     def test_single_monday_morning_trip(self):
         trips = make_trips([datetime(2017, 5, 1, 6, 0, tzinfo=UTC)])  # 08:00 local at +120
         p = temporal_profile(trips, 120)
-        assert p.weekday_counts[0] == 1
+        assert p.weekday_counts["Monday"] == 1
         assert p.hourly_weekday[8] == 1
         assert p.workingday_share == 1.0
         assert p.monthly_counts == {"2017-05": 1}
@@ -89,7 +90,7 @@ class TestTemporalProfile:
                             for h in range(0, 24 * 14, 5)])
         p = temporal_profile(trips, 120)
         assert sum(p.hourly_weekday) + sum(p.hourly_weekend) == p.total == len(trips)
-        assert sum(p.weekday_counts) == p.total
+        assert sum(p.weekday_counts.values()) == p.total
         assert sum(p.monthly_counts.values()) == p.total
 
     def test_empty_rejected(self):
@@ -112,7 +113,8 @@ class TestTemporalProfile:
             monthly[local.strftime("%Y-%m")] = monthly.get(local.strftime("%Y-%m"), 0) + 1
             daily[local.date()] = daily.get(local.date(), 0) + 1
         p = temporal_profile(trips, offset)
-        assert (p.weekday_counts, p.hourly_weekday, p.hourly_weekend) == (weekday, hourly[True], hourly[False])
+        assert list(p.weekday_counts.items()) == list(zip(WEEKDAY_NAMES, weekday))
+        assert (p.hourly_weekday, p.hourly_weekend) == (hourly[True], hourly[False])
         assert p.monthly_counts == dict(sorted(monthly.items()))
         no_weather = weather_table([], 0.0, 0.0, 0.0)
         assert {r.date: r.trip_count for r in daily_join(trips, no_weather, offset) if r.trip_count} == daily

@@ -10,7 +10,7 @@ from velotrace.features import FeatureMatrix, SlotSeries, build_features, chrono
 from velotrace.models import evaluate as evaluate_module
 from velotrace.models.evaluate import ModelSpec, evaluate, fit_and_score, predict_rows, train_model
 from velotrace.models.serialize import load_artifact, model_artifact
-from velotrace.util import MODEL_KINDS
+from velotrace.util import MODEL_KINDS, json_default
 
 from conftest import from_us, us, utc_text, weather_table
 
@@ -46,10 +46,10 @@ def test_report_structure_and_cv():
     plan = chronological_split(m, "80/20")
     report, fitted = evaluate(m, plan, SPECS[:3], with_cv=True)
     for kind in ("linear", "forest", "boost"):
-        entry = report.entries[kind]
+        entry = report.models[kind]
         assert len(entry["cv"]) == 10
         assert all(e["metrics"] is not None for e in entry["cv"])
-        assert set(entry["test"]) == {"mae", "mse", "rmse", "r2"}
+        assert set(json_default(entry["test"])) == {"mae", "mse", "rmse", "r2"}
     assert report.ratio == "80/20" and report.width_minutes == 30
 
 
@@ -58,7 +58,7 @@ def test_evaluate_deterministic():
     plan = chronological_split(m, "80/20")
     a, _ = evaluate(m, plan, SPECS, with_cv=False)
     b, _ = evaluate(m, plan, SPECS, with_cv=False)
-    assert json.dumps(a.as_dict(), sort_keys=True) == json.dumps(b.as_dict(), sort_keys=True)
+    assert json.dumps(a, sort_keys=True, default=json_default) == json.dumps(b, sort_keys=True, default=json_default)
 
 
 def test_no_test_leakage_by_weight_state():
@@ -79,7 +79,7 @@ def test_lstm_cv_folds_respect_history():
     m = rigged_matrix(n=160)
     plan = chronological_split(m, "80/20")
     report, _ = evaluate(m, plan, [SPECS[3]], with_cv=True)
-    cv = report.entries["lstm"]["cv"]
+    cv = report.models["lstm"]["cv"]
     assert len(cv) == 10
     assert sum(1 for e in cv if e["metrics"] is not None) >= 9  # first fold may lack history
 
@@ -118,7 +118,7 @@ def test_scoring_leaves_out_the_windows_across_a_dropped_slot():
 
     lstm = ModelSpec("lstm", {"hidden_size": 4, "lookback": lookback, "epochs": 1}, seed=1)
     report, fitted = evaluate(matrix, plan, [ModelSpec("linear"), lstm], with_cv=True)
-    entries = report.as_dict()["models"]
+    entries = report.models
     cv = entries["lstm"]["cv"]
     # fold 0 lacks history for its first 8 targets; rows 40..47 reach back over slot 40
     assert [e["skipped"] for e in cv] == [8, 0, 0, 0, 8, 0, 0, 0, 0, 0]

@@ -154,14 +154,17 @@ class TestFill:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_equals_the_dense_oracle_bit_for_bit(self, data):
-        """Random group sizes and NaN patterns (leading, trailing, all
-        missing), repeated timestamps, and spans scattered through a longer
-        column, in a random row order, whose other rows stay as they are."""
-        sizes = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=6))
+        """Random group sizes and NaN patterns between a present first and
+        last value (the spans `_fill` is given), repeated timestamps, and
+        spans scattered through a longer column, in a random row order,
+        whose other rows stay as they are."""
+        sizes = data.draw(st.lists(st.integers(2, 8), min_size=1, max_size=6))
         n = sum(sizes)
         share = data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         dense = np.where(rng.random(n) < share, np.nan, rng.normal(0.0, 50.0, n))
+        ends = np.cumsum(sizes)
+        dense[ends - sizes], dense[ends - 1] = rng.normal(0.0, 50.0, (2, len(sizes)))
         # ascending in each group, with ties, in microseconds
         t_us = np.concatenate([np.cumsum(rng.integers(0, 3, k)) * rng.choice([1, 250_000, 1_000_000])
                                for k in sizes]) + 1_494_000_000_000_000

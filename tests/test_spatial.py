@@ -12,11 +12,12 @@ from velotrace.spatial import (
     HubDef,
     _m_per_deg_lon,
     build_density_grid,
-    hub_report_as_dict,
     hub_spread,
     parse_hub_file,
     write_density_csv,
 )
+
+from velotrace.util import json_default
 
 from conftest import csv_stream, great_circle_m, make_trips
 
@@ -172,8 +173,8 @@ class TestHubSpread:
     def test_deterministic_report(self):
         x = offset_point(HUB, 500, 100)
         trips = trips_between(*[(HUB, x)] * 3)
-        r1 = json.dumps(hub_report_as_dict(hub_spread(trips, HUB, 300, 200, 5)), sort_keys=True)
-        r2 = json.dumps(hub_report_as_dict(hub_spread(trips, HUB, 300, 200, 5)), sort_keys=True)
+        r1 = json.dumps(hub_spread(trips, HUB, 300, 200, 5), sort_keys=True, default=json_default)
+        r2 = json.dumps(hub_spread(trips, HUB, 300, 200, 5), sort_keys=True, default=json_default)
         assert r1 == r2
 
     def test_planted_flow_shares_recovered(self):
