@@ -22,18 +22,18 @@ options and the feature row of the slot after the last row); `train` and
 the function that scores the test rows. Every instant is int64 microseconds
 since the epoch, rendered in every output with `utc_strings`.
 
-Failures print a machine-readable error JSON and exit 2 (missing input),
-3 (schema/data error), 4 (training failure), or 1 (anything else). A config
-error (a key that `DEFAULTS` or a model kind does not name, a value of
-another type than its default's, a `bbox` that is not four numbers, a
-`synth` value of the wrong shape or that no draw can use, a value out of
+Failures print a machine-readable error JSON and exit 2 (missing input), 3
+(schema/data error), 4 (training failure), or 1 (anything else). A config
+error (a key that `DEFAULTS` or a model kind does not name, a value of another
+type than its default's or infinite, a `bbox` that is not four finite numbers,
+a `synth` value of the wrong shape or that no draw can use, a value out of
 range, from the file or a flag (a slot width other than 30 or 60, an unknown
 split, a bin width or cell size that is not positive, a `top_k` under 1, a
 `utc_offset_min` outside -720 to 840), an empty `train.models`, a model
 hyperparameter of unknown name or wrong type) or a bad `--week-a`/`--week-b`
-pair exits 1 before any point is drawn or model fitted; a malformed input
-file (invalid JSON, a bad CSV header or row, a model artifact with a missing
-or malformed field or other feature columns than the features file) exits 3.
+pair exits 1 before any point is drawn or model fitted; a malformed input file
+(invalid JSON, a bad CSV header or row, a model artifact with a missing or
+malformed field or other feature columns than the features file) exits 3.
 
 On a 2-core host, `OPENBLAS_NUM_THREADS=1` halved the CPU time of `train
 --model lstm` at the same wall time, with identical metrics.
@@ -52,6 +52,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
 import sys
 from datetime import date
 from pathlib import Path
@@ -169,7 +170,8 @@ _CONFIG_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
 
 def _check_type(name: str, value, default) -> None:
     types, want = _CONFIG_TYPES[type(default)]
-    if type(value) not in types or (type(value) is list and not all(type(v) is str for v in value)):
+    if type(value) not in types or (type(value) is list and not all(type(v) is str for v in value)) or \
+            (type(value) is float and math.isinf(value)):  # JSON has no infinite number; NaN is not positive
         raise ParameterError(f"{name} must be {want}, got {value!r}")
 
 
@@ -179,14 +181,14 @@ _POSITIVE = (("describe", "bin_distance_m"), ("describe", "bin_duration_s"), ("d
 
 
 def _check_config(cfg: dict) -> None:
-    """The config holds only the keys of `DEFAULTS`, `bbox` four numbers, and
-    each other top-level value the type of its default. A section holds only
-    the keys its commands read (`models` a model kind or `seed`), each of the
-    type of its default; `synth` is checked where it is read. Each value is
-    also in range: `utc_offset_min` a UTC offset in use (-720 to 840), the
-    `_POSITIVE` values positive, `spatial.top_k` at least 1,
-    `features.width` one of `SLOT_WIDTHS`, and a split one of
-    `SPLIT_RATIOS`."""
+    """The config holds only the keys of `DEFAULTS`, `bbox` four finite
+    numbers, and each other top-level value the type of its default, never
+    infinite. A section holds only the keys its commands read (`models` a
+    model kind or `seed`), each of the type of its default; `synth` is checked
+    where it is read. Each value is also in range: `utc_offset_min` a UTC
+    offset in use (-720 to 840), the `_POSITIVE` values positive,
+    `spatial.top_k` at least 1, `features.width` one of `SLOT_WIDTHS`, and a
+    split one of `SPLIT_RATIOS`."""
     unknown = sorted(set(cfg) - set(DEFAULTS))
     if unknown:
         raise ParameterError(f"unknown top-level keys {unknown}")
@@ -195,7 +197,7 @@ def _check_config(cfg: dict) -> None:
     if not -720 <= cfg["utc_offset_min"] <= 840:
         raise ParameterError(f"utc_offset_min must be between -720 and 840, got {cfg['utc_offset_min']!r}")
     bbox = cfg["bbox"]
-    if type(bbox) is not list or len(bbox) != 4 or not all(type(v) in (int, float) for v in bbox):
+    if type(bbox) is not list or len(bbox) != 4 or not all(type(v) in (int, float) and math.isfinite(v) for v in bbox):
         raise ParameterError(f"bbox must be a list of four numbers, got {bbox!r}")
     known = {name: set(DEFAULTS[name]) for name in ("paths", "describe", "spatial", "features", "train")}
     known["models"] = {*MODEL_KINDS, "seed"}

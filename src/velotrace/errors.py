@@ -53,9 +53,5 @@ class ParameterError(VelotraceError):
     """An operation was called with invalid parameters."""
 
 
-class StateError(VelotraceError):
-    """An object was used before reaching the required state (e.g. unfitted scaler)."""
-
-
 class TrainingError(VelotraceError):
     """Model training failed (diverged, produced non-finite loss)."""

@@ -1,7 +1,6 @@
 """Model-ready dataset construction: fixed-width trip-count slots, dummy
-encoding, lag features (count one hour / one week back), chronological splits
-with contiguous 10-fold CV blocks, and min-max scaling fitted on training rows
-only.
+encoding, lag features (count one hour / one week back), the chronological
+train/test split, and min-max scaling fitted on training rows only.
 
 Slot starts are int64 microseconds since the epoch: `SlotSeries.start_us`
 and the `FeatureMatrix.slot_us` column. `SplitPlan` is the `splitplan.json`
@@ -19,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import MissingInputError, ParameterError, ParseError, SchemaError, StateError, UndefinedCorrelationError
+from .errors import MissingInputError, ParameterError, ParseError, SchemaError, UndefinedCorrelationError
 from .util import (HOUR_US, MINUTE_US, SLOT_WIDTHS, SPLIT_RATIOS, WEEKDAY_NAMES, local_datetimes, parse_utc, pearson,
                    read_json, utc_strings, write_csv, write_json)
 
@@ -28,7 +27,6 @@ if TYPE_CHECKING:  # annotations only: `train` and `predict` load neither layer
     from .ingest import TripTable
 
 SEASONS = ("spring", "summer", "autumn", "winter")
-CV_FOLDS = 10
 
 # the columns the scaler touches, where the matrix has them
 NUMERIC_COLUMNS = ("temperature", "precipitation", "hour_history", "week_history", "hour_of_the_day")
@@ -200,39 +198,30 @@ class SplitPlan:
     ratio: str
     train_rows: range
     test_rows: range
-    cv_folds: list[range]
 
 
 def chronological_split(matrix: FeatureMatrix, ratio: str) -> SplitPlan:
-    """Last floor(n * test_fraction) rows become the test set; the training
-    prefix is cut into 10 contiguous, near-equal CV blocks."""
+    """Last floor(n * test_fraction) rows become the test set, the rows before
+    them the training range."""
     if ratio not in SPLIT_RATIOS:
         raise ParameterError(f"ratio must be one of {sorted(SPLIT_RATIOS)}, got {ratio!r}")
     n = matrix.n_rows
     if n < 20:
         raise ParameterError(f"need at least 20 rows to split, got {n}")
-    test_n = math.floor(n * SPLIT_RATIOS[ratio])
-    train_n = n - test_n
-    if train_n < CV_FOLDS:
-        raise ParameterError(f"too few training rows ({train_n}) for {CV_FOLDS} folds")
-    base, rem = divmod(train_n, CV_FOLDS)
-    folds = []
-    at = 0
-    for i in range(CV_FOLDS):
-        size = base + (1 if i < rem else 0)
-        folds.append(range(at, at + size))
-        at += size
-    return SplitPlan(ratio, range(0, train_n), range(train_n, n), folds)
+    train_n = n - math.floor(n * SPLIT_RATIOS[ratio])
+    return SplitPlan(ratio, range(0, train_n), range(train_n, n))
 
 
 class MinMaxScaler:
     """Min-max scaling of the numeric columns and the target, fitted on
-    training rows only. Columns constant on the fit rows map to 0."""
+    training rows only. Columns constant on the fit rows map to 0. A scaler
+    is made fitted, by `fit` or `from_dict`."""
 
-    def __init__(self):
-        self._bounds: dict[str, tuple[float, float]] | None = None
+    def __init__(self, bounds: dict[str, tuple[float, float]]):
+        self._bounds = bounds
 
-    def fit(self, matrix: FeatureMatrix, rows) -> "MinMaxScaler":
+    @classmethod
+    def fit(cls, matrix: FeatureMatrix, rows) -> "MinMaxScaler":
         rows = np.asarray(rows, dtype=np.int64)
         bounds = {}
         for name in NUMERIC_COLUMNS:
@@ -242,12 +231,7 @@ class MinMaxScaler:
             bounds[name] = (float(col.min()), float(col.max()))
         ty = matrix.y[rows]
         bounds["target"] = (float(ty.min()), float(ty.max()))
-        self._bounds = bounds
-        return self
-
-    def _check(self):
-        if self._bounds is None:
-            raise StateError("scaler not fitted")
+        return cls(bounds)
 
     @staticmethod
     def _scale(v, lo, hi):
@@ -256,7 +240,6 @@ class MinMaxScaler:
         return (np.asarray(v, dtype=np.float64) - lo) / (hi - lo)
 
     def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
-        self._check()
         X = matrix.X.copy()
         for name, (lo, hi) in self._bounds.items():
             if name == "target" or name not in matrix.column_names:
@@ -267,24 +250,19 @@ class MinMaxScaler:
         return FeatureMatrix(X, y, list(matrix.column_names), matrix.slot_us, matrix.width_minutes)
 
     def scale_target(self, values):
-        self._check()
         lo, hi = self._bounds["target"]
         return self._scale(values, lo, hi)
 
     def inverse_target(self, values):
-        self._check()
         lo, hi = self._bounds["target"]
         return np.asarray(values, dtype=np.float64) * (hi - lo) + lo
 
     def as_dict(self) -> dict:
-        self._check()
         return {k: list(v) for k, v in self._bounds.items()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MinMaxScaler":
-        s = cls()
-        s._bounds = {k: (float(v[0]), float(v[1])) for k, v in d.items()}
-        return s
+        return cls({k: (float(v[0]), float(v[1])) for k, v in d.items()})
 
 
 def sidecar_path(features_path) -> Path:

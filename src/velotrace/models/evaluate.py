@@ -1,7 +1,7 @@
-"""Training/evaluation orchestration: the table of model kinds, contiguous-block
-cross-validation on the training range, and held-out test scoring. Scalers
-for the recurrent model are always fitted on the training portion in play,
-never on validation or test rows.
+"""Training/evaluation orchestration: the table of model kinds, rolling-origin
+scores on the training range, and held-out test scoring. Every fit is on a
+prefix of the matrix's rows, and the recurrent model's scaler is fitted on
+the rows of its fit, never on scored rows.
 
 A model kind is defined once: its name in `util.MODEL_KINDS`, which the CLI
 reads without loading any model, and its class in `MODELS`, the class that
@@ -16,9 +16,16 @@ One window rule decides which targets a model can score (`scorable`): a
 target needs the `lookback` rows before it, and with it they must be
 consecutive time slots. Tabular models have lookback 0, so they score every
 row; a recurrent window may not reach back over a slot that `build_features`
-dropped. CV folds and test scoring both go through `fit_and_score`,
-which leaves out the targets the rule rejects and counts them; the counts
-appear in the report as `skipped` per fold and `test_skipped` per model.
+dropped. Origins and test scoring both go through `fit_and_score`, which
+leaves out the targets the rule rejects and counts them; the counts appear
+in the report as `skipped` per origin and `test_skipped` per model.
+
+Rolling origins (Tashman, IJF 2000): origin i fits on the rows before the bound
+i days before the first test row's slot start and scores the rows up to the
+next bound, so up to `ORIGINS` daily blocks tile the days before the test rows.
+It is used when at least half of the training rows, and a window of the model,
+lie before it. Its `naive_mae` is the MAE of seasonal naive (`week_history`) on
+its scored targets, MASE's scale (Hyndman & Koehler, IJF 2006).
 
 A recurrent model trains and predicts on `build_windows`' `Windows` of the
 scaled matrix: each batch gathers its windows' rows into the model's
@@ -42,7 +49,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..features import FeatureMatrix, MinMaxScaler, SplitPlan
-from ..util import MINUTE_US, MODEL_KINDS
+from ..util import HOUR_US, MINUTE_US, MODEL_KINDS, utc_strings
 from .boosting import GradientBoosting
 from .forest import RandomForest
 from .linear import LinearModel
@@ -52,6 +59,8 @@ from .metrics import Metrics, metrics
 MODELS = dict(zip(MODEL_KINDS, (LinearModel, RandomForest, GradientBoosting, LstmRegressor), strict=True))
 
 WINDOW_DTYPE = np.float32  # the precision a recurrent model trains in
+
+ORIGINS = 7  # the most rolling daily origins `evaluate` scores
 
 
 @dataclass(frozen=True)
@@ -92,34 +101,30 @@ class TrainedModel:
     meta: dict
 
 
-def scorable(matrix: FeatureMatrix, targets, lookback: int, fit_rows=None) -> np.ndarray:
+def scorable(matrix: FeatureMatrix, targets, lookback: int) -> np.ndarray:
     """Mask of the targets whose window is usable: target j needs j >= lookback
     and rows j-lookback..j on consecutive time slots. Row `n_rows` is the slot
-    after the last row. With `fit_rows`, the window must also lie inside them."""
+    after the last row."""
     j = np.asarray(targets, dtype=np.int64)
     slot = matrix.slot_us // (matrix.width_minutes * MINUTE_US)
     slot = np.append(slot, slot[-1] + 1)
     lo = np.maximum(j - lookback, 0)
-    ok = (j >= lookback) & (slot[j] - slot[lo] == lookback)
-    if fit_rows is not None:
-        inside = np.zeros(len(slot), dtype=np.int64)
-        inside[np.asarray(fit_rows, dtype=np.int64)] = 1
-        run = np.concatenate(([0], np.cumsum(inside)))
-        ok &= run[j + 1] - run[lo] == lookback + 1
-    return ok
+    return (j >= lookback) & (slot[j] - slot[lo] == lookback)
 
 
-def train_model(matrix: FeatureMatrix, rows, spec: ModelSpec) -> TrainedModel:
-    """Fit one model on the given row indices of the matrix."""
-    rows = np.asarray(list(rows), dtype=np.int64)
+def train_model(matrix: FeatureMatrix, rows: range, spec: ModelSpec) -> TrainedModel:
+    """Fit one model on a prefix `range(0, n)` of the matrix's rows; every
+    window a recurrent model trains on lies inside it."""
+    if rows.start or rows.step != 1:
+        raise ParameterError(f"a model fits on a prefix of the rows, not on {rows}")
     cls = MODELS[spec.kind]
     if not spec.lookback:
-        model = cls.fit(matrix.X[rows], matrix.y[rows], spec.params, spec.seed)
+        model = cls.fit(matrix.X[:rows.stop], matrix.y[:rows.stop], spec.params, spec.seed)
         return TrainedModel(spec, model, None, {"rows_used": len(rows), **model.fit_meta()})
 
-    scaler = MinMaxScaler().fit(matrix, rows)
+    scaler = MinMaxScaler.fit(matrix, rows)
     scaled = scaler.transform(matrix)
-    targets = rows[scorable(matrix, rows, spec.lookback, fit_rows=rows)]
+    targets = np.asarray(rows)[scorable(matrix, rows, spec.lookback)]
     W, t = build_windows(scaled.X.astype(WINDOW_DTYPE), scaled.y, spec.lookback, targets)
     model = cls(scaled.X.shape[1], spec.params, spec.seed).fit(W, t)
     return TrainedModel(spec, model, scaler, {"rows_used": len(targets), **model.fit_meta()})
@@ -155,9 +160,9 @@ class Score:
     skipped: int                 # targets the window rule left out
 
 
-def fit_and_score(matrix: FeatureMatrix, fit_rows, targets, spec: ModelSpec) -> Score:
-    """Fit on `fit_rows`, then score the `targets` that have a usable window."""
-    tm = train_model(matrix, fit_rows, spec)
+def fit_and_score(matrix: FeatureMatrix, prefix: range, targets, spec: ModelSpec) -> Score:
+    """Fit on the rows of `prefix`, then score the `targets` that have a usable window."""
+    tm = train_model(matrix, prefix, spec)
     targets = np.asarray(list(targets), dtype=np.int64)
     scored = targets[scorable(matrix, targets, spec.lookback)]
     pred = predict_rows(tm, matrix, scored) if len(scored) >= 2 else None
@@ -170,25 +175,33 @@ class EvalReport:
     """The `eval_report.json` report: its field names are the file's keys."""
     ratio: str
     width_minutes: int
-    models: dict  # kind -> {"cv": [...], "test": Metrics, "test_skipped": int, "meta": {...}}
+    models: dict  # kind -> {"cv": [{"origin", "skipped", "metrics", "naive_mae"}], "test", "test_skipped", "meta"}
 
 
 def evaluate(matrix: FeatureMatrix, plan: SplitPlan, specs: list[ModelSpec],
              with_cv: bool = True):
-    """Per spec: optional 10-fold blocked CV on the training range, then a fit
-    on the full training range scored on the held-out test rows.
+    """Per spec: with `with_cv`, the scores of the rolling daily origins
+    before the test rows, then a fit on the full training range scored on
+    the held-out test rows.
 
     Returns (EvalReport, {kind: test Score}).
     """
-    models = {}
-    fitted = {}
+    train_n = plan.train_rows.stop
+    bounds = matrix.slot_us[train_n] - 24 * HOUR_US * np.arange(ORIGINS + 1)
+    at = np.searchsorted(matrix.slot_us, bounds).tolist()  # the first row at or after each bound
+    used = [i for i in range(ORIGINS, 0, -1) if 2 * at[i] >= train_n and at[i] < at[i - 1]] if with_cv else []
+    naive = matrix.column("week_history") if "week_history" in matrix.column_names else None
+    models, fitted = {}, {}
     for spec in specs:
         cv_results = []
-        if with_cv:
-            for fold in plan.cv_folds:
-                allowed = np.r_[plan.train_rows.start:fold.start, fold.stop:plan.train_rows.stop]
-                score = fit_and_score(matrix, allowed, fold, spec)
-                cv_results.append({"fold": fold, "skipped": score.skipped, "metrics": score.metrics})
+        for i in used:
+            if not scorable(matrix, range(at[i]), spec.lookback).any():
+                continue  # no window to train on before this origin
+            score = fit_and_score(matrix, range(at[i]), range(at[i], at[i - 1]), spec)
+            naive_mae = None if score.metrics is None or naive is None else \
+                metrics(matrix.y[score.targets], naive[score.targets]).mae
+            cv_results.append({"origin": utc_strings([bounds[i]])[0], "skipped": score.skipped,
+                               "metrics": score.metrics, "naive_mae": naive_mae})
         test = fit_and_score(matrix, plan.train_rows, plan.test_rows, spec)
         if test.metrics is None:
             raise ParameterError(f"{spec.kind}: fewer than 2 test rows have a window of consecutive slots")

@@ -129,15 +129,17 @@ class HubDef:
 
 
 def parse_hub_file(source) -> list[HubDef]:
-    """Hub config CSV with header `name,lat,lon,radius_m`. A row that does
-    not parse raises ParseError, a radius that is not finite and > 0
-    RangeError, each naming the row's 1-based line."""
+    """Hub config CSV with header `name,lat,lon,radius_m`. A row that does not
+    parse raises ParseError, a coordinate out of range or a radius that is not
+    finite and > 0 RangeError, each naming the row's 1-based line."""
     out = []
     for line, row in csv_records(source, ["name", "lat", "lon", "radius_m"], "hub"):
         try:
             lat, lon, radius = map(float, row[1:])
         except ValueError:
             raise ParseError(line, f"bad number in hub row {row!r}") from None
+        if not (-90 <= lat <= 90 and -180 <= lon <= 180):
+            raise RangeError(line, f"hub coordinate ({lat}, {lon}) outside [-90, 90] x [-180, 180]")
         if not (math.isfinite(radius) and radius > 0):
             raise RangeError(line, f"hub radius {radius} must be finite and > 0")
         out.append(HubDef(row[0], lat, lon, radius))

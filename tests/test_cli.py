@@ -727,6 +727,11 @@ WRONG_TYPES = [
     ("paths", "points", 5, "a string"),
     (None, "bbox", [1, 2], "a list of four numbers"),
     (None, "bbox", [44.45, 11.28, 44.54, True], "a list of four numbers"),
+    # JSON's Infinity, NaN and 1e999 are read as floats, but no number of the config may be infinite
+    (None, "bbox", [44.45, 11.28, float("inf"), 11.40], "a list of four numbers"),
+    (None, "bbox", [44.45, float("nan"), 44.54, 11.40], "a list of four numbers"),
+    ("describe", "bin_distance_m", float("inf"), "a number"),
+    ("spatial", "dest_cell_size_m", float("-inf"), "a number"),
     (None, "synth", 5, "an object"),
     # a value of the right type is also in range, whether or not the command reads it
     (None, "utc_offset_min", 100000, "between -720 and 840"),
@@ -900,7 +905,8 @@ def test_malformed_hub_file_row_exits_3_with_its_line(city, tmp_path, capsys):
 
 # sha256 of each analysis output of `city`, by --utc-offset-min, as the
 # per-trip implementation of trip assembly wrote them; `points.npz` without
-# the accuracy and speed columns that the parse checks but does not keep
+# the accuracy and speed columns that the parse checks but does not keep, and
+# `splitplan.json` without CV folds
 PINNED_OUTPUTS = {
     120: {
         "trips.csv": "fc2da3077a0d4bf46db8a6ee9ed45f36bfc6a078f150590f188a65752652341b",
@@ -920,7 +926,7 @@ PINNED_OUTPUTS = {
         "events.json": "5ca14fbbe6e4cefeddd734be5fe6560364e27b9ce0bad5a8a6224a182274bd26",
         "features.csv": "0b8eb3e70c8bb7a9dd8c40755635f0ceecb71fb661063b64ac1996406e2c1708",
         "features.json": "dbb5da745081f4559039cb4cf51652148f2f1720174858439ed8dc134a9469c3",
-        "splitplan.json": "dc6b9dafb5ef69a8e8a7034571f0d6b661284c6868e8652ece7a2058d5c9929c",
+        "splitplan.json": "c80ca5cdd455d95f054556333a4a47c25fe8681bd449b7cdc6553942ccb6d8a3",
     },
     -330: {
         "trips.csv": "fc2da3077a0d4bf46db8a6ee9ed45f36bfc6a078f150590f188a65752652341b",
@@ -940,7 +946,7 @@ PINNED_OUTPUTS = {
         "events.json": "5ca14fbbe6e4cefeddd734be5fe6560364e27b9ce0bad5a8a6224a182274bd26",
         "features.csv": "ab5e6998cd9eb848faa4d6c5d5ab8abc921c283a7685e1577af4ed5803cd6c70",
         "features.json": "ed6e80e772bb1c68abb73f5feadefbe7f41c71572e4ee460b6caea6c9ddbed87",
-        "splitplan.json": "dc6b9dafb5ef69a8e8a7034571f0d6b661284c6868e8652ece7a2058d5c9929c",
+        "splitplan.json": "c80ca5cdd455d95f054556333a4a47c25fe8681bd449b7cdc6553942ccb6d8a3",
     },
 }
 
@@ -958,8 +964,8 @@ def test_analysis_outputs_are_pinned(city, tmp_path, offset):
 
 
 # sha256 of `eval_report.json` from `train --model boost` on `city` with CV on:
-# the ten folds and the test scores (trees use no BLAS, so the bytes are stable)
-PINNED_EVAL_REPORT = "b73cd4dc0fa79e9b3d6f2c554b1541096aa6b7e6a280487a75cec0e562d36930"
+# the two rolling origins and the test scores (trees use no BLAS, so the bytes are stable)
+PINNED_EVAL_REPORT = "d5d2128ce79193521c8d949bda8f7fbedc4f2e6736cea4aa8729d7412f272088"
 
 
 def test_eval_report_with_cv_folds_is_pinned(city, tmp_path):
@@ -967,7 +973,7 @@ def test_eval_report_with_cv_folds_is_pinned(city, tmp_path):
     config = config_with(tmp_path, train={**CONFIG["train"], "with_cv": True})
     assert cli.main(cli_args(city, tmp_path, ["train", "--model", "boost"], config=config)) == 0
     report = json.loads((tmp_path / "eval_report.json").read_text())
-    assert len(report["models"]["boost"]["cv"]) == 10
+    assert len(report["models"]["boost"]["cv"]) == 2
     assert sha256_file(tmp_path / "eval_report.json") == PINNED_EVAL_REPORT
 
 

@@ -10,7 +10,7 @@ from velotrace.features import FeatureMatrix, SlotSeries, build_features, chrono
 from velotrace.models import evaluate as evaluate_module
 from velotrace.models.evaluate import ModelSpec, evaluate, fit_and_score, predict_rows, train_model
 from velotrace.models.serialize import load_artifact, model_artifact
-from velotrace.util import MODEL_KINDS, json_default
+from velotrace.util import MODEL_KINDS, json_default, parse_utc
 
 from conftest import from_us, us, utc_text, weather_table
 
@@ -18,7 +18,7 @@ UTC = timezone.utc
 START = datetime(2017, 5, 1, tzinfo=UTC)
 
 
-def rigged_matrix(n=140, seed=0):
+def rigged_matrix(n=140, seed=0, width=30):
     """Target is a noisy function of one informative column plus a target copy."""
     rng = np.random.default_rng(seed)
     y = 10.0 + 5.0 * np.sin(np.arange(n) / 6.0) + rng.normal(0, 0.3, n)
@@ -29,8 +29,8 @@ def rigged_matrix(n=140, seed=0):
     }
     names = list(cols)
     X = np.column_stack([cols[c] for c in names])
-    starts = us(START) + 30 * 60_000_000 * np.arange(n)
-    return FeatureMatrix(X, y, names, starts, 30)
+    starts = us(START) + width * 60_000_000 * np.arange(n)
+    return FeatureMatrix(X, y, names, starts, width)
 
 
 SPECS = [
@@ -42,15 +42,69 @@ SPECS = [
 
 
 def test_report_structure_and_cv():
-    m = rigged_matrix()
+    """The origins lie 24 h apart, the last at the slot start of the first
+    test row, and each scores the day up to the next."""
+    m = rigged_matrix(n=300, width=60)
     plan = chronological_split(m, "80/20")
+    test_start = from_us(m.slot_us[plan.test_rows.start])
     report, fitted = evaluate(m, plan, SPECS[:3], with_cv=True)
     for kind in ("linear", "forest", "boost"):
         entry = report.models[kind]
-        assert len(entry["cv"]) == 10
-        assert all(e["metrics"] is not None for e in entry["cv"])
+        days = (5, 4, 3, 2, 1)
+        assert [e["origin"] for e in entry["cv"]] == [utc_text(test_start - timedelta(days=k)) for k in days]
+        assert all(set(e) == {"origin", "skipped", "metrics", "naive_mae"} for e in entry["cv"])
+        assert all(e["metrics"] is not None and e["skipped"] == 0 for e in entry["cv"])
+        assert all(e["naive_mae"] is None for e in entry["cv"])  # the matrix has no week_history column
         assert set(json_default(entry["test"])) == {"mae", "mse", "rmse", "r2"}
-    assert report.ratio == "80/20" and report.width_minutes == 30
+    assert report.ratio == "80/20" and report.width_minutes == 60
+
+
+@pytest.mark.parametrize("n, width, count", [
+    (140, 30, 1),  # 112 training rows, 48 a day: 64 lie before the first origin, 16 before the second
+    (118, 60, 1),  # 95 training rows: 47 lie before the second origin, under half
+    (120, 60, 2),  # 96 training rows: 48 lie before the second origin, exactly half
+    (300, 60, 5),
+    (500, 60, 7),  # 400 training rows would admit 8
+])
+def test_origin_count_follows_the_half_of_training_rule(n, width, count):
+    """An origin is used when at least half of the training rows lie before
+    it, and at most `ORIGINS` are."""
+    m = rigged_matrix(n=n, width=width)
+    report, _ = evaluate(m, chronological_split(m, "80/20"), SPECS[:1], with_cv=True)
+    assert len(report.models["linear"]["cv"]) == count
+    assert evaluate_module.ORIGINS == 7
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
+def test_no_origin_model_saw_a_row_at_or_after_its_origin(monkeypatch, spec):
+    """Changing X and y from an origin on leaves the model fitted at that
+    origin unchanged, and changes the model fitted at the next."""
+    real = evaluate_module.train_model
+    fits = []
+
+    def recording(matrix, rows, spec):
+        tm = real(matrix, rows, spec)
+        fits.append(json.dumps(model_artifact(tm, matrix.column_names), sort_keys=True))
+        return tm
+
+    def fits_of(matrix):
+        fits.clear()
+        report, _ = evaluate(matrix, plan, [spec], with_cv=True)
+        return [parse_utc(e["origin"]) for e in report.models[spec.kind]["cv"]], list(fits)
+
+    monkeypatch.setattr(evaluate_module, "train_model", recording)
+    m = rigged_matrix(n=300, width=60)
+    plan = chronological_split(m, "80/20")
+    origins, base = fits_of(m)
+    assert len(origins) == 5 and len(base) == 6  # the last fit is the test fit
+    for k, origin in enumerate(origins):
+        mutated = rigged_matrix(n=300, width=60)
+        at = int(np.searchsorted(mutated.slot_us, origin))
+        mutated.X[at:] += 1000.0
+        mutated.y[at:] += 1000.0
+        _, changed = fits_of(mutated)
+        assert changed[:k + 1] == base[:k + 1], f"{spec.kind} saw rows at or after origin {k}"
+        assert changed[k + 1] != base[k + 1]
 
 
 def test_evaluate_deterministic():
@@ -76,12 +130,26 @@ def test_no_test_leakage_by_weight_state():
 
 
 def test_lstm_cv_folds_respect_history():
-    m = rigged_matrix(n=160)
+    """An origin has at least half of the training rows before it, so every
+    target of its block has its window."""
+    m = rigged_matrix(n=160, width=60)
     plan = chronological_split(m, "80/20")
     report, _ = evaluate(m, plan, [SPECS[3]], with_cv=True)
     cv = report.models["lstm"]["cv"]
-    assert len(cv) == 10
-    assert sum(1 for e in cv if e["metrics"] is not None) >= 9  # first fold may lack history
+    assert [e["skipped"] for e in cv] == [0, 0]
+    assert all(e["metrics"] is not None for e in cv)
+    # with a lookback of 90 rows, no window lies before the earlier origin (row 80)
+    long = ModelSpec("lstm", {"hidden_size": 4, "lookback": 90, "epochs": 1}, seed=1)
+    report, _ = evaluate(m, plan, [ModelSpec("linear"), long], with_cv=True)
+    assert [e["origin"] for e in report.models["lstm"]["cv"]] == [cv[1]["origin"]]
+    assert [e["origin"] for e in report.models["linear"]["cv"]] == [e["origin"] for e in cv]
+
+
+def test_a_model_fits_only_on_a_prefix_of_the_rows():
+    m = rigged_matrix()
+    for rows in (range(10, 100), range(0, 100, 2)):
+        with pytest.raises(ParameterError, match="prefix"):
+            train_model(m, rows, SPECS[0])
 
 
 def gapped_matrix(gap_offsets, n_slots=7 * 24 + 120):
@@ -108,7 +176,7 @@ def test_lstm_training_windows_do_not_span_a_dropped_slot():
 
 def test_scoring_leaves_out_the_windows_across_a_dropped_slot():
     lookback = 8
-    matrix = gapped_matrix([40, 100])  # one gap in the training range, one in the test rows
+    matrix = gapped_matrix([80, 100])  # one gap in the last origin's block, one in the test rows
     plan = chronological_split(matrix, "80/20")
     assert (plan.train_rows, plan.test_rows) == (range(0, 95), range(95, 118))
     step = timedelta(hours=1)
@@ -120,19 +188,28 @@ def test_scoring_leaves_out_the_windows_across_a_dropped_slot():
     report, fitted = evaluate(matrix, plan, [ModelSpec("linear"), lstm], with_cv=True)
     entries = report.models
     cv = entries["lstm"]["cv"]
-    # fold 0 lacks history for its first 8 targets; rows 40..47 reach back over slot 40
-    assert [e["skipped"] for e in cv] == [8, 0, 0, 0, 8, 0, 0, 0, 0, 0]
+    # the test rows start at slot offset 96; the origins at 48 (row 48) and 72 (row 72),
+    # and rows 80..87 of the last block reach back over slot 80
+    test_start = from_us(matrix.slot_us[95])
+    assert [e["origin"] for e in cv] == [utc_text(test_start - timedelta(days=k)) for k in (2, 1)]
+    assert [e["skipped"] for e in cv] == [0, 8]
     assert all(e["metrics"] is not None for e in cv)
     assert entries["lstm"]["test_skipped"] == 8
     assert fitted["lstm"].targets.tolist() == [j for j in plan.test_rows if has_window(j)]
     assert not set(range(99, 107)) & set(fitted["lstm"].targets.tolist())
-    assert [e["skipped"] for e in entries["linear"]["cv"]] == [0] * 10
+    assert [e["skipped"] for e in entries["linear"]["cv"]] == [0, 0]
     assert entries["linear"]["test_skipped"] == 0
-    for target in (40, 47, 99, 106, 3):
+    # seasonal naive is scored on the targets each model scored
+    naive = matrix.column("week_history")
+    for kind in ("linear", "lstm"):
+        for e, block in zip(entries[kind]["cv"], (range(48, 72), range(72, 95))):
+            scored = [j for j in block if kind == "linear" or has_window(j)]
+            assert e["naive_mae"] == np.abs(matrix.y[scored] - naive[scored]).mean()
+    for target in (80, 87, 99, 106, 3):
         assert not has_window(target)
         with pytest.raises(ParameterError, match="gap"):
             predict_rows(fitted["lstm"].model, matrix, [target])
-    assert len(predict_rows(fitted["lstm"].model, matrix, [48, 107, matrix.n_rows])) == 3
+    assert len(predict_rows(fitted["lstm"].model, matrix, [88, 107, matrix.n_rows])) == 3
 
 
 def parity_series(width):

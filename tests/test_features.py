@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from velotrace.covariates import CalendarEntry
-from velotrace.errors import MissingInputError, ParameterError, SchemaError, StateError
+from velotrace.errors import MissingInputError, ParameterError, SchemaError
 from velotrace.features import (
     FeatureMatrix,
     MinMaxScaler,
@@ -293,17 +293,10 @@ class TestChronologicalSplit:
         plan = chronological_split(toy_matrix(n=20), "80/20")
         assert plan.train_rows == range(0, 16)
         assert plan.test_rows == range(16, 20)
-        assert [len(f) for f in plan.cv_folds] == [2, 2, 2, 2, 2, 2, 1, 1, 1, 1]
 
     def test_hundred_rows_ninety_ten(self):
         plan = chronological_split(toy_matrix(n=100), "90/10")
         assert plan.train_rows == range(0, 90)
-        assert all(len(f) == 9 for f in plan.cv_folds)
-
-    def test_folds_partition_training_range(self):
-        plan = chronological_split(toy_matrix(n=97), "70/30")
-        covered = [i for f in plan.cv_folds for i in f]
-        assert covered == list(plan.train_rows)
 
     def test_no_leakage(self):
         m = toy_matrix(n=60)
@@ -334,7 +327,7 @@ class TestMinMaxScaler:
     def test_basic_scaling(self):
         m = toy_matrix(n=30)
         m.X[:, m.column_names.index("temperature")][:3] = [0.0, 5.0, 10.0]
-        s = MinMaxScaler().fit(m, range(3))
+        s = MinMaxScaler.fit(m, range(3))
         out = s.transform(m)
         assert out.column("temperature")[:3].tolist() == [0.0, 0.5, 1.0]
 
@@ -342,18 +335,14 @@ class TestMinMaxScaler:
         m = toy_matrix(n=10)
         j = m.column_names.index("temperature")
         m.X[:, j] = 7.0
-        s = MinMaxScaler().fit(m, range(10))
+        s = MinMaxScaler.fit(m, range(10))
         assert np.all(s.transform(m).column("temperature") == 0.0)
 
     def test_target_round_trip(self):
         m = toy_matrix(n=50)
-        s = MinMaxScaler().fit(m, range(40))
+        s = MinMaxScaler.fit(m, range(40))
         back = s.inverse_target(s.scale_target(m.y[:40]))
         assert np.allclose(back, m.y[:40], atol=1e-9)
-
-    def test_unfitted_raises(self):
-        with pytest.raises(StateError):
-            MinMaxScaler().transform(toy_matrix(n=10))
 
 
 class TestCsvRoundTrip:

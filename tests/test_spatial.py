@@ -225,6 +225,13 @@ class TestParseHubFile:
             parse_hub_file(csv_stream(HUB_HEADER + row + "\n"))
         assert e.value.line == 2
 
+    @pytest.mark.parametrize("lat, lon", [("nan", "11.3428"), ("95", "11.3"), ("-90.5", "11.3"), ("44.5", "181"),
+                                          ("44.5", "-inf")])
+    def test_coordinate_out_of_range_is_a_range_error_with_its_line(self, lat, lon):
+        with pytest.raises(RangeError) as e:
+            parse_hub_file(csv_stream(HUB_HEADER + f"ok,90,-180,300\npiazza,{lat},{lon},300\n"))
+        assert e.value.line == 3
+
     @pytest.mark.parametrize("radius", ["0", "-5", "nan", "inf"])
     def test_radius_not_finite_and_positive_is_a_range_error_with_its_line(self, radius):
         with pytest.raises(RangeError) as e:
