@@ -24,16 +24,17 @@ since the epoch, rendered in every output with `utc_strings`.
 
 Failures print a machine-readable error JSON and exit 2 (missing input), 3
 (schema/data error), 4 (training failure), or 1 (anything else). A config
-error (a key that `DEFAULTS` or a model kind does not name, a value of another
-type than its default's or infinite, a `bbox` that is not four finite numbers,
-a `synth` value of the wrong shape or that no draw can use, a value out of
-range, from the file or a flag (a slot width other than 30 or 60, an unknown
-split, a bin width or cell size that is not positive, a `top_k` under 1, a
-`utc_offset_min` outside -720 to 840), an empty `train.models`, a model
-hyperparameter of unknown name or wrong type) or a bad `--week-a`/`--week-b`
-pair exits 1 before any point is drawn or model fitted; a malformed input file
-(invalid JSON, a bad CSV header or row, a model artifact with a missing or
-malformed field or other feature columns than the features file) exits 3.
+error or a bad `--week-a`/`--week-b` pair exits 1 before any point is drawn or
+model fitted; a malformed input file (invalid JSON, a bad CSV header or row, a
+model artifact with a missing or malformed field or other feature columns than
+the features file) exits 3. `util.json_value` reads each config value as the
+type of its default, or of its field in `synth.SynthConfig` or a model's
+`Params` (by `util.from_json`). A config error is a key that none of these
+names, a value of another type or not finite, an empty `train.models`, or a
+value out of range, from the file or a flag: a slot width other than 30 or 60,
+an unknown split, a bin width or cell size that is not positive, a `top_k`
+under 1, a `utc_offset_min` outside -720 to 840, a `synth` value that no draw
+can use, a hyperparameter that no fit can use.
 
 On a 2-core host, `OPENBLAS_NUM_THREADS=1` halved the CPU time of `train
 --model lstm` at the same wall time, with identical metrics.
@@ -68,12 +69,12 @@ from .errors import (
     TrainingError,
     VelotraceError,
 )
-from .util import (MINUTE_US, MODEL_KINDS, SLOT_WIDTHS, SPLIT_RATIOS, json_default, local_datetimes, read_json,
-                   sha256_file, utc_strings, write_csv, write_json)
+from .util import (MINUTE_US, MODEL_KINDS, SLOT_WIDTHS, SPLIT_RATIOS, from_json, json_default, json_value,
+                   local_datetimes, read_json, sha256_file, utc_strings, write_csv, write_json)
 
 # the layer names the commands call, by the module that defines them
 _LAYER_NAMES = {
-    "synth": ("generate", "synth_config_from_dict"),
+    "synth": ("SynthConfig", "generate"),
     "ingest": ("BOUNDARY_MISSING", "TOO_FEW_POINTS", "ZERO_DURATION", "assemble_trips", "load_trips_npz",
                "parse_points", "save_points_npz", "write_rejections_csv", "write_trips_csv"),
     "descriptive": ("histogram", "monthly_change", "temporal_profile", "write_histogram_csv", "write_monthly_csv"),
@@ -162,17 +163,9 @@ def load_config(args) -> dict:
     return cfg
 
 
-# the types a config value may take, by the type of its default; a bool is never an int
-_CONFIG_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
-                 float: ((int, float), "a number"), str: ((str,), "a string"), dict: ((dict,), "an object"),
-                 list: ((list,), "a list of strings")}
-
-
 def _check_type(name: str, value, default) -> None:
-    types, want = _CONFIG_TYPES[type(default)]
-    if type(value) not in types or (type(value) is list and not all(type(v) is str for v in value)) or \
-            (type(value) is float and math.isinf(value)):  # JSON has no infinite number; NaN is not positive
-        raise ParameterError(f"{name} must be {want}, got {value!r}")
+    """ParameterError unless `value` reads as its default's type (a list as a list of strings)."""
+    json_value(name, value, tuple[str, ...] if type(default) is list else type(default))
 
 
 # the section values that must be positive: bin widths and cell sizes
@@ -182,11 +175,11 @@ _POSITIVE = (("describe", "bin_distance_m"), ("describe", "bin_duration_s"), ("d
 
 def _check_config(cfg: dict) -> None:
     """The config holds only the keys of `DEFAULTS`, `bbox` four finite
-    numbers, and each other top-level value the type of its default, never
-    infinite. A section holds only the keys its commands read (`models` a
-    model kind or `seed`), each of the type of its default; `synth` is checked
-    where it is read. Each value is also in range: `utc_offset_min` a UTC
-    offset in use (-720 to 840), the `_POSITIVE` values positive,
+    numbers, and each other top-level value the type of its default. A section
+    holds only the keys its commands read (`models` a model kind or `seed`),
+    each of the type of its default; `synth` and each model's hyperparameters
+    are read where they are used, by `from_json`. Each value is also in range:
+    `utc_offset_min` a UTC offset in use (-720 to 840), the `_POSITIVE` values positive,
     `spatial.top_k` at least 1, `features.width` one of `SLOT_WIDTHS`, and a
     split one of `SPLIT_RATIOS`."""
     unknown = sorted(set(cfg) - set(DEFAULTS))
@@ -271,7 +264,8 @@ def _load_trips(cfg: dict, out: Path, *columns: str):
 # ---------------------------------------------------------------- subcommands
 
 def cmd_synth(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:
-    sc = _cli.synth_config_from_dict(_merge(DEMO_SYNTH, cfg["synth"]), cfg["seed"], cfg["utc_offset_min"])
+    section = {"seed": cfg["seed"], "utc_offset_min": cfg["utc_offset_min"], **_merge(DEMO_SYNTH, cfg["synth"])}
+    sc = from_json(_cli.SynthConfig, section, "synth")
     result = _cli.generate(sc, out)
     hub_path = out / "hubs.csv"
     write_csv(hub_path, ["name", "lat", "lon", "radius_m"], ((h.name, h.lat, h.lon, 300.0) for h in sc.hubs))
@@ -414,9 +408,7 @@ def _model_specs(cfg: dict, requested: list[str]) -> list[ModelSpec]:
     kinds = list(MODEL_KINDS) if "all" in requested else requested
     mc = cfg["models"]
     key = "models.seed" if "seed" in mc else "seed"
-    seed = mc.get("seed", cfg["seed"])
-    if type(seed) is not int:  # a bool is not a seed
-        raise ParameterError(f"{key} must be an integer, got {seed!r}")
+    seed = json_value(key, mc.get("seed", cfg["seed"]), int)
     return [_cli.ModelSpec(k, mc.get(k, {}), seed=seed) for k in kinds]
 
 

@@ -23,13 +23,12 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .ingest import TripTable
-from .util import HOUR_US, WEEKDAY_NAMES, csv_records, local_datetimes, parse_utc, pearson, utc_strings
+from .util import EVENT_KINDS, HOUR_US, WEEKDAY_NAMES, csv_records, local_datetimes, parse_utc, pearson, utc_strings
 
 WEATHER_HEADER = ["timestamp", "temp_c", "precip_mm", "wind_mps"]
 POLLUTION_HEADER = ["timestamp", "pm", "o3", "no2", "so2"]
 CALENDAR_HEADER = ["date", "kind", "label"]
-CALENDAR_KINDS = {"holiday", "strike", "protest", "event"}
-EVENT_KINDS = {"strike", "protest", "event"}
+CALENDAR_KINDS = {"holiday", *EVENT_KINDS}
 
 # a day missing more hours than this is marked incomplete
 MAX_MISSING_WEATHER_HOURS = 4

@@ -7,8 +7,8 @@ A model kind is defined once: its name in `util.MODEL_KINDS`, which the CLI
 reads without loading any model, and its class in `MODELS`, the class that
 fits, predicts, saves and loads it. A new kind provides `Params` (a frozen
 dataclass of its hyperparameters, or None; a `lookback` field makes the kind
-recurrent), `fit(X, y, params, seed)` if tabular or `cls(input_size, params,
-seed).fit(W, y)` on windows if recurrent, `predict`, `fit_meta()` (what the
+recurrent; its `__post_init__` checks ranges), `fit(X, y, params, seed)` if
+tabular or `cls(input_size, params, seed).fit(W, y)` on windows if recurrent, `predict`, `fit_meta()` (what the
 fit adds to the report's meta), and `state()` with `from_state(params, state,
 seed)` for its artifact (`serialize`). Methods are looked up at call time.
 
@@ -42,14 +42,13 @@ scaler stay in float64."""
 
 from __future__ import annotations
 
-import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
 
 import numpy as np
 
 from ..errors import ParameterError
 from ..features import FeatureMatrix, MinMaxScaler, SplitPlan
-from ..util import HOUR_US, MINUTE_US, MODEL_KINDS, utc_strings
+from ..util import HOUR_US, MINUTE_US, MODEL_KINDS, from_json, utc_strings
 from .boosting import GradientBoosting
 from .forest import RandomForest
 from .linear import LinearModel
@@ -62,11 +61,13 @@ WINDOW_DTYPE = np.float32  # the precision a recurrent model trains in
 
 ORIGINS = 7  # the most rolling daily origins `evaluate` scores
 
+_NO_PARAMS = make_dataclass("NoParams", [], frozen=True)  # read for a kind whose `Params` is None
+
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A kind and its hyperparameters, parsed once into `params`. An unknown key, or a
-    value of a type its field does not annotate, raises ParameterError naming both."""
+    """A kind and its hyperparameters, read once into `params` as the kind's
+    `Params` by `util.from_json`, whose errors name `models.<kind>.<key>`."""
     kind: str
     hyperparams: dict = field(default_factory=dict)
     seed: int = 0
@@ -75,17 +76,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODELS:
             raise ParameterError(f"unknown model kind {self.kind!r}, expected one of {MODEL_KINDS}")
-        if not isinstance(self.hyperparams, dict):
-            raise ParameterError(f"{self.kind}: hyperparameters must be a JSON object, got {self.hyperparams!r}")
         cls = MODELS[self.kind].Params
-        fields = typing.get_type_hints(cls) if cls else {}
-        for key, value in self.hyperparams.items():
-            want = fields.get(key)
-            if want is None:
-                raise ParameterError(f"{self.kind}: unknown hyperparameter {key!r}, expected one of {sorted(fields)}")
-            if type(value) not in ((int, float) if want is float else typing.get_args(want) or (want,)):
-                raise ParameterError(f"{self.kind}: {key!r} must be {getattr(want, '__name__', want)}, got {value!r}")
-        object.__setattr__(self, "params", cls(**self.hyperparams) if cls else None)
+        params = from_json(cls or _NO_PARAMS, self.hyperparams, f"models.{self.kind}")
+        object.__setattr__(self, "params", params if cls else None)
 
     @property
     def lookback(self) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from .tree import FEATURES_THIRD, Bins, RegressionTree, check_minimums, fit_inputs, resolve_max_features
+from .tree import FEATURES_ALL, FEATURES_THIRD, Bins, RegressionTree, check_minimums, fit_inputs, resolve_max_features
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,9 @@ class ForestParams:
 
     def __post_init__(self):
         check_minimums(self, n_trees=1, max_depth=0, min_samples_leaf=1)
+        m = self.max_features
+        if not (m in (FEATURES_ALL, FEATURES_THIRD) or type(m) is int and m >= 1):
+            raise ParameterError(f"max_features must be 'all', 'third' or an integer >= 1, got {m!r}")
 
     def validate(self, p: int) -> None:
         """ParameterError unless `max_features` suits `p` columns."""

@@ -58,7 +58,7 @@ class LstmParams:
 
     def __post_init__(self):
         check_minimums(self, hidden_size=1, lookback=1, epochs=0, batch_size=1)
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN too
             raise ParameterError(f"learning_rate must be positive, got {self.learning_rate}")
 
 

@@ -24,7 +24,7 @@ and m > 2, 3m more that blank an interior point's coordinates, speed and
 accuracy (in that order) where they fall below missing_fraction. Stream
 (seed, 2i) holds only day i's noise factor.
 
-`synth_config_from_dict` builds the `SynthConfig` of a JSON config section.
+The CLI reads its `synth` config section as a `SynthConfig` by `util.from_json`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import numbers
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ParameterError
 from .ingest import EARTH_RADIUS_M, POINT_HEADER, half_angles
 from .spatial import M_PER_DEG_LAT, _m_per_deg_lon
-from .util import local_datetimes, utc_strings, write_csv, write_json
+from .util import EVENT_KINDS, local_datetimes, utc_strings, write_csv, write_json
 
 HEAT_THRESHOLD_C = 27.0
 COLD_PENALTY_PER_DEG = 0.01
@@ -118,7 +118,7 @@ class SynthConfig:
     temp_curve: TempCurve = TempCurve()
     rain_events: tuple[RainEvent, ...] = ()
     holiday_suppressions: tuple[tuple[date, float], ...] = ()
-    null_events: tuple[tuple[date, str, str], ...] = ()  # kind in {strike, protest, event}
+    null_events: tuple[tuple[date, str, str], ...] = ()  # (day, kind of EVENT_KINDS, label)
     trip_length: TripLengthDist = TripLengthDist()
     speed: SpeedDist = SpeedDist()
     missing_fraction: float = 0.0
@@ -129,20 +129,31 @@ class SynthConfig:
     emit_unmasked: bool = False
 
     def __post_init__(self) -> None:
-        """Reject, before any draw, a value that no draw can use."""
-        checks = [(name, getattr(self, name), "a finite number >= 0", lambda v: v >= 0)
+        """Reject, before any draw, a value that no draw can use or the parsers refuse."""
+        non_negative = "a finite number >= 0", lambda v: v >= 0
+        share = "a number in [0, 1]", lambda v: 0 <= v <= 1
+        checks = [(name, getattr(self, name), *non_negative)
                   for name in ("base_trips_per_day", "weekday_multiplier", "day_noise_sigma", "hub_jitter_m")]
-        checks += [("missing_fraction", self.missing_fraction, "a number in [0, 1]", lambda v: 0 <= v <= 1)]
+        checks += [("missing_fraction", self.missing_fraction, *share),
+                   ("point_interval_s", self.point_interval_s, "a positive integer",
+                    lambda v: v > 0 and isinstance(v, numbers.Integral))]
         checks += [(f"hubs[{h.name!r}].weight", h.weight, "a finite number > 0", lambda v: v > 0)
                    for h in self.hubs]
+        checks += [(f"hourly_shape[{i}]", v, *non_negative) for i, v in enumerate(self.hourly_shape)]
+        checks += [(f"holiday_suppressions[{i}][1]", s, *share) for i, (_, s) in enumerate(self.holiday_suppressions)]
+        for i, e in enumerate(self.rain_events):
+            checks += [(f"rain_events[{i}].mm_per_hour", e.mm_per_hour, *non_negative),
+                       (f"rain_events[{i}].suppression", e.suppression, *share)]
         for name, value, want, ok in checks:
             if not (_is_finite_number(value) and ok(value)):
                 raise ParameterError(f"synth.{name} must be {want}, got {value!r}")
+        if len(self.hourly_shape) != 24 or not sum(self.hourly_shape) > 0:
+            raise ParameterError(f"synth.hourly_shape must be 24 numbers of positive sum, got {self.hourly_shape!r}")
+        for i, (_, kind, _) in enumerate(self.null_events):
+            if kind not in EVENT_KINDS:
+                raise ParameterError(f"synth.null_events[{i}][1] must be one of {EVENT_KINDS}, got {kind!r}")
         if not self.end_date > self.start_date:
             raise ParameterError(f"synth.end_date must be after start_date {self.start_date}, got {self.end_date}")
-        n = self.point_interval_s
-        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n > 0):
-            raise ParameterError(f"synth.point_interval_s must be a positive integer, got {n!r}")
 
     def days(self) -> list[date]:
         n = (self.end_date - self.start_date).days
@@ -151,74 +162,6 @@ class SynthConfig:
 
 def _is_finite_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _int(v) -> int:
-    if type(v) is not int:
-        raise TypeError(f"{v!r} is not an integer")
-    return v
-
-
-def _numbers(n: int):
-    """The converter of a JSON list of `n` finite numbers to a tuple."""
-    def convert(values) -> tuple:
-        if len(values) != n or not all(map(_is_finite_number, values)):
-            raise TypeError(f"expected a list of {n} finite numbers")
-        return tuple(values)
-    return convert
-
-
-def _record(cls):
-    """The converter of a JSON object to `cls(**obj)`, whose float fields
-    must hold finite numbers."""
-    def convert(obj) -> cls:
-        rec = cls(**obj)
-        for f in fields(cls):
-            if f.type == "float" and not _is_finite_number(getattr(rec, f.name)):
-                raise TypeError(f"{f.name} must be a finite number, got {getattr(rec, f.name)!r}")
-        return rec
-    return convert
-
-
-def _rain_event(e: dict) -> RainEvent:
-    return RainEvent(date.fromisoformat(e["day"]), int(e["start_hour"]), int(e["duration_h"]),
-                     float(e["mm_per_hour"]), float(e["suppression"]))
-
-
-# how a synth config value becomes a SynthConfig field; other keys pass as given
-_SYNTH_VALUES = {
-    "seed": _int,
-    "utc_offset_min": _int,
-    "start_date": date.fromisoformat,
-    "end_date": date.fromisoformat,
-    "bbox": _numbers(4),
-    "hourly_shape": _numbers(24),
-    "hubs": lambda hubs: tuple(map(_record(Hub), hubs)),
-    "temp_curve": _record(TempCurve),
-    "trip_length": _record(TripLengthDist),
-    "speed": _record(SpeedDist),
-    "rain_events": lambda events: tuple(_rain_event(e) for e in events),
-    "holiday_suppressions": lambda pairs: tuple((date.fromisoformat(d), float(s)) for d, s in pairs),
-    "null_events": lambda events: tuple((date.fromisoformat(d), kind, label) for d, kind, label in events),
-}
-
-
-def synth_config_from_dict(d: dict, seed: int, utc_offset_min: int) -> SynthConfig:
-    """The SynthConfig of a `synth` config section; `seed` and
-    `utc_offset_min` apply where the section sets neither. A value of the
-    wrong shape raises ParameterError naming its key."""
-    unknown = sorted(set(d) - {f.name for f in fields(SynthConfig)})
-    if unknown:
-        raise ParameterError(f"unknown synth keys {unknown}")
-    kwargs = {}
-    for key, value in {"seed": seed, "utc_offset_min": utc_offset_min, **d}.items():
-        try:
-            kwargs[key] = _SYNTH_VALUES.get(key, lambda v: v)(value)
-        except KeyError as e:
-            raise ParameterError(f"synth.{key} lacks the key {e}, got {value!r}") from None
-        except (TypeError, ValueError) as e:
-            raise ParameterError(f"synth.{key} is malformed ({e}), got {value!r}") from None
-    return SynthConfig(**kwargs)
 
 
 def _day_rng(seed: int, key: int) -> np.random.Generator:
@@ -398,11 +341,7 @@ def generate(cfg: SynthConfig, outdir) -> dict:
         "daily_expected": daily_expected,
         "hub_flow_shares": flows,
         "holiday_suppressions": {str(d): s for d, s in cfg.holiday_suppressions},
-        "rain_events": [
-            {"day": str(ev.day), "start_hour": ev.start_hour, "duration_h": ev.duration_h,
-             "mm_per_hour": ev.mm_per_hour, "suppression": ev.suppression}
-            for ev in cfg.rain_events
-        ],
+        "rain_events": list(cfg.rain_events),  # each written as the object of its fields
         "expected_weekday_share": (weekday_total / total_expected) if total_expected else None,
         "totals": {"expected_trips": total_expected, "actual_trips": actual_trips,
                    "points": n_points},

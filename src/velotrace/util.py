@@ -1,6 +1,6 @@
-"""Small shared helpers: timestamps, weekday names, the model kind names,
-slot widths and split ratios, Pearson correlation, hashing, CSV input and
-output and JSON input/output.
+"""Small shared helpers: timestamps, weekday names, the model and event kind
+names, slot widths and split ratios, Pearson correlation, hashing, CSV input
+and output, JSON input/output and the config reader.
 
 Every input CSV with a fixed header (points, weather, pollution, calendar,
 hubs) is read by `csv_records`: it checks the header and each row's field
@@ -15,6 +15,9 @@ Every JSON file the program emits is written by `write_json`, and `main`'s
 summary line is encoded the same way: sorted keys, with `json_default`
 rendering a report dataclass as the object of its fields, so a report's
 field names are its JSON keys and no converter restates them.
+Every config value is read by `json_value` as its annotated type, a
+dataclass by `from_json`: errors name the value's path, such as
+`synth.rain_events[0].start_hour`; ranges are checked in `__post_init__`.
 
 An instant is int64 microseconds since the epoch everywhere, alone or as a
 column: `parse_utc` reads one, `utc_strings` renders a column of them, and
@@ -29,9 +32,10 @@ import json
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -47,6 +51,9 @@ WEEKDAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturd
 
 # the forecasting model kinds, in report order; `models.evaluate.MODELS` gives each its class
 MODEL_KINDS = ("linear", "forest", "boost", "lstm")
+
+# the calendar kinds of an event that is not a holiday
+EVENT_KINDS = ("strike", "protest", "event")
 
 # the slot widths in minutes that features are built at
 SLOT_WIDTHS = (30, 60)
@@ -145,6 +152,72 @@ def write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(obj, f, sort_keys=True, indent=2, default=json_default)
         f.write("\n")
+
+
+# each plain type a config value is read as: the JSON types it may have, and how errors name
+# one such value and a list of them; a bool is never an int, and an int is also a float
+JSON_TYPES = {bool: ((bool,), "true or false", "true or false values"), int: ((int,), "an integer", "integers"),
+              float: ((int, float), "a number", "numbers"), str: ((str,), "a string", "strings"),
+              dict: ((dict,), "an object", "objects"), date: ((str,), "a date YYYY-MM-DD", "dates YYYY-MM-DD"),
+              type(None): ((type(None),), "null", "nulls")}
+
+
+def json_value(name: str, value, want):
+    """The JSON value at path `name` read as the type hint `want`: a plain
+    type of `JSON_TYPES` as given (a float finite, a date from ISO text), a
+    list as a `tuple[X, ...]` or `tuple[X, Y]` item by item, an object as a
+    dataclass, a union as its first member that takes it. Else ParameterError
+    `<path> must be <phrase>, got <value>` names the item `name[i]` of a list,
+    unless the list is of one plain type."""
+    args = get_args(want)
+    if is_dataclass(want):
+        return from_json(want, value, name)
+    if get_origin(want) is tuple:
+        open_ = args[1:] == (...,)  # `tuple[X, ...]`, of any length
+        if type(value) is list and (open_ or len(value) == len(args)):
+            try:
+                return tuple(json_value(f"{name}[{i}]", v, args[0] if open_ else args[i]) for i, v in enumerate(value))
+            except ParameterError:
+                if not (open_ and args[0] in JSON_TYPES):
+                    raise
+    elif args:
+        for member in args:
+            try:
+                return json_value(name, value, member)
+            except ParameterError:
+                pass
+    elif type(value) in JSON_TYPES[want][0] and (type(value) is not float or math.isfinite(value)):
+        try:
+            return date.fromisoformat(value) if want is date else value
+        except ValueError:
+            pass
+    raise ParameterError(f"{name} must be {_phrase(want)}, got {value!r}")
+
+
+def _phrase(want) -> str:
+    args = get_args(want)
+    if is_dataclass(want):
+        return "an object"
+    if get_origin(want) is tuple:
+        if args[1:] != (...,):
+            return f"a list of {len(args)} items"
+        return f"a list of {JSON_TYPES[args[0]][2]}" if args[0] in JSON_TYPES else "a list"
+    return " or ".join(map(_phrase, args)) if args else JSON_TYPES[want][1]
+
+
+def from_json(cls, obj, name: str):
+    """The dataclass `cls` of the JSON object at path `name`: each key names a
+    field, each field without a default is given, and each value is read as
+    its field's type hint by `json_value`."""
+    json_value(name, obj, dict)
+    hints = get_type_hints(cls)
+    unknown = sorted(set(obj) - {f.name for f in fields(cls) if f.init})
+    if unknown:
+        raise ParameterError(f"unknown {name} keys {unknown}")
+    for f in fields(cls):
+        if f.init and f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
+            raise ParameterError(f"{name} lacks the key {f.name!r}")
+    return cls(**{key: json_value(f"{name}.{key}", value, hints[key]) for key, value in obj.items()})
 
 
 def pearson(x, y) -> float:

@@ -344,19 +344,23 @@ def config_with(tmp_path, **sections) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("kind, hyperparams", [
-    ("forest", {"n_tree": 5}),
-    ("forest", {"max_depth": "deep"}),
-    ("boost", {"n_rounds": 2.5}),
-    ("lstm", {"lookback": "x"}),
-], ids=lambda v: v if isinstance(v, str) else next(iter(v)))
-def test_bad_hyperparameter_exits_1_before_fitting(city, tmp_path, capsys, monkeypatch, kind, hyperparams):
+@pytest.mark.parametrize("kind, hyperparams, message", [
+    ("forest", {"n_tree": 5}, "unknown models.forest keys ['n_tree']"),
+    ("forest", {"max_depth": "deep"}, "models.forest.max_depth must be an integer or null, got 'deep'"),
+    ("boost", {"n_rounds": 2.5}, "models.boost.n_rounds must be an integer, got 2.5"),
+    ("lstm", {"lookback": "x"}, "models.lstm.lookback must be an integer, got 'x'"),
+    # no fit can use these: JSON's NaN and 1e999 (read as infinity), a share of the columns not named
+    ("lstm", {"learning_rate": float("nan")}, "models.lstm.learning_rate must be a number, got nan"),
+    ("lstm", {"learning_rate": float("1e999")}, "models.lstm.learning_rate must be a number, got inf"),
+    ("forest", {"max_features": "half"}, "max_features must be 'all', 'third' or an integer >= 1, got 'half'"),
+], ids=["forest-n_tree", "forest-max_depth", "boost-n_rounds", "lstm-lookback", "lstm-learning_rate-nan",
+        "lstm-learning_rate-1e999", "forest-max_features-half"])
+def test_bad_hyperparameter_exits_1_before_fitting(city, tmp_path, capsys, monkeypatch, kind, hyperparams, message):
     run(city, tmp_path, ["features", "--width", "60"])
     monkeypatch.setattr(cli, "evaluate", lambda *a, **k: pytest.fail("a model was fitted"))
     config = config_with(tmp_path, models={kind: hyperparams})
     err = error_of(capsys, cli_args(city, tmp_path, ["train", "--model", kind], config=config))
-    assert (err["exit_code"], err["type"]) == (1, "ParameterError")
-    assert err["message"].startswith(f"{kind}: ") and repr(next(iter(hyperparams))) in err["message"]
+    assert (err["exit_code"], err["type"], err["message"]) == (1, "ParameterError", message)
 
 
 def test_unknown_synth_key_exits_1(tmp_path, capsys):
@@ -367,16 +371,42 @@ def test_unknown_synth_key_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out" / "points.csv").exists()
 
 
-@pytest.mark.parametrize("key, value", [
-    ("point_interval_s", 0), ("point_interval_s", -5), ("point_interval_s", "10"), ("point_interval_s", 2.5),
-    ("missing_fraction", "0.02"), ("missing_fraction", 1.5), ("missing_fraction", -0.1),
-    ("base_trips_per_day", -5), ("weekday_multiplier", -1.0), ("hub_jitter_m", "60"), ("day_noise_sigma", -0.1),
-])
-def test_synth_value_no_draw_can_use_exits_1(tmp_path, capsys, key, value):
-    config = config_with(tmp_path, synth={**CONFIG["synth"], key: value})
+# (key, value, what the key must be) of a synth value that no draw can use
+SYNTH_VALUES_NO_DRAW_CAN_USE = [
+    ("point_interval_s", 0, "a positive integer"), ("point_interval_s", -5, "a positive integer"),
+    ("point_interval_s", "10", "an integer"), ("point_interval_s", 2.5, "an integer"),
+    ("missing_fraction", "0.02", "a number"), ("missing_fraction", 1.5, "a number in [0, 1]"),
+    ("missing_fraction", -0.1, "a number in [0, 1]"), ("base_trips_per_day", -5, "a finite number >= 0"),
+    ("weekday_multiplier", -1.0, "a finite number >= 0"), ("hub_jitter_m", "60", "a number"),
+    ("day_noise_sigma", -0.1, "a finite number >= 0"),
+]
+RAIN = {"day": "2017-05-26", "start_hour": 8, "duration_h": 2, "mm_per_hour": 3.0, "suppression": 0.5}
+# a value inside a synth list that no draw can use, or that writes a file the parsers refuse
+SYNTH_ITEMS_NO_DRAW_CAN_USE = {
+    "holiday-suppression": ({"holiday_suppressions": [["2017-05-30", 1.5]]},
+                            "synth.holiday_suppressions[0][1] must be a number in [0, 1], got 1.5"),
+    "rain-suppression": ({"rain_events": [{**RAIN, "suppression": -0.5}]},
+                         "synth.rain_events[0].suppression must be a number in [0, 1], got -0.5"),
+    "rain-mm_per_hour": ({"rain_events": [RAIN, {**RAIN, "mm_per_hour": -3.0}]},
+                         "synth.rain_events[1].mm_per_hour must be a finite number >= 0, got -3.0"),
+    "hourly_shape-negative": ({"hourly_shape": [1.0] * 23 + [-1.0]},
+                              "synth.hourly_shape[23] must be a finite number >= 0, got -1.0"),
+    "hourly_shape-zero-sum": ({"hourly_shape": [0.0] * 24},
+                              f"synth.hourly_shape must be 24 numbers of positive sum, got {(0.0,) * 24!r}"),
+    "null-kind": ({"null_events": [["2017-05-30", "riot", "r"]]},
+                  "synth.null_events[0][1] must be one of ('strike', 'protest', 'event'), got 'riot'"),
+}
+
+
+@pytest.mark.parametrize("synth, message", [({key: value}, f"synth.{key} must be {want}, got {value!r}")
+                                            for key, value, want in SYNTH_VALUES_NO_DRAW_CAN_USE]
+                         + list(SYNTH_ITEMS_NO_DRAW_CAN_USE.values()),
+                         ids=[f"{key}-{value}" for key, value, _ in SYNTH_VALUES_NO_DRAW_CAN_USE]
+                         + list(SYNTH_ITEMS_NO_DRAW_CAN_USE))
+def test_synth_value_no_draw_can_use_exits_1(tmp_path, capsys, synth, message):
+    config = config_with(tmp_path, synth={**CONFIG["synth"], **synth})
     err = error_of(capsys, ["synth", "--config", config, "--out", str(tmp_path / "out")])
-    assert (err["exit_code"], err["type"]) == (1, "ParameterError")
-    assert err["message"].startswith(f"synth.{key} must be") and err["message"].endswith(repr(value))
+    assert (err["exit_code"], err["type"], err["message"]) == (1, "ParameterError", message)
     assert not (tmp_path / "out" / "points.csv").exists()
 
 
@@ -560,7 +590,8 @@ def test_cli_process_failure_prints_only_the_error_json(tmp_path):
                           timeout=120)
     assert (proc.returncode, proc.stderr) == (1, "")
     err = json.loads(proc.stdout.strip().splitlines()[-1])["error"]
-    assert (err["exit_code"], err["type"]) == (1, "ParameterError") and "'n_rounds'" in err["message"]
+    assert (err["exit_code"], err["type"], err["message"]) == (
+        1, "ParameterError", "models.boost.n_rounds must be an integer, got 2.5")
 
 
 def in_child(code: str, *argv: str):
@@ -675,34 +706,49 @@ def test_the_parser_pins_each_subcommand_s_options():
         assert options == {**COMMON_OPTIONS, **own}, name
 
 
-@pytest.mark.parametrize("config, key", [
-    ({"seed": "x"}, "seed"),
-    ({"synth": {"seed": "x"}}, "synth.seed"),
-    ({"synth": {"temp_curve": {"mean": 3}}}, "synth.temp_curve"),
-    ({"synth": {"temp_curve": {"mean_c": "x"}}}, "synth.temp_curve"),
-    ({"synth": {"start_date": "2017-13-01"}}, "synth.start_date"),
-    ({"synth": {"bbox": ["44.45", "11.28", "44.54", "11.40"]}}, "synth.bbox"),
-    ({"synth": {"hourly_shape": [1.0, 2.0, 3.0]}}, "synth.hourly_shape"),
-    ({"synth": {"hubs": [{"name": "piazza", "lat": 44.49, "lon": 11.34}]}}, "synth.hubs"),
-    ({"synth": {"hubs": [{"name": "piazza", "lat": "44.49", "lon": 11.34, "weight": 1.0}]}}, "synth.hubs"),
+@pytest.mark.parametrize("config, message", [
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ({"synth": {"seed": "x"}}, "synth.seed must be an integer, got 'x'"),
+    ({"synth": {"temp_curve": {"mean": 3}}}, "unknown synth.temp_curve keys ['mean']"),
+    ({"synth": {"temp_curve": {"mean_c": "x"}}}, "synth.temp_curve.mean_c must be a number, got 'x'"),
+    ({"synth": {"start_date": "2017-13-01"}}, "synth.start_date must be a date YYYY-MM-DD, got '2017-13-01'"),
+    ({"synth": {"bbox": ["44.45", "11.28", "44.54", "11.40"]}}, "synth.bbox[0] must be a number, got '44.45'"),
+    ({"synth": {"hourly_shape": [1.0, 2.0, 3.0]}},
+     "synth.hourly_shape must be 24 numbers of positive sum, got (1.0, 2.0, 3.0)"),
+    ({"synth": {"hubs": [{"name": "piazza", "lat": 44.49, "lon": 11.34}]}}, "synth.hubs[0] lacks the key 'weight'"),
+    ({"synth": {"hubs": [{"name": "piazza", "lat": "44.49", "lon": 11.34, "weight": 1.0}]}},
+     "synth.hubs[0].lat must be a number, got '44.49'"),
     ({"synth": {"rain_events": [{"day": "2017-05-26", "duration_h": 2, "mm_per_hour": 3.0, "suppression": 0.5}]}},
-     "synth.rain_events"),
-    ({"synth": {"holiday_suppressions": [["2017-05-25"]]}}, "synth.holiday_suppressions"),
-    ({"synth": {"holiday_suppressions": [["2017-05-25", "half"]]}}, "synth.holiday_suppressions"),
-    ({"synth": {"null_events": [["2017-05-17", "strike"]]}}, "synth.null_events"),
-    ({"synth": {"null_events": [["2017-02-30", "strike", "s"]]}}, "synth.null_events"),
-    ({"synth": {"start_date": "2017-05-03", "end_date": "2017-05-02"}}, "synth.end_date"),
-    ({"synth": {"start_date": "2017-05-03", "end_date": "2017-05-03"}}, "synth.end_date"),
+     "synth.rain_events[0] lacks the key 'start_hour'"),
+    ({"synth": {"holiday_suppressions": [["2017-05-25"]]}},
+     "synth.holiday_suppressions[0] must be a list of 2 items, got ['2017-05-25']"),
+    ({"synth": {"holiday_suppressions": [["2017-05-25", "half"]]}},
+     "synth.holiday_suppressions[0][1] must be a number, got 'half'"),
+    ({"synth": {"null_events": [["2017-05-17", "strike"]]}},
+     "synth.null_events[0] must be a list of 3 items, got ['2017-05-17', 'strike']"),
+    ({"synth": {"null_events": [["2017-02-30", "strike", "s"]]}},
+     "synth.null_events[0][0] must be a date YYYY-MM-DD, got '2017-02-30'"),
+    ({"synth": {"start_date": "2017-05-03", "end_date": "2017-05-02"}},
+     "synth.end_date must be after start_date 2017-05-03, got 2017-05-02"),
+    ({"synth": {"start_date": "2017-05-03", "end_date": "2017-05-03"}},
+     "synth.end_date must be after start_date 2017-05-03, got 2017-05-03"),
+    # a value is read as its field's type, never coerced: a quoted number, a fractional hour, a text flag
+    ({"synth": {"holiday_suppressions": [["2017-05-25", "0.6"]]}},
+     "synth.holiday_suppressions[0][1] must be a number, got '0.6'"),
+    ({"synth": {"rain_events": [{"day": "2017-05-26", "start_hour": 2.7, "duration_h": 2, "mm_per_hour": 3.0,
+                                 "suppression": 0.5}]}},
+     "synth.rain_events[0].start_hour must be an integer, got 2.7"),
+    ({"synth": {"emit_unmasked": "no"}}, "synth.emit_unmasked must be true or false, got 'no'"),
 ], ids=["seed", "synth-seed", "temp_curve", "temp_curve-value", "start_date", "bbox", "hourly_shape",
         "hub-weight", "hub-lat", "rain-start_hour", "holiday-short", "holiday-value", "null-short", "null-date",
-        "end-before-start", "empty-span"])
-def test_malformed_synth_config_exits_1(tmp_path, capsys, config, key):
+        "end-before-start", "empty-span", "holiday-quoted-number", "rain-fractional-start_hour",
+        "emit_unmasked-text"])
+def test_malformed_synth_config_exits_1(tmp_path, capsys, config, message):
     sections = {**CONFIG, **config, "synth": {**CONFIG["synth"], **config.get("synth", {})}}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(sections), encoding="utf-8")
     err = error_of(capsys, ["synth", "--config", str(path), "--out", str(tmp_path / "out")])
-    assert (err["exit_code"], err["type"]) == (1, "ParameterError")
-    assert err["message"].startswith(f"{key} ")
+    assert (err["exit_code"], err["type"], err["message"]) == (1, "ParameterError", message)
     assert not (tmp_path / "out" / "points.csv").exists()
 
 
@@ -727,18 +773,18 @@ WRONG_TYPES = [
     ("paths", "points", 5, "a string"),
     (None, "bbox", [1, 2], "a list of four numbers"),
     (None, "bbox", [44.45, 11.28, 44.54, True], "a list of four numbers"),
-    # JSON's Infinity, NaN and 1e999 are read as floats, but no number of the config may be infinite
+    # JSON's Infinity, NaN and 1e999 are read as floats, but every number of the config is finite
     (None, "bbox", [44.45, 11.28, float("inf"), 11.40], "a list of four numbers"),
     (None, "bbox", [44.45, float("nan"), 44.54, 11.40], "a list of four numbers"),
     ("describe", "bin_distance_m", float("inf"), "a number"),
     ("spatial", "dest_cell_size_m", float("-inf"), "a number"),
+    ("describe", "bin_speed_mps", float("nan"), "a number"),
     (None, "synth", 5, "an object"),
     # a value of the right type is also in range, whether or not the command reads it
     (None, "utc_offset_min", 100000, "between -720 and 840"),
     (None, "utc_offset_min", -721, "between -720 and 840"),
     ("describe", "bin_distance_m", 0, "positive"),
     ("describe", "bin_duration_s", -60.0, "positive"),
-    ("describe", "bin_speed_mps", float("nan"), "positive"),
     ("spatial", "cell_size_m", 0.0, "positive"),
     ("spatial", "dest_cell_size_m", -1, "positive"),
     ("spatial", "top_k", 0, "at least 1"),

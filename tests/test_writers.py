@@ -1,11 +1,23 @@
-"""One writer per output format. In `src/velotrace`, `json.dump` and
-`json.dumps` are called only in `util.py` (`write_json`) and in `cli.main`
-(the summary and error lines), and `csv.writer` only in `util.py`
-(`write_csv`); neither module's names are imported one by one or under
-another name, which would hide a call from this check."""
+"""One writer per output format and one config reader. In `src/velotrace`,
+`json.dump` and `json.dumps` are called only in `util.py` (`write_json`) and
+in `cli.main` (the summary and error lines), and `csv.writer` only in
+`util.py` (`write_csv`); neither module's names are imported one by one or
+under another name, which would hide a call from this check. Type hints are
+read, and a table of JSON types is defined, only in `util.py` (`json_value`),
+and what `json_default` writes of a config `from_json` reads back equal."""
 
 import ast
+import json
+from dataclasses import asdict
+from datetime import date
 from pathlib import Path
+
+import pytest
+
+from velotrace.cli import DEMO_SYNTH
+from velotrace.models.evaluate import MODELS, ModelSpec
+from velotrace.synth import Hub, RainEvent, SynthConfig
+from velotrace.util import from_json, json_default
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "velotrace"
 
@@ -51,3 +63,37 @@ def test_json_and_csv_are_imported_only_as_modules():
                 found += [f"{name}: import {a.name} as {a.asname}" for a in node.names
                           if a.name in ("json", "csv") and a.asname]
     assert found == []
+
+
+def test_type_hints_are_read_only_in_util():
+    found = {name for name, tree in _modules() for node in ast.walk(tree)
+             if "get_type_hints" in (getattr(node, "id", None), getattr(node, "attr", None))}
+    assert found == {"util"}
+
+
+def test_a_table_of_json_types_is_defined_only_in_util():
+    plain = {"bool", "int", "float", "str"}
+    found = {name for name, tree in _modules() for node in ast.walk(tree)
+             if isinstance(node, ast.Dict) and len(plain & {getattr(k, "id", None) for k in node.keys}) >= 2}
+    assert found == {"util"}
+
+
+def _round_trip(obj):
+    """The JSON value of `obj` as `write_json` renders it."""
+    return json.loads(json.dumps(obj, default=json_default))
+
+
+@pytest.mark.parametrize("section", [{}, DEMO_SYNTH], ids=["defaults", "demo"])
+def test_synth_config_reads_back_as_written(section):
+    cfg = from_json(SynthConfig, {"seed": 3, "start_date": "2017-05-01", "end_date": "2017-05-08",
+                                  "utc_offset_min": 120, **section}, "synth")
+    assert isinstance(cfg.start_date, date) and all(isinstance(h, Hub) for h in cfg.hubs)
+    assert all(isinstance(e, RainEvent) for e in cfg.rain_events) and len(cfg.rain_events) == (2 if section else 0)
+    assert from_json(SynthConfig, _round_trip(cfg), "synth") == cfg
+
+
+@pytest.mark.parametrize("kind", [kind for kind, cls in MODELS.items() if cls.Params])
+def test_model_params_read_back_as_written(kind):
+    """As an artifact's `hyperparams` are written and loaded."""
+    params = MODELS[kind].Params()
+    assert ModelSpec(kind, _round_trip(asdict(params))).params == params
