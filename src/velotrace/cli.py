@@ -16,8 +16,8 @@ fixed inputs and seed.
 (accuracy and speed are checked, not kept); describe, spatial, covariates and
 features reuse it when it was built from the same `points.csv` (by sha256),
 else they parse and assemble the points as ingest does. `features` writes
-`features.csv` and its sidecar `features.json` (the slot width, the build
-options and the feature row of the slot after the last row); `train` and
+`features.csv` and its sidecar `features.json` (the slot width, the UTC
+offset and the feature row of the slot after the last row); `train` and
 `predict` read both, and `predict` scores that next slot with `predict_rows`,
 the function that scores the test rows. Every instant is int64 microseconds
 since the epoch, rendered in every output with `utc_strings`.
@@ -110,10 +110,10 @@ DEFAULTS = {
     "utc_offset_min": 120,
     "bbox": [44.45, 11.28, 44.54, 11.40],
     "paths": dict.fromkeys(PATH_KEYS, ""),  # an empty path is not configured
-    # bin widths that resolve the expected peaks (~1600 m, ~720 s, ~3.9 m/s)
+    # bin widths that resolve the demo city's modes (1,200 m, 300 s, 3.8 m/s)
     "describe": {"bin_distance_m": 200.0, "bin_duration_s": 60.0, "bin_speed_mps": 0.2},
     "spatial": {"cell_size_m": 50.0, "dest_cell_size_m": 200.0, "top_k": 10, "per_month": False},
-    "features": {"width": 60, "split": "90/10", "hour_as_numeric": False, "hour_history_sum": False},
+    "features": {"width": 60, "split": "90/10"},
     "train": {"split": "90/10", "models": ["all"], "with_cv": True},
     "models": {},
     "synth": {},
@@ -176,9 +176,10 @@ _POSITIVE = (("describe", "bin_distance_m"), ("describe", "bin_duration_s"), ("d
 def _check_config(cfg: dict) -> None:
     """The config holds only the keys of `DEFAULTS`, `bbox` four finite
     numbers, and each other top-level value the type of its default. A section
-    holds only the keys its commands read (`models` a model kind or `seed`),
-    each of the type of its default; `synth` and each model's hyperparameters
-    are read where they are used, by `from_json`. Each value is also in range:
+    holds only the keys its commands read (`models` a model kind), each of
+    the type of its default; `synth` and each model's hyperparameters are read
+    where they are used, by `from_json`, and `synth` may not set the run's
+    `seed` or `utc_offset_min`. Each value is also in range:
     `utc_offset_min` a UTC offset in use (-720 to 840), the `_POSITIVE` values positive,
     `spatial.top_k` at least 1, `features.width` one of `SLOT_WIDTHS`, and a
     split one of `SPLIT_RATIOS`."""
@@ -193,7 +194,7 @@ def _check_config(cfg: dict) -> None:
     if type(bbox) is not list or len(bbox) != 4 or not all(type(v) in (int, float) and math.isfinite(v) for v in bbox):
         raise ParameterError(f"bbox must be a list of four numbers, got {bbox!r}")
     known = {name: set(DEFAULTS[name]) for name in ("paths", "describe", "spatial", "features", "train")}
-    known["models"] = {*MODEL_KINDS, "seed"}
+    known["models"] = set(MODEL_KINDS)
     for name, keys in known.items():
         section = cfg[name]
         if not isinstance(section, dict):
@@ -204,6 +205,9 @@ def _check_config(cfg: dict) -> None:
         if name != "models":
             for key, value in section.items():
                 _check_type(f"{name}.{key}", value, DEFAULTS[name][key])
+    unknown = sorted({"seed", "utc_offset_min"} & set(cfg["synth"]))  # the city's are the run's own
+    if unknown:
+        raise ParameterError(f"unknown synth keys {unknown}")
     for name, key in _POSITIVE:
         if not cfg[name][key] > 0:  # NaN too
             raise ParameterError(f"{name}.{key} must be positive, got {cfg[name][key]!r}")
@@ -389,14 +393,13 @@ def cmd_features(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:
     weather = _cli.parse_weather(_input(cfg, "weather"))
     calendar = _cli.parse_calendar(_input(cfg, "calendar"))
     slots, out_of_span = _cli.aggregate_slots(trips, width, _cli.aligned_span(trips, width))
-    options = {"utc_offset_min": cfg["utc_offset_min"], "hour_as_numeric": fc["hour_as_numeric"],
-               "hour_history_sum": fc["hour_history_sum"]}
-    matrix, dropped = _cli.build_features(slots, weather, calendar, **options)
+    offset = cfg["utc_offset_min"]
+    matrix, dropped = _cli.build_features(slots, weather, calendar, offset)
     plan = _cli.chronological_split(matrix, split)
     features_path, plan_path, corr_path = out / "features.csv", out / "splitplan.json", out / "feature_correlations.json"
-    _cli.write_features_csv(matrix, features_path, **options)
+    _cli.write_features_csv(matrix, features_path, utc_offset_min=offset)
     write_json(plan_path, plan)
-    write_json(corr_path, [{"column": c, "r": r} for c, r in _cli.feature_target_correlation(matrix)])
+    write_json(corr_path, _cli.feature_target_correlation(matrix))
     return [features_path, _cli.sidecar_path(features_path), plan_path, corr_path], {
         "rows": matrix.n_rows, "columns": len(matrix.column_names), "width": width, "split": split,
         "dropped_rows": len(dropped), "out_of_span_trips": out_of_span}
@@ -406,10 +409,7 @@ def _model_specs(cfg: dict, requested: list[str]) -> list[ModelSpec]:
     if not requested:
         raise ParameterError("train.models lists no model kind")
     kinds = list(MODEL_KINDS) if "all" in requested else requested
-    mc = cfg["models"]
-    key = "models.seed" if "seed" in mc else "seed"
-    seed = json_value(key, mc.get("seed", cfg["seed"]), int)
-    return [_cli.ModelSpec(k, mc.get(k, {}), seed=seed) for k in kinds]
+    return [_cli.ModelSpec(k, cfg["models"].get(k, {}), seed=cfg["seed"]) for k in kinds]
 
 
 def cmd_train(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:

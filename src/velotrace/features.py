@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # annotations only: `train` and `predict` load neither layer
 SEASONS = ("spring", "summer", "autumn", "winter")
 
 # the columns the scaler touches, where the matrix has them
-NUMERIC_COLUMNS = ("temperature", "precipitation", "hour_history", "week_history", "hour_of_the_day")
+NUMERIC_COLUMNS = ("temperature", "precipitation", "hour_history", "week_history")
 
 
 @dataclass
@@ -60,12 +60,9 @@ def aggregate_slots(trips: TripTable, width_minutes: int, span: tuple[int, int])
     n_slots, rest = divmod(end - start, width_us)
     if rest:
         raise ParameterError("span length must be a whole number of slots")
-    width_s = width_minutes * 60
-    start_s = start / 1e6
-    ts = trips.start_us / 1e6  # seconds, as the slot bounds are compared
-    inside = (start_s <= ts) & (ts < end / 1e6)
-    slot = ((ts[inside] - start_s) // width_s).astype(np.int64)
-    counts = np.bincount(slot, minlength=n_slots)
+    ts = trips.start_us
+    inside = (start <= ts) & (ts < end)
+    counts = np.bincount((ts[inside] - start) // width_us, minlength=n_slots)
     return SlotSeries(width_minutes, start, counts), int(len(ts) - inside.sum())
 
 
@@ -97,13 +94,10 @@ class FeatureMatrix:
 
 
 def build_features(slots: SlotSeries, weather: WeatherTable,
-                   calendar: list[CalendarEntry], utc_offset_min: int,
-                   hour_as_numeric: bool = False,
-                   hour_history_sum: bool = False) -> tuple[FeatureMatrix, np.ndarray]:
+                   calendar: list[CalendarEntry], utc_offset_min: int) -> tuple[FeatureMatrix, np.ndarray]:
     """Assemble the regression matrix from a slot series plus covariates.
 
-    Lags: hour_history is the count of the slot starting 60 minutes earlier
-    (or, behind `hour_history_sum`, the summed two preceding 30-minute slots);
+    Lags: hour_history is the count of the slot starting 60 minutes earlier,
     week_history the count exactly 7 days back. The first 7 days of slots are
     dropped for lacking history. Weather is taken from the hour containing the
     slot start; a gap there drops the row (the second return value holds the
@@ -135,11 +129,7 @@ def build_features(slots: SlotSeries, weather: WeatherTable,
     month = local.astype("datetime64[M]").astype(np.int64)
     months = np.unique(month[:len(kept)])
 
-    names: list[str] = ["temperature", "precipitation"]
-    if hour_as_numeric:
-        names.append("hour_of_the_day")
-    else:
-        names.extend(f"hour_of_the_day={h}" for h in range(24))
+    names = ["temperature", "precipitation"] + [f"hour_of_the_day={h}" for h in range(24)]
     names.extend(f"month={m}" for m in months.astype("datetime64[M]"))
     names.extend(f"season={s}" for s in SEASONS)
     names.extend(f"day_of_week={d}" for d in WEEKDAY_NAMES)
@@ -153,12 +143,8 @@ def build_features(slots: SlotSeries, weather: WeatherTable,
     record = by_hour[np.searchsorted(weather.hour_us[by_hour], slot_hour[i], side="right") - 1]
     X[:, 0] = weather.temp_c[record]
     X[:, 1] = weather.precip_mm[record]
-    if hour_as_numeric:
-        X[:, 2] = hour
-        at_month = 3
-    else:
-        X[rows, 2 + hour] = 1.0
-        at_month = 2 + 24
+    X[rows, 2 + hour] = 1.0
+    at_month = 2 + 24
     has_month = np.isin(month, months)
     X[rows[has_month], at_month + np.searchsorted(months, month[has_month])] = 1.0
     at_season = at_month + len(months)
@@ -166,10 +152,7 @@ def build_features(slots: SlotSeries, weather: WeatherTable,
     X[rows, at_season + len(SEASONS) + (day + 3) % 7] = 1.0
     holidays = np.array([e.date for e in calendar if e.kind == "holiday"], dtype="datetime64[D]").astype(np.int64)
     X[:, -3] = np.isin(day, holidays)
-    if hour_history_sum and width == 30:
-        X[:, -2] = counts[i - 1] + counts[i - 2]
-    else:
-        X[:, -2] = counts[i - per_hour]
+    X[:, -2] = counts[i - per_hour]
     X[:, -1] = counts[i - lag_week]
 
     matrix = FeatureMatrix(X[:len(kept)], counts[kept].astype(np.float64), names, starts[kept], width,
@@ -177,19 +160,26 @@ def build_features(slots: SlotSeries, weather: WeatherTable,
     return matrix, dropped
 
 
-def feature_target_correlation(matrix: FeatureMatrix) -> list[tuple[str, float | None]]:
-    """Per-column Pearson r against the target, sorted by |r| descending.
+@dataclass(slots=True)
+class FeatureCorrelation:
+    column: str
+    r: float | None  # None = undefined (zero variance)
+
+
+def feature_target_correlation(matrix: FeatureMatrix) -> list[FeatureCorrelation]:
+    """Per-column Pearson r against the target, sorted by |r| descending: the
+    `feature_correlations.json` report.
 
     Zero-variance columns come last with r = None.
     """
-    defined: list[tuple[str, float]] = []
-    undefined: list[tuple[str, None]] = []
+    defined: list[FeatureCorrelation] = []
+    undefined: list[FeatureCorrelation] = []
     for j, name in enumerate(matrix.column_names):
         try:
-            defined.append((name, pearson(matrix.X[:, j], matrix.y)))
+            defined.append(FeatureCorrelation(name, pearson(matrix.X[:, j], matrix.y)))
         except UndefinedCorrelationError:
-            undefined.append((name, None))
-    defined.sort(key=lambda t: -abs(t[1]))
+            undefined.append(FeatureCorrelation(name, None))
+    defined.sort(key=lambda c: -abs(c.r))
     return defined + undefined
 
 
@@ -270,18 +260,15 @@ def sidecar_path(features_path) -> Path:
     return Path(features_path).with_suffix(".json")
 
 
-def write_features_csv(matrix: FeatureMatrix, path, *, utc_offset_min: int,
-                       hour_as_numeric: bool, hour_history_sum: bool) -> None:
-    """Write the matrix to `path` and its sidecar: the width, the options of
-    `build_features` and the next-slot row."""
+def write_features_csv(matrix: FeatureMatrix, path, *, utc_offset_min: int) -> None:
+    """Write the matrix to `path` and its sidecar: the width, the UTC offset
+    of `build_features` and the next-slot row."""
     rows = zip(matrix.X, matrix.y.tolist(), utc_strings(matrix.slot_us))
     # a row at a time, as Python floats, which `csv` writes as their repr
     write_csv(path, matrix.column_names + ["target", "slot_start"], (x.tolist() + [y, t] for x, y, t in rows))
     write_json(sidecar_path(path), {
         "width_minutes": matrix.width_minutes,
         "utc_offset_min": utc_offset_min,
-        "hour_as_numeric": hour_as_numeric,
-        "hour_history_sum": hour_history_sum,
         "next_slot_start": utc_strings([matrix.slot_us[-1] + matrix.width_minutes * MINUTE_US])[0],
         "next_row": matrix.next_row.tolist(),
     })

@@ -24,7 +24,8 @@ and m > 2, 3m more that blank an interior point's coordinates, speed and
 accuracy (in that order) where they fall below missing_fraction. Stream
 (seed, 2i) holds only day i's noise factor.
 
-The CLI reads its `synth` config section as a `SynthConfig` by `util.from_json`.
+The CLI reads its `synth` config section as a `SynthConfig` by `util.from_json`,
+with the run's own `seed` and `utc_offset_min`, which the section may not set.
 """
 
 from __future__ import annotations
@@ -131,18 +132,24 @@ class SynthConfig:
     def __post_init__(self) -> None:
         """Reject, before any draw, a value that no draw can use or the parsers refuse."""
         non_negative = "a finite number >= 0", lambda v: v >= 0
+        positive = "a finite number > 0", lambda v: v > 0
         share = "a number in [0, 1]", lambda v: 0 <= v <= 1
         checks = [(name, getattr(self, name), *non_negative)
                   for name in ("base_trips_per_day", "weekday_multiplier", "day_noise_sigma", "hub_jitter_m")]
         checks += [("missing_fraction", self.missing_fraction, *share),
                    ("point_interval_s", self.point_interval_s, "a positive integer",
                     lambda v: v > 0 and isinstance(v, numbers.Integral))]
-        checks += [(f"hubs[{h.name!r}].weight", h.weight, "a finite number > 0", lambda v: v > 0)
-                   for h in self.hubs]
+        checks += [("trip_length.mode_m", self.trip_length.mode_m, *positive),
+                   ("trip_length.sigma", self.trip_length.sigma, *non_negative),
+                   ("speed.mode_mps", self.speed.mode_mps, *positive),
+                   ("speed.sigma", self.speed.sigma, *non_negative)]
+        checks += [(f"hubs[{h.name!r}].weight", h.weight, *positive) for h in self.hubs]
         checks += [(f"hourly_shape[{i}]", v, *non_negative) for i, v in enumerate(self.hourly_shape)]
         checks += [(f"holiday_suppressions[{i}][1]", s, *share) for i, (_, s) in enumerate(self.holiday_suppressions)]
         for i, e in enumerate(self.rain_events):
-            checks += [(f"rain_events[{i}].mm_per_hour", e.mm_per_hour, *non_negative),
+            checks += [(f"rain_events[{i}].duration_h", e.duration_h, "an integer >= 1",
+                        lambda v: v >= 1 and isinstance(v, numbers.Integral)),
+                       (f"rain_events[{i}].mm_per_hour", e.mm_per_hour, *non_negative),
                        (f"rain_events[{i}].suppression", e.suppression, *share)]
         for name, value, want, ok in checks:
             if not (_is_finite_number(value) and ok(value)):

@@ -333,8 +333,8 @@ def test_rerun_of_the_chain_writes_an_identical_manifest(city, tmp_path):
     assert {"model_linear.json", "model_boost.json", "prediction.json"} <= set(outputs)
     assert outputs["features.json"] == sha256_file(tmp_path / "a" / "features.json")
     meta = json.loads((tmp_path / "a" / "features.json").read_text())
-    assert {k: meta[k] for k in ("width_minutes", "utc_offset_min", "hour_as_numeric", "hour_history_sum")} == {
-        "width_minutes": 60, "utc_offset_min": 120, "hour_as_numeric": False, "hour_history_sum": False}
+    assert sorted(meta) == ["next_row", "next_slot_start", "utc_offset_min", "width_minutes"]
+    assert (meta["width_minutes"], meta["utc_offset_min"]) == (60, 120)
 
 
 def config_with(tmp_path, **sections) -> str:
@@ -395,6 +395,14 @@ SYNTH_ITEMS_NO_DRAW_CAN_USE = {
                               f"synth.hourly_shape must be 24 numbers of positive sum, got {(0.0,) * 24!r}"),
     "null-kind": ({"null_events": [["2017-05-30", "riot", "r"]]},
                   "synth.null_events[0][1] must be one of ('strike', 'protest', 'event'), got 'riot'"),
+    "rain-duration_h": ({"rain_events": [{**RAIN, "duration_h": 0}]},
+                        "synth.rain_events[0].duration_h must be an integer >= 1, got 0"),
+    "speed-sigma": ({"speed": {"sigma": -0.1}}, "synth.speed.sigma must be a finite number >= 0, got -0.1"),
+    "speed-mode": ({"speed": {"mode_mps": 0}}, "synth.speed.mode_mps must be a finite number > 0, got 0"),
+    "trip_length-sigma": ({"trip_length": {"sigma": -0.35}},
+                          "synth.trip_length.sigma must be a finite number >= 0, got -0.35"),
+    "trip_length-mode": ({"trip_length": {"mode_m": 0.0}},
+                         "synth.trip_length.mode_m must be a finite number > 0, got 0.0"),
 }
 
 
@@ -410,14 +418,6 @@ def test_synth_value_no_draw_can_use_exits_1(tmp_path, capsys, synth, message):
     assert not (tmp_path / "out" / "points.csv").exists()
 
 
-@pytest.mark.parametrize("seed", ["x", True, 1.5])
-def test_non_integer_model_seed_exits_1(city, tmp_path, capsys, seed):
-    config = config_with(tmp_path, models={"seed": seed})
-    err = error_of(capsys, cli_args(city, tmp_path, ["train", "--model", "linear"], config=config))
-    assert (err["exit_code"], err["type"]) == (1, "ParameterError")
-    assert err["message"] == f"models.seed must be an integer, got {seed!r}"
-
-
 @pytest.mark.parametrize("section, keys", [
     ("describe", {"bin_distance": 100}),
     ("spatial", {"cell_size": 25.0, "topk": 3}),
@@ -426,6 +426,8 @@ def test_non_integer_model_seed_exits_1(city, tmp_path, capsys, seed):
     ("models", {"forst": {"n_trees": 5}}),
     ("paths", {"poinst": "points.csv"}),
     (None, {"sed": 3}),
+    ("models", {"seed": 7}),  # the models' seed is the run's
+    ("synth", {"seed": 3, "utc_offset_min": 60}),  # and so are the city's seed and offset
 ])
 def test_unknown_config_key_exits_1(city, tmp_path, capsys, section, keys):
     config = config_with(tmp_path, **({section: {**CONFIG.get(section, {}), **keys}} if section else keys))
@@ -708,7 +710,7 @@ def test_the_parser_pins_each_subcommand_s_options():
 
 @pytest.mark.parametrize("config, message", [
     ({"seed": "x"}, "seed must be an integer, got 'x'"),
-    ({"synth": {"seed": "x"}}, "synth.seed must be an integer, got 'x'"),
+    ({"synth": {"seed": 3}}, "unknown synth keys ['seed']"),
     ({"synth": {"temp_curve": {"mean": 3}}}, "unknown synth.temp_curve keys ['mean']"),
     ({"synth": {"temp_curve": {"mean_c": "x"}}}, "synth.temp_curve.mean_c must be a number, got 'x'"),
     ({"synth": {"start_date": "2017-13-01"}}, "synth.start_date must be a date YYYY-MM-DD, got '2017-13-01'"),
@@ -971,7 +973,7 @@ PINNED_OUTPUTS = {
         "holidays.json": "f967523d1ed3decd33ad426bceab7b4a74a295efce1b35814a2935ee56e8758a",
         "events.json": "5ca14fbbe6e4cefeddd734be5fe6560364e27b9ce0bad5a8a6224a182274bd26",
         "features.csv": "0b8eb3e70c8bb7a9dd8c40755635f0ceecb71fb661063b64ac1996406e2c1708",
-        "features.json": "dbb5da745081f4559039cb4cf51652148f2f1720174858439ed8dc134a9469c3",
+        "features.json": "33d44a0a0bcd7ff4ff3a23dc4ad383d11be351aa11c04907af8ccfee0cc4dfcf",
         "splitplan.json": "c80ca5cdd455d95f054556333a4a47c25fe8681bd449b7cdc6553942ccb6d8a3",
     },
     -330: {
@@ -991,7 +993,7 @@ PINNED_OUTPUTS = {
         "holidays.json": "f967523d1ed3decd33ad426bceab7b4a74a295efce1b35814a2935ee56e8758a",
         "events.json": "5ca14fbbe6e4cefeddd734be5fe6560364e27b9ce0bad5a8a6224a182274bd26",
         "features.csv": "ab5e6998cd9eb848faa4d6c5d5ab8abc921c283a7685e1577af4ed5803cd6c70",
-        "features.json": "ed6e80e772bb1c68abb73f5feadefbe7f41c71572e4ee460b6caea6c9ddbed87",
+        "features.json": "d4d09d19b3964d694c575d2d1f3435a7128304cf21647777bc95279ba46a8d08",
         "splitplan.json": "c80ca5cdd455d95f054556333a4a47c25fe8681bd449b7cdc6553942ccb6d8a3",
     },
 }

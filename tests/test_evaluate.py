@@ -225,17 +225,17 @@ def parity_series(width):
     return counts, slots, weather
 
 
-@pytest.mark.parametrize("width, hour_history_sum", [(60, False), (30, True)])
+@pytest.mark.parametrize("width", [60, 30])
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind)
-def test_predict_is_predict_rows_on_the_next_slot(width, hour_history_sum, spec):
+def test_predict_is_predict_rows_on_the_next_slot(width, spec):
     """Serving a features file cut after k rows predicts what scoring row k
     of the uncut file predicts."""
     counts, slots, weather = parity_series(width)
-    full, _ = build_features(slots, weather, [], 120, hour_history_sum=hour_history_sum)
+    full, _ = build_features(slots, weather, [], 120)
     tm = train_model(full, range(40), spec)
     for k in (45, 52, full.n_rows - 1):
         cut, _ = build_features(SlotSeries(width, slots.start_us, counts[:len(counts) - full.n_rows + k]),
-                                weather, [], 120, hour_history_sum=hour_history_sum)
+                                weather, [], 120)
         assert cut.n_rows == k and cut.column_names == full.column_names
         served = cli._next_slot_prediction(tm, cut)
         assert served["slot_start"] == utc_text(from_us(full.slot_us[k]))

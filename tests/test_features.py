@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from velotrace.covariates import CalendarEntry
 from velotrace.errors import MissingInputError, ParameterError, SchemaError
 from velotrace.features import (
+    FeatureCorrelation,
     FeatureMatrix,
     MinMaxScaler,
     SlotSeries,
@@ -64,6 +65,13 @@ class TestAggregateSlots:
         s30, _ = aggregate_slots(trips, 30, span)
         paired = s30.counts.reshape(-1, 2).sum(axis=1)
         assert np.array_equal(s60.counts, paired)
+
+    def test_a_slot_starts_at_its_first_microsecond(self):
+        bound = us(START + timedelta(minutes=30))
+        trips = make_trips([START] * 4)
+        trips.start_us[:] = [bound - 1, bound, bound + 30 * MINUTE - 1, bound + 30 * MINUTE]
+        series, oos = aggregate_slots(trips, 30, (us(START), bound + 30 * MINUTE))
+        assert (series.counts.tolist(), oos) == ([1, 2], 1)
 
     def test_out_of_span_tallied(self):
         trips = make_trips([START - timedelta(minutes=31), START + timedelta(minutes=5)])
@@ -166,18 +174,6 @@ class TestBuildFeatures:
         assert dropped.tolist() == [gap, gap + 30 * MINUTE]
         assert matrix.n_rows == n - 7 * 48 - 2
 
-    def test_numeric_hour_variant(self):
-        matrix, _ = build([1] * (7 * 48 + 4), hour_as_numeric=True)
-        assert "hour_of_the_day" in matrix.column_names
-        assert not any(c.startswith("hour_of_the_day=") for c in matrix.column_names)
-
-    def test_hour_history_sum_variant(self):
-        n = 7 * 48 + 3
-        counts = list(range(n))
-        matrix, _ = build(counts, hour_history_sum=True)
-        lag_week = 7 * 48
-        assert matrix.column("hour_history")[0] == counts[lag_week - 1] + counts[lag_week - 2]
-
     def test_season_columns(self):
         matrix, _ = build([1] * (7 * 48 + 4))
         assert matrix.column("season=spring").sum() == matrix.n_rows
@@ -189,11 +185,9 @@ class TestBuildFeatures:
         assert all(a < b for a, b in zip(matrix.slot_us, matrix.slot_us[1:]))
 
     @given(start_h=st.integers(0, 24 * 400), width=st.sampled_from([30, 60]), offset=st.integers(-720, 840),
-           extra=st.integers(1, 60), gap=st.integers(0, 70), cover_next=st.booleans(),
-           hour_as_numeric=st.booleans(), hour_history_sum=st.booleans())
+           extra=st.integers(1, 60), gap=st.integers(0, 70), cover_next=st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_rows_match_a_per_slot_datetime_loop(self, start_h, width, offset, extra, gap, cover_next,
-                                                 hour_as_numeric, hour_history_sum):
+    def test_rows_match_a_per_slot_datetime_loop(self, start_h, width, offset, extra, gap, cover_next):
         """Every stored row and the next row, rebuilt one slot at a time with datetime."""
         start = datetime(2016, 11, 1, tzinfo=UTC) + timedelta(hours=start_h)
         step = timedelta(minutes=width)
@@ -207,8 +201,7 @@ class TestBuildFeatures:
         holiday = (start + 8 * timedelta(days=1)).astimezone(local_tz).date()
         slots = make_slots(counts, width=width, start=start)
         table = weather_table([us(h) for h in weather], *zip(*weather.values()), 2.0)
-        matrix, dropped = build_features(slots, table, [CalendarEntry(holiday, "holiday", "x")], offset,
-                                         hour_as_numeric=hour_as_numeric, hour_history_sum=hour_history_sum)
+        matrix, dropped = build_features(slots, table, [CalendarEntry(holiday, "holiday", "x")], offset)
 
         def hour_of(i):
             return (start + i * step).replace(minute=0)
@@ -224,10 +217,7 @@ class TestBuildFeatures:
             local = (start + i * step).astimezone(local_tz)
             values = dict.fromkeys(matrix.column_names, 0.0)
             values["temperature"], values["precipitation"] = temp, precip
-            if hour_as_numeric:
-                values["hour_of_the_day"] = float(local.hour)
-            else:
-                values[f"hour_of_the_day={local.hour}"] = 1.0
+            values[f"hour_of_the_day={local.hour}"] = 1.0
             if f"{local:%Y-%m}" in months:
                 values[f"month={local:%Y-%m}"] = 1.0
             season = ("winter" if local.month in (12, 1, 2) else "spring" if local.month <= 5
@@ -235,8 +225,7 @@ class TestBuildFeatures:
             values[f"season={season}"] = 1.0
             values[f"day_of_week={DAY_NAMES[local.weekday()]}"] = 1.0
             values["holiday"] = float(local.date() == holiday)
-            lag = counts[i - 1] + counts[i - 2] if hour_history_sum and width == 30 else counts[i - per_hour]
-            values["hour_history"], values["week_history"] = float(lag), float(counts[i - lag_week])
+            values["hour_history"], values["week_history"] = float(counts[i - per_hour]), float(counts[i - lag_week])
             return [values[c] for c in matrix.column_names]
 
         assert matrix.X.tolist() == [row(i, *weather[hour_of(i)]) for i in kept]
@@ -268,24 +257,24 @@ def toy_matrix(n=200, p_noise=3, seed=0):
 class TestFeatureTargetCorrelation:
     def test_duplicate_target_ranks_first(self):
         ranked = feature_target_correlation(toy_matrix())
-        assert ranked[0][0] == "target_copy"
-        assert ranked[0][1] == pytest.approx(1.0)
+        assert ranked[0].column == "target_copy"
+        assert ranked[0].r == pytest.approx(1.0)
 
     def test_noise_column_near_zero(self):
-        ranked = dict(feature_target_correlation(toy_matrix(n=10_000)))
+        ranked = {c.column: c.r for c in feature_target_correlation(toy_matrix(n=10_000))}
         for k in range(3):
             assert abs(ranked[f"noise{k}"]) < 0.05
 
     def test_planted_signal_ranks_above_noise(self):
-        ranked = [c for c, _ in feature_target_correlation(toy_matrix(n=2000))]
+        ranked = [c.column for c in feature_target_correlation(toy_matrix(n=2000))]
         assert ranked.index("temperature") < min(ranked.index(f"noise{k}") for k in range(3))
 
     def test_zero_variance_reported_undefined(self):
         m = toy_matrix(n=50)
         m.X[:, m.column_names.index("noise0")] = 7.0
         ranked = feature_target_correlation(m)
-        assert ("noise0", None) in ranked
-        assert ranked[-1] == ("noise0", None)
+        assert FeatureCorrelation("noise0", None) in ranked
+        assert ranked[-1] == FeatureCorrelation("noise0", None)
 
 
 class TestChronologicalSplit:
@@ -439,7 +428,7 @@ class TestCsvReaders:
         assert self.same_columns((back.column_names, back.X, back.y, back.slot_us), _parse_rows(path))
         assert np.array_equal(back.X, m.X) and np.array_equal(back.slot_us, m.slot_us)
 
-OPTIONS = {"utc_offset_min": 120, "hour_as_numeric": False, "hour_history_sum": False}
+OPTIONS = {"utc_offset_min": 120}
 
 
 def varying_weather(slots: SlotSeries, n_slots: int, missing_hours=()):
@@ -454,29 +443,20 @@ class TestNextRow:
     a series cut after slot k is row k of the uncut build."""
 
     @pytest.mark.parametrize("width", [30, 60])
-    @pytest.mark.parametrize("hour_history_sum", [False, True])
-    @pytest.mark.parametrize("hour_as_numeric", [False, True])
-    def test_next_row_of_a_cut_series_is_the_uncut_row(self, width, hour_history_sum, hour_as_numeric):
+    def test_next_row_of_a_cut_series_is_the_uncut_row(self, width):
         lag_week = 7 * 24 * 60 // width
         counts = np.random.default_rng(width).integers(0, 40, size=lag_week + 12)
         full = make_slots(counts, width=width, start=datetime(2017, 5, 1, 18, 0, tzinfo=UTC))
         weather = varying_weather(full, len(counts))
         calendar = [CalendarEntry(date(2017, 5, 8), "holiday", "x")]
-        kw = {"hour_as_numeric": hour_as_numeric, "hour_history_sum": hour_history_sum}
-        uncut, _ = build_features(full, weather, calendar, 120, **kw)
+        uncut, _ = build_features(full, weather, calendar, 120)
         assert uncut.column("holiday").any() and not uncut.column("holiday").all()
         for k in range(lag_week + 1, len(counts)):
             cut, _ = build_features(make_slots(counts[:k], width=width, start=from_us(full.start_us)),
-                                    weather, calendar, 120, **kw)
+                                    weather, calendar, 120)
             assert cut.column_names == uncut.column_names
             assert cut.slot_us[-1] + width * MINUTE == uncut.slot_us[k - lag_week]
             assert np.array_equal(cut.next_row, uncut.X[k - lag_week]), k
-
-    def test_width_30_hour_history_sum_reads_the_two_preceding_slots(self):
-        counts = list(range(7 * 48 + 5))
-        matrix, _ = build(counts, hour_history_sum=True)
-        assert matrix.next_row[matrix.column_names.index("hour_history")] == counts[-1] + counts[-2]
-        assert matrix.next_row[matrix.column_names.index("week_history")] == counts[-7 * 48]
 
     def test_uncovered_next_hour_carries_the_last_weather_forward(self):
         counts = np.arange(7 * 24 + 12)
