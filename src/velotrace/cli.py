@@ -33,8 +33,11 @@ type of its default, or of its field in `synth.SynthConfig` or a model's
 names, a value of another type or not finite, an empty `train.models`, or a
 value out of range, from the file or a flag: a slot width other than 30 or 60,
 an unknown split, a bin width or cell size that is not positive, a `top_k`
-under 1, a `utc_offset_min` outside -720 to 840, a `synth` value that no draw
-can use, a hyperparameter that no fit can use.
+under 1, a `utc_offset_min` outside -720 to 840, a `bbox` that is not
+`[min_lat, min_lon, max_lat, max_lon]` on the globe with each minimum below
+its maximum, a `synth` value that no draw can use, a hyperparameter that no
+fit can use. The city that `synth` draws has the run's `seed`,
+`utc_offset_min` and `bbox`, so its section may set none of them.
 
 On a 2-core host, `OPENBLAS_NUM_THREADS=1` halved the CPU time of `train
 --model lstm` at the same wall time, with identical metrics.
@@ -179,8 +182,10 @@ def _check_config(cfg: dict) -> None:
     holds only the keys its commands read (`models` a model kind), each of
     the type of its default; `synth` and each model's hyperparameters are read
     where they are used, by `from_json`, and `synth` may not set the run's
-    `seed` or `utc_offset_min`. Each value is also in range:
-    `utc_offset_min` a UTC offset in use (-720 to 840), the `_POSITIVE` values positive,
+    `seed`, `utc_offset_min` or `bbox`. Each value is also in range:
+    `utc_offset_min` a UTC offset in use (-720 to 840), `bbox`
+    `[min_lat, min_lon, max_lat, max_lon]` with -90 <= min_lat < max_lat <= 90
+    and -180 <= min_lon < max_lon <= 180, the `_POSITIVE` values positive,
     `spatial.top_k` at least 1, `features.width` one of `SLOT_WIDTHS`, and a
     split one of `SPLIT_RATIOS`."""
     unknown = sorted(set(cfg) - set(DEFAULTS))
@@ -193,6 +198,9 @@ def _check_config(cfg: dict) -> None:
     bbox = cfg["bbox"]
     if type(bbox) is not list or len(bbox) != 4 or not all(type(v) in (int, float) and math.isfinite(v) for v in bbox):
         raise ParameterError(f"bbox must be a list of four numbers, got {bbox!r}")
+    if not (-90 <= bbox[0] < bbox[2] <= 90 and -180 <= bbox[1] < bbox[3] <= 180):
+        raise ParameterError("bbox must be [min_lat, min_lon, max_lat, max_lon] with -90 <= min_lat < max_lat"
+                             f" <= 90 and -180 <= min_lon < max_lon <= 180, got {bbox!r}")
     known = {name: set(DEFAULTS[name]) for name in ("paths", "describe", "spatial", "features", "train")}
     known["models"] = set(MODEL_KINDS)
     for name, keys in known.items():
@@ -205,7 +213,7 @@ def _check_config(cfg: dict) -> None:
         if name != "models":
             for key, value in section.items():
                 _check_type(f"{name}.{key}", value, DEFAULTS[name][key])
-    unknown = sorted({"seed", "utc_offset_min"} & set(cfg["synth"]))  # the city's are the run's own
+    unknown = sorted({"seed", "utc_offset_min", "bbox"} & set(cfg["synth"]))  # the city's are the run's own
     if unknown:
         raise ParameterError(f"unknown synth keys {unknown}")
     for name, key in _POSITIVE:
@@ -268,7 +276,7 @@ def _load_trips(cfg: dict, out: Path, *columns: str):
 # ---------------------------------------------------------------- subcommands
 
 def cmd_synth(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:
-    section = {"seed": cfg["seed"], "utc_offset_min": cfg["utc_offset_min"], **_merge(DEMO_SYNTH, cfg["synth"])}
+    section = {**{key: cfg[key] for key in ("seed", "utc_offset_min", "bbox")}, **_merge(DEMO_SYNTH, cfg["synth"])}
     sc = from_json(_cli.SynthConfig, section, "synth")
     result = _cli.generate(sc, out)
     hub_path = out / "hubs.csv"

@@ -4,7 +4,12 @@ rule (baseline = mean of same-weekday counts one week before and after).
 
 Weather and pollution are columns, one row per hour in file order: a
 `WeatherTable` and a `PollutionTable`, whose `hour_us` is the UTC hour in
-int64 microseconds since the epoch."""
+int64 microseconds since the epoch. Both files are read by one hourly reader,
+`_hourly`; an error names the line and the column.
+
+Every correlation report comes from `_correlations`: the Pearson r of the
+counts against each column over its non-NaN rows, None where r is undefined
+(a series of zero variance), and no report for a column of fewer than 3 rows."""
 
 from __future__ import annotations
 
@@ -15,13 +20,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .errors import (
-    ParameterError,
-    ParseError,
-    RangeError,
-    SchemaError,
-    UndefinedCorrelationError,
-)
+from .errors import ParameterError, ParseError, RangeError, SchemaError
 from .ingest import TripTable
 from .util import EVENT_KINDS, HOUR_US, WEEKDAY_NAMES, csv_records, local_datetimes, parse_utc, pearson, utc_strings
 
@@ -61,50 +60,26 @@ class CalendarEntry:
     label: str
 
 
-def _hour(text: str, line: int) -> int:
-    """The UTC hour that holds a timestamp field."""
-    try:
-        us = parse_utc(text)
-    except ValueError:
-        raise ParseError(line, f"bad timestamp: {text!r}") from None
-    return us - us % HOUR_US
-
-
-def parse_weather(source) -> WeatherTable:
+def _hourly(source, header: list[str], what: str, floors: tuple[float, ...], blank_is_nan: bool):
+    """The hour and value columns of an hourly CSV file: for each row, the UTC
+    hour that holds its timestamp, a duplicate hour refused before any value
+    is read, then each value a finite float at or above its column's floor,
+    or NaN for an empty field where `blank_is_nan`."""
     hours, values = array("q"), array("d")
     seen: set[int] = set()
-    for line, row in csv_records(source, WEATHER_HEADER, "weather"):
-        hour = _hour(row[0], line)
+    for line, row in csv_records(source, header, what):
         try:
-            temp, precip, wind = float(row[1]), float(row[2]), float(row[3])
+            us = parse_utc(row[0])
         except ValueError:
-            raise ParseError(line, f"bad numeric field in {row!r}") from None
-        if not all(map(math.isfinite, (temp, precip, wind))):
-            raise RangeError(line, f"non-finite value in {row!r}")
-        if precip < 0:
-            raise RangeError(line, f"negative precipitation {precip}")
-        if wind < 0:
-            raise RangeError(line, f"negative wind speed {wind}")
+            raise ParseError(line, f"bad timestamp: {row[0]!r}") from None
+        hour = us - us % HOUR_US
         if hour in seen:
-            raise SchemaError(f"line {line}: duplicate weather hour {utc_strings([hour])[0]}")
+            raise SchemaError(f"line {line}: duplicate {what} hour {utc_strings([hour])[0]}")
         seen.add(hour)
         hours.append(hour)
-        values.extend((temp, precip, wind))
-    return WeatherTable(np.asarray(hours, dtype=np.int64), *np.asarray(values).reshape(-1, 3).T.copy())
-
-
-def parse_pollution(source) -> PollutionTable:
-    hours, levels = array("q"), array("d")
-    seen: set[int] = set()
-    for line, row in csv_records(source, POLLUTION_HEADER, "pollution"):
-        hour = _hour(row[0], line)
-        if hour in seen:
-            raise SchemaError(f"line {line}: duplicate pollution hour {utc_strings([hour])[0]}")
-        seen.add(hour)
-        hours.append(hour)
-        for name, text in zip(POLLUTION_HEADER[1:], row[1:]):
-            if text == "":
-                levels.append(math.nan)
+        for name, floor, text in zip(header[1:], floors, row[1:]):
+            if text == "" and blank_is_nan:
+                values.append(math.nan)
                 continue
             try:
                 v = float(text)
@@ -112,10 +87,20 @@ def parse_pollution(source) -> PollutionTable:
                 raise ParseError(line, f"bad {name}: {text!r}") from None
             if not math.isfinite(v):
                 raise RangeError(line, f"non-finite {name} {v}")
-            if v < 0:
+            if v < floor:
                 raise RangeError(line, f"negative {name} {v}")
-            levels.append(v)
-    return PollutionTable(np.asarray(hours, dtype=np.int64), *np.asarray(levels).reshape(-1, 4).T.copy())
+            values.append(v)
+    return np.asarray(hours, dtype=np.int64), np.asarray(values).reshape(-1, len(header) - 1).T.copy()
+
+
+def parse_weather(source) -> WeatherTable:
+    hours, columns = _hourly(source, WEATHER_HEADER, "weather", (-math.inf, 0.0, 0.0), blank_is_nan=False)
+    return WeatherTable(hours, *columns)
+
+
+def parse_pollution(source) -> PollutionTable:
+    hours, columns = _hourly(source, POLLUTION_HEADER, "pollution", (0.0,) * 4, blank_is_nan=True)
+    return PollutionTable(hours, *columns)
 
 
 def parse_calendar(source) -> list[CalendarEntry]:
@@ -185,27 +170,24 @@ class CorrelationReport:
     n: int
 
 
-def _safe_pearson(x, y) -> float | None:
-    try:
-        return pearson(x, y)
-    except UndefinedCorrelationError:
-        return None
+def _correlations(granularity: str, counts: np.ndarray, columns: dict[str, np.ndarray]) -> list[CorrelationReport]:
+    """The Pearson r of `counts` against each column, over the rows where the
+    column is not NaN; a column with fewer than 3 such rows is left out."""
+    out = []
+    for var, xs in columns.items():
+        present = ~np.isnan(xs)
+        n = int(present.sum())
+        if n >= 3:
+            out.append(CorrelationReport(var, granularity, pearson(xs[present], counts[present]), n))
+    return out
 
 
 def daily_correlations(rows: list[DailyRow]) -> list[CorrelationReport]:
     """Pearson of daily trip counts against temp / precip / wind over complete rows."""
     usable = [r for r in rows if r.complete]
-    out = []
-    for var, getter in (("temp_c", lambda r: r.mean_temp),
-                        ("precip_mm", lambda r: r.total_precip),
-                        ("wind_mps", lambda r: r.mean_wind)):
-        pairs = [(getter(r), r.trip_count) for r in usable if getter(r) is not None]
-        if len(pairs) < 3:
-            continue
-        xs = [p[0] for p in pairs]
-        ys = [p[1] for p in pairs]
-        out.append(CorrelationReport(var, "daily", _safe_pearson(xs, ys), len(pairs)))
-    return out
+    columns = {var: np.array([getattr(r, field) for r in usable], dtype=np.float64)  # None reads as NaN
+               for var, field in (("temp_c", "mean_temp"), ("precip_mm", "total_precip"), ("wind_mps", "mean_wind"))}
+    return _correlations("daily", np.array([r.trip_count for r in usable], dtype=np.float64), columns)
 
 
 def hourly_correlations(trips: TripTable, weather: WeatherTable) -> list[CorrelationReport]:
@@ -217,12 +199,9 @@ def hourly_correlations(trips: TripTable, weather: WeatherTable) -> list[Correla
     hour = weather.hour_us // HOUR_US
     rows = np.argsort(hour, kind="stable")
     rows = rows[(index[0] <= hour[rows]) & (hour[rows] <= index[-1])]
-    if len(rows) < 3:
-        return []
     at = np.searchsorted(index, hour[rows])
     ys = np.where(index[at] == hour[rows], n[at], 0)
-    return [CorrelationReport(var, "hourly", _safe_pearson(getattr(weather, var)[rows], ys), len(rows))
-            for var in ("temp_c", "precip_mm", "wind_mps")]
+    return _correlations("hourly", ys, {var: getattr(weather, var)[rows] for var in WEATHER_HEADER[1:]})
 
 
 def pollution_daily_correlations(rows: list[DailyRow], pollution: PollutionTable,
@@ -233,17 +212,14 @@ def pollution_daily_correlations(rows: list[DailyRow], pollution: PollutionTable
     usable = {r.date: r.trip_count for r in rows if r.complete}
     keep = np.array([d in usable for d in days.tolist()], dtype=bool)
     ys = np.array([usable.get(d, 0) for d in days.tolist()], dtype=np.float64)
-    out = []
-    for var in ("pm", "o3", "no2", "so2"):
+    columns = {}
+    for var in POLLUTION_HEADER[1:]:
         level = getattr(pollution, var)
         present = ~np.isnan(level)
         k = np.bincount(at[present], minlength=len(days))
         total = np.bincount(at[present], weights=level[present], minlength=len(days))
-        sel = keep & (k > 0)
-        if sel.sum() < 3:
-            continue
-        out.append(CorrelationReport(var, "daily", _safe_pearson(total[sel] / k[sel], ys[sel]), int(sel.sum())))
-    return out
+        columns[var] = np.divide(total, k, out=np.full(len(days), np.nan), where=keep & (k > 0))
+    return _correlations("daily", ys, columns)
 
 
 @dataclass(slots=True)

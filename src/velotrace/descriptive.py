@@ -6,6 +6,7 @@ report: its field names are the file's keys."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -30,9 +31,12 @@ class Histogram:
 def histogram(values, bin_width: float) -> Histogram:
     """Bin non-negative reals into fixed-width bins anchored at 0.
 
-    Value v lands in bin floor(v / bin_width), whose lower edge is a float
-    even for an int width. The bins list spans first to last occupied bin
-    including interior zeros; empty input gives an empty histogram.
+    Bin k's lower edge is the float nearest to k * `bin_width`, computed in
+    decimal from the width's repr (a 0.2 width gives the edge 4.6, not
+    4.6000000000000005), and a value lands in the bin of the highest edge at
+    or below it, so a value on an edge is in the bin that the edge starts. The
+    bins list spans first to last occupied bin including interior zeros;
+    empty input gives an empty histogram.
     """
     if bin_width <= 0:
         raise ParameterError("bin_width must be positive")
@@ -42,9 +46,13 @@ def histogram(values, bin_width: float) -> Histogram:
         raise DataError(f"non-finite value in histogram input: {bad[0].item()!r}")
     if not len(values):
         return Histogram(bin_width, [], 0)
-    idx = np.floor(values / bin_width).astype(np.int64)
-    lo = int(idx.min())
-    bins = [(float((lo + i) * bin_width), c) for i, c in enumerate(np.bincount(idx - lo).tolist())]
+    # v / bin_width rounds, so a value's bin is at most one away from its floor
+    guess = np.floor(values / bin_width).astype(np.int64)
+    step = Decimal(repr(float(bin_width)))
+    edges = [float(k * step) for k in range(int(guess.min()) - 1, int(guess.max()) + 2)]
+    idx = np.searchsorted(edges, values, side="right") - 1
+    first = int(idx.min())
+    bins = list(zip(edges[first:], np.bincount(idx - first).tolist()))
     return Histogram(bin_width, bins, len(values))
 
 

@@ -45,10 +45,6 @@ class InputError(DataError):
     """Model training input is unusable (non-finite values, too short, ...)."""
 
 
-class UndefinedCorrelationError(DataError):
-    """Pearson correlation is undefined (zero variance in a series)."""
-
-
 class ParameterError(VelotraceError):
     """An operation was called with invalid parameters."""
 

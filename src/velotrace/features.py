@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import MissingInputError, ParameterError, ParseError, SchemaError, UndefinedCorrelationError
+from .errors import MissingInputError, ParameterError, ParseError, SchemaError
 from .util import (HOUR_US, MINUTE_US, SLOT_WIDTHS, SPLIT_RATIOS, WEEKDAY_NAMES, local_datetimes, parse_utc, pearson,
                    read_json, utc_strings, write_csv, write_json)
 
@@ -170,17 +170,11 @@ def feature_target_correlation(matrix: FeatureMatrix) -> list[FeatureCorrelation
     """Per-column Pearson r against the target, sorted by |r| descending: the
     `feature_correlations.json` report.
 
-    Zero-variance columns come last with r = None.
+    Columns of undefined r (None: zero variance) come last; equal keys keep
+    column order.
     """
-    defined: list[FeatureCorrelation] = []
-    undefined: list[FeatureCorrelation] = []
-    for j, name in enumerate(matrix.column_names):
-        try:
-            defined.append(FeatureCorrelation(name, pearson(matrix.X[:, j], matrix.y)))
-        except UndefinedCorrelationError:
-            undefined.append(FeatureCorrelation(name, None))
-    defined.sort(key=lambda c: -abs(c.r))
-    return defined + undefined
+    rows = [FeatureCorrelation(name, pearson(matrix.X[:, j], matrix.y)) for j, name in enumerate(matrix.column_names)]
+    return sorted(rows, key=lambda c: (c.r is None, -abs(c.r or 0.0)))
 
 
 @dataclass

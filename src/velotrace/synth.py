@@ -24,15 +24,19 @@ and m > 2, 3m more that blank an interior point's coordinates, speed and
 accuracy (in that order) where they fall below missing_fraction. Stream
 (seed, 2i) holds only day i's noise factor.
 
+A city with `missing_fraction` 0 and the same seed has the same trip ids,
+instants and coordinates as a masked one, with none blanked, since these are
+drawn before the missing-value flags; only the accuracies differ.
+
 The CLI reads its `synth` config section as a `SynthConfig` by `util.from_json`,
-with the run's own `seed` and `utc_offset_min`, which the section may not set.
+with the run's own `seed`, `utc_offset_min` and `bbox`, which the section may
+not set; `bbox` is the city's box, whose mid-latitude scales the longitude jitter.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from contextlib import nullcontext
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -127,7 +131,6 @@ class SynthConfig:
     hub_jitter_m: float = 60.0
     point_interval_s: int = 10
     utc_offset_min: int = 120
-    emit_unmasked: bool = False
 
     def __post_init__(self) -> None:
         """Reject, before any draw, a value that no draw can use or the parsers refuse."""
@@ -239,7 +242,10 @@ def generate(cfg: SynthConfig, outdir) -> dict:
 
     Each day's trips and points are built as NumPy columns from the day's
     stream, in the draw order the module docstring fixes, and the day's rows
-    are written to `points.csv` (and `points_full.csv`) in one pass."""
+    are written to `points.csv` in one pass; no unmasked copy is written, as
+    the same city at `missing_fraction` 0 is that copy. The mid-latitude of
+    `cfg.bbox`, the run's box under the CLI, turns metres into degrees of
+    longitude."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -260,14 +266,10 @@ def generate(cfg: SynthConfig, outdir) -> dict:
     interval = cfg.point_interval_s
     header = ",".join(POINT_HEADER) + "\r\n"
     points_path = outdir / "points.csv"
-    full_path = outdir / "points_full.csv"
     actual_trips = 0
     n_points = 0
-    with (open(points_path, "w", encoding="utf-8", newline="") as pf,
-          open(full_path, "w", encoding="utf-8", newline="") if cfg.emit_unmasked else nullcontext() as full):
+    with open(points_path, "w", encoding="utf-8", newline="") as pf:
         pf.write(header)
-        if full:
-            full.write(header)
         for day_idx, d in enumerate(cfg.days()):
             rng = _day_rng(cfg.seed, 2 * day_idx + 1)
             day_start_s = int(_local_midnight_utc(d, cfg.utc_offset_min).timestamp())
@@ -318,8 +320,6 @@ def generate(cfg: SynthConfig, outdir) -> dict:
                                        timezone="UTC")
             cols = [aids[trip], ts, _reprs(plat), _reprs(plon), _reprs(levels)[level],
                     _reprs(dist / duration)[trip]]
-            if full:
-                full.write(_lines(cols))
             if flagged.any():  # interior points only, so boundaries stay repair-complete
                 step = np.where(flagged, m, 0)[trip]
                 inner = flagged[trip] & (q > 0) & (q < m[trip] - 1)
@@ -361,8 +361,6 @@ def generate(cfg: SynthConfig, outdir) -> dict:
         "calendar": str(outdir / "calendar.csv"),
         "truth": str(outdir / "truth.json"),
     }
-    if cfg.emit_unmasked:
-        files["points_full"] = str(full_path)
     return {"files": files, "truth": truth}
 
 

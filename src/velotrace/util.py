@@ -1,6 +1,7 @@
 """Small shared helpers: timestamps, weekday names, the model and event kind
-names, slot widths and split ratios, Pearson correlation, hashing, CSV input
-and output, JSON input/output and the config reader.
+names, slot widths and split ratios, Pearson correlation (`pearson`, None
+where r is undefined), hashing, CSV input and output, JSON input/output and
+the config reader.
 
 Every input CSV with a fixed header (points, weather, pollution, calendar,
 hubs) is read by `csv_records`: it checks the header and each row's field
@@ -39,7 +40,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, SchemaError, UndefinedCorrelationError
+from .errors import ParameterError, ParseError, SchemaError
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
@@ -220,8 +221,10 @@ def from_json(cls, obj, name: str):
     return cls(**{key: json_value(f"{name}.{key}", value, hints[key]) for key, value in obj.items()})
 
 
-def pearson(x, y) -> float:
-    """Product-moment correlation; zero variance raises, it never silently yields 0."""
+def pearson(x, y) -> float | None:
+    """Product-moment correlation; None where it is undefined, when a series
+    has zero variance (never a silent 0). Fewer than 3 samples or series of
+    unequal length raise ParameterError."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if len(x) != len(y):
@@ -233,6 +236,6 @@ def pearson(x, y) -> float:
     sxx = float(xc @ xc)
     syy = float(yc @ yc)
     if sxx == 0 or syy == 0:
-        raise UndefinedCorrelationError("zero variance in a series")
+        return None
     # separate square roots avoid under/overflow of the product
     return float(xc @ yc) / (math.sqrt(sxx) * math.sqrt(syy))

@@ -428,6 +428,7 @@ def test_synth_value_no_draw_can_use_exits_1(tmp_path, capsys, synth, message):
     (None, {"sed": 3}),
     ("models", {"seed": 7}),  # the models' seed is the run's
     ("synth", {"seed": 3, "utc_offset_min": 60}),  # and so are the city's seed and offset
+    ("synth", {"bbox": [100, 11, 120, 12]}),  # and its box
 ])
 def test_unknown_config_key_exits_1(city, tmp_path, capsys, section, keys):
     config = config_with(tmp_path, **({section: {**CONFIG.get(section, {}), **keys}} if section else keys))
@@ -708,13 +709,16 @@ def test_the_parser_pins_each_subcommand_s_options():
         assert options == {**COMMON_OPTIONS, **own}, name
 
 
+BBOX_RANGE = ("[min_lat, min_lon, max_lat, max_lon] with -90 <= min_lat < max_lat <= 90"
+              " and -180 <= min_lon < max_lon <= 180")
+
+
 @pytest.mark.parametrize("config, message", [
     ({"seed": "x"}, "seed must be an integer, got 'x'"),
     ({"synth": {"seed": 3}}, "unknown synth keys ['seed']"),
     ({"synth": {"temp_curve": {"mean": 3}}}, "unknown synth.temp_curve keys ['mean']"),
     ({"synth": {"temp_curve": {"mean_c": "x"}}}, "synth.temp_curve.mean_c must be a number, got 'x'"),
     ({"synth": {"start_date": "2017-13-01"}}, "synth.start_date must be a date YYYY-MM-DD, got '2017-13-01'"),
-    ({"synth": {"bbox": ["44.45", "11.28", "44.54", "11.40"]}}, "synth.bbox[0] must be a number, got '44.45'"),
     ({"synth": {"hourly_shape": [1.0, 2.0, 3.0]}},
      "synth.hourly_shape must be 24 numbers of positive sum, got (1.0, 2.0, 3.0)"),
     ({"synth": {"hubs": [{"name": "piazza", "lat": 44.49, "lon": 11.34}]}}, "synth.hubs[0] lacks the key 'weight'"),
@@ -734,17 +738,20 @@ def test_the_parser_pins_each_subcommand_s_options():
      "synth.end_date must be after start_date 2017-05-03, got 2017-05-02"),
     ({"synth": {"start_date": "2017-05-03", "end_date": "2017-05-03"}},
      "synth.end_date must be after start_date 2017-05-03, got 2017-05-03"),
-    # a value is read as its field's type, never coerced: a quoted number, a fractional hour, a text flag
+    # a value is read as its field's type, never coerced: a quoted number, a fractional hour
     ({"synth": {"holiday_suppressions": [["2017-05-25", "0.6"]]}},
      "synth.holiday_suppressions[0][1] must be a number, got '0.6'"),
     ({"synth": {"rain_events": [{"day": "2017-05-26", "start_hour": 2.7, "duration_h": 2, "mm_per_hour": 3.0,
                                  "suppression": 0.5}]}},
      "synth.rain_events[0].start_hour must be an integer, got 2.7"),
-    ({"synth": {"emit_unmasked": "no"}}, "synth.emit_unmasked must be true or false, got 'no'"),
-], ids=["seed", "synth-seed", "temp_curve", "temp_curve-value", "start_date", "bbox", "hourly_shape",
+    ({"synth": {"emit_unmasked": "no"}}, "unknown synth keys ['emit_unmasked']"),
+    # the city's box is the run's, which is on the globe with each minimum below its maximum
+    ({"bbox": [100, 11, 120, 12]}, f"bbox must be {BBOX_RANGE}, got [100, 11, 120, 12]"),
+    ({"bbox": [44.54, 11.28, 44.45, 11.40]}, f"bbox must be {BBOX_RANGE}, got [44.54, 11.28, 44.45, 11.4]"),
+], ids=["seed", "synth-seed", "temp_curve", "temp_curve-value", "start_date", "hourly_shape",
         "hub-weight", "hub-lat", "rain-start_hour", "holiday-short", "holiday-value", "null-short", "null-date",
         "end-before-start", "empty-span", "holiday-quoted-number", "rain-fractional-start_hour",
-        "emit_unmasked-text"])
+        "emit_unmasked-text", "bbox-off-the-globe", "bbox-reversed-lat"])
 def test_malformed_synth_config_exits_1(tmp_path, capsys, config, message):
     sections = {**CONFIG, **config, "synth": {**CONFIG["synth"], **config.get("synth", {})}}
     path = tmp_path / "config.json"
@@ -778,6 +785,14 @@ WRONG_TYPES = [
     # JSON's Infinity, NaN and 1e999 are read as floats, but every number of the config is finite
     (None, "bbox", [44.45, 11.28, float("inf"), 11.40], "a list of four numbers"),
     (None, "bbox", [44.45, float("nan"), 44.54, 11.40], "a list of four numbers"),
+    # the box is [min_lat, min_lon, max_lat, max_lon] on the globe, each minimum below its maximum
+    (None, "bbox", [44.54, 11.28, 44.45, 11.40], BBOX_RANGE),
+    (None, "bbox", [44.45, 11.40, 44.54, 11.28], BBOX_RANGE),
+    (None, "bbox", [44.45, 11.28, 44.45, 11.40], BBOX_RANGE),
+    (None, "bbox", [44.45, 11.28, 90.5, 11.40], BBOX_RANGE),
+    (None, "bbox", [-91, 11.28, 44.54, 11.40], BBOX_RANGE),
+    (None, "bbox", [44.45, -180.5, 44.54, 11.40], BBOX_RANGE),
+    (None, "bbox", [44.45, 11.28, 44.54, 181], BBOX_RANGE),
     ("describe", "bin_distance_m", float("inf"), "a number"),
     ("spatial", "dest_cell_size_m", float("-inf"), "a number"),
     ("describe", "bin_speed_mps", float("nan"), "a number"),
@@ -953,8 +968,9 @@ def test_malformed_hub_file_row_exits_3_with_its_line(city, tmp_path, capsys):
 
 # sha256 of each analysis output of `city`, by --utc-offset-min, as the
 # per-trip implementation of trip assembly wrote them; `points.npz` without
-# the accuracy and speed columns that the parse checks but does not keep, and
-# `splitplan.json` without CV folds
+# the accuracy and speed columns that the parse checks but does not keep,
+# `splitplan.json` without CV folds, and `histogram_speed.csv` with each edge
+# the float nearest to its decimal (4.6, not 4.6000000000000005)
 PINNED_OUTPUTS = {
     120: {
         "trips.csv": "fc2da3077a0d4bf46db8a6ee9ed45f36bfc6a078f150590f188a65752652341b",
@@ -962,7 +978,7 @@ PINNED_OUTPUTS = {
         "points.npz": "880e1262f25ded64dc45cd81f0c335a679b20b77d787615e1eb58667b976bc58",
         "histogram_distance.csv": "36e59fd6df6e2088416a7fbb70f62387e5679585507f94ad238ba5c77f546ca6",
         "histogram_duration.csv": "2005c587bab78d92cb7d3a2ccefb64858b5cc21ea9c36fa7ccc18354681d1e6f",
-        "histogram_speed.csv": "e3dc2c8f0a148f650442e4d839172d323b7971b81e110a145cd4ee8851a216bf",
+        "histogram_speed.csv": "a54bb34d01afc34feeb216f59bae8f4b1863ac2e34736bd8f95e3ef8760fa402",
         "profile.json": "392bd2827fcc3e0d49992b03bc1d6bbe3eac649849a334ca5d0360933f65ae59",
         "monthly.csv": "e2adaa8d547097878d5e2ab9cbd6707a70b763504098cd87b4210d48b19a8d9d",
         "density.csv": "d8e4255161c080fe49c19080c6b9609f32bad294f59831a56414b775ddcebee2",
@@ -975,6 +991,7 @@ PINNED_OUTPUTS = {
         "features.csv": "0b8eb3e70c8bb7a9dd8c40755635f0ceecb71fb661063b64ac1996406e2c1708",
         "features.json": "33d44a0a0bcd7ff4ff3a23dc4ad383d11be351aa11c04907af8ccfee0cc4dfcf",
         "splitplan.json": "c80ca5cdd455d95f054556333a4a47c25fe8681bd449b7cdc6553942ccb6d8a3",
+        "feature_correlations.json": "c23b9680b5575f9d762a2f4b6511d1f2b9bc7d26d148f0d5341724915e1df424",
     },
     -330: {
         "trips.csv": "fc2da3077a0d4bf46db8a6ee9ed45f36bfc6a078f150590f188a65752652341b",
@@ -982,7 +999,7 @@ PINNED_OUTPUTS = {
         "points.npz": "880e1262f25ded64dc45cd81f0c335a679b20b77d787615e1eb58667b976bc58",
         "histogram_distance.csv": "36e59fd6df6e2088416a7fbb70f62387e5679585507f94ad238ba5c77f546ca6",
         "histogram_duration.csv": "2005c587bab78d92cb7d3a2ccefb64858b5cc21ea9c36fa7ccc18354681d1e6f",
-        "histogram_speed.csv": "e3dc2c8f0a148f650442e4d839172d323b7971b81e110a145cd4ee8851a216bf",
+        "histogram_speed.csv": "a54bb34d01afc34feeb216f59bae8f4b1863ac2e34736bd8f95e3ef8760fa402",
         "profile.json": "97eb814b369d40163f44463ad3d877ca9acbd9f1d7df8aea8b0386178dd21c04",
         "monthly.csv": "5a0a5bc1cbf8c758c8f40290b8d6e56493bec9d39db7c2811f3a2aeb6db6622a",
         "density.csv": "d8e4255161c080fe49c19080c6b9609f32bad294f59831a56414b775ddcebee2",
@@ -995,6 +1012,7 @@ PINNED_OUTPUTS = {
         "features.csv": "ab5e6998cd9eb848faa4d6c5d5ab8abc921c283a7685e1577af4ed5803cd6c70",
         "features.json": "d4d09d19b3964d694c575d2d1f3435a7128304cf21647777bc95279ba46a8d08",
         "splitplan.json": "c80ca5cdd455d95f054556333a4a47c25fe8681bd449b7cdc6553942ccb6d8a3",
+        "feature_correlations.json": "d93be204a46fb26c251ec807dd8b43404e9ab396dd02bc05f44d372b8a3ed426",
     },
 }
 
@@ -1006,7 +1024,7 @@ def test_analysis_outputs_are_pinned(city, tmp_path, offset):
     names = ["trips.csv", "rejections.csv", "points.npz", "histogram_distance.csv", "histogram_duration.csv",
              "histogram_speed.csv", "profile.json", "monthly.csv", "density.csv", "density_2017-05.csv",
              "density_2017-06.csv", "hubs.json", "correlations.json", "holidays.json", "events.json",
-             "features.csv", "features.json", "splitplan.json"]
+             "features.csv", "features.json", "splitplan.json", "feature_correlations.json"]
     assert sorted(p.name for p in tmp_path.glob("density*.csv")) == sorted(n for n in names if n.startswith("density"))
     assert {name: sha256_file(tmp_path / name) for name in names} == PINNED_OUTPUTS[offset]
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 
@@ -19,12 +20,7 @@ from velotrace.covariates import (
     pearson,
     week_contrast,
 )
-from velotrace.errors import (
-    ParameterError,
-    RangeError,
-    SchemaError,
-    UndefinedCorrelationError,
-)
+from velotrace.errors import ParameterError, ParseError, RangeError, SchemaError
 
 from conftest import csv_stream, make_trips, us, weather_table
 
@@ -41,9 +37,13 @@ class TestPearson:
     def test_hand_computed(self):
         assert pearson([1, 2, 3, 4], [2, 1, 4, 3]) == pytest.approx(0.6)
 
-    def test_zero_variance_is_an_error_not_zero(self):
-        with pytest.raises(UndefinedCorrelationError):
-            pearson([1, 1, 1], [1, 2, 3])
+    def test_zero_variance_is_none_not_zero(self):
+        assert pearson([1, 1, 1], [1, 2, 3]) is None
+        assert pearson([1, 2, 3], [4, 4, 4]) is None
+
+    def test_length_mismatch(self):
+        with pytest.raises(ParameterError, match="length mismatch"):
+            pearson([1, 2, 3], [1, 2, 3, 4])
 
     def test_too_short(self):
         with pytest.raises(ParameterError):
@@ -303,6 +303,28 @@ class TestParsers:
         assert table.hour_us.tolist() == [us(datetime(2017, 5, 1, h, tzinfo=UTC)) for h in (1, 0)]
         assert (table.temp_c.tolist(), table.precip_mm.tolist(), table.wind_mps.tolist()) == (
             [16.0, 15.0], [0.5, 0.0], [3.0, 2.0])
+
+    @pytest.mark.parametrize("values, error, message", [
+        ("x,0.0,2.0", ParseError, "bad temp_c: 'x'"),
+        ("15.0,,2.0", ParseError, "bad precip_mm: ''"),
+        ("15.0,0.0,2 m/s", ParseError, "bad wind_mps: '2 m/s'"),
+        ("nan,0.0,2.0", RangeError, "non-finite temp_c nan"),
+        ("15.0,inf,2.0", RangeError, "non-finite precip_mm inf"),
+        ("15.0,-1.0,2.0", RangeError, "negative precip_mm -1.0"),
+        ("15.0,0.0,-0.5", RangeError, "negative wind_mps -0.5"),
+    ])
+    def test_weather_bad_value_names_its_line_and_column(self, values, error, message):
+        with pytest.raises(error, match=f"^line 3: {re.escape(message)}$") as caught:
+            parse_weather(csv_stream(WEATHER_CSV + f"2017-05-01T01:00:00Z,{values}\n"))
+        assert caught.value.line == 3
+
+    def test_weather_duplicate_hour_is_reported_before_a_bad_value(self):
+        with pytest.raises(SchemaError, match="^line 3: duplicate weather hour 2017-05-01T00:00:00Z"):
+            parse_weather(csv_stream(WEATHER_CSV + "2017-05-01T00:10:00Z,x,-1.0,2.0\n"))
+
+    def test_weather_below_zero_temperature_is_read(self):
+        table = parse_weather(csv_stream(WEATHER_CSV + "2017-05-01T01:00:00Z,-12.5,0.0,0.0\n"))
+        assert table.temp_c.tolist() == [15.0, -12.5]
 
     @pytest.mark.parametrize("values", ["nan,0.0,2.0", "15.0,inf,2.0", "15.0,0.0,-inf", "-Infinity,0.0,2.0"])
     def test_weather_non_finite_value_rejected(self, values):

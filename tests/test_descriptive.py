@@ -25,6 +25,12 @@ class TestHistogram:
         assert dict(h.bins) == {0.0: 2, 500.0: 1}
         assert h.total == 3
 
+    def test_an_edge_is_written_as_its_decimal_and_starts_its_bin(self):
+        """4.6 / 0.2 and 5.8 / 0.2 round below 23 and 29, yet each value lies on an edge."""
+        h = histogram([4.6, 5.8, 4.59], 0.2)
+        assert h.bins == [(4.4, 1), (4.6, 1), (4.8, 0), (5.0, 0), (5.2, 0), (5.4, 0), (5.6, 0), (5.8, 1)]
+        assert [repr(edge) for edge, _ in h.bins] == ["4.4", "4.6", "4.8", "5.0", "5.2", "5.4", "5.6", "5.8"]
+
     def test_empty_input(self):
         h = histogram([], 10.0)
         assert h.bins == [] and h.total == 0

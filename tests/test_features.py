@@ -276,6 +276,15 @@ class TestFeatureTargetCorrelation:
         assert FeatureCorrelation("noise0", None) in ranked
         assert ranked[-1] == FeatureCorrelation("noise0", None)
 
+    def test_zero_variance_columns_stay_last_in_column_order(self):
+        m = toy_matrix(n=50)
+        for name in ("noise2", "target_copy"):
+            m.X[:, m.column_names.index(name)] = 7.0
+        ranked = feature_target_correlation(m)
+        assert ranked[-2:] == [FeatureCorrelation("target_copy", None), FeatureCorrelation("noise2", None)]
+        defined = [abs(c.r) for c in ranked[:-2]]
+        assert defined == sorted(defined, reverse=True) and len(defined) == 3
+
 
 class TestChronologicalSplit:
     def test_eighty_twenty_arithmetic(self):

@@ -47,35 +47,26 @@ PINNED_CITIES = {
     # most trips last under 600 s, so they have two points and draw no missing flags
     "interval_600": dict(missing_fraction=0.05, point_interval_s=600),
 }
-# sha256 of (points.csv, points_full.csv): the bytes follow from the draw
-# order that the synth module docstring fixes, so they must never move
+# sha256 of points.csv: the bytes follow from the draw order that the synth
+# module docstring fixes, so they must never move
 PINNED_SHA256 = {
-    ("two_hubs_missing", 0): ("f8d0ab156440c307d92feb64d06e6e27660bcbdba51ac41900431440e397cf9e",
-        "c6842bafeef3c6142faabfcefeeb31a7b74f56a55c9baa054088b53b01565291"),  # 5797 points, 164 trips
-    ("two_hubs_missing", 1): ("50350ca49b45974e0de40abb5d61d7be4ffdf08457e40205017dd0a812763988",
-        "659818f70898d8a3df30fb5d478b4eba85bc7da263d7eaa94a1047168c7ff7da"),  # 6011 points, 169 trips
-    ("one_hub", 0): ("516d4d77e9a1bc435a8f3bf89fe85eb19105d79471cda2a7ade53cbd0a2f0d02",
-        "8dd9496a8c5eafcd1151e97b2601e9ffcd9de640d42da3a8769b538d88527f72"),  # 8182 points, 164 trips
-    ("one_hub", 1): ("c9d276d27797304c5362954fc366bd67c8057da877f430c99330bf02d9c8408a",
-        "0593ba6237fb3adbabc2305e0c60c09a6ce98f51dd698924e5482a8ea90ba751"),  # 8420 points, 169 trips
-    ("no_missing", 0): ("3a5bae616c98b95048018e5f62e28755374f7475ec1707958aee5ac784a5633f",
-        "3a5bae616c98b95048018e5f62e28755374f7475ec1707958aee5ac784a5633f"),  # 6617 points, 164 trips
-    ("no_missing", 1): ("c6500b5ffd658acf3352676b39a33220e28ab9687d3a825c3927861f2887da6c",
-        "c6500b5ffd658acf3352676b39a33220e28ab9687d3a825c3927861f2887da6c"),  # 6714 points, 169 trips
-    ("interval_600", 0): ("f33162339ea7adbc80835fb16532afbf7e4957d40af730213d966e15f3fac35c",
-        "f33162339ea7adbc80835fb16532afbf7e4957d40af730213d966e15f3fac35c"),  # 341 points, 164 trips
-    ("interval_600", 1): ("aacb9d559320fe6ffdd248d611c6ee06089b8723ee33446d7ca156719aa5c722",
-        "f3714132572ec8ed27c902ffb2a73d40686ff7c2a486859a8e7248af622db65e"),  # 354 points, 169 trips
+    ("two_hubs_missing", 0): "f8d0ab156440c307d92feb64d06e6e27660bcbdba51ac41900431440e397cf9e",  # 5797 points, 164 trips
+    ("two_hubs_missing", 1): "50350ca49b45974e0de40abb5d61d7be4ffdf08457e40205017dd0a812763988",  # 6011 points, 169 trips
+    ("one_hub", 0): "516d4d77e9a1bc435a8f3bf89fe85eb19105d79471cda2a7ade53cbd0a2f0d02",  # 8182 points, 164 trips
+    ("one_hub", 1): "c9d276d27797304c5362954fc366bd67c8057da877f430c99330bf02d9c8408a",  # 8420 points, 169 trips
+    ("no_missing", 0): "3a5bae616c98b95048018e5f62e28755374f7475ec1707958aee5ac784a5633f",  # 6617 points, 164 trips
+    ("no_missing", 1): "c6500b5ffd658acf3352676b39a33220e28ab9687d3a825c3927861f2887da6c",  # 6714 points, 169 trips
+    ("interval_600", 0): "f33162339ea7adbc80835fb16532afbf7e4957d40af730213d966e15f3fac35c",  # 341 points, 164 trips
+    ("interval_600", 1): "aacb9d559320fe6ffdd248d611c6ee06089b8723ee33446d7ca156719aa5c722",  # 354 points, 169 trips
 }
 
 
 @pytest.mark.parametrize("city, seed", sorted(PINNED_SHA256), ids=lambda v: str(v))
 def test_points_bytes_are_pinned(tmp_path, city, seed):
     cfg = SynthConfig(seed=seed, start_date=date(2017, 5, 5), end_date=date(2017, 5, 8),
-                      base_trips_per_day=40, emit_unmasked=True, **PINNED_CITIES[city])
+                      base_trips_per_day=40, **PINNED_CITIES[city])
     files = generate(cfg, tmp_path)["files"]
-    digests = tuple(hashlib.sha256(Path(files[k]).read_bytes()).hexdigest() for k in ("points", "points_full"))
-    assert digests == PINNED_SHA256[(city, seed)]
+    assert hashlib.sha256(Path(files["points"]).read_bytes()).hexdigest() == PINNED_SHA256[(city, seed)]
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), "2"])
@@ -143,17 +134,23 @@ def test_hub_flow_shares_recorded(tmp_path):
 
 
 def test_unmasked_sidecar_matches_masked_grid(tmp_path):
-    cfg = small_cfg(missing_fraction=0.08, emit_unmasked=True)
-    man = generate(cfg, tmp_path)
-    masked = parse_points(man["files"]["points"])
-    full = parse_points(man["files"]["points_full"])
+    """The city without missing values at the same seed is the masked city's
+    unmasked copy: the same points with their coordinates, which trip
+    assembly restores in every gap of the masked city."""
+    masked = parse_points(generate(small_cfg(missing_fraction=0.08), tmp_path / "masked")["files"]["points"])
+    full = parse_points(generate(small_cfg(missing_fraction=0.0), tmp_path / "full")["files"]["points"])
     assert len(masked) == len(full)
     present = ~np.isnan(masked.lat)
-    assert not present.all()
+    assert not present.all() and not np.isnan(full.lat).any()
     assert np.array_equal(masked.ids, full.ids) and np.array_equal(masked.activity, full.activity)
     assert np.array_equal(masked.t, full.t)
     assert np.array_equal(masked.lat[present], full.lat[present])
     assert np.array_equal(masked.lon[present], full.lon[present])
+    assemble_trips(masked)  # fills each interior gap in the table's columns
+    assert not np.isnan(masked.lat).any() and not np.isnan(masked.lon).any()
+    gaps = ~present
+    assert np.abs(masked.lat[gaps] - full.lat[gaps]).max() < 1e-12
+    assert np.abs(masked.lon[gaps] - full.lon[gaps]).max() < 1e-12
 
 
 def test_temperature_model_shapes():

@@ -1,10 +1,12 @@
-"""One writer per output format and one config reader. In `src/velotrace`,
-`json.dump` and `json.dumps` are called only in `util.py` (`write_json`) and
-in `cli.main` (the summary and error lines), and `csv.writer` only in
-`util.py` (`write_csv`); neither module's names are imported one by one or
-under another name, which would hide a call from this check. Type hints are
-read, and a table of JSON types is defined, only in `util.py` (`json_value`),
-and what `json_default` writes of a config `from_json` reads back equal."""
+"""One writer per output format, one CSV opener and one config reader. In
+`src/velotrace`, `json.dump` and `json.dumps` are called only in `util.py`
+(`write_json`) and in `cli.main` (the summary and error lines), `csv.writer`
+only in `util.py` (`write_csv`), and `csv.reader` only in `util.csv_records`
+and the two readers of `features.csv`, whose header names its own columns;
+neither module's names are imported one by one or under another name, which
+would hide a call from this check. Type hints are read, and a table of JSON
+types is defined, only in `util.py` (`json_value`), and what `json_default`
+writes of a config `from_json` reads back equal."""
 
 import ast
 import json
@@ -51,6 +53,11 @@ def test_json_is_encoded_only_in_util_and_cli_main():
 def test_csv_is_written_only_in_util():
     sites = _call_sites("csv", "writer", "DictWriter")
     assert sites and all(s.startswith("util.") for s in sites), sites
+
+
+def test_csv_is_read_only_in_csv_records_and_the_features_readers():
+    sites = _call_sites("csv", "reader", "DictReader")
+    assert sites == {"util.csv_records", "features._load_columns", "features._parse_rows"}, sites
 
 
 def test_json_and_csv_are_imported_only_as_modules():
