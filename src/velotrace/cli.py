@@ -39,9 +39,6 @@ its maximum, a `synth` value that no draw can use, a hyperparameter that no
 fit can use. The city that `synth` draws has the run's `seed`,
 `utc_offset_min` and `bbox`, so its section may set none of them.
 
-On a 2-core host, `OPENBLAS_NUM_THREADS=1` halved the CPU time of `train
---model lstm` at the same wall time, with identical metrics.
-
 A command loads only the layers it runs. This module imports no layer at
 start-up: each function or class it takes from one is named in
 `_LAYER_NAMES`, and this module's `__getattr__` (PEP 562) imports it on its

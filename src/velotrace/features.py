@@ -224,14 +224,18 @@ class MinMaxScaler:
         return (np.asarray(v, dtype=np.float64) - lo) / (hi - lo)
 
     def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
-        X = matrix.X.copy()
+        return FeatureMatrix(self.scale_columns(matrix.X, matrix.column_names), self.scale_target(matrix.y),
+                             list(matrix.column_names), matrix.slot_us, matrix.width_minutes)
+
+    def scale_columns(self, X: np.ndarray, column_names: list[str]) -> np.ndarray:
+        """A copy of the rows X, of these columns, with the numeric columns scaled."""
+        X = X.copy()
         for name, (lo, hi) in self._bounds.items():
-            if name == "target" or name not in matrix.column_names:
+            if name == "target" or name not in column_names:
                 continue
-            j = matrix.column_names.index(name)
+            j = column_names.index(name)
             X[:, j] = self._scale(X[:, j], lo, hi)
-        y = self.scale_target(matrix.y)
-        return FeatureMatrix(X, y, list(matrix.column_names), matrix.slot_us, matrix.width_minutes)
+        return X
 
     def scale_target(self, values):
         lo, hi = self._bounds["target"]

@@ -13,12 +13,14 @@ fit adds to the report's meta), and `state()` with `from_state(params, state,
 seed)` for its artifact (`serialize`). Methods are looked up at call time.
 
 One window rule decides which targets a model can score (`scorable`): a
-target needs the `lookback` rows before it, and with it they must be
-consecutive time slots. Tabular models have lookback 0, so they score every
-row; a recurrent window may not reach back over a slot that `build_features`
-dropped. Origins and test scoring both go through `fit_and_score`, which
-leaves out the targets the rule rejects and counts them; the counts appear
-in the report as `skipped` per origin and `test_skipped` per model.
+target's window is the `lookback` rows that end at its own row, and they must
+be consecutive time slots. Tabular models have lookback 0 and read the
+target's row alone, so they score every row; a recurrent window may not reach
+back over a slot that `build_features` dropped. The next slot's row is the
+features file's `next_row`, which both kinds read. Origins and test scoring
+both go through `fit_and_score`, which leaves out the targets the rule
+rejects and counts them; the counts appear in the report as `skipped` per
+origin and `test_skipped` per model.
 
 Rolling origins (Tashman, IJF 2000): origin i fits on the rows before the bound
 i days before the first test row's slot start and scores the rows up to the
@@ -82,7 +84,7 @@ class ModelSpec:
 
     @property
     def lookback(self) -> int:
-        """Rows of history a target needs: the recurrent window, else none."""
+        """Rows in a target's window, its own last: the recurrent window, else 0."""
         return getattr(self.params, "lookback", 0)
 
 
@@ -95,14 +97,16 @@ class TrainedModel:
 
 
 def scorable(matrix: FeatureMatrix, targets, lookback: int) -> np.ndarray:
-    """Mask of the targets whose window is usable: target j needs j >= lookback
-    and rows j-lookback..j on consecutive time slots. Row `n_rows` is the slot
-    after the last row."""
+    """Mask of the targets whose window is usable: target j needs rows
+    j-lookback+1..j, so j >= lookback-1, on consecutive time slots. Row
+    `n_rows` is the slot after the last row. A tabular model reads row j
+    alone, as a window of one row does."""
     j = np.asarray(targets, dtype=np.int64)
     slot = matrix.slot_us // (matrix.width_minutes * MINUTE_US)
     slot = np.append(slot, slot[-1] + 1)
-    lo = np.maximum(j - lookback, 0)
-    return (j >= lookback) & (slot[j] - slot[lo] == lookback)
+    span = max(lookback - 1, 0)
+    first = j - span
+    return (first >= 0) & (slot[j] - slot[np.maximum(first, 0)] == span)
 
 
 def train_model(matrix: FeatureMatrix, rows: range, spec: ModelSpec) -> TrainedModel:
@@ -125,22 +129,22 @@ def train_model(matrix: FeatureMatrix, rows: range, spec: ModelSpec) -> TrainedM
 
 def predict_rows(tm: TrainedModel, matrix: FeatureMatrix, rows) -> np.ndarray:
     """Predictions for row indices of the matrix, where index `n_rows` is the
-    next slot: tabular models read `matrix.next_row` for it, and the recurrent
-    model reads the `lookback` rows before each target (historical covariates).
+    next slot, whose row is `matrix.next_row`: a tabular model reads each
+    target's row, and the recurrent model the `lookback` rows that end at it.
     Raises ParameterError for a target that `scorable` rejects."""
     rows = np.asarray(list(rows), dtype=np.int64)
     lookback = tm.spec.lookback
     rejected = rows[~scorable(matrix, rows, lookback)]
     if rejected.size:
         raise ParameterError(f"row {int(rejected[0])} has no window of {lookback} consecutive slots "
-                             "before it: too few rows, or a gap in time")
-    if lookback:
-        scaled = tm.scaler.transform(matrix)
-        # the next slot has no count; its window is all the model reads
-        W, _ = build_windows(scaled.X.astype(tm.model.dtype), np.append(scaled.y, np.nan), lookback, rows)
-        return tm.scaler.inverse_target(tm.model.predict(W))
-    X = matrix.X if rows.max() < matrix.n_rows else np.vstack([matrix.X, matrix.next_row])
-    return tm.model.predict(X[rows])
+                             "ending at it: too few rows, or a gap in time")
+    X, y = matrix.X, matrix.y
+    if rows.max() >= matrix.n_rows:  # the next slot: its row, and no count
+        X, y = np.vstack([X, matrix.next_row]), np.append(y, np.nan)
+    if not lookback:
+        return tm.model.predict(X[rows])
+    W, _ = build_windows(tm.scaler.scale_columns(X, matrix.column_names).astype(tm.model.dtype), y, lookback, rows)
+    return tm.scaler.inverse_target(tm.model.predict(W))
 
 
 @dataclass

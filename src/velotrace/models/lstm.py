@@ -2,12 +2,13 @@
 
 Gate order inside the packed weight matrix is (input, forget, candidate,
 output); the cell follows c_t = f*c_{t-1} + i*g, h_t = o*tanh(c_t), with a
-linear head reading the scalar prediction off the last hidden state. Windows
-of the feature rows of `lookback` consecutive time slots predict the count of
-the slot that follows the window; `evaluate.scorable` decides which targets
-have such a window. Training uses squared loss and Adam; every random choice
-(weight init, batch shuffling) comes from the seed, so learned weights are
-bitwise reproducible.
+linear head reading the scalar prediction off the last hidden state. A
+window is the feature rows of `lookback` consecutive time slots, the slot it
+forecasts last, so the model reads that slot's calendar, weather and lags as
+the tabular models do, and never its count; `evaluate.scorable` decides
+which targets have such a window. Training uses squared loss and Adam; every
+random choice (weight init, batch shuffling) comes from the seed, so learned
+weights are bitwise reproducible.
 
 `build_windows` gives `Windows`: the feature matrix and each window's first
 row, not an (N, lookback, D) copy, which would be `lookback` times the
@@ -51,7 +52,7 @@ _GATE_STEPS = 8  # steps whose gates the backward pass recomputes at a time
 @dataclass(frozen=True)
 class LstmParams:
     hidden_size: int = 32
-    lookback: int = 48
+    lookback: int = 1
     epochs: int = 50
     batch_size: int = 32
     learning_rate: float = 1e-3
@@ -106,13 +107,13 @@ class Windows:
 
 def build_windows(X: np.ndarray, y: np.ndarray, lookback: int, targets) -> tuple[Windows, np.ndarray]:
     """The windows of the targets and their values: target row j is predicted
-    from rows j-lookback..j-1."""
+    from rows j-lookback+1..j, its own row last."""
     targets = np.asarray(list(targets), dtype=np.int64)
     if targets.size == 0:
-        raise InputError(f"sequence shorter than lookback+1 ({lookback + 1}): no usable windows")
-    if targets.min() < lookback:
-        raise InputError(f"target row {int(targets.min())} lacks {lookback} rows of history")
-    return Windows(X, lookback, targets - lookback), y[targets]
+        raise InputError(f"no targets: no usable windows of {lookback} rows")
+    if targets.min() < lookback - 1:
+        raise InputError(f"target row {int(targets.min())} lacks the {lookback} rows of a window ending at it")
+    return Windows(X, lookback, targets - lookback + 1), y[targets]
 
 
 class _Workspace:

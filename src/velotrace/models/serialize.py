@@ -15,7 +15,7 @@ from ..errors import ParameterError, SchemaError
 from ..features import MinMaxScaler
 from .evaluate import MODELS, ModelSpec, TrainedModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # since a recurrent window ends at its target row, which version 1 weights were not fit to
 
 
 def model_artifact(tm: TrainedModel, column_names: list[str]) -> dict:

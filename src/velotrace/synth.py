@@ -157,6 +157,10 @@ class SynthConfig:
         for name, value, want, ok in checks:
             if not (_is_finite_number(value) and ok(value)):
                 raise ParameterError(f"synth.{name} must be {want}, got {value!r}")
+        min_lat, min_lon, max_lat, max_lon = self.bbox
+        for h in self.hubs:
+            if not (min_lat <= h.lat <= max_lat and min_lon <= h.lon <= max_lon):
+                raise ParameterError(f"synth.hubs[{h.name!r}] at ({h.lat}, {h.lon}) lies outside bbox {list(self.bbox)}")
         if len(self.hourly_shape) != 24 or not sum(self.hourly_shape) > 0:
             raise ParameterError(f"synth.hourly_shape must be 24 numbers of positive sum, got {self.hourly_shape!r}")
         for i, (_, kind, _) in enumerate(self.null_events):

@@ -278,6 +278,32 @@ def test_lstm_predict_rejects_a_trailing_window_across_a_gap(city, tmp_path):
         cli._next_slot_prediction(tm, matrix)
 
 
+def test_lstm_predict_reads_the_next_slot_s_hour_and_holiday(city, trained, tmp_path):
+    """The next slot's window ends at its own row, the sidecar's `next_row`, so
+    that row's hour and holiday move the forecast that `predict` writes."""
+    shutil.copytree(trained, tmp_path, dirs_exist_ok=True)
+    matrix = read_features_csv(trained / "features.csv")
+    tm = train_model(matrix, range(matrix.n_rows), ModelSpec("lstm", {"hidden_size": 6, "lookback": 4, "epochs": 2}))
+    (tmp_path / "model_lstm.json").write_text(json.dumps(model_artifact(tm, matrix.column_names)))
+    meta = json.loads((trained / "features.json").read_text())
+
+    def predicted(next_row) -> float:
+        (tmp_path / "features.json").write_text(json.dumps({**meta, "next_row": next_row}))
+        run(city, tmp_path, ["predict"])
+        return json.loads((tmp_path / "prediction.json").read_text())["predicted"]
+
+    base = predicted(meta["next_row"])
+    hours = [j for j, c in enumerate(matrix.column_names) if c.startswith("hour_of_the_day=")]
+    hour = next(j for j in hours if meta["next_row"][j] == 1.0)
+    moved = list(meta["next_row"])
+    moved[hour], moved[hours[(hours.index(hour) + 12) % 24]] = 0.0, 1.0
+    assert predicted(moved) != base
+    holiday = matrix.column_names.index("holiday")
+    flipped = list(meta["next_row"])
+    flipped[holiday] = 1.0 - flipped[holiday]
+    assert predicted(flipped) != base
+
+
 def error_of(capsys, argv) -> dict:
     """The error JSON of a failing CLI run; its exit code is the process's."""
     code = cli.main(argv)
@@ -516,6 +542,16 @@ def test_malformed_artifact_exits_3(city, trained, tmp_path, capsys, damage):
     assert (err["exit_code"], err["type"]) == (3, "SchemaError")
 
 
+def test_predict_refuses_a_version_1_artifact(city, trained, tmp_path, capsys):
+    """A version-1 recurrent window ended before its target, so no version-1
+    artifact is read as a version-2 one."""
+    damaged_copy(trained, tmp_path, "model_linear.json", lambda text: json.dumps({**json.loads(text),
+                                                                                  "format_version": 1}))
+    err = error_of(capsys, cli_args(city, tmp_path, command_argv("predict", tmp_path)))
+    assert (err["exit_code"], err["type"], err["message"]) == (3, "SchemaError", "unsupported artifact version 1")
+    assert not (tmp_path / "prediction.json").exists()
+
+
 def test_predict_on_a_renamed_feature_column_exits_3(city, trained, tmp_path, capsys):
     rename = replace_line(1, lambda line: line.replace("month=2017-05", "month=2017-06"))
     damaged_copy(trained, tmp_path, "features.csv", rename)
@@ -748,10 +784,13 @@ BBOX_RANGE = ("[min_lat, min_lon, max_lat, max_lon] with -90 <= min_lat < max_la
     # the city's box is the run's, which is on the globe with each minimum below its maximum
     ({"bbox": [100, 11, 120, 12]}, f"bbox must be {BBOX_RANGE}, got [100, 11, 120, 12]"),
     ({"bbox": [44.54, 11.28, 44.45, 11.40]}, f"bbox must be {BBOX_RANGE}, got [44.54, 11.28, 44.45, 11.4]"),
+    # a hub outside the box would draw a city whose points `spatial` leaves out
+    ({"bbox": [45.0, 11.0, 45.1, 11.1]}, "synth.hubs['piazza'] at (44.4939, 11.3428) lies outside bbox "
+                                         "[45.0, 11.0, 45.1, 11.1]"),
 ], ids=["seed", "synth-seed", "temp_curve", "temp_curve-value", "start_date", "hourly_shape",
         "hub-weight", "hub-lat", "rain-start_hour", "holiday-short", "holiday-value", "null-short", "null-date",
         "end-before-start", "empty-span", "holiday-quoted-number", "rain-fractional-start_hour",
-        "emit_unmasked-text", "bbox-off-the-globe", "bbox-reversed-lat"])
+        "emit_unmasked-text", "bbox-off-the-globe", "bbox-reversed-lat", "hub-outside-bbox"])
 def test_malformed_synth_config_exits_1(tmp_path, capsys, config, message):
     sections = {**CONFIG, **config, "synth": {**CONFIG["synth"], **config.get("synth", {})}}
     path = tmp_path / "config.json"

@@ -4,6 +4,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from velotrace import cli
 from velotrace.errors import ParameterError
@@ -173,8 +174,9 @@ def test_lstm_training_windows_do_not_span_a_dropped_slot():
     matrix = gapped_matrix([40], n_slots=7 * 24 + 80)
     lookback = 8
     tm = train_model(matrix, range(matrix.n_rows), ModelSpec("lstm", {"lookback": lookback, "epochs": 1}))
-    # the 8 targets whose window reaches back over the dropped slot are left out
-    assert tm.meta["rows_used"] == matrix.n_rows - lookback - 8
+    # the first 7 rows lack a window, and the 7 targets whose window reaches
+    # back over the dropped slot are left out
+    assert tm.meta["rows_used"] == matrix.n_rows - (lookback - 1) - 7
 
 
 def test_scoring_leaves_out_the_windows_across_a_dropped_slot():
@@ -185,21 +187,22 @@ def test_scoring_leaves_out_the_windows_across_a_dropped_slot():
     step = timedelta(hours=1)
 
     def has_window(j):
-        return j >= lookback and from_us(matrix.slot_us[j]) - from_us(matrix.slot_us[j - lookback]) == lookback * step
+        first = j - lookback + 1
+        return first >= 0 and from_us(matrix.slot_us[j]) - from_us(matrix.slot_us[first]) == (lookback - 1) * step
 
     lstm = ModelSpec("lstm", {"hidden_size": 4, "lookback": lookback, "epochs": 1}, seed=1)
     report, fitted = evaluate(matrix, plan, [ModelSpec("linear"), lstm], with_cv=True)
     entries = report.models
     cv = entries["lstm"]["cv"]
     # the test rows start at slot offset 96; the origins at 48 (row 48) and 72 (row 72),
-    # and rows 80..87 of the last block reach back over slot 80
+    # and rows 80..86 of the last block reach back over slot 80
     test_start = from_us(matrix.slot_us[95])
     assert [e["origin"] for e in cv] == [utc_text(test_start - timedelta(days=k)) for k in (2, 1)]
-    assert [e["skipped"] for e in cv] == [0, 8]
+    assert [e["skipped"] for e in cv] == [0, 7]
     assert all(e["metrics"] is not None for e in cv)
-    assert entries["lstm"]["test_skipped"] == 8
+    assert entries["lstm"]["test_skipped"] == 7
     assert fitted["lstm"].targets.tolist() == [j for j in plan.test_rows if has_window(j)]
-    assert not set(range(99, 107)) & set(fitted["lstm"].targets.tolist())
+    assert not set(range(99, 106)) & set(fitted["lstm"].targets.tolist())
     assert [e["skipped"] for e in entries["linear"]["cv"]] == [0, 0]
     assert entries["linear"]["test_skipped"] == 0
     # seasonal naive is scored on the targets each model scored
@@ -208,11 +211,11 @@ def test_scoring_leaves_out_the_windows_across_a_dropped_slot():
         for e, block in zip(entries[kind]["cv"], (range(48, 72), range(72, 95))):
             scored = [j for j in block if kind == "linear" or has_window(j)]
             assert e["naive_mae"] == np.abs(matrix.y[scored] - naive[scored]).mean()
-    for target in (80, 87, 99, 106, 3):
+    for target in (80, 86, 99, 105, 6):
         assert not has_window(target)
         with pytest.raises(ParameterError, match="gap"):
             predict_rows(fitted["lstm"].model, matrix, [target])
-    assert len(predict_rows(fitted["lstm"].model, matrix, [88, 107, matrix.n_rows])) == 3
+    assert len(predict_rows(fitted["lstm"].model, matrix, [7, 87, 106, matrix.n_rows])) == 4
 
 
 def parity_series(width):
@@ -241,6 +244,56 @@ def test_predict_is_predict_rows_on_the_next_slot(width, spec):
         assert served["slot_start"] == utc_text(from_us(full.slot_us[k]))
         assert served["predicted"] == predict_rows(tm, full, [k])[0]
         assert served["predicted"] == predict_rows(tm, cut, [k])[0]
+
+
+def test_the_lstm_forecast_for_a_row_reads_its_covariates_but_not_its_count():
+    """A window ends at its target's row: the row's calendar and weather move
+    the forecast for it, and its count, which is the target, does not."""
+    _, slots, weather = parity_series(60)
+    matrix, _ = build_features(slots, weather, [], 120)
+    tm = train_model(matrix, range(40), ModelSpec("lstm", {"hidden_size": 6, "lookback": 4, "epochs": 2}, seed=1))
+    j = 50
+    base = predict_rows(tm, matrix, [j])[0]
+    names = matrix.column_names
+    hours = [k for k, c in enumerate(names) if c.startswith("hour_of_the_day=")]
+    hour = next(k for k in hours if matrix.X[j, k] == 1.0)
+    day = next(k for k, c in enumerate(names) if c.startswith("day_of_week=") and matrix.X[j, k] == 1.0)
+    changes = {"hour": {hour: 0.0, hours[(hours.index(hour) + 12) % 24]: 1.0},
+               "weekday": {day: 0.0, day + 1 if day + 1 < names.index("holiday") else day - 1: 1.0},
+               "holiday": {names.index("holiday"): 1.0},
+               "temperature": {0: matrix.X[j, 0] + 5.0}, "precipitation": {1: matrix.X[j, 1] + 3.0}}
+    for what, cells in changes.items():
+        X = matrix.X.copy()
+        for k, value in cells.items():
+            X[j, k] = value
+        changed = FeatureMatrix(X, matrix.y, names, matrix.slot_us, 60, matrix.next_row)
+        assert predict_rows(tm, changed, [j])[0] != base, what
+    y = matrix.y.copy()
+    y[j] += 25.0
+    same = FeatureMatrix(matrix.X, y, names, matrix.slot_us, 60, matrix.next_row)
+    assert predict_rows(tm, same, [j])[0] == base
+
+
+LOOKBACKS = (1, 2, 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.integers(1, 3), min_size=1, max_size=40), width=st.sampled_from([30, 60]),
+       picks=st.lists(st.integers(0, 40), max_size=20))
+def test_scorable_is_a_per_target_datetime_loop_on_gapped_matrices(steps, width, picks):
+    """A target scores when the `lookback` rows that end at it lie on
+    consecutive slots; a step over 1 is a slot that build_features dropped."""
+    slot_us = us(START) + width * 60_000_000 * np.cumsum([0] + steps)
+    n = len(slot_us)
+    matrix = FeatureMatrix(np.zeros((n, 1)), np.zeros(n), ["c"], slot_us, width)
+    targets = [t for t in picks if t <= n]  # row n is the next slot
+    starts = [from_us(v) for v in slot_us] + [from_us(slot_us[-1]) + timedelta(minutes=width)]
+    for lookback in LOOKBACKS:
+        want = []
+        for j in targets:
+            first = j - lookback + 1
+            want.append(first >= 0 and starts[j] - starts[first] == (lookback - 1) * timedelta(minutes=width))
+        assert evaluate_module.scorable(matrix, targets, lookback).tolist() == want
 
 
 def test_artifact_round_trip_predictions():

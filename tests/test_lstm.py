@@ -305,7 +305,7 @@ def test_window_history_validation():
     with pytest.raises(InputError):
         build_windows(rows, y, 8, range(8, 5))  # empty target range
     with pytest.raises(InputError):
-        build_windows(rows, y, 3, [2])  # target lacks history
+        build_windows(rows, y, 3, [1])  # target lacks history: its window would start at row -1
 
 
 def gathered(W) -> np.ndarray:
@@ -321,8 +321,8 @@ def test_window_stacking_shapes():
     y = np.arange(10, dtype=float)
     W, t = build_windows(rows, y, 3, [3, 7])
     assert W.shape == (2, 3, 2)
-    assert np.array_equal(gathered(W)[0], rows[0:3])
-    assert np.array_equal(gathered(W)[1], rows[4:7])
+    assert np.array_equal(gathered(W)[0], rows[1:4])  # a window ends at its target's row
+    assert np.array_equal(gathered(W)[1], rows[5:8])
     assert t.tolist() == [3.0, 7.0]
 
 
@@ -332,7 +332,7 @@ def test_windows_match_stacked_slices():
     y = rng.normal(size=30)
     targets = [29, 5, 17, 5, 12]
     W, t = build_windows(rows, y, 5, targets)
-    stacked = np.stack([rows[j - 5:j] for j in targets])
+    stacked = np.stack([rows[j - 4:j + 1] for j in targets])
     assert W.shape == stacked.shape == gathered(W).shape
     assert gathered(W).tobytes() == stacked.tobytes()
     assert gathered(W[[4, 0]]).tobytes() == stacked[[4, 0]].tobytes()
@@ -349,7 +349,7 @@ def test_windows_train_and_predict_as_stacked_windows(n, batch_size):
     y = rng.uniform(0, 1, size=n + 6)
     targets = rng.permutation(np.arange(6, n + 6))
     W, t = build_windows(rows, y, 6, targets)
-    stacked = np.stack([rows[j - 6:j] for j in targets])
+    stacked = np.stack([rows[j - 5:j + 1] for j in targets])
     params = LstmParams(hidden_size=4, lookback=6, epochs=3, batch_size=batch_size)
     a = LstmRegressor(3, params, seed=9).fit(W, t)
     b = LstmRegressor(3, params, seed=9).fit(stacked, t)

@@ -70,7 +70,7 @@ def test_assemble_trips_holds_a_few_arrays_beyond_its_input():
 def lstm_matrix(n_rows, D=8, seed=3) -> FeatureMatrix:
     rng = np.random.default_rng(seed)
     return FeatureMatrix(rng.uniform(0, 1, (n_rows, D)), rng.uniform(0, 5, n_rows), [f"c{j}" for j in range(D)],
-                         us(T0) + 3_600_000_000 * np.arange(n_rows), 60)
+                         us(T0) + 3_600_000_000 * np.arange(n_rows), 60, rng.uniform(0, 1, D))
 
 
 LOOKBACK, N = 48, 64
