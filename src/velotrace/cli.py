@@ -70,7 +70,7 @@ from .errors import (
     VelotraceError,
 )
 from .util import (MINUTE_US, MODEL_KINDS, SLOT_WIDTHS, SPLIT_RATIOS, from_json, json_default, json_value,
-                   local_datetimes, read_json, sha256_file, utc_strings, write_csv, write_json)
+                   local_datetimes, read_json, sha256_file, sorted_unique, utc_strings, write_csv, write_json)
 
 # the layer names the commands call, by the module that defines them
 _LAYER_NAMES = {
@@ -334,13 +334,13 @@ def cmd_spatial(cfg: dict, args, out: Path) -> tuple[list[Path], dict]:
     if sp["per_month"]:
         # local calendar month of each point and of each trip's start
         months = local_datetimes(points["t"], offset).astype("datetime64[M]")
-        for m in np.unique(months[~np.isnan(lat)]):
+        for m in sorted_unique(months[~np.isnan(lat)]):
             month = months == m
             files.append(out / f"density_{m}.csv")
             _cli.write_density_csv(_cli.build_density_grid(lat[month], lon[month], bbox, sp["cell_size_m"]),
                                    files[-1])
         trip_months = local_datetimes(trips.start_us, offset).astype("datetime64[M]")
-        periods += [(str(m), trips.take(trip_months == m)) for m in np.unique(trip_months)]
+        periods += [(str(m), trips.take(trip_months == m)) for m in sorted_unique(trip_months)]
 
     reports = []
     hubs = _input(cfg, "hubs", required=False)

@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ParameterError, ParseError, RangeError, SchemaError
 from .ingest import TripTable
-from .util import EVENT_KINDS, HOUR_US, WEEKDAY_NAMES, csv_records, local_datetimes, parse_utc, pearson, utc_strings
+from .util import (EVENT_KINDS, HOUR_US, WEEKDAY_NAMES, csv_records, local_datetimes, members, parse_utc, pearson,
+                   sorted_unique, utc_strings)
 
 WEATHER_HEADER = ["timestamp", "temp_c", "precip_mm", "wind_mps"]
 POLLUTION_HEADER = ["timestamp", "pm", "o3", "no2", "so2"]
@@ -149,14 +150,14 @@ def daily_join(trips: TripTable, weather: WeatherTable,
     trip_days, n = np.unique(_local_days(trips.start_us, utc_offset_min), return_counts=True)
     span = np.arange(trip_days[0], trip_days[-1] + 1) if len(trip_days) else trip_days
     weather_days = _local_days(weather.hour_us, utc_offset_min)
-    days = np.union1d(span, weather_days)
+    days = sorted_unique(np.concatenate((span, weather_days)))
     counts = np.zeros(len(days), dtype=np.int64)
     counts[np.searchsorted(days, trip_days)] = n
     at = np.searchsorted(days, weather_days)
     hours = np.bincount(at, minlength=len(days))
     temp, precip, wind = (np.bincount(at, weights=c, minlength=len(days))
                           for c in (weather.temp_c, weather.precip_mm, weather.wind_mps))
-    complete = np.isin(days, span) & (hours >= 24 - MAX_MISSING_WEATHER_HOURS)
+    complete = members(days, span) & (hours >= 24 - MAX_MISSING_WEATHER_HOURS)
     columns = (days, counts, hours, temp, precip, wind, complete)
     return [DailyRow(d, c, t / k, p, w / k, ok) if k else DailyRow(d, c, None, None, None, ok)
             for d, c, k, t, p, w, ok in zip(*(col.tolist() for col in columns))]
@@ -266,7 +267,7 @@ def week_contrast(rows: list[DailyRow], week_a_start: date, week_b_start: date,
     if weather is not None:
         order = np.argsort(weather.hour_us, kind="stable")
         days = _local_days(weather.hour_us[order], utc_offset_min)
-        order = order[np.isin(days, np.array(days_a, dtype="datetime64[D]"))]
+        order = order[members(days, np.array(days_a, dtype="datetime64[D]"))]
         overlay = list(zip(utc_strings(weather.hour_us[order]), weather.precip_mm[order].tolist()))
     return WeekContrast(week_a_start, week_b_start, contrast, overlay)
 

@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import MissingInputError, ParameterError, ParseError, SchemaError
-from .util import (HOUR_US, MINUTE_US, SLOT_WIDTHS, SPLIT_RATIOS, WEEKDAY_NAMES, local_datetimes, parse_utc, pearson,
-                   read_json, utc_strings, write_csv, write_json)
+from .util import (HOUR_US, MINUTE_US, SLOT_WIDTHS, SPLIT_RATIOS, WEEKDAY_NAMES, local_datetimes, members, parse_utc,
+                   pearson, read_json, sorted_unique, utc_strings, write_csv, write_json)
 
 if TYPE_CHECKING:  # annotations only: `train` and `predict` load neither layer
     from .covariates import CalendarEntry, WeatherTable
@@ -116,7 +116,7 @@ def build_features(slots: SlotSeries, weather: WeatherTable,
     starts = slots.start_us + width * MINUTE_US * np.arange(len(counts) + 1, dtype=np.int64)
 
     slot_hour = starts // HOUR_US * HOUR_US
-    found = np.isin(slot_hour, weather.hour_us)
+    found = members(slot_hour, weather.hour_us)
     history = np.arange(lag_week, len(counts))
     kept = history[found[history]]
     dropped = starts[history[~found[history]]]
@@ -127,7 +127,7 @@ def build_features(slots: SlotSeries, weather: WeatherTable,
     hour = local.astype("datetime64[h]").astype(np.int64) % 24
     day = local.astype("datetime64[D]").astype(np.int64)
     month = local.astype("datetime64[M]").astype(np.int64)
-    months = np.unique(month[:len(kept)])
+    months = sorted_unique(month[:len(kept)])
 
     names = ["temperature", "precipitation"] + [f"hour_of_the_day={h}" for h in range(24)]
     names.extend(f"month={m}" for m in months.astype("datetime64[M]"))
@@ -145,13 +145,13 @@ def build_features(slots: SlotSeries, weather: WeatherTable,
     X[:, 1] = weather.precip_mm[record]
     X[rows, 2 + hour] = 1.0
     at_month = 2 + 24
-    has_month = np.isin(month, months)
+    has_month = members(month, months)
     X[rows[has_month], at_month + np.searchsorted(months, month[has_month])] = 1.0
     at_season = at_month + len(months)
     X[rows, at_season + (month - 2) % 12 // 3] = 1.0
     X[rows, at_season + len(SEASONS) + (day + 3) % 7] = 1.0
     holidays = np.array([e.date for e in calendar if e.kind == "holiday"], dtype="datetime64[D]").astype(np.int64)
-    X[:, -3] = np.isin(day, holidays)
+    X[:, -3] = members(day, holidays)
     X[:, -2] = counts[i - per_hour]
     X[:, -1] = counts[i - lag_week]
 

@@ -17,6 +17,7 @@ from .ingest import EARTH_RADIUS_M, TripTable, half_angles
 from .util import csv_records, write_csv
 
 M_PER_DEG_LAT = math.pi / 180.0 * EARTH_RADIUS_M
+_BIN_BLOCK = 1 << 16  # points that `build_density_grid` bins together
 
 
 def _m_per_deg_lon(at_lat: float) -> float:
@@ -40,7 +41,9 @@ def build_density_grid(lat, lon, bbox, cell_size: float) -> DensityGrid:
 
     Points on the closed bbox boundary are kept (top/right edges fold into the
     last row/column); a point without a coordinate (NaN) is neither counted
-    nor ignored. Normalization is per grid, i.e. per call.
+    nor ignored. Normalization is per grid, i.e. per call. The points are
+    binned `_BIN_BLOCK` at a time into one count array, so the work holds
+    arrays of one block, not of every point.
     """
     min_lat, min_lon, max_lat, max_lon = bbox
     if not (min_lat < max_lat and min_lon < max_lon):
@@ -55,16 +58,20 @@ def build_density_grid(lat, lon, bbox, cell_size: float) -> DensityGrid:
     n_cols = max(1, math.ceil((max_lon - min_lon) * m_lon / cell_size))
 
     lat, lon = np.asarray(lat, dtype=np.float64), np.asarray(lon, dtype=np.float64)
-    inside = (lat >= min_lat) & (lat <= max_lat) & (lon >= min_lon) & (lon <= max_lon)
-    rows = np.floor((lat[inside] - min_lat) * m_lat / cell_size).astype(np.int64)
-    cols = np.floor((lon[inside] - min_lon) * m_lon / cell_size).astype(np.int64)
-    np.clip(rows, 0, n_rows - 1, out=rows)
-    np.clip(cols, 0, n_cols - 1, out=cols)
-    flat = np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols)
-    counts = flat.reshape(n_rows, n_cols).astype(np.int64)
+    flat = np.zeros(n_rows * n_cols, dtype=np.int64)
+    ignored = 0
+    for a in range(0, len(lat), _BIN_BLOCK):
+        la, lo = lat[a:a + _BIN_BLOCK], lon[a:a + _BIN_BLOCK]
+        inside = (la >= min_lat) & (la <= max_lat) & (lo >= min_lon) & (lo <= max_lon)
+        rows = np.floor((la[inside] - min_lat) * m_lat / cell_size).astype(np.int64)
+        cols = np.floor((lo[inside] - min_lon) * m_lon / cell_size).astype(np.int64)
+        np.clip(rows, 0, n_rows - 1, out=rows)
+        np.clip(cols, 0, n_cols - 1, out=cols)
+        flat += np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols)
+        ignored += np.count_nonzero(~(np.isnan(la) | np.isnan(lo))) - np.count_nonzero(inside)
+    counts = flat.reshape(n_rows, n_cols)
     peak = counts.max()
     normalized = counts / peak if peak > 0 else counts.astype(np.float64)
-    ignored = np.count_nonzero(~(np.isnan(lat) | np.isnan(lon))) - np.count_nonzero(inside)
     return DensityGrid(bbox, cell_size, n_rows, n_cols, counts, normalized, int(ignored))
 
 

@@ -1,12 +1,15 @@
 """Small shared helpers: timestamps, weekday names, the model and event kind
 names, slot widths and split ratios, Pearson correlation (`pearson`, None
-where r is undefined), hashing, CSV input and output, JSON input/output and
-the config reader.
+where r is undefined), sorted distinct values and membership (`sorted_unique`,
+`members`), hashing, CSV input and output, JSON input/output and the config
+reader.
 
-Every input CSV with a fixed header (points, weather, pollution, calendar,
-hubs) is read by `csv_records`: it checks the header and each row's field
-count, skips blank rows, and numbers each row by the file line it ends on,
-so a quoted field that spans lines does not shift later line numbers.
+Every input CSV with a fixed header (weather, pollution, calendar, hubs) is
+read by `csv_records`: it checks the header and each row's field count,
+skips blank rows, and numbers each row by the file line it ends on, so a
+quoted field that spans lines does not shift later line numbers. Points are
+read a block of bytes at a time by `ingest.parse_points`, which hands any
+file its checks do not take to its row loop over `csv_records`.
 Every CSV table the program emits is written by `write_csv`: UTF-8, the
 `csv` module's default dialect (rows end in CR LF, a field is quoted only
 when it holds a comma, a double quote or a line break), a header row, then
@@ -84,6 +87,26 @@ def local_datetimes(us, utc_offset_min: int) -> np.ndarray:
     the result to `datetime64[D]`, `[M]` or `[h]` for local days, months or
     hours (an int64 cast to those units would be read as days or months)."""
     return (np.asarray(us, dtype=np.int64) + utc_offset_min * MINUTE_US).astype("datetime64[us]")
+
+
+def sorted_unique(values) -> np.ndarray:
+    """The distinct values of an array without NaN, ascending, as `np.unique`
+    gives them. `np.unique`'s plain form, and `np.union1d` and `np.isin`
+    with it, imports `numpy.ma`, which costs every command that loads it
+    about 10 ms of start-up."""
+    v = np.sort(np.ravel(values))
+    first = np.ones(v.size, dtype=bool)
+    first[1:] = v[1:] != v[:-1]
+    return v[first]
+
+
+def members(values, of) -> np.ndarray:
+    """Whether each of `values` is among the values of the array `of`, as
+    `np.isin` says: by a binary search in `sorted_unique(of)`."""
+    of = sorted_unique(of)
+    if not of.size:
+        return np.zeros(np.shape(values), dtype=bool)
+    return of[np.minimum(np.searchsorted(of, values), of.size - 1)] == values
 
 
 def csv_records(source, header: list[str], what: str):

@@ -658,7 +658,8 @@ LOADED_LAYERS = """\
 import json, sys
 from velotrace import cli
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted({m.split(".")[1] for m in sys.modules if m.startswith("velotrace.")})]))
+print(json.dumps([code, sorted({m.split(".")[1] for m in sys.modules if m.startswith("velotrace.")}),
+                  "numpy.ma" in sys.modules]))
 """
 
 
@@ -670,9 +671,10 @@ def command_of(name: str, outdir) -> list[str]:
 @pytest.mark.parametrize("command", COMMAND_LAYERS)
 def test_a_command_loads_only_its_layers(city, trained, tmp_path, command):
     shutil.copytree(trained, tmp_path, dirs_exist_ok=True)
-    code, layers = in_child(LOADED_LAYERS, *cli_args(city, tmp_path, command_of(command, tmp_path)))
+    code, layers, masked = in_child(LOADED_LAYERS, *cli_args(city, tmp_path, command_of(command, tmp_path)))
     assert code == 0
     assert set(layers) == {"cli", "errors", "util"} | COMMAND_LAYERS[command]
+    assert not masked, "numpy.ma was imported"
 
 
 def test_a_cli_helper_works_in_a_fresh_interpreter(trained):

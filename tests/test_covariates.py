@@ -21,10 +21,23 @@ from velotrace.covariates import (
     week_contrast,
 )
 from velotrace.errors import ParameterError, ParseError, RangeError, SchemaError
+from velotrace.util import members, sorted_unique
 
 from conftest import csv_stream, make_trips, us, weather_table
 
 UTC = timezone.utc
+
+
+class TestSortedUniqueAndMembers:
+    """The `util` stand-ins for `np.unique` and `np.isin`, which import `numpy.ma`."""
+
+    @given(values=st.lists(st.integers(-5, 5), max_size=30), of=st.lists(st.integers(-5, 5), max_size=30),
+           dtype=st.sampled_from(["int64", "datetime64[D]", "datetime64[M]"]))
+    def test_as_numpy_gives_them(self, values, of, dtype):
+        values, of = np.array(values, dtype=dtype), np.array(of, dtype=dtype)
+        unique = sorted_unique(of)
+        assert unique.dtype == np.unique(of).dtype and unique.tolist() == np.unique(of).tolist()
+        assert members(values, of).tolist() == np.isin(values, of).tolist()
 
 
 class TestPearson:

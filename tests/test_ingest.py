@@ -1,11 +1,14 @@
+import io
 import math
 from dataclasses import fields
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from velotrace import ingest
 from velotrace.errors import ParseError, RangeError, SchemaError
 from velotrace.ingest import (
     BOUNDARY_MISSING,
@@ -19,6 +22,7 @@ from velotrace.ingest import (
     parse_points,
     save_points_npz,
 )
+from velotrace.synth import SynthConfig, generate
 
 from conftest import T0, csv_stream, great_circle_m, point_table, pt, same_trips
 
@@ -89,6 +93,117 @@ class TestParsePoints:
         assert table.ids.tolist() == ["A", "B"]
         assert [table.ids[a] for a in table.activity] == ["B", "A"]
         assert table.lat.tolist() == [1.0, 2.0]
+
+
+def outcome(parse, text: str):
+    """The table that `parse` gives for `text` as a stream, or the class and
+    message of what it raises."""
+    try:
+        return parse(csv_stream(text))
+    except Exception as e:
+        return type(e), str(e)
+
+
+def same_outcome(a, b) -> bool:
+    """Whether two outcomes are the same exception or bit-equal tables."""
+    if isinstance(a, PointTable) and isinstance(b, PointTable):
+        return all(getattr(a, f.name).dtype == getattr(b, f.name).dtype
+                   and getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes() for f in fields(PointTable))
+    return a == b
+
+
+def stamp(dt: datetime) -> str:
+    return f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}Z"
+
+
+def decimal(lo: float, hi: float):
+    """Numbers in [lo, hi] written -?digits[.digits], with up to 17 decimals."""
+    return st.builds(lambda v, k: f"{v:.{k}f}", st.floats(lo, hi), st.integers(0, 17))
+
+
+# fields of the form the block path converts, and fields that send a source to the row loop
+CANONICAL = {
+    "id": st.sampled_from(["A", "B", "A0000000001", "b-2", "x y"]),
+    "stamp": st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)).map(stamp),
+    "lat": decimal(-90, 90), "lon": decimal(-180, 180),
+    "unsigned": st.one_of(st.just(""), decimal(0, 1e6)),
+}
+ODD = {
+    "id": st.sampled_from(["", "é", '"a\nb"', '"q"', "a\rb", "a\x00"]),
+    "stamp": st.sampled_from([
+        "2017-05-09T08:00:00+00:00", "2017-05-09T08:00:00.25Z", "2017-02-29T08:00:00Z", "2016-02-29T08:00:00Z",
+        "1900-02-29T08:00:00Z", "2000-02-29T08:00:00Z", "2017-05-09T24:00:00Z", "0000-01-01T00:00:00Z",
+        "2017-04-31T08:00:00Z", "2017-13-01T08:00:00Z", "2017-05-09T08:60:00Z", "2017-05-09T08:00:60Z",
+        "2017-05-09 08:00:00Z", "2017-05-09T08:00:00", "2017-05-09t08:00:00Z", "not-a-time", ""]),
+    "number": st.sampled_from(["1e-05", "1E2", " 1.0", "1.0 ", "1_0.5", "nan", "inf", "-inf", "-0", "+1.0", "1.",
+                               ".5", "-", "1.5.2", "95.0", "-180.5", "90.00000000000000001", "-90.0", "180.0",
+                               "0x1p3", "١"]),
+}
+
+
+@st.composite
+def point_text(draw) -> tuple[str, bool]:
+    """A points file, and whether it is of the form the block path takes."""
+    clean = draw(st.booleans())
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(ingest.POINT_HEADER)]
+    for _ in range(draw(st.integers(0, 12))):
+        odd = not clean and draw(st.integers(0, 3)) == 0
+        fields_ = [draw(CANONICAL["id"]), draw(CANONICAL["stamp"])]
+        if draw(st.booleans()):
+            fields_ += [draw(CANONICAL["lat"]), draw(CANONICAL["lon"])]
+        else:
+            fields_ += ["", ""]
+        fields_ += [draw(CANONICAL["unsigned"]), draw(CANONICAL["unsigned"])]
+        if odd:
+            kind = draw(st.sampled_from(["id", "stamp", "number", "half", "count", "blank"]))
+            if kind == "id" or kind == "stamp":
+                fields_[0 if kind == "id" else 1] = draw(ODD[kind])
+            elif kind == "number":
+                fields_[draw(st.integers(2, 5))] = draw(ODD["number"])
+            elif kind == "half":
+                fields_[draw(st.integers(2, 3))] = ""
+                fields_[2] = fields_[2] or "1.0"
+            elif kind == "count":
+                fields_ = fields_[:draw(st.integers(1, 5))] if draw(st.booleans()) else fields_ + [""]
+            else:
+                fields_ = [""]
+        lines.append(",".join(fields_))
+    ends = [eol] * len(lines)
+    if not clean and draw(st.booleans()):  # one line end of the other kind
+        ends[draw(st.integers(0, len(lines) - 1))] = "\n" if eol == "\r\n" else "\r\n"
+    if draw(st.booleans()):  # no line end after the last line
+        ends[-1] = ""
+    return "".join(map(str.__add__, lines, ends)), clean
+
+
+class TestBlockPath:
+    """The block path of `parse_points` against its row loop."""
+
+    @given(drawn=point_text(), block=st.sampled_from([100, 160, 300, 1 << 17]), held=st.sampled_from([1, 2, 1 << 12]))
+    @settings(max_examples=200, deadline=None)
+    def test_block_path_and_row_loop_agree(self, drawn, block, held):
+        """On each text, the same table bit for bit, or the same exception
+        class, message and line; blocks of a few lines, so that lines cross
+        block ends, and a few new ids held apart from the sorted ids."""
+        text, clean = drawn
+        with mock.patch.object(ingest, "_PARSE_BLOCK", block), mock.patch.object(ingest, "_BLOCK", held):
+            got = outcome(parse_points, text)
+            assert same_outcome(got, outcome(ingest._parse_rows, text)), got
+            if clean and all(len(line) + 2 < block for line in text.splitlines()):
+                # the block path takes it without the row loop
+                fast = ingest._parse_blocks(io.BytesIO(text.encode("ascii")))
+                assert same_outcome(fast, got)
+
+    def test_a_city_parses_without_the_row_loop(self, tmp_path):
+        cfg = SynthConfig(seed=3, start_date=date(2017, 5, 1), end_date=date(2017, 5, 3), base_trips_per_day=30,
+                          missing_fraction=0.05)
+        path = generate(cfg, tmp_path)["files"]["points"]
+        expected = ingest._parse_rows(path)
+        with (mock.patch.object(ingest, "_parse_rows", side_effect=AssertionError("the row loop ran")),
+              mock.patch.object(ingest, "_BLOCK", 16)):
+            assert same_outcome(parse_points(path), expected)
+        assert np.isnan(expected.lat).any()
 
 
 class TestHaversine:
