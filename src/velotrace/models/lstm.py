@@ -46,7 +46,6 @@ from .tree import check_minimums
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-_GATE_STEPS = 8  # steps whose gates the backward pass recomputes at a time
 
 
 @dataclass(frozen=True)
@@ -125,16 +124,16 @@ class _Workspace:
     holds the input half, then each step's tanh A, then the gate-derivative
     factors, and the reverse loop turns each step's factors into its dz. `a`
     holds a step's pre-activation and then its gates in the forward pass, and
-    the gates of up to `_GATE_STEPS` steps, recomputed from A, in the backward
-    pass; `f` keeps the forget gates, which the reverse loop reads. `c` holds
-    the cell states from c_0 = 0, `tanh_c` their tanh and then dc's factor
-    from dh. `take(B)` views the leading part of each flat buffer, so a short
-    batch reuses them as contiguous arrays. Every buffer is of `dtype`, the
-    precision the kernel computes in."""
+    every step's gates, recomputed from A, in the backward pass, whose reverse
+    loop reads the forget gates there. `c` holds the cell states from c_0 = 0,
+    `tanh_c` their tanh and then dc's factor from dh. `take(B)` views the
+    leading part of each flat buffer, so a short batch reuses them as
+    contiguous arrays. Every buffer is of `dtype`, the precision the kernel
+    computes in."""
 
     def __init__(self, size: int, steps: int, D: int, H: int, dtype):
-        self.shapes = {"xh": (steps + 1, 1 + D + H), "z": (steps, 4 * H), "a": (min(steps, _GATE_STEPS), 4 * H),
-                       "f": (steps, H), "c": (steps + 1, H), "tanh_c": (steps, H)}
+        self.shapes = {"xh": (steps + 1, 1 + D + H), "z": (steps, 4 * H), "a": (steps, 4 * H),
+                       "c": (steps + 1, H), "tanh_c": (steps, H)}
         self.flat = {k: np.empty(n * size * w, dtype) for k, (n, w) in self.shapes.items()}
         self.flat["xh"][::1 + D + H] = 1.0
 
@@ -220,32 +219,26 @@ class LstmRegressor:
         # candidate, A being the step's tanh. dz is kept without the 1/4 (`slope`),
         # which W_h takes before the reverse loop and the gradients after it:
         # dz = [dc*g*(1-A_i²), dc*c_prev*(1-A_f²), dc*i*(1-A_g²), dh*tanh_c*(1-A_o²)],
-        # all factors but dc and dh known before the loop. The gates are
-        # recomputed from A as `_forward` computes them, a few steps at a time
-        # in `a`, before A turns into its factors; the reverse loop reads the
-        # forget gates from `f`.
-        xh, dz, a, f, c, tanh_c = buf["xh"], buf["z"], buf["a"], buf["f"], buf["c"], buf["tanh_c"]
+        # all factors but dc and dh known before the loop. Every step's gates
+        # are recomputed from A in one pass, as `_forward` computes them, into
+        # `a` before A turns into its factors; the reverse loop reads the
+        # forget gates there.
+        xh, dz, gates, c, tanh_c = buf["xh"], buf["z"], buf["a"], buf["c"], buf["tanh_c"]
         scale, shift = _gate_affine(H, dz.dtype)
-        for s in range(0, T, len(a)):
-            A = dz[s:s + len(a)]
-            n = len(A)
-            gates = a[:n]
-            np.multiply(A, scale, out=gates)
-            gates += shift
-            i, f[s:s + n], g, o = gates.reshape(n, B, 4, H).transpose(2, 0, 1, 3)
-            np.multiply(A, A, out=A)
-            np.subtract(1.0, A, out=A)
-            dgate = A.reshape(n, B, 4, H)
-            dgate[:, :, 0] *= g
-            dgate[:, :, 1] *= c[s:s + n]
-            dgate[:, :, 2] *= i
-            dgate[:, :, 3] *= tanh_c[s:s + n]
-            # dc's factor from dh: o * (1 - tanh_c²), in place of tanh_c
-            dc_factor = tanh_c[s:s + n]
-            np.multiply(dc_factor, dc_factor, out=dc_factor)
-            np.subtract(1.0, dc_factor, out=dc_factor)
-            np.multiply(dc_factor, o, out=dc_factor)
+        np.multiply(dz, scale, out=gates)
+        gates += shift
+        i, f, g, o = gates.reshape(T, B, 4, H).transpose(2, 0, 1, 3)
+        np.multiply(dz, dz, out=dz)
+        np.subtract(1.0, dz, out=dz)
         dgate = dz.reshape(T, B, 4, H)
+        dgate[:, :, 0] *= g
+        dgate[:, :, 1] *= c[:T]
+        dgate[:, :, 2] *= i
+        dgate[:, :, 3] *= tanh_c
+        # dc's factor from dh: o * (1 - tanh_c²), in place of tanh_c
+        np.multiply(tanh_c, tanh_c, out=tanh_c)
+        np.subtract(1.0, tanh_c, out=tanh_c)
+        np.multiply(tanh_c, o, out=tanh_c)
 
         slope = scale ** 2
         W_hT = (self.weights["W"][D:] * slope).T
@@ -338,10 +331,9 @@ class LstmRegressor:
 
     @classmethod
     def from_state(cls, params: LstmParams, state: dict, seed: int) -> "LstmRegressor":
-        """The model of a `state()`, drawing no random weights; a state without
-        a dtype is float64. A weight of the wrong shape, or a dtype other than
-        float32 or float64, raises ValueError."""
-        dtype = state.get("dtype", "float64")
+        """The model of a `state()`, drawing no random weights. A weight of the
+        wrong shape, or a dtype other than float32 or float64, raises ValueError."""
+        dtype = state["dtype"]
         if dtype not in ("float32", "float64"):
             raise ValueError(f"dtype must be float32 or float64, got {dtype!r}")
         D = int(state["input_size"])

@@ -7,9 +7,10 @@ of every splittable node over its drawn columns; prefix sums within each
 smallest left count, then the lowest column, so trees are deterministic
 given the feature-subset RNG; the threshold is the midpoint of the split
 value and the node's next present value. A row weight counts the row that
-many times, as a bootstrap multiplicity does. Nodes are numbered in
-depth-first creation order. Also holds the fit-input and hyperparameter
-checks that every model class shares."""
+many times, as a bootstrap multiplicity does. Nodes are stored in the
+order the levels grow them, breadth first: the children of the k-th split
+node, counting from 0, are nodes 2k+1 and 2k+2. Also holds the fit-input and
+hyperparameter checks that every model class shares."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ def resolve_max_features(max_features, p: int, q: int | None = None) -> int:
     candidates: "all" gives q, "third" ceil(q / 3), and an integer is clamped
     to q."""
     q = p if q is None else q
-    if max_features == FEATURES_ALL or max_features is None:
+    if max_features == FEATURES_ALL:
         return q
     if max_features == FEATURES_THIRD:
         return -(-q // 3)
@@ -161,29 +162,9 @@ class RegressionTree:
             b = best[node]
             node = 2 * (np.cumsum(split) - 1)[node] + (index.ravel()[rows * p + bins.column[b]] > b)
             width, depth = 2 * int(split.sum()), depth + 1
-        return cls._depth_first(levels)
-
-    @classmethod
-    def _depth_first(cls, levels) -> "RegressionTree":
-        """The tree of per-level node arrays, renumbered in the order that
-        depth-first growth creates nodes: each split node, taken in pre-order,
-        creates its two children next."""
         feature, threshold, value, split = (np.concatenate(a) for a in zip(*levels))
-        nxt = np.cumsum([lv[3].size for lv in levels])  # first level-order id of the next level
-        # level-order id of each node's left child, or -1; the right child follows it
-        child = np.concatenate([np.where(s, f + 2 * (np.cumsum(s) - 1), -1) for (*_, s), f in zip(levels, nxt)])
-        order, stack, kids = [], [0], child.tolist()  # split nodes in pre-order
-        while stack:
-            v = stack.pop()
-            if kids[v] >= 0:
-                order.append(v)
-                stack += (kids[v] + 1, kids[v])
-        new = np.zeros(child.size, dtype=np.int64)
-        new[child[order]] = 1 + 2 * np.arange(len(order))
-        new[child[order] + 1] = 2 + 2 * np.arange(len(order))
-        left = np.where(split, new[child], -1)
-        perm = np.argsort(new)  # level-order id of each new id
-        return cls(feature[perm], threshold[perm], left[perm], np.where(split, left + 1, -1)[perm], value[perm])
+        left = np.where(split, 2 * np.cumsum(split) - 1, -1)
+        return cls(feature, threshold, left, np.where(split, left + 1, -1), value)
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)

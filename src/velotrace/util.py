@@ -67,7 +67,10 @@ SPLIT_RATIOS = {"90/10": 0.10, "80/20": 0.20, "70/30": 0.30, "60/40": 0.40}
 
 
 def parse_utc(text: str) -> int:
-    """The instant of an ISO-8601 UTC timestamp of the form YYYY-MM-DDThh:mm:ssZ."""
+    """The instant of an ISO-8601 timestamp that `datetime.fromisoformat`
+    reads and that names its UTC offset: `Z` or `±hh:mm`, so
+    `2017-05-01T12:00:00+02:00` and `2017-05-01T10:00:00.5Z` parse too; a
+    timestamp without an offset raises ValueError."""
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
     dt = datetime.fromisoformat(text)

@@ -1,13 +1,16 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from velotrace.errors import InputError, TrainingError
+from velotrace.errors import InputError, SchemaError, TrainingError
+from velotrace.models.evaluate import ModelSpec, TrainedModel
 from velotrace.models.lstm import LstmParams, LstmRegressor, build_windows
 from velotrace.models.metrics import metrics
+from velotrace.models.serialize import load_artifact, model_artifact
 
 from conftest import child_env
 
@@ -371,8 +374,8 @@ def test_state_round_trip():
 
 
 def test_state_records_the_dtype():
-    """A float32 model saves and restores float32 weights, bit for bit; a
-    state without a dtype, written before it was recorded, is float64."""
+    """A float32 model saves and restores float32 weights, bit for bit; an
+    artifact whose state lacks the dtype is refused."""
     rng = np.random.default_rng(8)
     X = rng.uniform(0, 1, size=(20, 4, 3)).astype(np.float32)
     params = LstmParams(hidden_size=5, lookback=4, epochs=2, batch_size=8)
@@ -383,10 +386,12 @@ def test_state_records_the_dtype():
     for key, w in model.weights.items():
         assert clone.weights[key].dtype == np.float32 and clone.weights[key].tobytes() == w.tobytes()
     assert model.predict(X).tobytes() == clone.predict(X).tobytes()
-    del state["dtype"]
-    assert LstmRegressor.from_state(params, state, seed=4).dtype == np.float64
     with pytest.raises(ValueError, match="dtype"):
         LstmRegressor.from_state(params, {**state, "dtype": "int8"}, seed=4)
+    doc = model_artifact(TrainedModel(ModelSpec("lstm", asdict(params), 4), model, None, {}), ["a", "b", "c"])
+    del doc["state"]["dtype"]
+    with pytest.raises(SchemaError, match="model artifact lacks field 'dtype'"):
+        load_artifact(json.loads(json.dumps(doc)))
 
 
 def test_loading_a_state_draws_no_random_weights():

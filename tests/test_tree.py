@@ -1,9 +1,11 @@
-"""The level-wise tree against the depth-first grower it replaced.
+"""The level-wise tree against a node-at-a-time grower.
 
-`oracle_fit` is that grower: it takes the nodes depth first, and at each
-node `oracle_best_split` sorts the node's rows on every candidate column
-and scores every position. With integer targets every sum is exact, so the
+`oracle_fit` takes the nodes breadth first, and at each node
+`oracle_best_split` sorts the node's rows on every candidate column and
+scores every position. With integer targets every sum is exact, so the
 level-wise tree must equal it node for node, ties included."""
+
+from collections import deque
 
 import numpy as np
 from hypothesis import given, settings
@@ -45,7 +47,7 @@ def oracle_best_split(X, y, idx, feats, min_leaf):
 
 
 def oracle_fit(X, y, rng=None, max_depth=None, min_samples_leaf=1, max_features="all"):
-    """Depth-first growth: a node's children are numbered when it is split."""
+    """Breadth-first growth: a node's children are numbered when it is split."""
     n, p = X.shape
     varying = np.flatnonzero(X.min(axis=0) < X.max(axis=0))
     q = varying.size
@@ -57,9 +59,9 @@ def oracle_fit(X, y, rng=None, max_depth=None, min_samples_leaf=1, max_features=
             lst.append(v)
         return len(feature) - 1
 
-    stack = [(new_node(), np.arange(n, dtype=np.int64), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
+    queue = deque([(new_node(), np.arange(n, dtype=np.int64), 0)])
+    while queue:
+        node, idx, depth = queue.popleft()
         ynode = y[idx]
         value[node] = float(ynode.mean())
         if (max_depth is not None and depth >= max_depth) or idx.size < max(2, 2 * min_samples_leaf):
@@ -74,8 +76,8 @@ def oracle_fit(X, y, rng=None, max_depth=None, min_samples_leaf=1, max_features=
         goleft = X[idx, f] <= thr
         feature[node], threshold[node] = f, thr
         left[node], right[node] = new_node(), new_node()
-        stack.append((right[node], idx[~goleft], depth + 1))
-        stack.append((left[node], idx[goleft], depth + 1))
+        queue.append((left[node], idx[goleft], depth + 1))
+        queue.append((right[node], idx[~goleft], depth + 1))
     return RegressionTree.from_dict(dict(feature=feature, threshold=threshold, left=left, right=right, value=value))
 
 
@@ -97,7 +99,7 @@ def assert_same_tree(tree, ref):
 
 @settings(max_examples=150, deadline=None)
 @given(tie_heavy_fits())
-def test_level_wise_tree_equals_depth_first_oracle(case):
+def test_level_wise_tree_equals_breadth_first_oracle(case):
     X, y, kw = case
     assert_same_tree(RegressionTree.fit(X, y, **kw), oracle_fit(X, y, **kw))
 
@@ -112,6 +114,23 @@ def test_multiplicity_weights_equal_the_duplicated_sample(case, seed):
     draw = np.random.default_rng(seed).integers(0, n, size=n)
     weighted = RegressionTree.fit(X, y, weight=np.bincount(draw, minlength=n), **kw)
     assert_same_tree(weighted, oracle_fit(X[draw], y[draw], **kw))
+
+
+def test_nodes_are_stored_level_by_level():
+    """Node ids ascend with depth, and every split node's two children are
+    consecutive and come after every node of the split node's depth."""
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 6, size=(300, 3)).astype(np.float64)
+    tree = RegressionTree.fit(X, rng.integers(0, 4, size=300).astype(np.float64), max_depth=5)
+    depth = np.zeros(tree.feature.size, dtype=np.int64)
+    split = np.flatnonzero(tree.feature >= 0)
+    for v in split:  # a parent comes before its children
+        depth[tree.left[v]] = depth[tree.right[v]] = depth[v] + 1
+    assert split.size > 3 and depth.max() == 5
+    assert np.all(np.diff(depth) >= 0)
+    assert np.array_equal(tree.right[split], tree.left[split] + 1)
+    last = np.searchsorted(depth, depth[split], side="right") - 1  # each split node's depth's last id
+    assert np.all(tree.left[split] > last)
 
 
 def test_blocks_of_live_nodes_equal_one_block(monkeypatch):
