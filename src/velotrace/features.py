@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import MissingInputError, ParameterError, ParseError, SchemaError
 from .util import (HOUR_US, MINUTE_US, SLOT_WIDTHS, SPLIT_RATIOS, WEEKDAY_NAMES, local_datetimes, members, parse_utc,
-                   pearson, read_json, sorted_unique, utc_strings, write_csv, write_json)
+                   pearson, read_json, sorted_unique, stamps_us, utc_strings, write_csv, write_json)
 
 if TYPE_CHECKING:  # annotations only: `train` and `predict` load neither layer
     from .covariates import CalendarEntry, WeatherTable
@@ -276,15 +276,15 @@ def read_features_csv(path) -> FeatureMatrix:
     """The matrix of a features file, with the width and next-slot row of its sidecar.
 
     The body is parsed by one `np.loadtxt` call, NumPy's C tokenizer, into a
-    float64 field of the values and a text field of the stamps, which become
-    microseconds through `datetime64`. A file that the fast path cannot vouch
-    for goes through the row parser (`csv` and a `float` per cell) instead:
-    a header that does not end in `target,slot_start`, a row of another field
-    count or with a value `loadtxt` rejects, a stamp other than the
-    20-character `YYYY-MM-DDThh:mm:ssZ` rendering of its instant, or fewer
-    than 2 rows. So X, y and `slot_us` are the row parser's, bit for bit, and
-    a malformed file raises its error, with its line, as the row parser
-    finds it."""
+    float64 field of the values and a bytes field of the stamps, which
+    `util.stamps_us` reads. A file that the fast path cannot vouch for goes
+    through the row parser (`csv` and a `float` per cell) instead: one with a
+    byte 0x1C-0x1F, which `loadtxt` takes for a space and `float` does not, a
+    header that does not end in `target,slot_start`, a row of another field
+    count or with a value `loadtxt` rejects, a stamp `stamps_us` does not
+    read, or fewer than 2 rows. So X, y and `slot_us` are the row parser's,
+    bit for bit, and a malformed file raises its error, with its line, as the
+    row parser finds it."""
     meta_path = sidecar_path(path)
     for p in (Path(path), meta_path):
         if not p.exists():
@@ -312,35 +312,29 @@ def _is_features_header(header: list[str]) -> bool:
     return len(header) >= 3 and header[-1] == "slot_start" and header[-2] == "target"
 
 
-_FIRST_SECOND = np.datetime64("0001-01-01T00:00:00")  # year 0 renders, but `parse_utc` rejects it
-
-
 def _load_columns(path):
     """(names, X, y, slot_us) of a features file by one `np.loadtxt` call, or
     None where the row parser must read it."""
     with open(path, "r", encoding="utf-8", newline="") as f:
+        # `loadtxt` takes 0x1C-0x1F for spaces, `float` does not; sought 64 KB at a time: one big string raises the peak
+        if any(c in chunk for chunk in iter(lambda: f.read(1 << 16), "") for c in "\x1c\x1d\x1e\x1f"):
+            return None
+        f.seek(0)
         header = next(csv.reader(f), [])
         if not _is_features_header(header):
             return None
-        # one field past 20 characters, so that a longer stamp cannot pass
-        dtype = np.dtype([("values", np.float64, (len(header) - 1,)), ("stamp", "U21")])
+        # one byte past 20, so that a longer stamp cannot pass
+        dtype = np.dtype([("values", np.float64, (len(header) - 1,)), ("stamp", "S21")])
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # an empty body: the row parser reports it
                 body = np.loadtxt(f, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except ValueError:
             return None
-    if len(body) < 2:
-        return None
-    stamp = body["stamp"]
-    try:
-        seconds = stamp.astype("U19").astype("datetime64[s]")
-    except ValueError:
-        return None
-    if seconds.min() < _FIRST_SECOND or (np.char.add(np.datetime_as_string(seconds, unit="s"), "Z") != stamp).any():
+    slot_us = stamps_us(body["stamp"][:, None].view(np.uint8))
+    if len(body) < 2 or slot_us is None:
         return None
     values = body["values"]
-    slot_us = seconds.astype("datetime64[us]").astype(np.int64)
     return header[:-2], np.ascontiguousarray(values[:, :-1]), values[:, -1].copy(), slot_us
 
 

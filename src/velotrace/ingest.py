@@ -17,12 +17,12 @@ pass that counts the line ends; activity ids are coded by binary search in
 the sorted ids met so far, with no Python object per id. It takes a source
 only in this form: the exact header; every line ending in CR LF, or every
 line in LF; no blank line, `"`, NUL or non-ASCII byte; five commas a line;
-no field over 128 bytes; a non-empty id; a stamp `YYYY-MM-DDThh:mm:ssZ`
-that names a real instant, whose microseconds come from days-from-civil
-arithmetic; `lat` and `lon` both empty or both `-?digits[.digits]` within
-range, converted by NumPy's correctly rounded bytes-to-float cast, which
-gives `float`'s bits; accuracy and speed empty or `digits[.digits]`. Any
-other source is parsed again, whole, by the row loop (`csv_records`,
+no field over 128 bytes; a non-empty id; a stamp of the canonical shape
+`YYYY-MM-DDThh:mm:ssZ`, read by `util.stamps_us` through NumPy's
+`datetime64` parse; `lat` and `lon` both empty or both within range, and
+accuracy and speed empty or >= 0, each as any text that `float` reads,
+read by NumPy's bytes-to-float cast as `float` reads it, to the same bits.
+Any other source is parsed again, whole, by the row loop (`csv_records`,
 `parse_utc`, `_opt_float`), the one place that raises a parse error, so each
 error keeps its class, message and line.
 
@@ -52,7 +52,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParseError, RangeError, SchemaError
-from .util import csv_records, parse_utc, utc_strings, write_csv
+from .util import csv_records, parse_utc, stamps_us, utc_strings, write_csv
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -232,53 +232,15 @@ def _fields(windows: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.nd
     return m
 
 
-def _decimal(m: np.ndarray, length: np.ndarray, signed: bool) -> bool:
-    """Whether every row of the field matrix `m`, `length` > 0 bytes long,
-    reads digits[.digits], after a `-` if `signed`."""
-    digit = m - np.uint8(48) <= 9
-    dot = m == 46
-    other = digit | dot
-    other ^= True
-    other &= m != 0  # a NUL is padding: the block path takes no NUL byte
-    sign = signed & (m[:, 0] == 45)
-    other[:, 0] &= ~sign
-    rows = np.arange(len(m))
-    dots = np.nonzero(dot)[0]  # the row of each dot
-    return (not other.any() and bool(np.all(np.diff(dots) > 0)) and digit[rows, np.minimum(sign, length - 1)].all()
-            and digit[rows, length - 1].all())
-
-
-# the shape of a timestamp the block path takes, YYYY-MM-DDThh:mm:ssZ: each
-# byte lies up to `_STAMP_SPAN` above the byte of `_STAMP`. These tables are
-# built without a ufunc, so that importing the module runs no NumPy loop.
-_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
-_STAMP_SPAN = np.frombuffer(bytes(9 if c == ord("0") else 0 for c in _STAMP.tobytes()), dtype=np.uint8)
-# days per month of a common year, 0 for the 87 two-digit numbers that name no month
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31] + [0] * 87, dtype=np.int32)
-
-
-def _stamps(m: np.ndarray) -> np.ndarray:
-    """The instants of the rows of `m`, a uint8 matrix of YYYY-MM-DDThh:mm:ssZ
-    stamps, in microseconds; each must name a real instant of years 1-9999.
-    The day comes from days-from-civil arithmetic on the proleptic Gregorian
-    calendar, as `datetime` counts it."""
-    d = m - _STAMP  # each digit's value, 0 at the other bytes
-    _check(d <= _STAMP_SPAN)
-
-    def number(at: int, n: int) -> np.ndarray:
-        v = d[:, at].astype(np.int32)
-        for j in range(at + 1, at + n):
-            v = v * 10 + d[:, j]
-        return v
-
-    year, month, day = number(0, 4), number(5, 2), number(8, 2)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    _check((year >= 1) & (day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2))))
-    y = year - (month <= 2)  # years that start in March
-    days = y * 365 + y // 4 - y // 100 + y // 400 + (153 * ((month + 9) % 12) + 2) // 5 + day - 719_469
-    hour, minute, second = number(11, 2), number(14, 2), number(17, 2)
-    _check((hour <= 23) & (minute <= 59) & (second <= 59))
-    return (days.astype(np.int64) * 86_400 + (hour * 60 + minute) * 60 + second) * 1_000_000
+def _floats(windows: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The fields at `start`, `length` > 0 bytes long, of the buffer that
+    `windows` views, read by NumPy's bytes-to-float64 cast, which reads a text
+    as `float` does, to the same bits; raises `_Fallback` where both refuse it."""
+    m = _fields(windows, start, length)
+    try:
+        return m.view(f"S{m.shape[1]}")[:, 0].astype(np.float64)
+    except ValueError:
+        raise _Fallback from None
 
 
 def _scan(f) -> tuple[int, int, bytes]:
@@ -400,31 +362,32 @@ def _bounds(buf: np.ndarray, nl: np.ndarray, crlf: bool) -> np.ndarray:
 def _parse_block(buf, windows, nl, crlf, codes: _IdCodes, activity, t, lat, lon) -> None:
     """Check and convert the lines of `buf` that end at `nl` into the column
     slices given, activity ids by their `codes`; `windows` views `buf` as
-    `_fields` reads it."""
+    `_fields` reads it: a stamp in the canonical shape alone, by `stamps_us`,
+    and a number as any text that `float` reads, by `_floats`."""
     if crlf:
         _check(buf[nl - 1] == 13)
     start = _bounds(buf, nl, crlf)
     length = np.diff(start, axis=1)
     length -= 1
     _check((length >= 0) & (length <= _FIELD_MAX))  # so each line holds its five commas
-    _check((length[:, 0] > 0) & (length[:, 1] == len(_STAMP)))
+    _check(length[:, 0] > 0)
 
     ids = _fields(windows, start[:, 0], length[:, 0])
     distinct, inverse = np.unique(ids.view(f"S{ids.shape[1]}")[:, 0], return_inverse=True)
     activity[:] = codes(distinct)[inverse]
-    t[:] = _stamps(windows[start[:, 1], :len(_STAMP)])
+    us = stamps_us(_fields(windows, start[:, 1], length[:, 1]))
+    _check(us is not None)
+    t[:] = us
 
     present = length[:, 2] > 0
     _check(present == (length[:, 3] > 0))
     for j, column, bound in ((2, lat, 90.0), (3, lon, 180.0)):
-        m = _fields(windows, start[present, j], length[present, j])
-        _check(_decimal(m, length[present, j], signed=True))
-        v = m.view(f"S{m.shape[1]}")[:, 0].astype(np.float64)  # rounded as `float` rounds
-        _check(np.abs(v) <= bound)
+        v = _floats(windows, start[present, j], length[present, j])
+        _check(np.abs(v) <= bound)  # NaN fails
         column[present] = v
-    for j in (4, 5):  # accuracy and speed, checked and not kept
+    for j in (4, 5):  # accuracy and speed, checked as `_opt_float` checks them (NaN fails, inf passes) and not kept
         given = length[:, j] > 0
-        _check(_decimal(_fields(windows, start[given, j], length[given, j]), length[given, j], signed=False))
+        _check(_floats(windows, start[given, j], length[given, j]) >= 0)
 
 
 def _runs(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -79,7 +79,7 @@ class Windows:
     """The windows of `lookback` consecutive rows of X that start at the rows
     `starts`, read on demand, so no (N, lookback, D) array is ever built.
     `windows[batch]` selects windows without copying rows, and `gather`
-    copies each window's rows straight into a time-major buffer."""
+    copies the windows' rows straight into a time-major buffer."""
 
     def __init__(self, X: np.ndarray, lookback: int, starts: np.ndarray):
         self.X, self.lookback, self.starts = X, lookback, starts
@@ -100,8 +100,7 @@ class Windows:
 
     def gather(self, out: np.ndarray) -> None:
         """Window k's step t into `out[t, k]`, for `out` of shape (lookback, len, D)."""
-        for k, s in enumerate(self.starts.tolist()):
-            out[:, k] = self.X[s:s + self.lookback]
+        out[:] = self.X[np.arange(self.lookback)[:, None] + self.starts]
 
 
 def build_windows(X: np.ndarray, y: np.ndarray, lookback: int, targets) -> tuple[Windows, np.ndarray]:

@@ -24,7 +24,8 @@ dataclass by `from_json`: errors name the value's path, such as
 `synth.rain_events[0].start_hour`; ranges are checked in `__post_init__`.
 
 An instant is int64 microseconds since the epoch everywhere, alone or as a
-column: `parse_utc` reads one, `utc_strings` renders a column of them, and
+column: `parse_utc` reads one, `stamps_us` reads a column of canonical
+stamps as `parse_utc` reads each, `utc_strings` renders a column of them, and
 `local_datetimes` gives their local calendar (day, month, hour) at a fixed
 UTC offset. `MINUTE_US` and `HOUR_US` turn durations into that unit."""
 
@@ -77,6 +78,31 @@ def parse_utc(text: str) -> int:
     if dt.tzinfo is None:
         raise ValueError(f"timestamp lacks UTC marker: {text!r}")
     return (dt - _EPOCH) // _MICROSECOND
+
+
+# the shape of a canonical stamp, YYYY-MM-DDThh:mm:ssZ: each byte lies up to
+# `_STAMP_SPAN` above the byte of `_STAMP`. These tables are built without a
+# ufunc, so that importing the module runs no NumPy loop.
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)
+_STAMP_SPAN = np.frombuffer(bytes(9 if c == ord("0") else 0 for c in _STAMP.tobytes()), dtype=np.uint8)
+_FIRST_SECOND = -62_135_596_800  # 0001-01-01T00:00:00Z, in seconds since the epoch
+
+
+def stamps_us(m: np.ndarray) -> np.ndarray | None:
+    """The instants, in microseconds, of the rows of the uint8 matrix `m`, each
+    a canonical stamp `YYYY-MM-DDThh:mm:ssZ` padded with NULs, as `parse_utc`
+    reads them; None unless it reads every row. The shape is checked byte by
+    byte, then NumPy's `datetime64[s]` parse refuses any field out of range
+    (29 February of a common year, `24:00:00`, `23:59:60`, month 13, day 00),
+    and last a year-1 floor refuses year 0, which NumPy reads."""
+    n = len(_STAMP)
+    if m.shape[1] < n or m[:, n:].any() or not np.all(m[:, :n] - _STAMP <= _STAMP_SPAN):
+        return None
+    try:
+        seconds = m[:, :n - 1].view(f"S{n - 1}")[:, 0].astype("datetime64[s]").astype(np.int64)
+    except ValueError:
+        return None
+    return seconds * 1_000_000 if np.all(seconds >= _FIRST_SECOND) else None
 
 
 def utc_strings(us) -> list[str]:

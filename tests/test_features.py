@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from velotrace.covariates import CalendarEntry
-from velotrace.errors import MissingInputError, ParameterError, SchemaError
+from velotrace.errors import MissingInputError, ParameterError, ParseError, SchemaError
 from velotrace.features import (
     FeatureCorrelation,
     FeatureMatrix,
@@ -436,6 +436,25 @@ class TestCsvReaders:
         back = read_features_csv(path)
         assert self.same_columns((back.column_names, back.X, back.y, back.slot_us), _parse_rows(path))
         assert np.array_equal(back.X, m.X) and np.array_equal(back.slot_us, m.slot_us)
+
+    @pytest.mark.parametrize("cell, byte", [(0, "\x1c"), (1, "\x1d"), (-2, "\x1e"), (0, "\x1f")])
+    def test_a_byte_loadtxt_takes_for_a_space_goes_to_the_row_parser(self, tmp_path, cell, byte):
+        """`loadtxt` reads `4\\x1c` as 4.0; `float`, and so the row parser,
+        refuses it: such a file raises the row parser's error, with its line."""
+        m, _ = build(list(range(7 * 48 + 30)))
+        path = tmp_path / "features.csv"
+        write_features_csv(m, path, **OPTIONS)
+        lines = path.read_bytes().decode("utf-8").split("\r\n")
+        cells = lines[1].split(",")
+        cells[cell] += byte
+        lines[1] = ",".join(cells)
+        path.write_bytes("\r\n".join(lines).encode("utf-8"))
+        assert _load_columns(path) is None
+        with pytest.raises(ParseError) as rows:
+            _parse_rows(path)
+        with pytest.raises(ParseError) as read:
+            read_features_csv(path)
+        assert str(read.value) == str(rows.value) and read.value.line == 2
 
 OPTIONS = {"utc_offset_min": 120}
 

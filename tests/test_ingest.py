@@ -23,6 +23,7 @@ from velotrace.ingest import (
     save_points_npz,
 )
 from velotrace.synth import SynthConfig, generate
+from velotrace.util import parse_utc, stamps_us
 
 from conftest import T0, csv_stream, great_circle_m, point_table, pt, same_trips
 
@@ -204,6 +205,76 @@ class TestBlockPath:
               mock.patch.object(ingest, "_BLOCK", 16)):
             assert same_outcome(parse_points(path), expected)
         assert np.isnan(expected.lat).any()
+
+
+# texts of numbers: digits, signs, `.`, `e`, `_`, the spaces `float` strips and the bytes 0x1C-0x1F,
+# which it does not strip; the spellings of NaN and infinity; and the repr of any float
+NUMBER_TEXTS = st.one_of(
+    st.text(alphabet="0123456789+-.eE_ \t\x0b\x0c\x1c\x1d\x1e\x1f", max_size=24),
+    st.builds(str.__add__, st.sampled_from(["", "+", "-", " "]),
+              st.sampled_from(["nan", "NaN", "nAn", "inf", "INF", "infinity", "-Infinity", "iNfInItY"])),
+    st.floats().map(repr),
+)
+# canonical stamps of 29 February, in the leap years 4q (q % 25 != 0, or q % 100 == 0)
+LEAP_DAYS = st.builds(lambda q, second: datetime(4 * q, 2, 29) + timedelta(seconds=second),
+                      st.integers(1, 2499).filter(lambda q: q % 25 or q % 100 == 0), st.integers(0, 86_399))
+
+
+def stamp_matrix(*texts: str) -> np.ndarray:
+    """The uint8 matrix whose rows hold the bytes of the equally long `texts`."""
+    return np.frombuffer("".join(texts).encode("latin-1"), dtype=np.uint8).reshape(len(texts), -1).copy()
+
+
+class TestNumPyParsers:
+    """The two NumPy behaviours the block path rests on, pinned, so that a
+    NumPy that reads otherwise shows up here."""
+
+    @given(text=NUMBER_TEXTS)
+    @settings(max_examples=500, deadline=None)
+    def test_the_bytes_cast_reads_a_text_as_float_does(self, text):
+        """Bit for bit (NaN as NaN, the sign of zero kept), or both raise; the
+        text NUL-padded in a wider field, as the block path casts it."""
+        try:
+            want = float(text)
+        except ValueError:
+            want = None
+        try:
+            got = np.array([text.encode("ascii"), b"1" * 30]).astype(np.float64)[0]
+        except ValueError:
+            got = None
+        if want is None or got is None:
+            assert want is None and got is None, (want, got)
+        elif math.isnan(want):
+            assert np.isnan(got)
+        else:
+            assert np.float64(want).tobytes() == got.tobytes(), (want, got)
+
+    @given(dts=st.lists(st.one_of(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59)), LEAP_DAYS),
+                        min_size=1, max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_the_stamp_reader_reads_a_canonical_stamp_as_parse_utc_does(self, dts):
+        texts = [stamp(dt) for dt in dts]
+        want = [parse_utc(text) for text in texts]
+        assert stamps_us(stamp_matrix(*texts)).tolist() == want
+        assert stamps_us(stamp_matrix(*(text + "\0" for text in texts))).tolist() == want  # NUL-padded
+
+    @pytest.mark.parametrize("text", ["0000-01-01T00:00:00Z", "2017-02-29T00:00:00Z", "1900-02-29T12:00:00Z",
+                                      "2017-01-01T24:00:00Z", "2016-12-31T23:59:60Z", "2017-13-01T00:00:00Z",
+                                      "2017-01-00T00:00:00Z", "2017-04-31T00:00:00Z", "2017-01-01T00:60:00Z"])
+    def test_the_stamp_reader_refuses_what_parse_utc_refuses(self, text):
+        with pytest.raises(ValueError):
+            parse_utc(text)
+        assert stamps_us(stamp_matrix(text)) is None
+        assert stamps_us(stamp_matrix("2017-05-01T00:00:00Z", text)) is None
+
+    @given(at=st.integers(0, 20), byte=st.integers(0, 255))
+    @settings(max_examples=300, deadline=None)
+    def test_the_stamp_reader_refuses_any_byte_out_of_shape(self, at, byte):
+        text = "2016-02-29T23:59:59Z\0"
+        digit = text[at] in "0123456789"
+        if (digit and chr(byte) in "0123456789") or (not digit and chr(byte) == text[at]):
+            return  # a byte the shape takes
+        assert stamps_us(stamp_matrix(text[:at] + chr(byte) + text[at + 1:])) is None
 
 
 class TestHaversine:

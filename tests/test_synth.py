@@ -123,6 +123,11 @@ def test_daily_counts_match_truth_within_3_sigma(tmp_path):
     for day, mean in man["truth"]["daily_expected"].items():
         sigma = math.sqrt(mean)
         assert abs(measured.get(day, 0) - mean) <= 3 * sigma, day
+    # the speed distribution of the paper's first figure: log speed is normal with mean mu and sd sigma
+    log_speed = np.log(trips.avg_speed)
+    sd = log_speed.std(ddof=1)
+    assert abs(log_speed.mean() - cfg.speed.mu) <= 3 * cfg.speed.sigma / math.sqrt(len(trips))
+    assert abs(sd - cfg.speed.sigma) <= 0.05 * cfg.speed.sigma
 
 
 def test_hub_flow_shares_recorded(tmp_path):
